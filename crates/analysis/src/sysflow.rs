@@ -27,22 +27,13 @@ use std::collections::BTreeSet;
 /// The main-rooted syscall-flow automaton over the sensitive alphabet.
 ///
 /// Serialized into the compiler's context metadata; an empty value (the
-/// `Default`) means "no flow information" and consumers fall back to
-/// coarser reachability.
+/// `Default`) permits no trap, so the tier-1 prefilter escalates every one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SyscallFlow {
     /// Sensitive nrs that can be the first trap of a `main` execution.
     pub initial: BTreeSet<u32>,
     /// Ordered pairs `(a, b)`: trap `b` can immediately follow trap `a`.
     pub edges: BTreeSet<(u32, u32)>,
-}
-
-impl SyscallFlow {
-    /// True when the automaton carries no information (e.g. metadata
-    /// predating the analysis, or a module with no `main`).
-    pub fn is_empty(&self) -> bool {
-        self.initial.is_empty() && self.edges.is_empty()
-    }
 }
 
 /// Per-function summary: first/last emittable sensitive nrs plus whether
@@ -419,7 +410,7 @@ mod tests {
         let mut mb = ModuleBuilder::new("t");
         let _ = mb.declare_syscall_stub("mmap", sysno::MMAP, 6);
         let flow = analyze_module(&mb.finish(), &sensitive());
-        assert!(flow.is_empty());
+        assert_eq!(flow, SyscallFlow::default());
     }
 
     #[test]

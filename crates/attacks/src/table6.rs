@@ -12,7 +12,6 @@ fn ct_only() -> ContextConfig {
         control_flow: false,
         arg_integrity: false,
         fetch_state: false,
-        fast_path: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
         prefilter_differential: false,
@@ -25,7 +24,6 @@ fn cf_only() -> ContextConfig {
         control_flow: true,
         arg_integrity: false,
         fetch_state: false,
-        fast_path: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
         prefilter_differential: false,
@@ -38,7 +36,6 @@ fn ai_only() -> ContextConfig {
         control_flow: false,
         arg_integrity: true,
         fetch_state: false,
-        fast_path: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
         prefilter_differential: false,

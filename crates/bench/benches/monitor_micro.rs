@@ -133,31 +133,21 @@ fn bench_trap_verify(c: &mut Criterion) {
     }
     let info = LaunchInfo::from_image(&image, &out.metadata);
 
-    let mut group = c.benchmark_group("trap_verify");
-    for (label, cfg) in [
-        ("legacy", ContextConfig::full().without_fast_path()),
-        ("fast_path", ContextConfig::full()),
-    ] {
-        let mut mon = Monitor::new(&out.metadata, cfg, info.clone());
-        {
-            // The verdict must be identical on both paths before timing.
+    // `on_trap` is the tier-2 entry point: the prefilter never runs here.
+    let mut mon = Monitor::new(&out.metadata, ContextConfig::full(), info);
+    {
+        // The clean trap must verify before it is timed.
+        let mut charge = 0u64;
+        let mut t = Tracee::new(&machine, 1, &mut charge);
+        assert_eq!(mon.on_trap(&mut t), bastion::kernel::TraceVerdict::Allow);
+    }
+    c.bench_function("trap_verify/full", |b| {
+        b.iter(|| {
             let mut charge = 0u64;
             let mut t = Tracee::new(&machine, 1, &mut charge);
-            assert_eq!(
-                mon.on_trap(&mut t),
-                bastion::kernel::TraceVerdict::Allow,
-                "{label}"
-            );
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut charge = 0u64;
-                let mut t = Tracee::new(&machine, 1, &mut charge);
-                criterion::black_box(mon.on_trap(&mut t))
-            });
+            criterion::black_box(mon.on_trap(&mut t))
         });
-    }
-    group.finish();
+    });
 }
 
 criterion_group!(

@@ -6,11 +6,11 @@
 //!    protection behaves identically under different load slides.
 //! 3. **Monitor initialization cost** (§9.2: ≈21 ms for NGINX).
 //! 4. **Stack-walk termination** at `main`/indirect entries vs. walk depth.
-//! 5. **Trap fast path**: batched remote reads + the verification cache
-//!    vs. the original word-by-word, recheck-everything monitor, and the
-//!    tier-1 seccomp-time prefilter on top (DESIGN.md §6g).
+//! 5. **Tier-1 prefilter**: cycles per trap with every trap verified by
+//!    the ptrace monitor vs. the seccomp-time prefilter on top (DESIGN.md
+//!    §6g).
 //! 6. **Phase attribution**: span-traced breakdown of where the monitor's
-//!    trap cycles actually go, legacy vs fast path.
+//!    trap cycles actually go, tier 2 only vs two tiers.
 
 use bastion::apps::{App, ALL_APPS};
 use bastion::compiler::BastionCompiler;
@@ -166,7 +166,7 @@ fn main() {
     }
 
     println!();
-    println!("Ablation 5: trap fast path — batched reads, caches, tier-1 prefilter");
+    println!("Ablation 5: tier-1 prefilter — cycles per trap, tier 2 only vs two tiers");
     println!("(full contexts; trace cycles per trap, monitor init excluded)");
     {
         use bastion::monitor::ContextConfig;
@@ -174,11 +174,7 @@ fn main() {
         let compiler = BastionCompiler::new();
         for (label, cfg) in [
             (
-                "legacy (word-by-word)",
-                ContextConfig::full().without_fast_path(),
-            ),
-            (
-                "fast path (batched+cached)",
+                "tier-2 monitor only",
                 ContextConfig::full().with_prefilter(false),
             ),
             ("tier-1 prefilter (DESIGN §6g)", ContextConfig::full()),
@@ -219,11 +215,7 @@ fn main() {
         let compiler = BastionCompiler::new();
         for (label, cfg) in [
             (
-                "legacy (word-by-word)",
-                ContextConfig::full().without_fast_path(),
-            ),
-            (
-                "fast path (batched+cached)",
+                "tier-2 monitor only",
                 ContextConfig::full().with_prefilter(false),
             ),
             ("tier-1 prefilter (DESIGN §6g)", ContextConfig::full()),

@@ -141,8 +141,8 @@ pub struct ContextMetadata {
     pub prop_sites: BTreeMap<u64, Vec<(u8, ArgMeta)>>,
     /// Main-rooted syscall-flow automaton over the sensitive alphabet
     /// (initial nrs + ordered adjacency edges); nr-based, so rebasing is
-    /// the identity. Empty means "no flow information" and consumers fall
-    /// back to coarse reachability.
+    /// the identity. Empty only when the analysis finds no feasible
+    /// sensitive trap; an empty automaton permits no trap at tier 1.
     pub syscall_flow: SyscallFlow,
     /// Table 5 statistics.
     pub stats: InstrStats,

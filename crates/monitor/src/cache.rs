@@ -1,5 +1,5 @@
-//! Per-callsite verification cache — the memoization half of the trap fast
-//! path.
+//! Per-callsite verification cache — the memoization half of tier-2 trap
+//! verification (the other half is batched remote reads).
 //!
 //! Call-Type and Control-Flow verdicts are pure functions of code addresses
 //! and compiler metadata, both of which are fixed for the life of the
@@ -37,7 +37,7 @@ use std::collections::HashMap;
 /// rule-level provenance of a fresh verdict, not just its message.
 pub type CachedVerdict = Result<(), Violation>;
 
-/// Verification cache plus the fast-path counters surfaced in
+/// Verification cache plus the cache and remote-read counters surfaced in
 /// [`crate::MonitorStats`].
 ///
 /// Walk entries store the **full chain key** (the exact word sequence that
@@ -58,9 +58,9 @@ pub struct VerifyCache {
     /// Walk lookups whose hash matched but whose stored chain differed —
     /// aliasing caught by full-key confirmation, served as misses.
     pub walk_collisions: u64,
-    /// Frame heads fetched with one batched read instead of two.
+    /// Frame heads fetched, each with one batched read.
     pub batched_frame_reads: u64,
-    /// Pointee buffers fetched with one batched read instead of per-byte.
+    /// Pointee buffers fetched, each with one bounded prefix read.
     pub batched_pointee_reads: u64,
 }
 

@@ -176,10 +176,6 @@ pub struct ContextConfig {
     /// Fetch registers and walk the stack without verifying anything —
     /// Table 7's "fetch process state" row, isolating the ptrace cost.
     pub fetch_state: bool,
-    /// Use the trap fast path: batched frame/pointee remote reads and the
-    /// per-callsite verification cache (see [`cache`]). Off reproduces the
-    /// original per-word, re-derive-everything trap cost for ablations.
-    pub fast_path: bool,
     /// Substrate-failure policy (retry/backoff, watchdog, degradation
     /// ladder).
     pub resilience: Resilience,
@@ -207,7 +203,6 @@ impl ContextConfig {
             control_flow: true,
             arg_integrity: true,
             fetch_state: true,
-            fast_path: true,
             resilience: Resilience::default(),
             prefilter: true,
             prefilter_differential: false,
@@ -223,7 +218,6 @@ impl ContextConfig {
             control_flow: false,
             arg_integrity: false,
             fetch_state: true,
-            fast_path: true,
             resilience: Resilience::default(),
             prefilter: false,
             prefilter_differential: false,
@@ -237,7 +231,6 @@ impl ContextConfig {
             control_flow: true,
             arg_integrity: false,
             fetch_state: true,
-            fast_path: true,
             resilience: Resilience::default(),
             prefilter: false,
             prefilter_differential: false,
@@ -252,7 +245,6 @@ impl ContextConfig {
             control_flow: false,
             arg_integrity: false,
             fetch_state: false,
-            fast_path: true,
             resilience: Resilience::default(),
             prefilter: false,
             prefilter_differential: false,
@@ -267,7 +259,6 @@ impl ContextConfig {
             control_flow: false,
             arg_integrity: false,
             fetch_state: true,
-            fast_path: true,
             resilience: Resilience::default(),
             prefilter: false,
             prefilter_differential: false,
@@ -277,16 +268,6 @@ impl ContextConfig {
     /// Whether any context is verified.
     pub fn verifies(&self) -> bool {
         self.call_type || self.control_flow || self.arg_integrity
-    }
-
-    /// The same configuration with the trap fast path disabled — the
-    /// "before" side of the fast-path ablation. The prefilter goes with
-    /// it: the ablation isolates monitor-side trap cost, and tier-1 hits
-    /// would bypass the very path being measured.
-    pub fn without_fast_path(mut self) -> Self {
-        self.fast_path = false;
-        self.prefilter = false;
-        self
     }
 
     /// The same configuration with the tier-1 prefilter forced on or off.
@@ -382,10 +363,9 @@ pub struct MonitorStats {
     /// differed — aliasing caught by full-key confirmation and served as
     /// misses instead of sharing a verdict across chains.
     pub walk_cache_collisions: u64,
-    /// Frame heads fetched with one batched remote read instead of two.
+    /// Frame heads fetched, each with one batched remote read.
     pub batched_frame_reads: u64,
-    /// Pointee buffers fetched with one batched remote read instead of a
-    /// per-byte loop.
+    /// Pointee buffers fetched, each with one bounded prefix read.
     pub batched_pointee_reads: u64,
     /// Fail-closed denies: traps denied because the monitor's substrate
     /// failed, not because the tracee violated a context.
@@ -606,7 +586,7 @@ pub struct Monitor {
     /// Deny-provenance audit log: one structured record per deny, in
     /// order. Always populated (not gated by the telemetry enable flag).
     pub deny_log: Vec<DenyRecord>,
-    /// Fast-path verification cache (interior mutability: verification
+    /// Verification cache (interior mutability: verification
     /// runs behind a shared borrow of the monitor).
     pub cache: std::cell::RefCell<cache::VerifyCache>,
     /// Resilience state: degradation-ladder rung, strikes, retry/watchdog
@@ -1022,14 +1002,6 @@ mod tests {
             !json.contains("18446744073709551615"),
             "sentinel leaked: {json}"
         );
-    }
-
-    #[test]
-    fn fast_path_toggle() {
-        assert!(ContextConfig::full().fast_path);
-        let slow = ContextConfig::full().without_fast_path();
-        assert!(!slow.fast_path);
-        assert!(slow.arg_integrity, "other fields untouched");
     }
 
     #[test]

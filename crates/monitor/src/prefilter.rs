@@ -24,7 +24,7 @@
 //! read anomaly. The flow check is an **edge-precise automaton** over the
 //! compiler's [`bastion_compiler::metadata::ContextMetadata::syscall_flow`]
 //! (one compact state word per pid); metadata without flow information
-//! falls back to the PR-6 coarse reachability digraph.
+//! has an empty automaton, so every trap escalates as a flow miss.
 
 use crate::verify::const_to_u64;
 use crate::{ContextConfig, LaunchInfo};
@@ -34,7 +34,7 @@ use bastion_kernel::{EscalateReason as R, Pid, PrefilterVerdict, Tracee};
 use bastion_obs as obs;
 use bastion_vm::shadow::Binding;
 use bastion_vm::ShadowTable;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// CT flag bits in [`Prefilter::ct_flags`].
 const CT_CALLABLE: u8 = 1 << 0;
@@ -170,32 +170,19 @@ impl Prefilter {
         // ---- syscall-flow automaton ----
         // The compiler's main-rooted flow analysis gives the edge-precise
         // automaton: which nrs may trap first, and which nr-to-nr
-        // transitions the program can actually produce. Metadata without
-        // flow information (hand-built, or from an older compiler) falls
-        // back to the coarse order-insensitive reachability digraph —
-        // every state permits exactly the main-reachable set. Either
-        // table only trades escalations, never allows: a flow miss hands
-        // the trap to the monitor, which has no flow check at all.
-        let (flow_initial, flow_edges) = if md.syscall_flow.is_empty() {
-            let reach = reachable_nrs(md, &nrs, &nr_idx);
-            let mut dense = vec![false; nrs.len() * nrs.len()];
-            for row in dense.chunks_mut(nrs.len().max(1)) {
-                row.copy_from_slice(&reach);
+        // transitions the program can actually produce. The table only
+        // trades escalations, never allows: a flow miss hands the trap to
+        // the monitor, which has no flow check at all.
+        let flow_initial = nrs
+            .iter()
+            .map(|nr| md.syscall_flow.initial.contains(nr))
+            .collect();
+        let mut flow_edges = vec![false; nrs.len() * nrs.len()];
+        for &(a, b) in &md.syscall_flow.edges {
+            if let (Some(&i), Some(&j)) = (nr_idx.get(&a), nr_idx.get(&b)) {
+                flow_edges[i * nrs.len() + j] = true;
             }
-            (reach, dense)
-        } else {
-            let initial = nrs
-                .iter()
-                .map(|nr| md.syscall_flow.initial.contains(nr))
-                .collect();
-            let mut dense = vec![false; nrs.len() * nrs.len()];
-            for &(a, b) in &md.syscall_flow.edges {
-                if let (Some(&i), Some(&j)) = (nr_idx.get(&a), nr_idx.get(&b)) {
-                    dense[i * nrs.len() + j] = true;
-                }
-            }
-            (initial, dense)
-        };
+        }
 
         let callsites = md
             .callsites
@@ -588,54 +575,6 @@ impl Prefilter {
     }
 }
 
-/// The PR-6 fallback flow table: a sensitive nr is *flow-reachable* iff
-/// some syscall site invoking it sits in a function reachable from `main`
-/// through the callsite metadata (indirect callsites fan out to every
-/// address-taken function).
-fn reachable_nrs(md: &ContextMetadata, nrs: &[u32], nr_idx: &BTreeMap<u32, usize>) -> Vec<bool> {
-    let mut edges: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    let taken: Vec<u64> = md
-        .functions
-        .values()
-        .filter(|f| f.address_taken)
-        .map(|f| f.entry)
-        .collect();
-    for cs in md.callsites.values() {
-        let outs = edges.entry(cs.in_func).or_default();
-        match cs.kind {
-            CallsiteKind::Direct(t) => {
-                outs.insert(t);
-            }
-            CallsiteKind::Indirect => {
-                outs.extend(taken.iter().copied());
-            }
-        }
-    }
-    let mut reachable: BTreeSet<u64> = BTreeSet::new();
-    let mut queue = vec![md.main_entry];
-    while let Some(f) = queue.pop() {
-        if !reachable.insert(f) {
-            continue;
-        }
-        if let Some(outs) = edges.get(&f) {
-            queue.extend(outs.iter().copied());
-        }
-    }
-    let mut reach = vec![false; nrs.len()];
-    for (cs_addr, site) in &md.syscall_sites {
-        let in_reach = md
-            .callsites
-            .get(cs_addr)
-            .is_some_and(|c| reachable.contains(&c.in_func));
-        if in_reach {
-            if let Some(&i) = nr_idx.get(&site.nr) {
-                reach[i] = true;
-            }
-        }
-    }
-    reach
-}
-
 /// Tier-1 probe row: mirrors the monitor's extended-pointee verification
 /// (`verify_pointee_shadow`) byte for byte, escalating wherever it would
 /// deny. The bounded window is read with the flat-charged in-address-space
@@ -766,7 +705,8 @@ mod tests {
     use bastion_vm::{CostModel, Image, Machine};
     use std::sync::Arc;
 
-    fn machine() -> Machine {
+    /// `main` → `execve(0, 0, 0)`: one clean sensitive trap.
+    fn fixture() -> (Arc<Image>, ContextMetadata) {
         let mut mb = ModuleBuilder::new("fx");
         let execve = mb.declare_syscall_stub("execve", sysno::EXECVE, 3);
         let mut f = mb.function("main", &[], Ty::I64);
@@ -775,8 +715,38 @@ mod tests {
         f.ret(Some(z));
         f.finish();
         let out = BastionCompiler::new().compile(mb.finish()).unwrap();
-        let image = Arc::new(Image::load(out.module).unwrap());
-        Machine::new(image, CostModel::default())
+        (Arc::new(Image::load(out.module).unwrap()), out.metadata)
+    }
+
+    fn machine() -> Machine {
+        Machine::new(fixture().0, CostModel::default())
+    }
+
+    /// The flow automaton is the only flow table: metadata without one
+    /// permits no trap at tier 1, so the clean execve the compiled
+    /// automaton allows escalates as a flow miss and the monitor decides.
+    #[test]
+    fn empty_flow_automaton_escalates_every_trap() {
+        let (image, md) = fixture();
+        let mut m = Machine::new(image.clone(), CostModel::default());
+        let ev = bastion_vm::interp::run(&mut m, 1_000_000).event();
+        assert!(
+            matches!(ev, bastion_vm::Event::Syscall { nr, .. } if nr == sysno::EXECVE),
+            "{ev:?}"
+        );
+        let info = LaunchInfo::from_image(&image, &md);
+        let mut flowless = md.clone();
+        flowless.syscall_flow = Default::default();
+        for (md, want) in [
+            (md, PrefilterVerdict::Allow),
+            (flowless, PrefilterVerdict::Escalate(R::FlowMiss)),
+        ] {
+            let md = md.rebased(info.load_bias);
+            let mut pf = Prefilter::compile(&md, &info, &ContextConfig::full());
+            let mut charge = 0u64;
+            let mut tracee = Tracee::new(&m, 1, &mut charge);
+            assert_eq!(pf.check(&mut tracee), want);
+        }
     }
 
     // ---- classify-time mapping-boundary probe (ports the tier-2

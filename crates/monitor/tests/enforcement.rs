@@ -256,7 +256,6 @@ fn ct_and_cf_disabled_still_catch_with_ai() {
         control_flow: false,
         arg_integrity: true,
         fetch_state: true,
-        fast_path: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
         prefilter_differential: false,
@@ -326,4 +325,60 @@ fn clean_traps_all_settle_in_tier_1() {
         monitor.log,
         vec![(sysno::MMAP, true), (sysno::EXECVE, true)]
     );
+}
+
+/// `main` → `reenter` → `main` → `mmap`: the direct callsite in `reenter`
+/// really does target `main`, but the Control-Flow analysis stops at
+/// `main` and records no callers for it, so the strict pairwise check
+/// denies the walk (`InvalidCaller`). Tier 1 mirrors the check and
+/// escalates, so the two-tier configuration issues the same deny.
+#[test]
+fn direct_call_into_main_is_an_invalid_caller() {
+    let mut mb = ModuleBuilder::new("reentry");
+    let mmap = mb.declare_syscall_stub("mmap", sysno::MMAP, 6);
+    let depth = mb.global("depth", Ty::I64, bastion_ir::GlobalInit::Zero);
+    let main = mb.declare("main", &[], Ty::I64);
+    let reenter = mb.declare("reenter", &[], Ty::Void);
+
+    let mut f = mb.define(reenter);
+    let _ = f.call_direct(main, &[]);
+    f.ret(None);
+    f.finish();
+
+    let mut f = mb.define(main);
+    let (first, again) = (f.new_block(), f.new_block());
+    let da = f.global_addr(depth);
+    let d = f.load(da);
+    let is_first = f.cmp(bastion_ir::CmpOp::Eq, d, 0i64);
+    f.br(is_first, first, again);
+    f.switch_to(first);
+    let da = f.global_addr(depth);
+    f.store(da, 1i64);
+    let _ = f.call_direct(reenter, &[]);
+    f.ret(Some(Operand::Imm(0)));
+    f.switch_to(again);
+    let args = [0i64, 4096, 3, 0x21, -1, 0].map(Operand::from);
+    let _ = f.call_direct(mmap, &args);
+    f.ret(Some(Operand::Imm(0)));
+    f.finish();
+
+    let out = BastionCompiler::new().compile(mb.finish()).unwrap();
+    let image = Arc::new(Image::load(out.module).unwrap());
+    for cfg in [ContextConfig::ct_cf(), ContextConfig::full()] {
+        let mut world = World::new(CostModel::default());
+        let pid = world.spawn(Machine::new(image.clone(), CostModel::default()));
+        protect(&mut world, pid, &image, &out.metadata, cfg);
+        assert_eq!(world.run(50_000_000), RunStatus::AllExited, "{cfg:?}");
+        match world.proc(pid).unwrap().exit.clone().unwrap() {
+            ExitReason::MonitorKill { nr, reason } => {
+                assert_eq!(nr, sysno::MMAP);
+                assert!(
+                    reason.starts_with("CF: ") && reason.contains("is not a valid caller of"),
+                    "{cfg:?}: {reason}"
+                );
+            }
+            other => panic!("{cfg:?}: re-entered main was not denied: {other:?}"),
+        }
+        assert_eq!(world.kernel.count_of(sysno::MMAP), 0);
+    }
 }

@@ -59,8 +59,6 @@ pub enum DenyRule {
     // ---- Control-Flow (§7.3) ----
     /// A frame head in the walk could not be read.
     FrameUnreadable,
-    /// A saved frame pointer could not be read (legacy walk).
-    SavedFpUnreadable,
     /// The walk bottomed out in a function other than `main`.
     BottomNotMain,
     /// A cached/malformed chain bottomed out with no frames at all.
@@ -154,7 +152,6 @@ impl DenyRule {
             DenyRule::NotIndirectlyCallable => "not_indirectly_callable",
             DenyRule::NoCallInstruction => "no_call_instruction",
             DenyRule::FrameUnreadable => "frame_unreadable",
-            DenyRule::SavedFpUnreadable => "saved_fp_unreadable",
             DenyRule::BottomNotMain => "bottom_not_main",
             DenyRule::BottomEmptyChain => "bottom_empty_chain",
             DenyRule::ReturnNotAfterCall => "return_not_after_call",

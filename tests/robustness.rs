@@ -15,7 +15,6 @@ fn ai_only() -> ContextConfig {
         control_flow: false,
         arg_integrity: true,
         fetch_state: false,
-        fast_path: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
         prefilter_differential: false,

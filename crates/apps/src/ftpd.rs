@@ -14,6 +14,8 @@
 //! `RETR <path>` → `150`, data streamed on the announced port, `226`;
 //! `QUIT` → `221`.
 
+use std::sync::{Arc, OnceLock};
+
 /// Control-connection port.
 pub const PORT: u16 = 21;
 
@@ -27,6 +29,16 @@ pub const FILE_PATH: &str = "/srv/ftp/payload.bin";
 /// streams a scaled-down 16 MiB file and the harness scales the reported
 /// seconds accordingly (DESIGN.md substitution table).
 pub const FILE_BYTES: usize = 16 * 1024 * 1024;
+
+/// Contents of the download file: a deterministic byte pattern, built once
+/// per process and shared (copy-on-write) by every world that installs it,
+/// the way tenants share one compiled image.
+pub fn payload() -> Arc<Vec<u8>> {
+    static PAYLOAD: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    Arc::clone(
+        PAYLOAD.get_or_init(|| Arc::new((0..FILE_BYTES).map(|i| (i * 31 % 251) as u8).collect())),
+    )
+}
 
 /// The MiniC source.
 pub const SOURCE: &str = r#"

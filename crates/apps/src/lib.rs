@@ -99,10 +99,10 @@ impl App {
                 world.kernel.vfs.put_file(dbkv::WAL_PATH, Vec::new(), 0o600);
             }
             App::Ftpd => {
-                let payload: Vec<u8> = (0..ftpd::FILE_BYTES)
-                    .map(|i| (i * 31 % 251) as u8)
-                    .collect();
-                world.kernel.vfs.put_file(ftpd::FILE_PATH, payload, 0o644);
+                world
+                    .kernel
+                    .vfs
+                    .put_file(ftpd::FILE_PATH, ftpd::payload(), 0o644);
             }
         }
     }

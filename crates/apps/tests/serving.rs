@@ -91,3 +91,45 @@ fn ftpd_streams_downloads() {
     let secs = stats.seconds_for(100_000_000, 2_000_000_000);
     assert!(secs.is_finite() && secs > 0.0);
 }
+
+/// Runs the world until `conn` has delivered a line starting with `code`.
+fn await_line(world: &mut World, conn: bastion_kernel::ExtConnId, code: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for _ in 0..1_000 {
+        world.run(400_000);
+        buf.extend(world.net_recv(conn));
+        if let Some(line) = buf.split(|&b| b == b'\n').find(|l| l.starts_with(code)) {
+            return line.to_vec();
+        }
+    }
+    panic!("no `{}` reply", String::from_utf8_lossy(code));
+}
+
+#[test]
+fn ftpd_retr_delivers_the_fixture_bytes() {
+    use bastion_apps::ftpd;
+    let mut world = boot(App::Ftpd);
+    // Every world installs the one per-process fixture, not a copy of it.
+    let installed = &world.kernel.vfs.file(ftpd::FILE_PATH).unwrap().data;
+    assert!(Arc::ptr_eq(installed, &ftpd::payload()));
+
+    let ctrl = world.net_connect(App::Ftpd.port()).unwrap();
+    await_line(&mut world, ctrl, b"220");
+    world.net_send(ctrl, b"USER bench\n");
+    await_line(&mut world, ctrl, b"331");
+    world.net_send(ctrl, b"PASS bench\n");
+    await_line(&mut world, ctrl, b"230");
+    world.net_send(ctrl, format!("RETR {}\n", ftpd::FILE_PATH).as_bytes());
+    let pasv = await_line(&mut world, ctrl, b"227");
+    let port: u16 = String::from_utf8_lossy(&pasv[4..]).trim().parse().unwrap();
+    let data = world.net_connect(port).unwrap();
+    await_line(&mut world, ctrl, b"226");
+    let body = world.net_recv(data);
+    // The client saw exactly the fixture's bytes, in order; a copy-free
+    // path that handed out the wrong buffer would still match on length.
+    assert_eq!(body.len(), ftpd::FILE_BYTES);
+    assert!(
+        body == *ftpd::payload(),
+        "RETR body differs from the fixture"
+    );
+}

@@ -4,18 +4,31 @@
 //! workload applications (static pages for the web server, WAL and data
 //! files for the database, download files for the FTP server) and for the
 //! `chmod` privilege-escalation scenarios of Table 6.
+//!
+//! File contents are copy-on-write: cloning a [`Vfs`] (a world snapshot,
+//! restore or fork) shares every file's bytes, and the first mutation of a
+//! shared file unshares it through [`FileNode::data_mut`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A regular file.
 #[derive(Debug, Clone, Default)]
 pub struct FileNode {
-    /// File contents.
-    pub data: Vec<u8>,
+    /// File contents, shared with every snapshot and fork that has not
+    /// written the file since. Mutate through [`FileNode::data_mut`].
+    pub data: Arc<Vec<u8>>,
     /// POSIX mode bits (e.g. 0o644).
     pub mode: u32,
     /// Whether the execute bit matters for `execve` (convenience flag).
     pub executable: bool,
+}
+
+impl FileNode {
+    /// Mutable contents; copies them first if another world shares them.
+    pub fn data_mut(&mut self) -> &mut Vec<u8> {
+        Arc::make_mut(&mut self.data)
+    }
 }
 
 /// The filesystem tree (flat namespace; directories are prefixes).
@@ -33,13 +46,14 @@ impl Vfs {
         v
     }
 
-    /// Creates or replaces a file.
-    pub fn put_file(&mut self, path: impl Into<String>, data: Vec<u8>, mode: u32) {
+    /// Creates or replaces a file. Passing an `Arc` installs shared
+    /// contents (a fixture many worlds read) without copying them.
+    pub fn put_file(&mut self, path: impl Into<String>, data: impl Into<Arc<Vec<u8>>>, mode: u32) {
         let path = path.into();
         self.files.insert(
             path,
             FileNode {
-                data,
+                data: data.into(),
                 executable: mode & 0o111 != 0,
                 mode,
             },
@@ -122,7 +136,7 @@ mod tests {
         let mut v = Vfs::new();
         v.put_file("/srv/index.html", b"<html>".to_vec(), 0o644);
         assert!(v.exists("/srv/index.html"));
-        assert_eq!(v.file("/srv/index.html").unwrap().data, b"<html>");
+        assert_eq!(*v.file("/srv/index.html").unwrap().data, b"<html>");
         assert!(v.unlink("/srv/index.html"));
         assert!(!v.exists("/srv/index.html"));
         assert!(!v.unlink("/srv/index.html"));
@@ -144,7 +158,21 @@ mod tests {
         v.put_file("/a", b"x".to_vec(), 0o644);
         assert!(v.rename("/a", "/b"));
         assert!(!v.exists("/a"));
-        assert_eq!(v.file("/b").unwrap().data, b"x");
+        assert_eq!(*v.file("/b").unwrap().data, b"x");
+    }
+
+    #[test]
+    fn clones_share_contents_until_written() {
+        let mut v = Vfs::new();
+        v.put_file("/f", b"abc".to_vec(), 0o644);
+        let snap = v.clone();
+        assert!(Arc::ptr_eq(
+            &v.file("/f").unwrap().data,
+            &snap.file("/f").unwrap().data
+        ));
+        v.file_mut("/f").unwrap().data_mut().push(b'd');
+        assert_eq!(*v.file("/f").unwrap().data, b"abcd");
+        assert_eq!(*snap.file("/f").unwrap().data, b"abc");
     }
 
     #[test]

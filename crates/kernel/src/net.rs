@@ -6,6 +6,13 @@
 //! the Rust workload generators (the `wrk`/`DBT2`/`dkftpbench` analogues)
 //! through [`Net::external_connect`] / [`Net::client_send`] /
 //! [`Net::client_recv`].
+//!
+//! The two directions are shaped by how they are consumed. The server reads
+//! client bytes a bounded prefix at a time (peek, then consume), so
+//! client→server is a `VecDeque`. The client always drains server→client
+//! whole, so that direction is a plain `Vec` handed over by `mem::take`:
+//! server writes append to it once and receiving moves the buffer out
+//! without copying a byte.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -18,7 +25,7 @@ pub type ListenerId = usize;
 #[derive(Debug, Clone, Default)]
 pub struct Conn {
     to_server: VecDeque<u8>,
-    to_client: VecDeque<u8>,
+    to_client: Vec<u8>,
     client_closed: bool,
     server_closed: bool,
     /// Synthetic peer port, reported by `accept`.
@@ -130,28 +137,11 @@ impl Net {
         self.listeners.get_mut(lid)?.backlog.pop_front()
     }
 
-    /// Server-side read into `buf`.
-    pub fn server_read(&mut self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
-        let c = &mut self.conns[cid];
-        if c.to_server.is_empty() {
-            return if c.client_closed {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::WouldBlock
-            };
-        }
-        let n = buf.len().min(c.to_server.len());
-        for b in buf.iter_mut().take(n) {
-            *b = c.to_server.pop_front().unwrap();
-        }
-        ReadOutcome::Data(n)
-    }
-
-    /// Server-side peek into `buf`: like [`Net::server_read`] but leaves
-    /// the bytes queued. Callers that must validate a destination (a guest
-    /// buffer mapping) before committing the read peek first and
-    /// [`Net::server_consume`] only once delivery is guaranteed, so a
-    /// faulting destination does not silently drop stream bytes.
+    /// Server-side peek into `buf`: copies up to `buf.len()` queued bytes
+    /// and leaves them queued. Reads validate their destination (a guest
+    /// buffer mapping) before committing, so they peek first and
+    /// [`Net::server_consume`] only once delivery is guaranteed; a faulting
+    /// destination does not silently drop stream bytes.
     pub fn server_peek(&self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
         let c = &self.conns[cid];
         if c.to_server.is_empty() {
@@ -162,9 +152,10 @@ impl Net {
             };
         }
         let n = buf.len().min(c.to_server.len());
-        for (b, q) in buf.iter_mut().zip(c.to_server.iter()).take(n) {
-            *b = *q;
-        }
+        let (front, back) = c.to_server.as_slices();
+        let m = n.min(front.len());
+        buf[..m].copy_from_slice(&front[..m]);
+        buf[m..n].copy_from_slice(&back[..n - m]);
         ReadOutcome::Data(n)
     }
 
@@ -176,14 +167,34 @@ impl Net {
         c.to_server.drain(..n);
     }
 
+    /// Number of client bytes queued for the server (sizes peek buffers).
+    pub fn server_queued(&self, cid: ConnId) -> usize {
+        self.conns[cid].to_server.len()
+    }
+
     /// Server-side write (always succeeds; queues are unbounded).
     pub fn server_write(&mut self, cid: ConnId, bytes: &[u8]) -> usize {
+        self.server_write_with(cid, bytes.len(), |dst| dst.copy_from_slice(bytes))
+    }
+
+    /// Server-side write of `len` bytes produced in place: `fill` writes
+    /// them straight into the tail of the server→client buffer, so a
+    /// source such as guest memory is copied exactly once. `fill` is not
+    /// called once the client has closed (the bytes would vanish anyway).
+    pub fn server_write_with(
+        &mut self,
+        cid: ConnId,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> usize {
         let c = &mut self.conns[cid];
         if c.client_closed {
-            return bytes.len(); // RST-free simplification: bytes vanish.
+            return len; // RST-free simplification: bytes vanish.
         }
-        c.to_client.extend(bytes);
-        bytes.len()
+        let at = c.to_client.len();
+        c.to_client.resize(at + len, 0);
+        fill(&mut c.to_client[at..]);
+        len
     }
 
     /// Whether the server side has readable data (or EOF) available.
@@ -205,10 +216,10 @@ impl Net {
         }
     }
 
-    /// Client-side receive: drains everything available.
+    /// Client-side receive: hands over everything available, buffer and
+    /// all, leaving the connection holding no receive capacity.
     pub fn client_recv(&mut self, cid: ConnId) -> Vec<u8> {
-        let c = &mut self.conns[cid];
-        c.to_client.drain(..).collect()
+        std::mem::take(&mut self.conns[cid].to_client)
     }
 
     /// Client closes its side (server reads then see EOF).
@@ -285,8 +296,10 @@ mod tests {
         assert_eq!(c, c2);
         n.client_send(c, b"GET /");
         let mut buf = [0u8; 3];
-        assert_eq!(n.server_read(c, &mut buf), ReadOutcome::Data(3));
+        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(3));
         assert_eq!(&buf, b"GET");
+        n.server_consume(c, 3);
+        assert_eq!(n.server_queued(c), 2);
         n.server_write(c, b"200 OK");
         assert_eq!(n.client_recv(c), b"200 OK");
     }
@@ -307,8 +320,9 @@ mod tests {
         // Consuming commits the peeked prefix; the rest stays readable.
         n.server_consume(c, 5);
         let mut rest = [0u8; 8];
-        assert_eq!(n.server_read(c, &mut rest), ReadOutcome::Data(5));
+        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::Data(5));
         assert_eq!(&rest[..5], b"index");
+        n.server_consume(c, 5);
         // Peek mirrors read's EOF/WouldBlock outcomes.
         assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::WouldBlock);
         n.client_close(c);
@@ -318,15 +332,72 @@ mod tests {
     }
 
     #[test]
+    fn peek_matches_the_stream_across_a_wrapped_queue() {
+        let mut n = Net::new();
+        let l = n.listen(80, 4).unwrap();
+        let c = n.external_connect(80).unwrap();
+        n.accept(l).unwrap();
+        // Sending 7 and consuming 5 per round walks the ring's head around
+        // its buffer, so some peeks see the queue split in two slices.
+        let mut model = VecDeque::new();
+        let mut wrapped = false;
+        for round in 0u8..100 {
+            let chunk: Vec<u8> = (0..7)
+                .map(|i| round.wrapping_mul(7).wrapping_add(i))
+                .collect();
+            n.client_send(c, &chunk);
+            model.extend(&chunk);
+            wrapped |= !n.conns[c].to_server.as_slices().1.is_empty();
+            let mut buf = vec![0u8; model.len() + 3];
+            assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(model.len()));
+            assert!(buf[..model.len()].iter().eq(model.iter()));
+            let mut short = [0u8; 4];
+            assert_eq!(n.server_peek(c, &mut short), ReadOutcome::Data(4));
+            assert!(short.iter().eq(model.iter().take(4)));
+            n.server_consume(c, 5);
+            model.drain(..5);
+        }
+        assert!(wrapped, "test must peek a wrapped queue");
+    }
+
+    #[test]
+    fn server_writes_arrive_whole_and_in_order_across_receives() {
+        let mut n = Net::new();
+        let l = n.listen(80, 4).unwrap();
+        let c = n.external_connect(80).unwrap();
+        n.accept(l).unwrap();
+        let mut got = Vec::new();
+        let mut sent = Vec::new();
+        for round in 0u8..5 {
+            for w in 0..=round {
+                let chunk: Vec<u8> = (0..1000u32 + u32::from(w))
+                    .map(|i| (i as u8).wrapping_mul(7).wrapping_add(round))
+                    .collect();
+                assert_eq!(n.server_write(c, &chunk), chunk.len());
+                sent.extend_from_slice(&chunk);
+            }
+            got.extend(n.client_recv(c));
+            // A drained connection keeps no buffer alive.
+            assert_eq!(n.conns[c].to_client.capacity(), 0);
+            assert!(n.client_recv(c).is_empty());
+        }
+        assert_eq!(got, sent);
+        // After the client closes, writes report success but vanish.
+        n.client_close(c);
+        assert_eq!(n.server_write_with(c, 64, |_| unreachable!()), 64);
+        assert!(n.client_recv(c).is_empty());
+    }
+
+    #[test]
     fn eof_after_client_close() {
         let mut n = Net::new();
         let l = n.listen(80, 4).unwrap();
         let c = n.external_connect(80).unwrap();
         n.accept(l).unwrap();
         let mut buf = [0u8; 8];
-        assert_eq!(n.server_read(c, &mut buf), ReadOutcome::WouldBlock);
+        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::WouldBlock);
         n.client_close(c);
-        assert_eq!(n.server_read(c, &mut buf), ReadOutcome::Eof);
+        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Eof);
         assert!(n.server_readable(c));
     }
 

@@ -21,6 +21,7 @@ use crate::process::{OfdId, Pid, Process, Vma, WaitReason};
 use bastion_ir::sysno;
 use bastion_vm::{CostModel, MemIo};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What an open file descriptor refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -412,9 +413,8 @@ impl Kernel {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
                 let start = (offset as usize).min(f.data.len());
-                let n = ((len as usize).min(f.data.len() - start)).min(f.data.len());
-                let chunk = f.data[start..start + n].to_vec();
-                if p.machine.mem.write(buf, &chunk).is_err() {
+                let n = (len as usize).min(f.data.len() - start);
+                if p.machine.mem.write(buf, &f.data[start..start + n]).is_err() {
                     return SysOutcome::Done(err(errno::EFAULT));
                 }
                 if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
@@ -427,7 +427,7 @@ impl Kernel {
                 // Peek-validate-consume: the stream bytes are only dequeued
                 // once the destination mapping accepted them, so an EFAULT
                 // leaves the data readable by a later, correctly-mapped read.
-                let mut tmp = vec![0u8; len as usize];
+                let mut tmp = vec![0u8; (len as usize).min(self.net.server_queued(cid))];
                 match self.net.server_peek(cid, &mut tmp) {
                     ReadOutcome::Data(n) => {
                         if p.machine.mem.write(buf, &tmp[..n]).is_err() {
@@ -452,14 +452,19 @@ impl Kernel {
             return SysOutcome::Done(err(errno::EBADF));
         };
         let len = len.min(1 << 20);
-        let mut data = vec![0u8; len as usize];
-        if p.machine.mem.read(buf, &mut data).is_err() {
+        // Validate the whole source range up front, then copy guest bytes
+        // once, straight into their destination.
+        let mem = &p.machine.mem;
+        if !mem.is_mapped(buf, len) {
             return SysOutcome::Done(err(errno::EFAULT));
         }
         self.charge_io(len);
+        let n = len as usize;
         match self.ofds[id].kind.clone() {
             OfdKind::Stdout | OfdKind::Stderr => {
-                self.console.extend_from_slice(&data);
+                let at = self.console.len();
+                self.console.resize(at + n, 0);
+                mem.read_unchecked(buf, &mut self.console[at..]);
                 SysOutcome::Done(len)
             }
             OfdKind::File {
@@ -473,18 +478,21 @@ impl Kernel {
                 let Some(f) = self.vfs.file_mut(&path) else {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
-                let end = offset as usize + data.len();
-                if f.data.len() < end {
-                    f.data.resize(end, 0);
+                let end = offset as usize + n;
+                let data = f.data_mut();
+                if data.len() < end {
+                    data.resize(end, 0);
                 }
-                f.data[offset as usize..end].copy_from_slice(&data);
+                mem.read_unchecked(buf, &mut data[offset as usize..end]);
                 if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
-                    *offset += data.len() as u64;
+                    *offset += len;
                 }
                 SysOutcome::Done(len)
             }
             OfdKind::Conn(cid) => {
-                let n = self.net.server_write(cid, &data);
+                let n = self
+                    .net
+                    .server_write_with(cid, n, |dst| mem.read_unchecked(buf, dst));
                 SysOutcome::Done(n as u64)
             }
             _ => SysOutcome::Done(err(errno::EINVAL)),
@@ -506,7 +514,9 @@ impl Kernel {
         }
         if trunc {
             if let Some(f) = self.vfs.file_mut(&path) {
-                f.data.clear();
+                // A fresh empty buffer: unsharing the old bytes only to
+                // drop them would copy the whole file.
+                f.data = Arc::default();
             }
         }
         let ofd = self.alloc_ofd(OfdKind::File {
@@ -642,15 +652,18 @@ impl Kernel {
         let Some(f) = self.vfs.file(&path) else {
             return SysOutcome::Done(err(errno::ENOENT));
         };
-        let start = (offset as usize).min(f.data.len());
-        let n = (count as usize).min(f.data.len() - start);
-        let chunk = f.data[start..start + n].to_vec();
+        // Holding the contents by `Arc` (no byte copy) frees `self` for
+        // the charge; the chunk then moves once, into its destination.
+        let data = Arc::clone(&f.data);
+        let start = (offset as usize).min(data.len());
+        let n = (count as usize).min(data.len() - start);
+        let chunk = &data[start..start + n];
         self.charge_io(n as u64);
         match self.ofds[out_id].kind {
             OfdKind::Conn(cid) => {
-                self.net.server_write(cid, &chunk);
+                self.net.server_write(cid, chunk);
             }
-            OfdKind::Stdout | OfdKind::Stderr => self.console.extend_from_slice(&chunk),
+            OfdKind::Stdout | OfdKind::Stderr => self.console.extend_from_slice(chunk),
             _ => return SysOutcome::Done(err(errno::EINVAL)),
         }
         if let OfdKind::File { offset, .. } = &mut self.ofds[in_id].kind {
@@ -710,7 +723,7 @@ impl Kernel {
         if let OfdKind::File { path, .. } = &self.ofds[id].kind {
             let path = path.clone();
             if let Some(f) = self.vfs.file_mut(&path) {
-                f.data.resize(len as usize, 0);
+                f.data_mut().resize(len as usize, 0);
                 return SysOutcome::Done(0);
             }
         }

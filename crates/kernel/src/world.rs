@@ -685,7 +685,8 @@ impl World {
                         // bytes once the destination mapping accepted them.
                         // An unmapped buffer returns EFAULT but leaves the
                         // data queued for a later, correctly-mapped read.
-                        let mut tmp = vec![0u8; len.min(1 << 20) as usize];
+                        let queued = self.kernel.net.server_queued(cid);
+                        let mut tmp = vec![0u8; (len.min(1 << 20) as usize).min(queued)];
                         let ret = match self.kernel.net.server_peek(cid, &mut tmp) {
                             ReadOutcome::Data(n) => {
                                 use bastion_vm::MemIo;
@@ -773,9 +774,10 @@ impl World {
 /// snapshot and resuming reproduces a cold run bit-for-bit from the capture
 /// point — the basis of warm-forked chaos cells (DESIGN.md §6i).
 ///
-/// Memory is the only large state: pages are shared `Arc`s, so a snapshot
-/// costs one page-table clone and each restored world copies only the pages
-/// it subsequently writes.
+/// The large state is shared, not copied: memory pages and VFS file
+/// contents are both `Arc`s, so a snapshot costs one page-table clone plus
+/// one refcount per file, and each restored world copies only the pages and
+/// files it subsequently writes.
 pub struct WorldSnapshot {
     kernel: Kernel,
     procs: Vec<Process>,

@@ -44,7 +44,7 @@ fn open_create_write_read_back() {
     );
     assert_eq!(code, 0);
     assert_eq!(
-        world.kernel.vfs.file("/data/new.txt").unwrap().data,
+        *world.kernel.vfs.file("/data/new.txt").unwrap().data,
         b"persisted"
     );
 }
@@ -130,7 +130,7 @@ fn dup_shares_the_description() {
         |_| {},
     );
     assert_eq!(code, 0);
-    assert_eq!(world.kernel.vfs.file("/log").unwrap().data, b"abcdef");
+    assert_eq!(*world.kernel.vfs.file("/log").unwrap().data, b"abcdef");
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn ftruncate_resizes() {
         |w| w.kernel.vfs.put_file("/f", b"abcdefghij".to_vec(), 0o644),
     );
     assert_eq!(code, 4);
-    assert_eq!(world.kernel.vfs.file("/f").unwrap().data, b"abcd");
+    assert_eq!(*world.kernel.vfs.file("/f").unwrap().data, b"abcd");
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Interpreter dispatch throughput: predecoded fast path vs the legacy
-//! tree-walking oracle, on a call-heavy arithmetic loop.
+//! tree-walking oracle, on a call-heavy arithmetic loop; and the guest
+//! memory paths under it (`mem_access`).
 
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{BinOp, CmpOp, Operand, Ty};
-use bastion::vm::{interp, CostModel, Image, Machine};
+use bastion::vm::{interp, CostModel, Image, Machine, MemIo, Memory};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -67,5 +68,50 @@ fn bench_interp_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_interp_throughput);
+/// Base of the pages the memory benches touch.
+const BASE: u64 = 0x10_0000;
+const PAGE: u64 = 4096;
+
+fn bench_mem_access(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mem_access");
+    let mut owned = Memory::new();
+    owned.map_region(BASE, PAGE);
+    owned.write_u64(BASE, 1).expect("mapped");
+    group.bench_function("store_owned_page", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v += 1;
+            owned.write_u64(BASE + (v & 0x1f8), v)
+        });
+    });
+    let mut shared = owned.clone();
+    shared.share_pages();
+    // Each iteration clones a one-page memory and pays its CoW break.
+    group.bench_function("first_store_shared_page", |b| {
+        b.iter(|| {
+            let mut m = shared.clone();
+            m.write_u64(BASE, 2).expect("mapped");
+            m
+        });
+    });
+    // 17 resident pages: pages 0 and 16 share a slot-cache entry, so the
+    // round-robin evicts and refills it on every pass.
+    let mut spread = Memory::new();
+    spread.map_region(BASE, 17 * PAGE);
+    for p in 0..17 {
+        spread.write_u64(BASE + p * PAGE, p).expect("mapped");
+    }
+    group.bench_function("load_17_pages", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            for p in 0..17 {
+                sum = sum.wrapping_add(spread.read_u64(BASE + p * PAGE).expect("mapped"));
+            }
+            sum
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_interp_throughput, bench_mem_access);
 criterion_main!(benches);

@@ -257,6 +257,14 @@ impl Kernel {
                 }
                 if args[0] > cur {
                     p.machine.mem.map_region(cur, args[0] - cur);
+                } else {
+                    // A shrink drops what lay above the new break, so a
+                    // later regrow reads zeros. The heap below its base
+                    // was never brk's to unmap.
+                    let lo = args[0].max(p.machine.image.heap_base);
+                    if lo < cur {
+                        p.machine.mem.unmap_region(lo, cur - lo);
+                    }
                 }
                 p.brk = args[0];
                 SysOutcome::Done(args[0])

@@ -640,6 +640,7 @@ impl World {
         let child_pid = self.next_pid;
         self.next_pid += 1;
         let parent = &mut self.procs[idx];
+        parent.machine.mem.share_pages();
         let mut child_machine = parent.machine.clone();
         parent.machine.complete_syscall(u64::from(child_pid));
         child_machine.complete_syscall(0);
@@ -829,7 +830,9 @@ impl World {
     /// pruned from the *live* page tables first (snapshot hygiene: a page
     /// dirtied and later zeroed reads identically to one never touched), so
     /// the checkpoint and the original agree on resident pages and the
-    /// snapshot pins no dead memory.
+    /// snapshot pins no dead memory. The live pages are then made shared
+    /// ([`Memory::share_pages`](bastion_vm::Memory::share_pages)), so the
+    /// checkpoint shares every page with the world copy-on-write.
     ///
     /// # Panics
     /// Panics if an attached tracer does not implement
@@ -839,6 +842,7 @@ impl World {
     pub fn snapshot(&mut self) -> WorldSnapshot {
         for p in &mut self.procs {
             p.machine.mem.prune_zero_pages();
+            p.machine.mem.share_pages();
         }
         let tracer = self.tracer.as_ref().map(|t| {
             t.snapshot_box()

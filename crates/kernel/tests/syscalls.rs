@@ -215,6 +215,51 @@ fn mmap_munmap_lifecycle() {
 }
 
 #[test]
+fn munmap_then_fixed_remap_reads_zeros() {
+    // Regression: munmap kept the backing pages, so a MAP_FIXED re-map of
+    // the same range read the old bytes back.
+    let (_, code) = run(
+        r#"
+        long main() {
+            long a = mmap(0, 8192, 3, 0x21, 0 - 1, 0);
+            long *p = a;
+            p[0] = 0xdeadbeef;
+            p[600] = 0xdeadbeef;
+            munmap(a, 8192);
+            long b = mmap(a, 8192, 3, 0x31, 0 - 1, 0);   // MAP_FIXED
+            if (b != a) { return 1; }
+            if (p[0] != 0) { return 2; }
+            if (p[600] != 0) { return 3; }
+            return 0;
+        }
+        "#,
+        |_| {},
+    );
+    assert_eq!(code, 0);
+}
+
+#[test]
+fn brk_shrink_then_regrow_reads_zeros() {
+    let (world, code) = run(
+        r#"
+        long main() {
+            long base = brk(0);
+            brk(base + 8192);
+            long *cell = base + 4096;
+            *cell = 0xdeadbeef;
+            brk(base + 4096);
+            brk(base + 8192);
+            return *cell;
+        }
+        "#,
+        |_| {},
+    );
+    assert_eq!(code, 0);
+    let p = &world.procs[0];
+    assert!(p.machine.mem.is_mapped(p.brk - 8192, 8192));
+}
+
+#[test]
 fn getrandom_is_deterministic_per_world() {
     let go = || {
         run(

@@ -17,12 +17,17 @@
 //!   entry units, per-call return addresses, `FrameAddr` fp-relative
 //!   offsets, and `ctx_bind_*` callsite addresses are all pre-resolved;
 //! * branch targets become flat unit indices, so taken branches are a
-//!   single index assignment.
+//!   single index assignment;
+//! * a `FrameAddr` followed by a load or store through its result becomes
+//!   one [`DecodedInst::FrameLoad`]/[`DecodedInst::FrameStore`]
+//!   superinstruction (the compiler addresses every named variable this
+//!   way), with the second unit kept for control transfers into it.
 //!
-//! Decoding is layout-faithful by construction: unit `i` of the stream is
-//! exactly the instruction at code address `base + i * INST_SIZE`, so
-//! ROP/JOP control transfers into the middle of functions land on the same
-//! instruction the legacy path would execute.
+//! Decoding is layout-faithful by construction: unit `i` of the stream
+//! executes the instruction at code address `base + i * INST_SIZE` (a
+//! superinstruction then also runs the one after it), so ROP/JOP control
+//! transfers into the middle of functions land on the same instruction the
+//! legacy path would execute.
 
 use crate::image::FrameInfo;
 use bastion_ir::layout::INST_SIZE;
@@ -85,6 +90,25 @@ pub enum DecodedInst {
     /// `dst = fp - neg_off` — slot address with the frame geometry folded
     /// in (`neg_off = frame_size - slot_offset`).
     FrameAddr { dst: Reg, neg_off: u64 },
+    /// Superinstruction: `FrameAddr tmp` fused with the `dst = *(tmp)`
+    /// load through it in the next unit. Executes both halves, so it keeps
+    /// their accounting (two steps, `inst + mem` cycles, `tmp` written);
+    /// the next unit still holds the plain `Load` for control transfers
+    /// that land on it.
+    FrameLoad {
+        tmp: Reg,
+        neg_off: u64,
+        dst: Reg,
+        width: Width,
+    },
+    /// Superinstruction: `FrameAddr tmp` fused with the `*(tmp) = src`
+    /// store through it in the next unit; see [`DecodedInst::FrameLoad`].
+    FrameStore {
+        tmp: Reg,
+        neg_off: u64,
+        src: Operand,
+        width: Width,
+    },
     /// `dst = addr` — a pre-resolved `GlobalAddr` or `FuncAddr`.
     LoadAddr { dst: Reg, addr: u64 },
     /// `dst = base + off` — `FieldAddr` with the struct offset pre-summed.
@@ -351,6 +375,7 @@ impl DecodedProgram {
             }
         }
         units.resize(total, DecodedInst::Pad);
+        fuse_frame_accesses(&mut units);
         DecodedProgram {
             base,
             units,
@@ -408,6 +433,42 @@ impl DecodedProgram {
     #[inline]
     pub fn arg_ops(&self, s: ArgSlice) -> &[Operand] {
         &self.args[s.start as usize..(s.start + s.len) as usize]
+    }
+}
+
+/// Peephole: rewrites each `FrameAddr tmp` whose next unit loads or
+/// stores through `tmp` into a [`DecodedInst::FrameLoad`] or
+/// [`DecodedInst::FrameStore`]. A `FrameAddr` is never a block's last unit
+/// (terminators are), so the pair always lies in one block. The second
+/// unit is left as it is.
+fn fuse_frame_accesses(units: &mut [DecodedInst]) {
+    for i in 0..units.len().saturating_sub(1) {
+        let DecodedInst::FrameAddr { dst: tmp, neg_off } = units[i] else {
+            continue;
+        };
+        units[i] = match units[i + 1] {
+            DecodedInst::Load {
+                dst,
+                addr: Operand::Reg(a),
+                width,
+            } if a == tmp => DecodedInst::FrameLoad {
+                tmp,
+                neg_off,
+                dst,
+                width,
+            },
+            DecodedInst::Store {
+                addr: Operand::Reg(a),
+                src,
+                width,
+            } if a == tmp => DecodedInst::FrameStore {
+                tmp,
+                neg_off,
+                src,
+                width,
+            },
+            _ => continue,
+        };
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::decode::DecodedInst;
 use crate::machine::{Fault, Machine};
-use crate::mem::MemIo;
+use crate::mem::{MemIo, Memory, OutOfBounds};
 use crate::shadow::ShadowTable;
 use bastion_ir::{
     BinOp, Callee, CmpOp, CodeAddr, Inst, IntrinsicOp, Operand, Terminator, Width, CALL_SIZE,
@@ -215,34 +215,17 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
             DecodedInst::Load { dst, addr, width } => {
                 let Machine { frames, mem, .. } = &mut *m;
                 let fr = frames.last_mut().expect("no active frame");
-                let a = ev(&fr.regs, addr);
-                let v = match width {
-                    Width::W8 => {
-                        let mut b = [0u8; 1];
-                        match mem.read(a, &mut b) {
-                            Ok(()) => u64::from(b[0]),
-                            Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
-                        }
-                    }
-                    Width::W64 => match mem.read_u64(a) {
-                        Ok(v) => v,
-                        Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
-                    },
-                };
-                fr.regs[dst.index()] = v;
+                match load(mem, ev(&fr.regs, addr), width) {
+                    Ok(v) => fr.regs[dst.index()] = v,
+                    Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
+                }
                 cycles += cost.mem;
                 idx += 1;
             }
             DecodedInst::Store { addr, src, width } => {
                 let Machine { frames, mem, .. } = &mut *m;
-                let fr = frames.last().expect("no active frame");
-                let a = ev(&fr.regs, addr);
-                let v = ev(&fr.regs, src);
-                let res = match width {
-                    Width::W8 => mem.write(a, &[v as u8]),
-                    Width::W64 => mem.write_u64(a, v),
-                };
-                if let Err(e) = res {
+                let regs = &frames.last().expect("no active frame").regs;
+                if let Err(e) = store(mem, ev(regs, addr), ev(regs, src), width) {
                     exit_at!(idx, Event::Fault(Fault::Mem(e)));
                 }
                 cycles += cost.mem;
@@ -253,6 +236,54 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
                 m.frames.last_mut().expect("no active frame").regs[dst.index()] = a;
                 cycles += cost.inst;
                 idx += 1;
+            }
+            // The superinstructions run their two halves as two steps: a
+            // budget that ends between them runs only the `FrameAddr`, and
+            // a fault in the access reports the access's own unit.
+            DecodedInst::FrameLoad {
+                tmp,
+                neg_off,
+                dst,
+                width,
+            } => {
+                let a = m.fp - neg_off;
+                let Machine { frames, mem, .. } = &mut *m;
+                let fr = frames.last_mut().expect("no active frame");
+                fr.regs[tmp.index()] = a;
+                cycles += cost.inst;
+                if steps == max_steps {
+                    idx += 1;
+                    break;
+                }
+                steps += 1;
+                match load(mem, a, width) {
+                    Ok(v) => fr.regs[dst.index()] = v,
+                    Err(e) => exit_at!(idx + 1, Event::Fault(Fault::Mem(e))),
+                }
+                cycles += cost.mem;
+                idx += 2;
+            }
+            DecodedInst::FrameStore {
+                tmp,
+                neg_off,
+                src,
+                width,
+            } => {
+                let a = m.fp - neg_off;
+                let Machine { frames, mem, .. } = &mut *m;
+                let fr = frames.last_mut().expect("no active frame");
+                fr.regs[tmp.index()] = a;
+                cycles += cost.inst;
+                if steps == max_steps {
+                    idx += 1;
+                    break;
+                }
+                steps += 1;
+                if let Err(e) = store(mem, a, ev(&fr.regs, src), width) {
+                    exit_at!(idx + 1, Event::Fault(Fault::Mem(e)));
+                }
+                cycles += cost.mem;
+                idx += 2;
             }
             DecodedInst::LoadAddr { dst, addr } => {
                 m.frames.last_mut().expect("no active frame").regs[dst.index()] = addr;
@@ -423,6 +454,24 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
     m.cycles = cycles;
     bastion_obs::counter_add("vm.steps", steps);
     (steps, None)
+}
+
+/// A guest load of `width` at `a`, one page lookup.
+#[inline(always)]
+fn load(mem: &Memory, a: u64, width: Width) -> Result<u64, OutOfBounds> {
+    match width {
+        Width::W8 => mem.read_u8(a).map(u64::from),
+        Width::W64 => mem.read_u64(a),
+    }
+}
+
+/// A guest store of `width` at `a`, one page lookup.
+#[inline(always)]
+fn store(mem: &mut Memory, a: u64, v: u64, width: Width) -> Result<(), OutOfBounds> {
+    match width {
+        Width::W8 => mem.write_u8(a, v as u8),
+        Width::W64 => mem.write_u64(a, v),
+    }
 }
 
 fn exec_inst(m: &mut Machine, inst: &Inst) -> Event {
@@ -908,6 +957,112 @@ mod tests {
         let img = Image::load(mb.finish()).unwrap();
         let mut m = Machine::new(Arc::new(img), CostModel::default());
         assert_eq!(run(&mut m, 10_000).event(), Event::Exited(55));
+    }
+
+    /// `main` stores to a local, loads it back and returns it: two fused
+    /// frame-slot pairs.
+    fn frame_slot_roundtrip() -> Arc<Image> {
+        let mut mb = ModuleBuilder::new("t");
+        let mut f = mb.function("main", &[], Ty::I64);
+        let x = f.local("x", Ty::I64);
+        let xa = f.frame_addr(x);
+        f.store(xa, 42i64);
+        let xb = f.frame_addr(x);
+        let v = f.load(xb);
+        f.ret(Some(v.into()));
+        f.finish();
+        Arc::new(Image::load(mb.finish()).unwrap())
+    }
+
+    fn regs(m: &Machine) -> Vec<Vec<u64>> {
+        m.frames.iter().map(|f| f.regs.clone()).collect()
+    }
+
+    #[test]
+    fn frame_slot_accesses_are_fused() {
+        let img = frame_slot_roundtrip();
+        let prog = &img.decoded;
+        let entry = prog.unit_of_addr(img.layout.func_entry(img.entry).raw());
+        assert!(matches!(prog.inst(entry), DecodedInst::FrameStore { .. }));
+        assert!(matches!(prog.inst(entry + 1), DecodedInst::Store { .. }));
+        assert!(matches!(
+            prog.inst(entry + 2),
+            DecodedInst::FrameLoad { .. }
+        ));
+        assert!(matches!(prog.inst(entry + 3), DecodedInst::Load { .. }));
+    }
+
+    #[test]
+    fn budget_ending_between_fused_halves_runs_only_the_frame_addr() {
+        let img = frame_slot_roundtrip();
+        // Five units: FrameAddr, Store, FrameAddr, Load, Ret.
+        for k in 1..=4u64 {
+            let mut legacy = Machine::new(img.clone(), CostModel::default());
+            let mut fast = Machine::new(img.clone(), CostModel::default());
+            let le = run_legacy(&mut legacy, k);
+            let (n, fe) = run_bounded(&mut fast, k);
+            assert_eq!(n, k);
+            assert_eq!(
+                fe.map_or(RunOutcome::BudgetExhausted, RunOutcome::Event),
+                le
+            );
+            assert_eq!(fast.pc, legacy.pc, "pc after {k} steps");
+            assert_eq!(fast.cycles, legacy.cycles, "cycles after {k} steps");
+            assert_eq!(regs(&fast), regs(&legacy), "registers after {k} steps");
+            // Resuming mid-pair runs the plain access unit.
+            assert_eq!(run(&mut fast, 100).event(), Event::Exited(42));
+            assert_eq!(run_legacy(&mut legacy, 100).event(), Event::Exited(42));
+            assert_eq!(fast.cycles, legacy.cycles);
+        }
+    }
+
+    #[test]
+    fn fused_load_fault_reports_the_load_unit() {
+        let img = frame_slot_roundtrip();
+        let unmap = |m: &mut Machine| {
+            m.mem
+                .unmap_region(img.stack_base, img.stack_top - img.stack_base);
+        };
+        let mut legacy = Machine::new(img.clone(), CostModel::default());
+        let mut fast = Machine::new(img.clone(), CostModel::default());
+        unmap(&mut legacy);
+        unmap(&mut fast);
+        let le = run_legacy(&mut legacy, 100).event();
+        let (n, fe) = run_bounded(&mut fast, 100);
+        assert!(matches!(
+            le,
+            Event::Fault(Fault::Mem(OutOfBounds { write: true, .. }))
+        ));
+        assert_eq!(fe, Some(le));
+        assert_eq!(n, 2, "both halves count as steps");
+        let store_unit = img
+            .decoded
+            .unit_of_addr(img.layout.func_entry(img.entry).raw())
+            + 1;
+        assert_eq!(fast.pc, img.decoded.loc_at(store_unit));
+        assert_eq!(fast.pc, legacy.pc);
+        assert_eq!(fast.cycles, legacy.cycles);
+        assert_eq!(regs(&fast), regs(&legacy));
+
+        // The same for the fused load: skip past the store pair first.
+        let mut legacy = Machine::new(img.clone(), CostModel::default());
+        let mut fast = Machine::new(img.clone(), CostModel::default());
+        run_legacy(&mut legacy, 2);
+        run_bounded(&mut fast, 2);
+        unmap(&mut legacy);
+        unmap(&mut fast);
+        let le = run_legacy(&mut legacy, 100).event();
+        let (n, fe) = run_bounded(&mut fast, 100);
+        assert!(matches!(
+            le,
+            Event::Fault(Fault::Mem(OutOfBounds { write: false, .. }))
+        ));
+        assert_eq!(fe, Some(le));
+        assert_eq!(n, 2);
+        assert_eq!(fast.pc, img.decoded.loc_at(store_unit + 2));
+        assert_eq!(fast.pc, legacy.pc);
+        assert_eq!(fast.cycles, legacy.cycles);
+        assert_eq!(regs(&fast), regs(&legacy));
     }
 
     #[test]

@@ -40,10 +40,52 @@ impl Hasher for PageHasher {
     }
 }
 
-/// Pages are reference-counted so that a cloned `Memory` (a snapshot, or a
-/// fork child) shares every page with its source; `page_mut` breaks the
-/// sharing one page at a time on first write (copy-on-write).
-type PageMap = HashMap<u64, Arc<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>;
+/// Page number → index of its slot in [`Memory::slots`].
+type PageIndex = HashMap<u64, u32, BuildHasherDefault<PageHasher>>;
+
+/// The bytes of one page.
+type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// One resident backing page.
+///
+/// A page is `Own` while no other `Memory` can see it, so a store is a
+/// plain write. [`Memory::share_pages`] turns owned pages into `Shared`
+/// ones right before a clone that is meant to share them (a snapshot or a
+/// fork child); the first store to a shared page copies it back into an
+/// owned one (copy-on-write). Only that break pays for reference counting.
+#[derive(Debug, Clone)]
+enum Page {
+    Own(Box<PageBytes>),
+    Shared(Arc<PageBytes>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &PageBytes {
+        match self {
+            Page::Own(b) => b,
+            Page::Shared(a) => a,
+        }
+    }
+
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut PageBytes {
+        if let Page::Shared(a) = self {
+            *self = Page::Own(Box::new(**a));
+        }
+        match self {
+            Page::Own(b) => b,
+            Page::Shared(_) => unreachable!("shared page was just made private"),
+        }
+    }
+}
+
+/// Entries in the direct-mapped page → slot cache.
+const SLOT_CACHE: usize = 16;
+
+/// Tag of an empty slot-cache entry. No page number reaches it
+/// (`u64::MAX / PAGE_SIZE` is the largest).
+const NO_PAGE: u64 = u64::MAX;
 
 /// An access outside any mapped region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +147,21 @@ pub trait MemIo {
 }
 
 /// The sparse paged address space of one process.
-#[derive(Debug, Clone, Default)]
+///
+/// `Clone` deep-copies owned pages and shares shared ones; call
+/// [`Memory::share_pages`] first when the clone should share everything.
+#[derive(Debug, Clone)]
 pub struct Memory {
-    pages: PageMap,
+    /// Page number → slot in `slots`.
+    index: PageIndex,
+    /// Resident pages with their page numbers. Slots are renumbered only
+    /// when pages are dropped (`prune_zero_pages`, `unmap_region`), which
+    /// flushes `slot_cache`.
+    slots: Vec<(u64, Page)>,
+    /// Direct-mapped page → slot cache, indexed by the page number's low
+    /// bits, as `(page, slot)` with [`NO_PAGE`] for empty. A load or store
+    /// that hits skips the `index` probe. Caches resident pages only.
+    slot_cache: [Cell<(u64, u32)>; SLOT_CACHE],
     /// Mapped regions: start → length (disjoint, coalesced on insert).
     regions: BTreeMap<u64, u64>,
     /// Last region hit by a mapping check, as `(start, end)`. Loop-local
@@ -115,6 +169,18 @@ pub struct Memory {
     /// `BTreeMap` range query on the interpreter's load/store hot path.
     /// `(0, 0)` means empty; invalidated whenever the region set changes.
     cache: Cell<(u64, u64)>,
+}
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            index: PageIndex::default(),
+            slots: Vec::new(),
+            slot_cache: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            regions: BTreeMap::new(),
+            cache: Cell::new((0, 0)),
+        }
+    }
 }
 
 impl Memory {
@@ -148,7 +214,9 @@ impl Memory {
     }
 
     /// Unmaps any region starting inside `[start, start+len)` and trims
-    /// regions overlapping the range (page-coarse, like munmap).
+    /// regions overlapping the range (byte-exact). The range's contents are
+    /// gone: pages wholly inside it are dropped and the part of a page it
+    /// covers is zeroed, so a later re-map reads zeros, as after munmap.
     pub fn unmap_region(&mut self, start: u64, len: u64) {
         let end = start.saturating_add(len);
         let mut rebuilt = BTreeMap::new();
@@ -167,6 +235,19 @@ impl Memory {
         }
         self.regions = rebuilt;
         self.cache.set((0, 0));
+        self.retain_pages(|page, p| {
+            let ps = page * PAGE_SIZE;
+            let pe = ps.saturating_add(PAGE_SIZE);
+            let (lo, hi) = (start.max(ps), end.min(pe));
+            if lo >= hi {
+                return true;
+            }
+            if lo == ps && hi == pe {
+                return false;
+            }
+            p.bytes_mut()[(lo - ps) as usize..(hi - ps) as usize].fill(0);
+            true
+        });
     }
 
     /// Whether every byte of `[addr, addr+len)` is mapped.
@@ -223,22 +304,33 @@ impl Memory {
 
     /// Total bytes of backing pages actually allocated.
     pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.slots.len() as u64 * PAGE_SIZE
     }
 
     /// Number of backing pages currently in the page table.
     pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.slots.len() as u64
     }
 
     /// Number of resident pages whose backing store is shared with at least
     /// one other `Memory` (a live snapshot or fork sibling) and would be
     /// copied on the next write.
     pub fn shared_pages(&self) -> u64 {
-        self.pages
-            .values()
-            .filter(|p| Arc::strong_count(p) > 1)
+        self.slots
+            .iter()
+            .filter(|(_, p)| matches!(p, Page::Shared(a) if Arc::strong_count(a) > 1))
             .count() as u64
+    }
+
+    /// Makes every owned page shareable, so that the next `clone` shares
+    /// all pages with this `Memory` instead of copying the owned ones.
+    /// Slots keep their numbers, so the slot cache stays valid.
+    pub fn share_pages(&mut self) {
+        for (_, p) in &mut self.slots {
+            if let Page::Own(b) = p {
+                *p = Page::Shared(Arc::new(**b));
+            }
+        }
     }
 
     /// Drops every all-zero backing page. Semantics-preserving: absent pages
@@ -247,29 +339,71 @@ impl Memory {
     /// neither pins dead zero pages nor diverges in `resident_pages` from a
     /// world that never dirtied them. Returns the number of pages reclaimed.
     pub fn prune_zero_pages(&mut self) -> u64 {
-        let before = self.pages.len();
-        self.pages.retain(|_, p| p.iter().any(|&b| b != 0));
-        (before - self.pages.len()) as u64
+        let before = self.slots.len();
+        self.retain_pages(|_, p| p.bytes().iter().any(|&b| b != 0));
+        (before - self.slots.len()) as u64
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        Arc::make_mut(
-            self.pages
-                .entry(page)
-                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE as usize])),
-        )
+    /// Keeps the pages `keep` returns true for (it may also edit them),
+    /// then renumbers the slots and flushes the slot cache.
+    fn retain_pages(&mut self, mut keep: impl FnMut(u64, &mut Page) -> bool) {
+        self.slots.retain_mut(|(page, p)| keep(*page, p));
+        self.index.clear();
+        for (slot, &(page, _)) in self.slots.iter().enumerate() {
+            self.index.insert(page, slot as u32);
+        }
+        for entry in &self.slot_cache {
+            entry.set((NO_PAGE, 0));
+        }
+    }
+
+    /// Slot of a resident page, through the slot cache.
+    #[inline]
+    fn slot(&self, page: u64) -> Option<usize> {
+        let entry = &self.slot_cache[page as usize % SLOT_CACHE];
+        let (tag, slot) = entry.get();
+        if tag == page {
+            return Some(slot as usize);
+        }
+        let slot = *self.index.get(&page)?;
+        entry.set((page, slot));
+        Some(slot as usize)
+    }
+
+    /// A resident page's bytes; `None` reads as zeros.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&PageBytes> {
+        self.slot(page).map(|s| self.slots[s].1.bytes())
+    }
+
+    /// A page's bytes for writing: allocates an absent page and copies a
+    /// shared one.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut PageBytes {
+        let slot = match self.slot(page) {
+            Some(s) => s,
+            None => {
+                let s = self.slots.len();
+                self.slots
+                    .push((page, Page::Own(Box::new([0u8; PAGE_SIZE as usize]))));
+                self.index.insert(page, s as u32);
+                self.slot_cache[page as usize % SLOT_CACHE].set((page, s as u32));
+                s
+            }
+        };
+        self.slots[slot].1.bytes_mut()
     }
 
     /// Raw read that ignores the region map (used by the attack framework's
     /// "arbitrary read" primitive and by fault-tolerant monitor probes).
-    /// Copies page-sized chunks, one page-table lookup per page touched.
+    /// Copies page-sized chunks, one page lookup per page touched.
     pub fn read_unchecked(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr.wrapping_add(done as u64);
             let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            match self.pages.get(&page) {
+            match self.page(page) {
                 Some(p) => buf[done..done + n].copy_from_slice(&p[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -278,7 +412,7 @@ impl Memory {
     }
 
     /// Raw write that ignores the region map (attacker primitive).
-    /// Copies page-sized chunks, one page-table lookup per page touched.
+    /// Copies page-sized chunks, one page lookup per page touched.
     pub fn write_unchecked(&mut self, addr: u64, buf: &[u8]) {
         let mut done = 0usize;
         while done < buf.len() {
@@ -288,6 +422,33 @@ impl Memory {
             self.page_mut(page)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
         }
+    }
+
+    /// Reads one byte: a mapping check and a single page lookup.
+    ///
+    /// # Errors
+    /// Fails if the byte is unmapped.
+    #[inline]
+    pub fn read_u8(&self, addr: u64) -> Result<u8, OutOfBounds> {
+        if !self.is_mapped(addr, 1) {
+            return Err(OutOfBounds { addr, write: false });
+        }
+        Ok(self
+            .page(addr / PAGE_SIZE)
+            .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]))
+    }
+
+    /// Writes one byte: a mapping check and a single page lookup.
+    ///
+    /// # Errors
+    /// Fails if the byte is unmapped.
+    #[inline]
+    pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), OutOfBounds> {
+        if !self.is_mapped(addr, 1) {
+            return Err(OutOfBounds { addr, write: true });
+        }
+        self.page_mut(addr / PAGE_SIZE)[(addr % PAGE_SIZE) as usize] = v;
+        Ok(())
     }
 }
 
@@ -318,7 +479,7 @@ impl MemIo for Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 8 {
             // Within one page: a single lookup and an aligned-free copy.
-            return Ok(match self.pages.get(&(addr / PAGE_SIZE)) {
+            return Ok(match self.page(addr / PAGE_SIZE) {
                 Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().unwrap()),
                 None => 0,
             });
@@ -466,6 +627,7 @@ mod tests {
         m.map_region(0x1000, 0x3000);
         m.write_u64(0x1000, 1).unwrap();
         m.write_u64(0x2000, 2).unwrap();
+        m.share_pages();
         let mut c = m.clone();
         assert_eq!(m.shared_pages(), 2);
         assert_eq!(c.shared_pages(), 2);
@@ -476,6 +638,99 @@ mod tests {
         assert_eq!(c.read_u64(0x1000).unwrap(), 99);
         assert_eq!(m.shared_pages(), 1);
         assert_eq!(c.read_u64(0x2000).unwrap(), 2);
+    }
+
+    #[test]
+    fn plain_clone_is_isolated_from_later_writes() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x2000);
+        m.write_u64(0x1000, 1).unwrap();
+        m.write_u64(0x2000, 2).unwrap();
+        let mut c = m.clone();
+        assert_eq!((m.shared_pages(), c.shared_pages()), (0, 0));
+        c.write_u64(0x1000, 10).unwrap();
+        m.write_u64(0x2000, 20).unwrap();
+        assert_eq!(m.read_u64(0x1000).unwrap(), 1);
+        assert_eq!(c.read_u64(0x1000).unwrap(), 10);
+        assert_eq!(m.read_u64(0x2000).unwrap(), 20);
+        assert_eq!(c.read_u64(0x2000).unwrap(), 2);
+    }
+
+    #[test]
+    fn slot_cache_stays_coherent_when_prune_renumbers_slots() {
+        let mut m = Memory::new();
+        m.map_region(0, 0x40 * PAGE_SIZE);
+        // Pages 0x01 and 0x11 share a cache entry; page 0x00 takes slot 0
+        // and is pruned, so every later slot moves down by one.
+        m.write_u64(0, 0).unwrap();
+        m.write_u64(PAGE_SIZE, 1).unwrap();
+        m.write_u64(0x11 * PAGE_SIZE, 0x11).unwrap();
+        m.write_u64(0x22 * PAGE_SIZE, 0x22).unwrap();
+        for page in [1u64, 0x11, 0x22] {
+            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+        }
+        assert_eq!(m.prune_zero_pages(), 1);
+        for page in [1u64, 0x11, 0x22] {
+            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+            m.write_u8(page * PAGE_SIZE + 8, page as u8).unwrap();
+        }
+        for page in [0x22u64, 0x11, 1] {
+            assert_eq!(m.read_u8(page * PAGE_SIZE + 8).unwrap(), page as u8);
+            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+        }
+        assert_eq!(m.read_u64(0).unwrap(), 0);
+    }
+
+    #[test]
+    fn slot_cache_stays_coherent_across_a_cow_break() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x1000);
+        m.write_u64(0x1000, 1).unwrap();
+        assert_eq!(m.read_u64(0x1000).unwrap(), 1); // cache holds the page
+        m.share_pages();
+        let snap = m.clone();
+        // The store copies the shared page into the same slot; the cached
+        // slot must now reach the private copy, not the shared one.
+        m.write_u64(0x1000, 2).unwrap();
+        assert_eq!(m.read_u64(0x1000).unwrap(), 2);
+        m.write_u8(0x1001, 0xff).unwrap();
+        assert_eq!(m.read_u64(0x1000).unwrap(), 0xff02);
+        assert_eq!(snap.read_u64(0x1000).unwrap(), 1);
+        assert_eq!(m.shared_pages(), 0);
+    }
+
+    #[test]
+    fn unmap_then_remap_reads_zeros() {
+        // Regression: unmap kept the backing pages, so a MAP_FIXED-style
+        // re-map of the same range read the old bytes back.
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x3000);
+        m.write_u64(0x2000, 0xdead_beef).unwrap();
+        m.write_u64(0x1ff8, 7).unwrap(); // below the unmapped range
+        m.write_u64(0x3800, 9).unwrap(); // page partly unmapped
+        m.unmap_region(0x2000, 0x1800);
+        assert_eq!(m.resident_pages(), 2, "the wholly unmapped page is dropped");
+        m.map_region(0x1000, 0x3000);
+        assert_eq!(m.read_u64(0x2000).unwrap(), 0);
+        assert_eq!(m.read_u64(0x3000).unwrap(), 0);
+        assert_eq!(m.read_u64(0x3800).unwrap(), 9);
+        assert_eq!(m.read_u64(0x37f8).unwrap(), 0);
+        assert_eq!(m.read_u64(0x1ff8).unwrap(), 7);
+    }
+
+    #[test]
+    fn unmap_of_a_shared_page_leaves_the_sibling_intact() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x1000);
+        m.write_u64(0x1000, 5).unwrap();
+        m.write_u64(0x1800, 6).unwrap();
+        m.share_pages();
+        let snap = m.clone();
+        m.unmap_region(0x1800, 0x800);
+        m.map_region(0x1800, 0x800);
+        assert_eq!(m.read_u64(0x1800).unwrap(), 0);
+        assert_eq!(m.read_u64(0x1000).unwrap(), 5);
+        assert_eq!(snap.read_u64(0x1800).unwrap(), 6);
     }
 
     #[test]

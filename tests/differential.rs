@@ -235,11 +235,16 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
     mb.finish()
 }
 
+/// Every live frame's register file, innermost last.
+fn frame_regs(m: &Machine) -> Vec<&[u64]> {
+    m.frames.iter().map(|f| f.regs.as_slice()).collect()
+}
+
 proptest! {
     /// Step-for-step equivalence: drive the legacy oracle one instruction
     /// at a time against `run_bounded(_, 1)` on an identical twin and
-    /// insist on identical events, cycles, pc, and stack registers after
-    /// every single step.
+    /// insist on identical events, cycles, pc, stack registers and frame
+    /// register files after every single step.
     #[test]
     fn random_ir_step_for_step_equivalence(
         nblocks in 1usize..6,
@@ -259,9 +264,54 @@ proptest! {
             prop_assert_eq!(legacy.pc, fast.pc, "pc diverged at step {}", step_no);
             prop_assert_eq!((legacy.sp, legacy.fp), (fast.sp, fast.fp));
             prop_assert_eq!(legacy.depth(), fast.depth());
+            prop_assert_eq!(frame_regs(&legacy), frame_regs(&fast), "registers diverged at step {}", step_no);
             match ea {
                 Event::Syscall { nr, .. } => {
                     prop_assert_eq!((legacy.trap_nr, legacy.trap_pc), (fast.trap_nr, fast.trap_pc));
+                    let ret = u64::from(nr) + 7;
+                    legacy.complete_syscall(ret);
+                    fast.complete_syscall(ret);
+                }
+                Event::Exited(_) | Event::Fault(_) => break,
+                Event::Continue => {}
+            }
+        }
+        prop_assert_eq!(legacy.exited, fast.exited);
+    }
+
+    /// Multi-step equivalence: `run_bounded(_, k)` against `k` legacy
+    /// steps for random `k` in 1..8, so budgets also end between and after
+    /// the halves of fused frame-slot superinstructions.
+    #[test]
+    fn random_ir_bounded_run_equivalence(
+        nblocks in 1usize..6,
+        ops in proptest::collection::vec(any::<u8>(), 0..160),
+        budgets in proptest::collection::vec(1u64..8, 1..32),
+    ) {
+        let module = random_module(nblocks, &ops);
+        let img = Arc::new(Image::load(module).expect("random module validates"));
+        let mut legacy = Machine::new(img.clone(), CostModel::default());
+        let mut fast = Machine::new(img, CostModel::default());
+        for (run_no, &k) in budgets.iter().cycle().take(20_000).enumerate() {
+            let mut ea = Event::Continue;
+            let mut taken = 0;
+            while taken < k {
+                taken += 1;
+                ea = interp::step(&mut legacy);
+                if ea != Event::Continue {
+                    break;
+                }
+            }
+            let (n, eb) = interp::run_bounded(&mut fast, k);
+            let eb = eb.unwrap_or(Event::Continue);
+            prop_assert_eq!(n, taken, "steps diverged at run {}", run_no);
+            prop_assert_eq!(ea, eb, "event diverged at run {}", run_no);
+            prop_assert_eq!(legacy.cycles, fast.cycles, "cycles diverged at run {}", run_no);
+            prop_assert_eq!(legacy.pc, fast.pc, "pc diverged at run {}", run_no);
+            prop_assert_eq!((legacy.sp, legacy.fp), (fast.sp, fast.fp));
+            prop_assert_eq!(frame_regs(&legacy), frame_regs(&fast), "registers diverged at run {}", run_no);
+            match ea {
+                Event::Syscall { nr, .. } => {
                     let ret = u64::from(nr) + 7;
                     legacy.complete_syscall(ret);
                     fast.complete_syscall(ret);

@@ -17,21 +17,12 @@
 
 use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
+use bastion::gate;
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::obs;
 use bastion::obs::Phase;
 use bastion::vm::CostModel;
 use bastion::Protection;
-use serde::{DeError, Deserialize, Value};
-
-/// `Value` passthrough so the shim can parse arbitrary JSON documents.
-struct RawValue(Value);
-
-impl Deserialize for RawValue {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
 
 fn webserve_quick() -> AppBenchmark {
     run_app_benchmark(
@@ -43,35 +34,13 @@ fn webserve_quick() -> AppBenchmark {
     )
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
-    match *v {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) if i >= 0 => Some(i as u64),
-        _ => None,
-    }
-}
-
 /// The committed bench baseline's webserve row: `(virtual_cycles, traps)`.
 fn baseline_row(path: &str) -> Result<(u64, u64), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc: RawValue = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let apps = match doc.0.field("apps") {
-        Ok(Value::Array(items)) => items,
-        _ => return Err(format!("{path}: no `apps` array")),
-    };
-    for row in apps {
-        let is_webserve = matches!(row.field("app"), Ok(Value::Str(s)) if s == "webserve");
-        if !is_webserve {
-            continue;
-        }
-        let cycles = row.field("virtual_cycles").ok().and_then(as_u64);
-        let traps = row.field("traps").ok().and_then(as_u64);
-        if let (Some(c), Some(t)) = (cycles, traps) {
-            return Ok((c, t));
-        }
-        return Err(format!("{path}: webserve row missing cycle fields"));
-    }
-    Err(format!("{path}: no webserve row"))
+    gate::parse_interp_baseline(&text)?
+        .app("webserve")
+        .map(|a| (a.virtual_cycles, a.traps))
+        .ok_or(format!("{path}: no webserve row"))
 }
 
 fn fail(msg: &str) -> ! {
@@ -163,10 +132,6 @@ fn main() {
     if instants(Phase::WalkCacheHit) != stats.walk_cache_hits {
         fail("walk cache-hit instants diverge from MonitorStats");
     }
-    let cpt = metrics.histogram("kernel.cycles_per_trap");
-    if cpt.map_or(0, |h| h.count) != stats.traps {
-        fail("kernel.cycles_per_trap histogram count diverges from traps");
-    }
     // Sketch lane: one verify-latency observation per trap served.
     let verify = metrics.sketch("trap.verify_cycles");
     if verify.map_or(0, |s| s.count) != stats.traps {
@@ -174,7 +139,7 @@ fn main() {
     }
 
     // Prometheus exposition of the same snapshot must validate: typed
-    // families, cumulative buckets ending at +Inf, summary quantile lanes.
+    // families, summary quantile lanes with `_sum`/`_count`.
     let prom = obs::prometheus_text(&metrics, &[("app", "webserve")]);
     let prom_shape = match obs::validate_prometheus(&prom) {
         Ok(s) => s,

@@ -25,6 +25,7 @@ use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
 use bastion::gate::{self, GateReport};
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
+use bastion::obs::sketch::exact_quantile;
 use bastion::obs::{self, EventKind, Phase, TraceEvent};
 use bastion::vm::CostModel;
 use bastion::{attacks, fleet, Protection};
@@ -89,16 +90,6 @@ fn trap_durations(events: &[TraceEvent]) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Nearest-rank percentile over sorted exact values, mirroring
-/// `QuantileSketch::quantile` so the comparison isolates bucketing error.
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64) as usize;
-    sorted[rank]
 }
 
 fn rel_err_pct(exact: u64, sketch: u64) -> f64 {

@@ -432,26 +432,20 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         for c in &metrics.counters {
             println!("  {:<28} {}", c.name, c.value);
         }
-        for h in &metrics.histograms {
-            println!(
-                "  {:<28} count={} min={} max={} mean={:.2}",
-                h.name,
-                h.count,
-                h.min,
-                h.max,
-                h.mean()
-            );
-        }
         for s in &metrics.sketches {
             println!(
-                "  {:<28} count={} p50={} p95={} p99={} p999={}",
-                s.name, s.count, s.p50, s.p95, s.p99, s.p999
+                "  {:<28} count={} min={} max={} mean={:.2} p50={} p95={} p99={} p999={}",
+                s.name,
+                s.count,
+                s.min,
+                s.max,
+                s.mean(),
+                s.p50,
+                s.p95,
+                s.p99,
+                s.p999
             );
         }
-        println!(
-            "  histogram bounds mismatches: {}",
-            metrics.bounds_mismatches()
-        );
     }
     Ok(())
 }

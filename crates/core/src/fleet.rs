@@ -497,7 +497,7 @@ mod tests {
         let run = |jobs| {
             run_ordered_traced(jobs, 32, (0..9u64).collect::<Vec<_>>(), |_, &x| {
                 obs::counter_add("c", x);
-                obs::observe("h", x);
+                obs::sketch_observe("h", x);
                 obs::instant(obs::Phase::Retry, x, x, 0);
                 x * 2
             })

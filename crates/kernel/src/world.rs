@@ -502,7 +502,6 @@ impl World {
                     if tier1_allow {
                         obs::span_end(Phase::Trap, self.trap_count, self.trace_cycles, 0);
                         let verify = self.trace_cycles.saturating_sub(trap_start);
-                        obs::observe("kernel.cycles_per_trap", verify);
                         obs::sketch_observe("trap.verify_cycles", verify);
                         obs::sketch_observe("trap.tier1_cycles", verify);
                         self.flight.borrow_mut().record(FlightEntry {
@@ -564,7 +563,6 @@ impl World {
                             u64::from(denied),
                         );
                         let verify = self.trace_cycles.saturating_sub(trap_start);
-                        obs::observe("kernel.cycles_per_trap", verify);
                         obs::sketch_observe("trap.verify_cycles", verify);
                         obs::sketch_observe("trap.tier2_cycles", verify);
                         self.flight.borrow_mut().finalize(

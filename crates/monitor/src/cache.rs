@@ -20,11 +20,11 @@
 //!   looking at the actual stack — but pairwise callee→caller validation
 //!   against metadata is skipped on a hit.
 //!
-//! The walk cache is bypassed entirely when the Argument-Integrity context
-//! is enabled: AI consults argument values and frame slots that legally
-//! change between traps with identical return-address chains, so caching
-//! anything that feeds an AI verdict would be unsound. This is the
-//! conservative invalidation policy the design calls for (see DESIGN.md).
+//! The walk cache also serves traps under the Argument-Integrity context.
+//! AI consults argument values and frame slots that legally change between
+//! traps with identical return-address chains, so no AI input is cached:
+//! an entry holds only the chain verdict, and `verify_args` always runs on
+//! the freshly read chain (see DESIGN.md §6b).
 //!
 //! Deny messages are deterministic functions of the same inputs, so a
 //! cached violation reproduces the exact verdict string of a fresh one.

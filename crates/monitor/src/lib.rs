@@ -952,7 +952,7 @@ impl Tracer for Monitor {
                         self.stats.min_depth = depth;
                     }
                     self.stats.max_depth = self.stats.max_depth.max(depth);
-                    obs::observe("monitor.walk_depth", depth);
+                    obs::sketch_observe("monitor.walk_depth", depth);
                 }
                 self.log.push((nr, true));
                 TraceVerdict::Allow

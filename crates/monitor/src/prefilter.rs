@@ -586,7 +586,7 @@ fn probe_pointee(tracee: &mut Tracee<'_>, shadow: &ShadowTable, ptr: u64) -> Res
     let mapped = tracee.kernel_read_mem_prefix(ptr, &mut buf);
     let nul = buf[..mapped].iter().position(|&b| b == 0);
     let (n, nul_found) = (nul.map_or(mapped, |z| z + 1), nul.is_some());
-    obs::observe("prefilter.pointee_probe_len", n as u64);
+    obs::sketch_observe("prefilter.pointee_probe_len", n as u64);
     for (i, &byte) in buf[..n].iter().enumerate() {
         match shadow.read_value_checked(&tracee.shared_shadow(), ptr + i as u64) {
             Ok(Some((legit, size))) => {

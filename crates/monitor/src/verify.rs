@@ -391,10 +391,11 @@ enum ChainEnd {
 /// matches the expected one derived at compile time").
 ///
 /// The raw chain is fetched with one batched read per frame, then
-/// validated — through the walk cache unless AI is enabled (a
-/// conservative bypass, DESIGN.md §6b). `prefetched` carries the trap
-/// frame's `(saved fp, return address)` pair when the caller already
-/// fetched it.
+/// validated through the walk cache. The cache holds only the chain
+/// verdict, a pure function of the chain key, so it also serves AI traps:
+/// `verify_args` always runs on the freshly read chain (DESIGN.md §6b).
+/// `prefetched` carries the trap frame's `(saved fp, return address)` pair
+/// when the caller already fetched it.
 fn walk_stack(
     mon: &Monitor,
     tracee: &mut Tracee<'_>,
@@ -403,10 +404,6 @@ fn walk_stack(
     prefetched: Option<(u64, u64)>,
 ) -> Result<Vec<FrameRec>, Violation> {
     let (chain, end) = read_chain(mon, tracee, stub_entry, trap_fp, prefetched);
-    if mon.cfg.arg_integrity {
-        validate_chain(mon, &chain, &end)?;
-        return Ok(chain);
-    }
     // The CF verdict (including its message) is determined by the callsite
     // sequence and the terminator, so that is exactly what is hashed — and
     // also kept verbatim as the full cache key the lookup confirms against

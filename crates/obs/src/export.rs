@@ -250,6 +250,7 @@ pub fn metrics_jsonl_line(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -
             obj(vec![
                 ("name", Value::Str(s.name.clone())),
                 ("count", Value::UInt(s.count)),
+                ("sum", Value::UInt(s.sum)),
                 ("p50", Value::UInt(s.p50)),
                 ("p95", Value::UInt(s.p95)),
                 ("p99", Value::UInt(s.p99)),
@@ -258,23 +259,11 @@ pub fn metrics_jsonl_line(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -
         })
         .collect();
     fields.push(("sketches", Value::Array(sketches)));
-    let hists: Vec<Value> = snapshot
-        .histograms
-        .iter()
-        .map(|h| {
-            obj(vec![
-                ("name", Value::Str(h.name.clone())),
-                ("count", Value::UInt(h.count)),
-                ("sum", Value::UInt(h.sum)),
-            ])
-        })
-        .collect();
-    fields.push(("histograms", Value::Array(hists)));
     serde_json::to_string(&RawValue(obj(fields))).expect("jsonl line serializes")
 }
 
 /// Sanitizes a dotted metric name into a Prometheus metric name:
-/// `kernel.cycles_per_trap` → `bastion_kernel_cycles_per_trap`.
+/// `trap.verify_cycles` → `bastion_trap_verify_cycles`.
 fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 8);
     out.push_str("bastion_");
@@ -306,10 +295,9 @@ fn prom_labels(labels: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
 }
 
 /// Renders a metrics snapshot in the Prometheus text exposition format
-/// (version 0.0.4): counters as `counter`, histograms as cumulative
-/// `histogram` families (`_bucket`/`_sum`/`_count` with an `+Inf` edge),
-/// and quantile sketches as `summary` families (p50/p95/p99/p999
-/// `quantile` series plus `_sum`/`_count`). `labels` are attached to
+/// (version 0.0.4): counters as `counter` and quantile sketches as
+/// `summary` families (p50/p95/p99/p999 `quantile` series plus
+/// `_sum`/`_count`). `labels` are attached to
 /// every sample — the per-World/tenant lane mechanism `bastiond` reuses.
 pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
     let mut out = String::new();
@@ -320,33 +308,6 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> S
             "{name}{} {}\n",
             prom_labels(labels, None),
             c.value
-        ));
-    }
-    for h in &snapshot.histograms {
-        let name = prom_name(&h.name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cumulative = 0u64;
-        for b in &h.buckets {
-            cumulative += b.count;
-            let le = if b.le == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                b.le.to_string()
-            };
-            out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                prom_labels(labels, Some(("le", &le)))
-            ));
-        }
-        out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            prom_labels(labels, None),
-            h.sum
-        ));
-        out.push_str(&format!(
-            "{name}_count{} {}\n",
-            prom_labels(labels, None),
-            h.count
         ));
     }
     for s in &snapshot.sketches {
@@ -379,16 +340,14 @@ pub struct PromShape {
     pub samples: usize,
     /// `# TYPE` families declared.
     pub families: usize,
-    /// Histogram families (checked for `+Inf` edge and `_sum`/`_count`).
-    pub histograms: usize,
     /// Summary families (checked for quantile series and `_sum`/`_count`).
     pub summaries: usize,
 }
 
 /// Validates Prometheus text exposition shape: every sample line parses
 /// as `name[{labels}] value`, every sample's family was declared by a
-/// preceding `# TYPE`, histogram buckets are cumulative and end at
-/// `+Inf`, and histogram/summary families carry `_sum` and `_count`.
+/// preceding `# TYPE`, and summary families carry quantile series plus
+/// `_sum` and `_count`.
 ///
 /// # Errors
 /// Returns a description of the first malformed line or family.
@@ -404,15 +363,13 @@ pub fn validate_prometheus(text: &str) -> Result<PromShape, String> {
             let mut it = rest.split_whitespace();
             let name = it.next().ok_or(format!("line {ln}: TYPE without name"))?;
             let kind = it.next().ok_or(format!("line {ln}: TYPE without kind"))?;
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary") {
+            if !matches!(kind, "counter" | "gauge" | "summary") {
                 return Err(format!("line {ln}: unknown TYPE kind `{kind}`"));
             }
             families.push((name.to_string(), kind.to_string()));
             shape.families += 1;
-            match kind {
-                "histogram" => shape.histograms += 1,
-                "summary" => shape.summaries += 1,
-                _ => {}
+            if kind == "summary" {
+                shape.summaries += 1;
             }
             continue;
         }
@@ -441,7 +398,7 @@ pub fn validate_prometheus(text: &str) -> Result<PromShape, String> {
             name_part == f
                 || name_part
                     .strip_prefix(f.as_str())
-                    .is_some_and(|sfx| matches!(sfx, "_bucket" | "_sum" | "_count"))
+                    .is_some_and(|sfx| matches!(sfx, "_sum" | "_count"))
         });
         if family.is_none() {
             return Err(format!("line {ln}: sample `{name_part}` has no # TYPE"));
@@ -449,18 +406,9 @@ pub fn validate_prometheus(text: &str) -> Result<PromShape, String> {
         shape.samples += 1;
         seen.push(series.to_string());
     }
-    // Family completeness: histograms need a +Inf bucket edge, both
-    // histograms and summaries need _sum and _count.
+    // Family completeness: summaries need quantile series, _sum and _count.
     for (name, kind) in &families {
-        if kind == "histogram" {
-            let inf = seen
-                .iter()
-                .any(|s| s.starts_with(&format!("{name}_bucket")) && s.contains("le=\"+Inf\""));
-            if !inf {
-                return Err(format!("histogram `{name}` missing +Inf bucket"));
-            }
-        }
-        if kind == "histogram" || kind == "summary" {
+        if kind == "summary" {
             for sfx in ["_sum", "_count"] {
                 if !seen
                     .iter()
@@ -469,8 +417,6 @@ pub fn validate_prometheus(text: &str) -> Result<PromShape, String> {
                     return Err(format!("family `{name}` missing {name}{sfx}"));
                 }
             }
-        }
-        if kind == "summary" {
             let q = seen
                 .iter()
                 .any(|s| s.starts_with(name.as_str()) && s.contains("quantile=\""));
@@ -629,8 +575,8 @@ mod tests {
     fn sample_snapshot() -> MetricsSnapshot {
         let mut r = crate::metrics::MetricsRegistry::new();
         r.counter_add("monitor.denies", 3);
-        r.observe("kernel.cycles_per_trap", 120);
-        r.observe("kernel.cycles_per_trap", 7000);
+        r.sketch_observe("monitor.walk_depth", 3);
+        r.sketch_observe("monitor.walk_depth", 9);
         for v in [100u64, 200, 300, 5000] {
             r.sketch_observe("trap.verify_cycles", v);
         }
@@ -643,20 +589,15 @@ mod tests {
         let text = prometheus_text(&snap, &[("world", "webserve")]);
         let shape = validate_prometheus(&text).expect("valid exposition");
         assert_eq!(shape.families, 3);
-        assert_eq!(shape.histograms, 1);
-        assert_eq!(shape.summaries, 1);
+        assert_eq!(shape.summaries, 2);
         assert!(text.contains("bastion_monitor_denies{world=\"webserve\"} 3"));
-        assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("quantile=\"0.99\""));
         assert!(text.contains("bastion_trap_verify_cycles_count{world=\"webserve\"} 4"));
-        // Histogram buckets are cumulative: the +Inf bucket equals _count.
-        let inf = text
-            .lines()
-            .find(|l| l.contains("le=\"+Inf\""))
-            .and_then(|l| l.rsplit_once(' '))
-            .map(|(_, v)| v)
-            .unwrap();
-        assert_eq!(inf, "2");
+        assert!(text.contains("bastion_monitor_walk_depth_sum{world=\"webserve\"} 12"));
+        assert!(
+            !text.contains(" histogram"),
+            "no histogram family is emitted"
+        );
         // Unlabelled exposition also validates.
         validate_prometheus(&prometheus_text(&snap, &[])).expect("unlabelled validates");
     }
@@ -667,9 +608,13 @@ mod tests {
         assert!(validate_prometheus("# TYPE bastion_x counter\nbastion_x notanumber\n").is_err());
         assert!(validate_prometheus("# TYPE bastion_x widget\n").is_err());
         assert!(
-            validate_prometheus("# TYPE bastion_x histogram\nbastion_x_bucket{le=\"1\"} 1\n")
+            validate_prometheus("# TYPE bastion_x summary\nbastion_x{quantile=\"0.5\"} 1\n")
                 .is_err(),
-            "histogram without +Inf/_sum/_count must fail"
+            "summary without _sum/_count must fail"
+        );
+        assert!(
+            validate_prometheus("# TYPE bastion_x histogram\n").is_err(),
+            "the exporter emits no histogram family, so none is accepted"
         );
         assert!(
             validate_prometheus("# TYPE bastion_x counter\nbastion_x{world=\"w\" 1\n").is_err(),
@@ -685,6 +630,7 @@ mod tests {
         assert!(line.starts_with("{\"world\":\"dbkv\",\"tenant\":\"7\""));
         assert!(line.contains("\"sketches\""));
         assert!(line.contains("\"p999\""));
+        assert!(line.contains("\"sum\""));
         // And it parses back as JSON.
         let v: super::RawValue = serde_json::from_str(&line).expect("parses");
         assert!(matches!(v.0, Value::Object(_)));

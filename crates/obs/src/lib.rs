@@ -44,10 +44,7 @@ pub use export::{
     prometheus_text, validate_chrome_trace, validate_prometheus, PhaseTotal, PromShape, TraceShape,
 };
 pub use flight::{FlightDump, FlightEntry, FlightRecorder, FlightTrigger};
-pub use metrics::{
-    BucketSnapshot, CounterSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    BOUNDS_MISMATCH_COUNTER,
-};
+pub use metrics::{CounterSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sketch::{QuantileSketch, SketchBucket, SketchSnapshot};
 pub use span::{EventKind, Phase, SpanTracer, TraceEvent};
 
@@ -209,20 +206,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     });
 }
 
-/// Records `value` into the named histogram (registered on first use with
-/// default power-of-two buckets). A no-op when telemetry is disabled.
-#[inline]
-pub fn observe(name: &'static str, value: u64) {
-    if !ENABLED.with(Cell::get) {
-        return;
-    }
-    METRICS.with(|m| {
-        if let Some(r) = m.borrow_mut().as_mut() {
-            r.observe(name, value);
-        }
-    });
-}
-
 /// Records `value` into the named quantile sketch (log-bucketed, see
 /// [`sketch::QuantileSketch`]). A no-op when telemetry is disabled.
 #[inline]
@@ -233,19 +216,6 @@ pub fn sketch_observe(name: &'static str, value: u64) {
     METRICS.with(|m| {
         if let Some(r) = m.borrow_mut().as_mut() {
             r.sketch_observe(name, value);
-        }
-    });
-}
-
-/// Registers a histogram with explicit bucket bounds (ascending upper
-/// edges; an overflow bucket is implicit). A no-op when disabled.
-pub fn register_histogram(name: &'static str, bounds: &[u64]) {
-    if !ENABLED.with(Cell::get) {
-        return;
-    }
-    METRICS.with(|m| {
-        if let Some(r) = m.borrow_mut().as_mut() {
-            r.register_histogram(name, bounds);
         }
     });
 }
@@ -294,7 +264,6 @@ mod tests {
         span_end(Phase::Trap, 1, 200, 0);
         instant(Phase::Retry, 1, 150, 1);
         counter_add("x", 1);
-        observe("y", 5);
         sketch_observe("z", 9);
         assert_eq!(event_count(), 0);
         assert!(take_events().is_empty());
@@ -310,7 +279,7 @@ mod tests {
         span_end(Phase::CtCheck, 1, 150, 0);
         span_end(Phase::Trap, 1, 200, 0);
         counter_add("monitor.traps", 1);
-        observe("monitor.walk_depth", 3);
+        sketch_observe("monitor.walk_depth", 3);
         assert_eq!(event_count(), 4);
         let evs = take_events();
         assert_eq!(evs.len(), 4);
@@ -318,7 +287,7 @@ mod tests {
         assert_eq!(evs[0].kind, EventKind::Begin);
         let snap = metrics_snapshot();
         assert_eq!(snap.counters[0].value, 1);
-        assert_eq!(snap.histograms[0].count, 1);
+        assert_eq!(snap.sketch("monitor.walk_depth").unwrap().count, 1);
         disable();
         assert_eq!(event_count(), 0);
     }

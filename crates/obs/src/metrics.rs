@@ -1,96 +1,21 @@
-//! The metrics registry: named counters and fixed-bucket histograms,
+//! The metrics registry: named counters and quantile sketches,
 //! snapshotable as a plain serializable struct.
 //!
-//! Registration is lazy — the first `counter_add`/`observe` against a name
-//! creates it — but histograms may also be registered up front with
-//! explicit bucket bounds (cycles/trap wants coarser buckets than walk
-//! depth). All storage is owned by the registry; recording allocates only
-//! on first use of a name.
+//! Registration is lazy — the first `counter_add`/`sketch_observe` against
+//! a name creates it. Distributions are [`QuantileSketch`]es only: values
+//! below 128 keep an exact bucket each, and count/sum/min/max are exact,
+//! so a sketch is strictly finer than power-of-two buckets for the small
+//! integers (walk depth, probe lengths) the stack records. All storage is
+//! owned by the registry; recording allocates only on first use of a name.
 
 use crate::sketch::{QuantileSketch, SketchSnapshot};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Default histogram bucket upper edges: powers of two, 1..=65536.
-pub const DEFAULT_BOUNDS: &[u64] = &[
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
-];
-
-/// Counter bumped by [`MetricsRegistry::merge`] whenever two same-named
-/// histograms carried different bucket bounds — the merged distribution
-/// credited the foreign observations to the overflow slot, so per-bucket
-/// shape is no longer trustworthy for that name.
-pub const BOUNDS_MISMATCH_COUNTER: &str = "obs.histogram_bounds_mismatch";
-
-/// A fixed-bucket histogram.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    /// One slot per bound plus a final overflow slot.
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Folds another histogram into this one. Bucket counts add
-    /// elementwise when the bounds agree (the fleet case: every worker
-    /// registers the same bounds). With mismatched bounds the per-bucket
-    /// placement is unrecoverable, so the other side's observations are
-    /// folded into the aggregate stats and credited to the overflow slot
-    /// — and the mismatch is reported back (`true`) so the registry can
-    /// record it instead of silently corrupting the distribution.
-    fn absorb(&mut self, other: &Histogram) -> bool {
-        if other.count == 0 {
-            return false;
-        }
-        let mismatched = self.bounds != other.bounds;
-        if mismatched {
-            *self.counts.last_mut().expect("overflow slot") += other.count;
-        } else {
-            for (slot, n) in self.counts.iter_mut().zip(other.counts.iter()) {
-                *slot += n;
-            }
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        mismatched
-    }
-
-    fn observe(&mut self, value: u64) {
-        let slot = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[slot] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
-
-/// Counters + histograms + quantile sketches for one thread of execution.
+/// Counters + quantile sketches for one thread of execution.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
     sketches: BTreeMap<&'static str, QuantileSketch>,
 }
 
@@ -105,24 +30,6 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Registers a histogram with explicit ascending bucket bounds. A
-    /// no-op if the name already exists (first registration wins, so
-    /// explicit bounds must be declared before the first `observe`).
-    pub fn register_histogram(&mut self, name: &'static str, bounds: &[u64]) {
-        self.hists
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds));
-    }
-
-    /// Records `value` into the named histogram, creating it with
-    /// [`DEFAULT_BOUNDS`] on first use.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists
-            .entry(name)
-            .or_insert_with(|| Histogram::new(DEFAULT_BOUNDS))
-            .observe(value);
-    }
-
     /// Records `value` into the named quantile sketch, creating it on
     /// first use (sketches have no bounds to declare).
     pub fn sketch_observe(&mut self, name: &'static str, value: u64) {
@@ -134,34 +41,16 @@ impl MetricsRegistry {
         self.sketches.get(name)
     }
 
-    /// Merges another registry into this one: counters add, histograms
-    /// fold elementwise when their bounds agree (see `Histogram::absorb`),
-    /// sketches fold per log-bucket (always safe — the bucket mapping is
-    /// global, not per-instance). The fleet runner uses this to stitch
-    /// per-worker registries into one deterministic aggregate — merging in
-    /// task order yields the same registry regardless of how tasks were
-    /// scheduled across threads, because all maps are name-keyed and every
-    /// operation commutes. A histogram pair with mismatched bounds bumps
-    /// [`BOUNDS_MISMATCH_COUNTER`] instead of corrupting silently.
+    /// Merges another registry into this one: counters add, sketches fold
+    /// per log-bucket (always safe — the bucket mapping is global, not
+    /// per-instance). The fleet runner uses this to stitch per-worker
+    /// registries into one deterministic aggregate — merging in task order
+    /// yields the same registry regardless of how tasks were scheduled
+    /// across threads, because all maps are name-keyed and every operation
+    /// commutes.
     pub fn merge(&mut self, other: MetricsRegistry) {
         for (name, value) in other.counters {
             *self.counters.entry(name).or_insert(0) += value;
-        }
-        let mut mismatches = 0u64;
-        for (name, h) in other.hists {
-            match self.hists.entry(name) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if e.get_mut().absorb(&h) {
-                        mismatches += 1;
-                    }
-                }
-            }
-        }
-        if mismatches > 0 {
-            *self.counters.entry(BOUNDS_MISMATCH_COUNTER).or_insert(0) += mismatches;
         }
         for (name, s) in other.sketches {
             match self.sketches.entry(name) {
@@ -173,7 +62,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Snapshots every counter and histogram into a plain struct.
+    /// Snapshots every counter and sketch into a plain struct.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -182,25 +71,6 @@ impl MetricsRegistry {
                 .map(|(&name, &value)| CounterSnapshot {
                     name: name.to_string(),
                     value,
-                })
-                .collect(),
-            histograms: self
-                .hists
-                .iter()
-                .map(|(&name, h)| HistogramSnapshot {
-                    name: name.to_string(),
-                    count: h.count,
-                    sum: h.sum,
-                    min: if h.count == 0 { 0 } else { h.min },
-                    max: h.max,
-                    buckets: h
-                        .bounds
-                        .iter()
-                        .copied()
-                        .chain(std::iter::once(u64::MAX))
-                        .zip(h.counts.iter().copied())
-                        .map(|(le, count)| BucketSnapshot { le, count })
-                        .collect(),
                 })
                 .collect(),
             sketches: self
@@ -221,50 +91,11 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// One histogram bucket: observations with `value <= le`.
-#[derive(Debug, Clone, Serialize)]
-pub struct BucketSnapshot {
-    /// Upper edge (inclusive); `u64::MAX` marks the overflow bucket.
-    pub le: u64,
-    /// Observations that landed in this bucket.
-    pub count: u64,
-}
-
-/// One histogram's state at snapshot time.
-#[derive(Debug, Clone, Serialize)]
-pub struct HistogramSnapshot {
-    /// Histogram name.
-    pub name: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Smallest observed value (0 when empty).
-    pub min: u64,
-    /// Largest observed value.
-    pub max: u64,
-    /// Cumulative-style fixed buckets (non-cumulative counts per bucket).
-    pub buckets: Vec<BucketSnapshot>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// The whole registry as a plain struct (the metrics JSON dump).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// All counters, name-sorted.
     pub counters: Vec<CounterSnapshot>,
-    /// All histograms, name-sorted.
-    pub histograms: Vec<HistogramSnapshot>,
     /// All quantile sketches, name-sorted.
     pub sketches: Vec<SketchSnapshot>,
 }
@@ -278,20 +109,9 @@ impl MetricsSnapshot {
             .map(|c| c.value)
     }
 
-    /// Looks a histogram up by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// Looks a quantile sketch up by name.
     pub fn sketch(&self, name: &str) -> Option<&SketchSnapshot> {
         self.sketches.iter().find(|s| s.name == name)
-    }
-
-    /// Histogram merges that crossed mismatched bucket bounds (0 when the
-    /// counter was never bumped) — surfaced in `bastion stats`.
-    pub fn bounds_mismatches(&self) -> u64 {
-        self.counter(BOUNDS_MISMATCH_COUNTER).unwrap_or(0)
     }
 }
 
@@ -309,110 +129,6 @@ mod tests {
         assert_eq!(s.counter("a"), Some(5));
         assert_eq!(s.counter("b"), Some(1));
         assert_eq!(s.counter("c"), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_stats() {
-        let mut r = MetricsRegistry::new();
-        r.register_histogram("d", &[1, 4, 16]);
-        r.observe("d", 1);
-        r.observe("d", 3);
-        r.observe("d", 100);
-        let s = r.snapshot();
-        let h = s.histogram("d").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 104);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 100);
-        let counts: Vec<u64> = h.buckets.iter().map(|b| b.count).collect();
-        assert_eq!(counts, vec![1, 1, 0, 1]);
-        assert_eq!(h.buckets.last().unwrap().le, u64::MAX);
-        assert!((h.mean() - 104.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_folds_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("shared", 2);
-        a.counter_add("only_a", 1);
-        a.register_histogram("h", &[1, 4, 16]);
-        a.observe("h", 1);
-        a.observe("h", 100);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("shared", 5);
-        b.counter_add("only_b", 7);
-        b.register_histogram("h", &[1, 4, 16]);
-        b.observe("h", 3);
-        b.observe("only_b_hist", 2);
-        a.merge(b);
-        let s = a.snapshot();
-        assert_eq!(s.counter("shared"), Some(7));
-        assert_eq!(s.counter("only_a"), Some(1));
-        assert_eq!(s.counter("only_b"), Some(7));
-        let h = s.histogram("h").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 104);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 100);
-        let counts: Vec<u64> = h.buckets.iter().map(|b| b.count).collect();
-        assert_eq!(counts, vec![1, 1, 0, 1]);
-        assert_eq!(s.histogram("only_b_hist").unwrap().count, 1);
-    }
-
-    #[test]
-    fn merge_mismatched_bounds_keeps_aggregates() {
-        let mut a = MetricsRegistry::new();
-        a.register_histogram("h", &[10]);
-        a.observe("h", 5);
-        let mut b = MetricsRegistry::new();
-        b.register_histogram("h", &[1, 2]);
-        b.observe("h", 1);
-        b.observe("h", 9);
-        a.merge(b);
-        let s = a.snapshot();
-        let h = s.histogram("h").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 15);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 9);
-        // Foreign-bounds observations land in the overflow slot.
-        assert_eq!(h.buckets.last().unwrap().count, 2);
-    }
-
-    #[test]
-    fn merge_mismatched_bounds_is_counted() {
-        let mut a = MetricsRegistry::new();
-        a.register_histogram("h", &[10]);
-        a.observe("h", 5);
-        a.register_histogram("k", &[10]);
-        a.observe("k", 5);
-        let mut b = MetricsRegistry::new();
-        b.register_histogram("h", &[1, 2]);
-        b.observe("h", 9);
-        b.register_histogram("k", &[10]);
-        b.observe("k", 9);
-        a.merge(b);
-        let s = a.snapshot();
-        // One of the two merges crossed bounds; exactly one is recorded.
-        assert_eq!(s.bounds_mismatches(), 1);
-        assert_eq!(s.counter(BOUNDS_MISMATCH_COUNTER), Some(1));
-        // A clean merge leaves the counter untouched (no counter at all).
-        let mut c = MetricsRegistry::new();
-        c.register_histogram("k", &[10]);
-        c.observe("k", 1);
-        let mut d = MetricsRegistry::new();
-        d.register_histogram("k", &[10]);
-        d.observe("k", 2);
-        c.merge(d);
-        assert_eq!(c.snapshot().bounds_mismatches(), 0);
-        // Empty-on-mismatched-bounds is also clean: nothing was credited
-        // to the overflow slot, so nothing is reported.
-        let mut e = MetricsRegistry::new();
-        e.register_histogram("h", &[10]);
-        let mut f = MetricsRegistry::new();
-        f.register_histogram("h", &[1, 2]);
-        e.merge(f);
-        assert_eq!(e.snapshot().bounds_mismatches(), 0);
     }
 
     #[test]
@@ -449,7 +165,7 @@ mod tests {
             let mut r = MetricsRegistry::new();
             for &v in vals {
                 r.counter_add("c", v);
-                r.observe("h", v);
+                r.sketch_observe("h", v);
             }
             r
         };
@@ -464,43 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn default_bounds_kick_in() {
-        let mut r = MetricsRegistry::new();
-        r.observe("x", 7000);
-        let s = r.snapshot();
-        let h = s.histogram("x").unwrap();
-        assert_eq!(h.buckets.len(), DEFAULT_BOUNDS.len() + 1);
-        assert_eq!(h.count, 1);
-    }
-
-    #[test]
-    fn empty_histogram_min_is_zero() {
-        let mut r = MetricsRegistry::new();
-        r.register_histogram("e", &[1]);
-        let s = r.snapshot();
-        assert_eq!(s.histogram("e").unwrap().min, 0);
-        // The sentinel must not escape through serialization either (the
-        // overflow bucket's `le` is the only legitimate u64::MAX).
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(
-            json.contains("\"min\":0"),
-            "serialized min must be normalized to 0: {json}"
-        );
-        assert!(!json.contains(&format!("\"min\":{}", u64::MAX)));
-        // ...nor through a merge chain of empty histograms.
-        let mut other = MetricsRegistry::new();
-        other.register_histogram("e", &[1]);
-        r.merge(other);
-        assert_eq!(r.snapshot().histogram("e").unwrap().min, 0);
-    }
-
-    #[test]
     fn snapshot_serializes() {
         let mut r = MetricsRegistry::new();
         r.counter_add("a", 1);
-        r.observe("h", 2);
+        r.sketch_observe("h", 2);
         let json = serde_json::to_string(&r.snapshot()).unwrap();
         assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"histograms\""));
+        assert!(json.contains("\"sketches\""));
     }
 }

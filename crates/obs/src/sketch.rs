@@ -1,10 +1,11 @@
 //! Deterministic mergeable quantile sketch (DDSketch-style, zero-dep).
 //!
-//! The registry's fixed-bucket [`crate::metrics::Histogram`] answers "how
-//! many traps cost 512..1024 cycles", but a serving system wants p50/p95/
+//! The registry's one distribution type. A serving system wants p50/p95/
 //! p99/p999 lanes with a bounded relative error, mergeable across fleet
-//! workers without losing accuracy. This sketch maps every `u64`
-//! observation to a log-bucketed index with **pure integer arithmetic**:
+//! workers without losing accuracy, and the small-integer distributions
+//! (walk depth, probe lengths) want exact values. This sketch maps every
+//! `u64` observation to a log-bucketed index with **pure integer
+//! arithmetic**:
 //!
 //! * values `< 128` index themselves (the linear region — exact);
 //! * larger values take a base-2 exponent plus the top [`SUB_BITS`]

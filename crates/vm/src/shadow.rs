@@ -261,7 +261,7 @@ impl ShadowTable {
             let ea = self.slot_addr(slot);
             let k = mem.read_u64(ea)?;
             if k == key {
-                bastion_obs::observe("shadow.probe_len", visited);
+                bastion_obs::sketch_observe("shadow.probe_len", visited);
                 return Ok((ea, true));
             }
             let meta = mem.read_u64(ea + 8)?;
@@ -272,7 +272,7 @@ impl ShadowTable {
                 if meta != 0 || value != 0 {
                     return Err(ShadowError::Corrupt { addr: ea });
                 }
-                bastion_obs::observe("shadow.probe_len", visited);
+                bastion_obs::sketch_observe("shadow.probe_len", visited);
                 return Ok((ea, false));
             }
             // A foreign slot redirects the probe; verify it really is a

@@ -6,14 +6,20 @@
 //! * a wrapped span ring still exports a **balanced, validating** Chrome
 //!   trace (orphans dropped, dangling spans closed);
 //! * the disabled tracer records **nothing** — no events, no metrics;
+//! * the `monitor.walk_depth` sketch agrees exactly with the monitor's
+//!   depth statistics (sum, min, max);
 //! * every monitor deny in the Table 6 catalog yields **exactly one**
 //!   structured [`DenyRecord`] whose rendered message is byte-identical to
 //!   the legacy `MonitorKill` reason string;
 //! * deny records join the fault-injection log on the world trap sequence
 //!   number (`DenyRecord::trap_seq` == `InjectedFault::world_trap`).
 
+use bastion::apps::App;
+use bastion::compiler::BastionCompiler;
+use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::obs;
 use bastion::obs::{DenyRecord, Phase};
+use bastion::vm::CostModel;
 use bastion_attacks::{AttackEnv, Scenario};
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger};
 use bastion_monitor::ContextConfig;
@@ -77,7 +83,7 @@ fn deep_nesting_survives_wraparound() {
 #[test]
 fn disabled_tracer_records_nothing_end_to_end() {
     // A monitored end-to-end run with telemetry off: the obs layer must
-    // stay completely empty — no events, no counters, no histograms.
+    // stay completely empty — no events, no counters, no sketches.
     assert!(!obs::is_enabled());
     let d = bastion::Deployment::from_minic(
         "t",
@@ -101,10 +107,38 @@ fn disabled_tracer_records_nothing_end_to_end() {
     assert_eq!(obs::event_count(), 0, "disabled tracer recorded events");
     let m = obs::metrics_snapshot();
     assert!(m.counters.is_empty(), "disabled metrics recorded counters");
-    assert!(
-        m.histograms.is_empty(),
-        "disabled metrics recorded histograms"
+    assert!(m.sketches.is_empty(), "disabled metrics recorded sketches");
+}
+
+// ---------------------------------------------------------------------------
+// Distributions
+// ---------------------------------------------------------------------------
+
+#[test]
+fn walk_depth_sketch_matches_monitor_stats() {
+    // Tier 2 only, so every trap walks the stack. The sketch keeps count,
+    // sum, min and max exact, so it must agree with the monitor's own
+    // depth statistics to the frame.
+    let mut prot = bastion::Protection::full();
+    prot.monitor = Some(ContextConfig::full().with_prefilter(false));
+    let guard = obs::TelemetryGuard::enable(1 << 17);
+    let r = run_app_benchmark(
+        App::Webserve,
+        &prot,
+        &WorkloadSize::quick(),
+        &BastionCompiler::new(),
+        CostModel::default(),
     );
+    let (_, registry) = guard.finish();
+    let stats = r.monitor.as_ref().expect("monitor attached");
+    assert!(stats.frames_walked > 0, "tier-2 traps must walk frames");
+    let snap = registry.snapshot();
+    let depth = snap
+        .sketch("monitor.walk_depth")
+        .expect("monitor.walk_depth is a sketch");
+    assert_eq!(depth.sum, stats.frames_walked);
+    assert_eq!(depth.min, stats.min_depth);
+    assert_eq!(depth.max, stats.max_depth);
 }
 
 // ---------------------------------------------------------------------------

@@ -189,11 +189,10 @@ fn main() {
                 CostModel::default(),
             );
             let stats = r.monitor.as_ref().expect("monitor attached");
-            let per_trap = (r.trace_cycles - stats.init_cycles) as f64 / r.traps.max(1) as f64;
             println!(
                 "  {:<29} {:>9.0} cycles/trap over {} traps  (ct hits {}, walk hits {}, batched frame reads {}, batched pointee reads {}, prefilter hits {}/{})",
                 label,
-                per_trap,
+                r.steady_cycles_per_trap(),
                 r.traps,
                 stats.ct_cache_hits,
                 stats.walk_cache_hits,

@@ -13,6 +13,8 @@
 //! report is byte-identical for any `--jobs` value — `--jobs 1` (the
 //! default) and `--jobs 8` may only differ in wall-clock time.
 
+use bastion::attacks::catalog;
+use bastion::chaos::chaos_schedules;
 use bastion::fleet;
 
 fn main() {
@@ -35,7 +37,9 @@ fn main() {
         });
 
     eprintln!(
-        "replaying 32 attacks x 7 fault classes x {} seeds on {jobs} worker(s), {} cells...",
+        "replaying {} attacks x {} fault classes x {} seeds on {jobs} worker(s), {} cells...",
+        catalog().len(),
+        chaos_schedules(0, 1).len(),
         fleet::ATTACK_SEEDS.len(),
         if cold { "cold-deployed" } else { "warm-forked" }
     );

@@ -1,34 +1,22 @@
 //! Fleet scaling benchmark: runs the chaos matrix at increasing worker
 //! counts, asserts every run's rendered report is **byte-identical** to
 //! the serial one (the fleet determinism contract, DESIGN.md §6f), and
-//! writes jobs-vs-wall-clock rows to `BENCH_fleet.json` (or the path given
-//! as the first argument).
+//! writes jobs-vs-wall-clock records to `BENCH_fleet.json` (or the path
+//! given as the first argument). The matrix shape is virtual; every wall
+//! time, speedup and the host's `available_parallelism` are host records.
 //!
 //! The default ladder is powers of two capped at the host's
 //! `available_parallelism` — worker counts past the core count only add
 //! scheduler churn and read as phantom regressions on small hosts.
 //! `--jobs-list=1,2,4,8` overrides the ladder explicitly (CI uses `1,2`
-//! as the fleet smoke — a parallel run diffed against the serial run);
-//! rows whose worker count exceeds the core count are annotated
-//! `oversubscribed` so their speedups are read as scheduling noise, not
-//! fleet regressions.
+//! as the fleet smoke — a parallel run diffed against the serial run).
+//! A worker count above `available_parallelism` is oversubscribed: its
+//! speedup measures scheduler contention, not fleet scaling.
 
+use bastion::chaos::chaos_schedules;
 use bastion::fleet;
-use serde::Serialize;
+use bastion::gate::{self, Record};
 use std::time::Instant;
-
-#[derive(Debug, Serialize)]
-struct ScalingRow {
-    jobs: usize,
-    wall_secs: f64,
-    /// Serial wall time over this run's wall time.
-    speedup: f64,
-    /// This run's report matched the serial report byte-for-byte.
-    byte_identical: bool,
-    /// More workers than host cores: the wall-clock column measures
-    /// scheduler contention, not fleet scaling.
-    oversubscribed: bool,
-}
 
 /// Powers of two up to (and including the nearest below) the host's
 /// available parallelism, always starting at the serial run.
@@ -40,36 +28,6 @@ fn default_ladder(ap: usize) -> Vec<usize> {
         j *= 2;
     }
     ladder
-}
-
-/// Warm-forked checkpoint cells vs cold per-cell re-deploys, measured at
-/// the widest ladder entry within the host's core count — an
-/// oversubscribed entry would charge scheduler churn to the checkpoint
-/// (DESIGN.md §6i's headline number).
-#[derive(Debug, Serialize)]
-struct SnapshotRow {
-    jobs: usize,
-    warm_secs: f64,
-    cold_secs: f64,
-    /// Cold wall time over warm wall time (the checkpoint payoff; the PR
-    /// gate is ≥3x).
-    warm_speedup: f64,
-    /// The cold report matched the warm report byte-for-byte.
-    byte_identical: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct Report {
-    bench: String,
-    scenarios: usize,
-    seeds: usize,
-    fault_classes: usize,
-    benign_apps: usize,
-    available_parallelism: usize,
-    /// sha-agnostic determinism gate: every ladder entry byte-matched.
-    all_byte_identical: bool,
-    rows: Vec<ScalingRow>,
-    snapshot: SnapshotRow,
 }
 
 fn main() {
@@ -93,10 +51,11 @@ fn main() {
     );
 
     let seeds = fleet::ATTACK_SEEDS;
-    let mut rows: Vec<ScalingRow> = Vec::new();
+    let mut records = Vec::new();
     let mut serial_report = String::new();
     let mut serial_secs = 0.0f64;
-    let mut scenarios = 0usize;
+    // (jobs, wall) of the widest ladder entry within the host's cores.
+    let mut widest = (1, 0.0f64);
     for &jobs in &ladder {
         eprintln!("chaos matrix, jobs={jobs}...");
         let t0 = Instant::now();
@@ -108,17 +67,31 @@ fn main() {
             serial_report = outcome.report.clone();
             serial_secs = wall_secs;
             // The attack table has one row per scenario.
-            scenarios = outcome
+            let scenarios = outcome
                 .report
                 .lines()
                 .skip_while(|l| !l.starts_with("id "))
                 .skip(1)
                 .take_while(|l| !l.is_empty())
                 .count();
+            records.extend([
+                Record::virt("fleet.scenarios", scenarios as f64, "count"),
+                Record::virt("fleet.seeds", seeds.len() as f64, "count"),
+                Record::virt(
+                    "fleet.fault_classes",
+                    chaos_schedules(0, 1).len() as f64,
+                    "count",
+                ),
+                Record::virt(
+                    "fleet.benign_apps",
+                    fleet::BENIGN_SEEDS.len() as f64,
+                    "count",
+                ),
+                Record::host("fleet.available_parallelism", ap as f64, "count"),
+            ]);
         }
-        let byte_identical = outcome.report == serial_report;
         assert!(
-            byte_identical,
+            outcome.report == serial_report,
             "jobs={jobs} report diverged from the serial run"
         );
         let speedup = serial_secs / wall_secs.max(1e-9);
@@ -131,53 +104,40 @@ fn main() {
                 ""
             }
         );
-        rows.push(ScalingRow {
-            jobs,
-            wall_secs,
-            speedup,
-            byte_identical,
-            oversubscribed,
-        });
+        // Speedup: serial wall time over this run's wall time.
+        records.extend([
+            Record::host(format!("fleet.jobs_{jobs}.wall_secs"), wall_secs, "s"),
+            Record::host(format!("fleet.jobs_{jobs}.speedup"), speedup, "x"),
+        ]);
+        if !oversubscribed {
+            widest = (jobs, wall_secs);
+        }
     }
 
-    // Warm vs cold: the ladder above runs warm-forked (the default); one
-    // extra cold run at the widest non-oversubscribed worker count prices
-    // the checkpoint.
-    let wide_row = rows
-        .iter()
-        .rfind(|r| !r.oversubscribed)
-        .expect("ladder starts at the serial run");
-    let (wide, warm_wide) = (wide_row.jobs, wide_row.wall_secs);
+    // Warm vs cold (DESIGN.md §6i): the ladder above runs warm-forked (the
+    // default); one extra cold run at the widest non-oversubscribed worker
+    // count prices the checkpoint.
+    let (wide, warm_wide) = widest;
     eprintln!("chaos matrix, jobs={wide}, cold cells...");
     let t0 = Instant::now();
     let cold = fleet::chaos_matrix_mode(wide, seeds, None, true);
     let cold_secs = t0.elapsed().as_secs_f64();
-    let cold_identical = cold.report == serial_report;
-    assert!(cold_identical, "cold report diverged from the warm run");
+    assert!(
+        cold.report == serial_report,
+        "cold report diverged from the warm run"
+    );
+    // Cold wall time over warm wall time (the checkpoint payoff).
     let warm_speedup = cold_secs / warm_wide.max(1e-9);
     eprintln!(
         "  cold {cold_secs:.2}s vs warm {warm_wide:.2}s ({warm_speedup:.2}x), byte-identical"
     );
-    let snapshot = SnapshotRow {
-        jobs: wide,
-        warm_secs: warm_wide,
-        cold_secs,
-        warm_speedup,
-        byte_identical: cold_identical,
-    };
+    records.extend([
+        Record::host("fleet.snapshot.jobs", wide as f64, "count"),
+        Record::host("fleet.snapshot.warm_secs", warm_wide, "s"),
+        Record::host("fleet.snapshot.cold_secs", cold_secs, "s"),
+        Record::host("fleet.snapshot.warm_speedup", warm_speedup, "x"),
+    ]);
 
-    let report = Report {
-        bench: "fleet".to_string(),
-        scenarios,
-        seeds: seeds.len(),
-        fault_classes: 7,
-        benign_apps: fleet::BENIGN_SEEDS.len(),
-        available_parallelism: ap,
-        all_byte_identical: rows.iter().all(|r| r.byte_identical),
-        rows,
-        snapshot,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write report");
+    std::fs::write(&out_path, gate::records_json("fleet", &records)).expect("write report");
     eprintln!("wrote {out_path}");
 }

@@ -4,104 +4,67 @@
 //! Measures wall-clock steps/sec on a tight arithmetic microloop and on
 //! the real applications (webserve on the Figure 3 workload, dbkv and
 //! ftpd on the quick workload), plus the monitor's virtual cycles/trap.
-//! Writes machine-readable results to `BENCH_interp.json` (or the path
-//! given as the first argument). `--jobs=N` shards the per-app engine
-//! comparisons over the fleet runner; the deterministic columns are
-//! unchanged, only wall-clock noise differs.
+//! Writes one record list (`bastion::gate::Record`) to
+//! `BENCH_interp.json` (or the path given as the first argument):
+//! virtual records are deterministic and gated by `perf_gate` and
+//! `obs_smoke`; wall seconds, steps/s and speedups are host records.
+//! `--jobs=N` shards the per-app engine comparisons over the fleet
+//! runner; the virtual records are unchanged, only wall-clock noise
+//! differs.
 
 use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
+use bastion::gate::{self, Record};
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{BinOp, CmpOp, Operand, Ty};
 use bastion::kernel::LegacyInterpGuard;
 use bastion::vm::{interp, CostModel, Image, Machine};
 use bastion::Protection;
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One engine's measurement of a fixed workload.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct EngineRun {
     steps: u64,
     wall_secs: f64,
     steps_per_sec: f64,
 }
 
-#[derive(Debug, Serialize)]
-struct Comparison {
-    workload: String,
-    fast: EngineRun,
-    legacy: EngineRun,
-    /// fast steps/sec over legacy steps/sec.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct AppRow {
-    app: String,
-    protection: String,
-    /// Paper metric (MB/s, NOTPM, or seconds per 100 MB).
-    metric: f64,
-    virtual_cycles: u64,
-    traps: u64,
-    /// Virtual trace cycles per monitor trap (0 when untraced). Includes
-    /// the one-time monitor init (and tier-1 compile) charge.
-    cycles_per_trap: f64,
-    /// Per-trap trace cost with the one-time init charge excluded — the
-    /// steady-state number a long-running server converges to.
-    steady_cycles_per_trap: f64,
-    /// One-time tier-1 check-program compile charge (0 with no prefilter).
-    prefilter_compile_cycles: u64,
-    fast: EngineRun,
-    legacy: EngineRun,
-    speedup: f64,
-}
-
-/// One §11.2 extended-scope row: the same app verified over the
-/// filesystem-extended sensitive set with the two-tier split on vs off.
-#[derive(Debug, Serialize)]
-struct ExtendedScopeRow {
-    app: String,
-    /// Traps under the extended scope (identical for both runs).
-    traps: u64,
-    /// Steady-state trace cycles per trap, two-tier split on.
-    two_tier_cycles_per_trap: f64,
-    /// Steady-state trace cycles per trap, tier-2-only baseline.
-    tier2_only_cycles_per_trap: f64,
-    /// tier-2-only over two-tier per-trap cost.
-    speedup: f64,
-    /// Tier-1 hit rate of the two-tier run.
-    prefilter_hit_rate: f64,
-}
-
-/// One phase's aggregate from a traced run (see `bastion_obs::phase_totals`).
-#[derive(Debug, Serialize)]
-struct PhaseRow {
-    phase: String,
-    spans: u64,
-    instants: u64,
-    /// Inclusive virtual cycles (children counted).
-    cycles: u64,
-    /// Exclusive virtual cycles (children subtracted).
-    self_cycles: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct Report {
-    bench: String,
-    microloop: Comparison,
-    /// Webserve on the Figure 3 (standard) workload — the headline number.
-    webserve_fig3: Comparison,
-    apps: Vec<AppRow>,
-    /// §11.2: per-app two-tier vs tier-2-only comparison under the
-    /// filesystem-extended sensitive scope.
-    extended_scope: Vec<ExtendedScopeRow>,
-    /// Per-phase monitor-time breakdown of a span-traced webserve/quick/full
-    /// run. Tracing never charges virtual cycles, so the traced run's cycle
-    /// counts are bit-identical to the untraced `apps` row.
-    phase_breakdown: Vec<PhaseRow>,
+/// The records of one fast-vs-legacy comparison under `prefix`: the
+/// shared step count (virtual) and each engine's wall time, throughput
+/// and the speedup (host).
+fn engine_records(prefix: &str, fast: &EngineRun, legacy: &EngineRun) -> Vec<Record> {
+    assert_eq!(fast.steps, legacy.steps, "{prefix}: engines diverged");
+    let host = |field: &str, value: f64, unit: &str| {
+        Record::host(format!("{prefix}.{field}"), value, unit)
+    };
+    let mut out = vec![Record::virt(
+        format!("{prefix}.steps"),
+        fast.steps as f64,
+        "steps",
+    )];
+    for (engine, run) in [("fast", fast), ("legacy", legacy)] {
+        out.push(host(&format!("{engine}.wall_secs"), run.wall_secs, "s"));
+        out.push(host(
+            &format!("{engine}.steps_per_sec"),
+            run.steps_per_sec,
+            "steps/s",
+        ));
+    }
+    out.push(host(
+        "speedup",
+        fast.steps_per_sec / legacy.steps_per_sec,
+        "x",
+    ));
+    eprintln!(
+        "{prefix}: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x",
+        fast.steps_per_sec / 1e6,
+        legacy.steps_per_sec / 1e6,
+        fast.steps_per_sec / legacy.steps_per_sec
+    );
+    out
 }
 
 /// A tight loop exercising the hot dispatch path: arithmetic, compares,
@@ -185,7 +148,9 @@ fn timed_app(
     (b, run)
 }
 
-fn compare_app(app: App, protection: &Protection, size: &WorkloadSize) -> AppRow {
+/// Best-of-two per engine on the quick workload: the app's deterministic
+/// columns (virtual) plus the engine comparison (host).
+fn compare_app(app: App, protection: &Protection, size: &WorkloadSize) -> Vec<Record> {
     let best = |legacy: bool| {
         (0..2)
             .map(|_| timed_app(app, protection, size, legacy))
@@ -195,46 +160,48 @@ fn compare_app(app: App, protection: &Protection, size: &WorkloadSize) -> AppRow
     let (fast_b, fast) = best(false);
     let (legacy_b, legacy) = best(true);
     assert_eq!(
-        (fast_b.cycles, fast_b.steps, fast_b.traps),
-        (legacy_b.cycles, legacy_b.steps, legacy_b.traps),
+        (fast_b.cycles, fast_b.traps),
+        (legacy_b.cycles, legacy_b.traps),
         "{}: engines diverged",
         app.id()
     );
-    let speedup = fast.steps_per_sec / legacy.steps_per_sec;
-    let init = fast_b.monitor.as_ref().map_or(0, |m| m.init_cycles);
-    AppRow {
-        app: app.id().to_string(),
-        protection: fast_b.protection.to_string(),
-        metric: fast_b.metric,
-        virtual_cycles: fast_b.cycles,
-        traps: fast_b.traps,
-        cycles_per_trap: if fast_b.traps == 0 {
-            0.0
-        } else {
-            fast_b.trace_cycles as f64 / fast_b.traps as f64
-        },
-        steady_cycles_per_trap: if fast_b.traps == 0 {
-            0.0
-        } else {
-            fast_b.trace_cycles.saturating_sub(init) as f64 / fast_b.traps as f64
-        },
-        prefilter_compile_cycles: fast_b
-            .monitor
-            .as_ref()
-            .map_or(0, |m| m.prefilter_compile_cycles),
-        fast,
-        legacy,
-        speedup,
-    }
+    let id = app.id();
+    let cycles_per_trap = if fast_b.traps == 0 {
+        0.0
+    } else {
+        fast_b.trace_cycles as f64 / fast_b.traps as f64
+    };
+    eprintln!("{id}/{}: {cycles_per_trap:.0} cyc/trap", fast_b.protection);
+    let virt =
+        |field: &str, value: f64, unit: &str| Record::virt(format!("{id}.{field}"), value, unit);
+    let mut out = vec![
+        virt("metric", fast_b.metric, app.metric_label()),
+        virt("virtual_cycles", fast_b.cycles as f64, "cycles"),
+        virt("traps", fast_b.traps as f64, "count"),
+        // Includes the one-time monitor init (and tier-1 compile) charge.
+        virt("cycles_per_trap", cycles_per_trap, "cycles"),
+        virt(
+            "steady_cycles_per_trap",
+            fast_b.steady_cycles_per_trap(),
+            "cycles",
+        )
+        .with_tolerance(2.0),
+        virt(
+            "prefilter_compile_cycles",
+            fast_b
+                .monitor
+                .as_ref()
+                .map_or(0, |m| m.prefilter_compile_cycles) as f64,
+            "cycles",
+        ),
+    ];
+    out.extend(engine_records(id, &fast, &legacy));
+    out
 }
 
-/// Steady-state trace cycles per trap (init charge excluded).
-fn steady_per_trap(b: &bastion::harness::AppBenchmark) -> f64 {
-    let init = b.monitor.as_ref().map_or(0, |m| m.init_cycles);
-    b.trace_cycles.saturating_sub(init) as f64 / b.traps.max(1) as f64
-}
-
-fn extended_scope_row(app: App, size: &WorkloadSize) -> ExtendedScopeRow {
+/// §11.2: the app verified over the filesystem-extended sensitive set
+/// with the two-tier split on vs off (tier-2-only baseline).
+fn extended_scope_records(app: App, size: &WorkloadSize) -> Vec<Record> {
     let (two_tier, t2_only) =
         bastion::harness::run_extended_scope_pair(app, size, CostModel::default());
     // The two runs differ only in trace cost: the application executes the
@@ -245,19 +212,28 @@ fn extended_scope_row(app: App, size: &WorkloadSize) -> ExtendedScopeRow {
         "{}: extended-scope runs diverged on deterministic columns",
         app.id()
     );
-    let tt = steady_per_trap(&two_tier);
-    let t2 = steady_per_trap(&t2_only);
-    ExtendedScopeRow {
-        app: app.id().to_string(),
-        traps: two_tier.traps,
-        two_tier_cycles_per_trap: tt,
-        tier2_only_cycles_per_trap: t2,
-        speedup: t2 / tt.max(1e-12),
-        prefilter_hit_rate: two_tier
-            .monitor
-            .as_ref()
-            .map_or(0.0, |m| m.prefilter_hit_rate()),
-    }
+    let tt = two_tier.steady_cycles_per_trap();
+    let t2 = t2_only.steady_cycles_per_trap();
+    let speedup = t2 / tt.max(1e-12);
+    let hit_rate = two_tier
+        .monitor
+        .as_ref()
+        .map_or(0.0, |m| m.prefilter_hit_rate());
+    eprintln!(
+        "extended {}: two-tier {tt:.0} cyc/trap vs tier-2-only {t2:.0}, speedup {speedup:.2}x, hit rate {:.1}%",
+        app.id(),
+        hit_rate * 100.0
+    );
+    let virt = |field: &str, value: f64, unit: &str| {
+        Record::virt(format!("{}.extended.{field}", app.id()), value, unit)
+    };
+    vec![
+        virt("traps", two_tier.traps as f64, "count"),
+        virt("two_tier_cycles_per_trap", tt, "cycles"),
+        virt("tier2_only_cycles_per_trap", t2, "cycles"),
+        virt("speedup", speedup, "x"),
+        virt("prefilter_hit_rate", hit_rate, "ratio"),
+    ]
 }
 
 fn main() {
@@ -280,21 +256,12 @@ fn main() {
     time_microloop(&img, MICRO_STEPS / 4, true);
     let fast = time_microloop(&img, MICRO_STEPS, false);
     let legacy = time_microloop(&img, MICRO_STEPS, true);
-    let microloop = Comparison {
-        workload: format!("arith+call microloop, {MICRO_STEPS} steps"),
-        speedup: fast.steps_per_sec / legacy.steps_per_sec,
-        fast,
-        legacy,
-    };
-    eprintln!(
-        "microloop: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x",
-        microloop.fast.steps_per_sec / 1e6,
-        microloop.legacy.steps_per_sec / 1e6,
-        microloop.speedup
-    );
+    // `microloop`: the arith+call loop above, MICRO_STEPS steps.
+    let mut records = engine_records("microloop", &fast, &legacy);
 
-    // Headline: webserve on the Figure 3 (standard) workload, vanilla
-    // hardware config so the measurement is pure interpreter throughput.
+    // Headline `webserve_fig3`: webserve on the Figure 3 (standard)
+    // workload, vanilla hardware config so the measurement is pure
+    // interpreter throughput.
     let fig3 = WorkloadSize::standard();
     // Best-of-3 per engine: the min wall time is the least-noise estimate.
     let best = |legacy: bool| {
@@ -306,73 +273,40 @@ fn main() {
     let (ws_fast_b, ws_fast) = best(false);
     let (ws_legacy_b, ws_legacy) = best(true);
     assert_eq!(ws_fast_b.cycles, ws_legacy_b.cycles, "webserve diverged");
-    let webserve_fig3 = Comparison {
-        workload: format!(
-            "webserve, {} requests x {} connections (Fig. 3 workload)",
-            fig3.http_requests, fig3.http_concurrency
-        ),
-        speedup: ws_fast.steps_per_sec / ws_legacy.steps_per_sec,
-        fast: ws_fast,
-        legacy: ws_legacy,
-    };
-    eprintln!(
-        "webserve fig3: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x",
-        webserve_fig3.fast.steps_per_sec / 1e6,
-        webserve_fig3.legacy.steps_per_sec / 1e6,
-        webserve_fig3.speedup
-    );
+    records.extend(engine_records("webserve_fig3", &ws_fast, &ws_legacy));
 
     // Per-app engine comparisons are independent worlds, so they shard
     // over the fleet. The deterministic columns (cycles, steps, traps,
     // metric) are identical for any worker count; only the wall-clock
     // throughput fields are noisier when workers share cores.
     let quick = WorkloadSize::quick();
-    let apps = bastion::fleet::run_ordered(
-        jobs,
-        vec![App::Webserve, App::Dbkv, App::Ftpd],
-        |_, &app| compare_app(app, &Protection::full(), &quick),
+    let apps = [App::Webserve, App::Dbkv, App::Ftpd];
+    records.extend(
+        bastion::fleet::run_ordered(jobs, apps.to_vec(), |_, &app| {
+            compare_app(app, &Protection::full(), &quick)
+        })
+        .concat(),
     );
-    for row in &apps {
-        eprintln!(
-            "{}/{}: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x, {:.0} cyc/trap",
-            row.app,
-            row.protection,
-            row.fast.steps_per_sec / 1e6,
-            row.legacy.steps_per_sec / 1e6,
-            row.speedup,
-            row.cycles_per_trap
-        );
-    }
 
     // §11.2 extended scope: the filesystem-extended sensitive set roughly
     // triples each app's trapped surface; the two-tier split must keep the
     // per-trap cost near the Table-1-scope number while the tier-2-only
     // baseline pays a full ptrace stop per trap.
-    let extended_scope = bastion::fleet::run_ordered(
-        jobs,
-        vec![App::Webserve, App::Dbkv, App::Ftpd],
-        |_, &app| extended_scope_row(app, &quick),
+    records.extend(
+        bastion::fleet::run_ordered(jobs, apps.to_vec(), |_, &app| {
+            extended_scope_records(app, &quick)
+        })
+        .concat(),
     );
-    for row in &extended_scope {
-        eprintln!(
-            "extended {}: two-tier {:.0} cyc/trap vs tier-2-only {:.0}, speedup {:.2}x, hit rate {:.1}%",
-            row.app,
-            row.two_tier_cycles_per_trap,
-            row.tier2_only_cycles_per_trap,
-            row.speedup,
-            row.prefilter_hit_rate * 100.0
-        );
-    }
-    let ws_ext = &extended_scope[0];
+    let ws_ext = gate::value(&records, "webserve.extended.speedup").expect("extended row");
     assert!(
-        ws_ext.speedup >= 5.0,
-        "extended-scope webserve two-tier speedup regressed below 5x: {:.2}x",
-        ws_ext.speedup
+        ws_ext >= 5.0,
+        "extended-scope webserve two-tier speedup regressed below 5x: {ws_ext:.2}x"
     );
 
-    // Phase breakdown: one span-traced webserve/quick/full run. The traced
-    // run must reproduce the untraced row's cycle counts exactly — the
-    // telemetry layer charges no virtual cycles.
+    // Phase breakdown (`phase.*`): one span-traced webserve/quick/full
+    // run. The traced run must reproduce the untraced row's cycle counts
+    // exactly — the telemetry layer charges no virtual cycles.
     let guard = bastion::obs::TelemetryGuard::enable(1 << 17);
     let traced = run_app_benchmark(
         App::Webserve,
@@ -383,36 +317,29 @@ fn main() {
     );
     let (events, _registry) = guard.finish();
     assert_eq!(
-        (traced.cycles, traced.traps),
-        (apps[0].virtual_cycles, apps[0].traps),
+        Some((traced.cycles as f64, traced.traps as f64)),
+        gate::value(&records, "webserve.virtual_cycles")
+            .zip(gate::value(&records, "webserve.traps")),
         "span tracing perturbed the deterministic clock"
     );
-    let phase_breakdown: Vec<PhaseRow> = bastion::obs::phase_totals(&events)
-        .iter()
-        .map(|t| PhaseRow {
-            phase: t.phase.name().to_string(),
-            spans: t.spans,
-            instants: t.instants,
-            cycles: t.cycles,
-            self_cycles: t.self_cycles,
-        })
-        .collect();
-    for row in &phase_breakdown {
+    for t in bastion::obs::phase_totals(&events) {
+        let phase = t.phase.name();
         eprintln!(
-            "phase {:<18} spans={:<6} incl={:<10} self={}",
-            row.phase, row.spans, row.cycles, row.self_cycles
+            "phase {phase:<18} spans={:<6} incl={:<10} self={}",
+            t.spans, t.cycles, t.self_cycles
         );
+        let virt = |field: &str, value: u64, unit: &str| {
+            Record::virt(format!("phase.{phase}.{field}"), value as f64, unit)
+        };
+        // Inclusive (children counted) and exclusive virtual cycles.
+        records.extend([
+            virt("spans", t.spans, "count"),
+            virt("instants", t.instants, "count"),
+            virt("cycles", t.cycles, "cycles"),
+            virt("self_cycles", t.self_cycles, "cycles"),
+        ]);
     }
 
-    let report = Report {
-        bench: "interp".to_string(),
-        microloop,
-        webserve_fig3,
-        apps,
-        extended_scope,
-        phase_breakdown,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write report");
+    std::fs::write(&out_path, gate::records_json("interp", &records)).expect("write report");
     eprintln!("wrote {out_path}");
 }

@@ -4,7 +4,8 @@
 //!
 //! 1. **Clean path** (tracing off) — asserts the telemetry layer recorded
 //!    nothing, then diffs `virtual_cycles`/`traps` against the committed
-//!    `BENCH_interp.json` webserve row: the bench-smoke regression gate.
+//!    `BENCH_interp.json` webserve records: the bench-smoke regression
+//!    gate.
 //! 2. **Traced** — asserts the traced run's cycle counts are bit-identical
 //!    to the clean run (tracing charges no virtual cycles), exports a
 //!    Chrome trace, validates its shape, and cross-checks the span ring
@@ -34,13 +35,14 @@ fn webserve_quick() -> AppBenchmark {
     )
 }
 
-/// The committed bench baseline's webserve row: `(virtual_cycles, traps)`.
-fn baseline_row(path: &str) -> Result<(u64, u64), String> {
+/// The committed bench baseline's webserve records:
+/// `(webserve.virtual_cycles, webserve.traps)`.
+fn baseline_row(path: &str) -> Result<(f64, f64), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    gate::parse_interp_baseline(&text)?
-        .app("webserve")
-        .map(|a| (a.virtual_cycles, a.traps))
-        .ok_or(format!("{path}: no webserve row"))
+    let records = gate::parse_records(&text).map_err(|e| format!("{path}: {e}"))?;
+    gate::value(&records, "webserve.virtual_cycles")
+        .zip(gate::value(&records, "webserve.traps"))
+        .ok_or(format!("{path}: no webserve.virtual_cycles/traps records"))
 }
 
 fn fail(msg: &str) -> ! {
@@ -67,7 +69,7 @@ fn main() {
     );
     match baseline_row(&bench_path) {
         Ok((cycles, traps)) => {
-            if (clean.cycles, clean.traps) != (cycles, traps) {
+            if (clean.cycles as f64, clean.traps as f64) != (cycles, traps) {
                 fail(&format!(
                     "clean-path divergence vs {bench_path}: cycles {} vs {}, traps {} vs {}",
                     clean.cycles, cycles, clean.traps, traps

@@ -128,11 +128,7 @@ fn parity_pair(app: App, compiler: &BastionCompiler, scope: &str, hit_floor: f64
         ));
     }
 
-    let per_trap = |b: &AppBenchmark| {
-        let s = b.monitor.as_ref().unwrap();
-        (b.trace_cycles - s.init_cycles) as f64 / b.traps.max(1) as f64
-    };
-    let (c_pf, c_t2) = (per_trap(&pf), per_trap(&t2));
+    let (c_pf, c_t2) = (pf.steady_cycles_per_trap(), t2.steady_cycles_per_trap());
     if c_pf >= c_t2 {
         fail(&format!(
             "{} {scope}: prefiltered run is not cheaper per trap: {c_pf:.0} vs {c_t2:.0}",

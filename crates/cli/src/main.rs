@@ -90,9 +90,10 @@ USAGE:
         tenants (seeded http/tpcc/ftp mix) through a bounded queue and
         drives their protected worlds round-robin, one C-cycle quantum at
         a time, merging per-tenant telemetry into a live fleet view.
-        Prints the per-tenant table; --json writes the BENCH_serve-shaped
-        report, --jsonl appends one fleet metrics line, --prom prints the
-        (validated) Prometheus exposition. Byte-identical for any --jobs.
+        Prints the per-tenant table; --json writes the full report (fleet
+        aggregates, per-app lanes and per-tenant rows), --jsonl appends one
+        fleet metrics line, --prom prints the (validated) Prometheus
+        exposition. Byte-identical for any --jobs.
 
     bastion attack [ID]
         Run the Table 6 security evaluation (one scenario or all 32).

@@ -94,6 +94,15 @@ impl AppBenchmark {
             (self.metric - baseline.metric) / baseline.metric * 100.0
         }
     }
+
+    /// Monitor trace cycles per trap with the one-time monitor init (and
+    /// tier-1 compile) charge excluded: the steady-state per-trap cost a
+    /// long-running server converges to.
+    #[must_use]
+    pub fn steady_cycles_per_trap(&self) -> f64 {
+        let init = self.monitor.as_ref().map_or(0, |m| m.init_cycles);
+        self.trace_cycles.saturating_sub(init) as f64 / self.traps.max(1) as f64
+    }
 }
 
 /// Runs one application under one protection configuration.

@@ -299,9 +299,11 @@ pub struct TenantReport {
     pub latency: LatencyLane,
 }
 
-/// The serialized `BENCH_serve.json` shape. Deliberately excludes `jobs`
-/// and wall-clock time so the same config is byte-identical at any
-/// parallelism.
+/// The full serve report `bastion serve --json` writes: fleet
+/// aggregates, per-app lanes and one row per tenant (`serve_bench` writes
+/// only the aggregates and lanes, as records, to `BENCH_serve.json`).
+/// Deliberately excludes `jobs` and wall-clock time so the same config is
+/// byte-identical at any parallelism.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Report discriminator (`"serve"`).
@@ -422,7 +424,7 @@ impl ServeReport {
 /// metrics snapshot (for Prometheus / JSONL export).
 #[derive(Debug)]
 pub struct ServeRun {
-    /// The `BENCH_serve.json` report.
+    /// The full per-tenant report.
     pub report: ServeReport,
     /// Fleet-level merged metrics (tenant registries merged in id order).
     pub fleet: MetricsSnapshot,

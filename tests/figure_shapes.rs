@@ -79,3 +79,50 @@ fn in_kernel_monitor_removes_most_of_the_cost() {
         "in-kernel {inkernel_full}% should be far below ptrace {ptrace_full}%"
     );
 }
+
+/// The committed `BENCH_*.json` files are the baselines the gates read.
+/// Each must parse as a record list, keep every virtual value exact in
+/// an `f64`, carry gate tolerances only where the gate policy allows
+/// them (so no one loosens a gate by editing data), and hold the nine
+/// Table-1 records `perf_gate` checks.
+#[test]
+fn committed_bench_files_are_exact_record_lists() {
+    use bastion::gate::{self, Clock};
+    let files = [
+        ("BENCH_interp.json", include_str!("../BENCH_interp.json")),
+        ("BENCH_fleet.json", include_str!("../BENCH_fleet.json")),
+        ("BENCH_serve.json", include_str!("../BENCH_serve.json")),
+        ("BENCH_obs.json", include_str!("../BENCH_obs.json")),
+    ];
+    for (file, text) in files {
+        let records = gate::parse_records(text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(!records.is_empty(), "{file}: no records");
+        for r in &records {
+            if r.clock == Clock::Virtual {
+                assert!(
+                    r.value.is_finite() && r.value.abs() < 2f64.powi(53),
+                    "{file}: {} = {} is not an exact virtual value",
+                    r.name,
+                    r.value
+                );
+            }
+            let tolerance = if r.name.ends_with(".steady_cycles_per_trap") {
+                2.0
+            } else {
+                0.0
+            };
+            assert_eq!(r.tolerance_pct, tolerance, "{file}: {} tolerance", r.name);
+        }
+    }
+    let interp = gate::parse_records(files[0].1).unwrap();
+    for app in ["webserve", "dbkv", "ftpd"] {
+        for field in ["virtual_cycles", "traps", "steady_cycles_per_trap"] {
+            let name = format!("{app}.{field}");
+            let r = interp.iter().find(|r| r.name == name);
+            assert!(
+                r.is_some_and(|r| r.clock == Clock::Virtual),
+                "BENCH_interp.json lacks the gated virtual record {name}"
+            );
+        }
+    }
+}

@@ -13,7 +13,7 @@ use bastion::obs::DenyRule;
 use bastion::{Deployment, Protection};
 
 /// The determinism contract, end to end: a subset of the attack-chaos
-/// matrix (4 scenarios, 1 seed, all 6 fault classes) plus the benign
+/// matrix (4 scenarios, 1 seed, every fault class) plus the benign
 /// table, rendered serially and on a 4-worker pool — byte-identical.
 #[test]
 fn fleet_chaos_report_is_byte_identical_across_worker_counts() {

@@ -318,10 +318,7 @@ fn app_benchmarks_agree_and_prefilter_pays() {
             "{app:?}: guard did not disable tier 1"
         );
         assert!(spf.prefilter_hits > 0, "{app:?}: prefilter never hit");
-        let per_trap = |b: &bastion::harness::AppBenchmark, s: &bastion::monitor::MonitorStats| {
-            (b.trace_cycles - s.init_cycles) as f64 / b.traps.max(1) as f64
-        };
-        let (c_pf, c_t2) = (per_trap(&pf, spf), per_trap(&t2, st2));
+        let (c_pf, c_t2) = (pf.steady_cycles_per_trap(), t2.steady_cycles_per_trap());
         assert!(
             c_pf < c_t2,
             "{app:?}: prefilter did not reduce per-trap cost ({c_pf:.0} vs {c_t2:.0})"

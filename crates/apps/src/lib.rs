@@ -4,11 +4,15 @@
 //! evaluation (§9), rebuilt in MiniC, plus the load generators that drive
 //! them:
 //!
-//! | Paper | Here | Workload |
-//! |---|---|---|
-//! | NGINX web server | [`webserve`] | [`loadgen::http_load`] (wrk) |
-//! | SQLite + DBT2 | [`dbkv`] | [`loadgen::tpcc_load`] (DBT2) |
-//! | vsftpd | [`ftpd`] | [`loadgen::ftp_load`] (dkftpbench) |
+//! | Paper | Here | Client | Blocking generator |
+//! |---|---|---|---|
+//! | NGINX web server | [`webserve`] | [`traffic::HttpTraffic`] (wrk) | [`loadgen::http_load`] |
+//! | SQLite + DBT2 | [`dbkv`] | [`traffic::TpccTraffic`] (DBT2) | [`loadgen::tpcc_load`] |
+//! | vsftpd | [`ftpd`] | [`traffic::FtpTraffic`] (dkftpbench) | [`loadgen::ftp_load`] |
+//!
+//! Each protocol has one client, in [`traffic`]; the `bastion serve`
+//! supervisor steps it one turn at a time, and the [`loadgen`] generators
+//! are slice loops over it that run one world to completion.
 //!
 //! [`App`] bundles each program with its VFS fixtures and ports so
 //! harnesses (benchmarks, attack scenarios, examples) can launch any of

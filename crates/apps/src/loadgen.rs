@@ -1,11 +1,24 @@
 //! Workload generators — the `wrk`, `DBT2`, and `dkftpbench` analogues.
 //!
-//! Each driver pumps the world scheduler and plays the client side of the
-//! corresponding protocol through the external-connection API, measuring
-//! *virtual* time (deterministic) for the Figure 3 / Table 3 metrics.
+//! Each generator owns the scheduler for one world run to completion: it
+//! is a slice loop that alternates one call into the stepped client in
+//! [`crate::traffic`] with `world.run(SLICE)`, measuring *virtual* time
+//! (deterministic) for the Figure 3 / Table 3 metrics. The protocol logic
+//! lives only in `traffic`, which the `bastion serve` supervisor drives
+//! one turn at a time instead.
+//!
+//! The loops add exactly one ordering difference. After each slice,
+//! [`http_load`] consumes responses first and then opens replacement
+//! connections, so a connection closed in a slice is replaced before the
+//! next slice; [`Traffic::pump`] opens first, so under `bastion serve` the
+//! replacement opens one turn later. Both orders are kept because each
+//! one is pinned by measured numbers: opening first here would move every
+//! standard-size webserve cell of the paper grid, and consuming first in
+//! `pump` would move the serving benchmark's request-latency tail and
+//! raise its heap peak by about 13%.
 
+use crate::traffic::{FtpTraffic, HttpTraffic, TpccTraffic, Traffic};
 use bastion_kernel::{RunStatus, World};
-use bastion_obs as obs;
 
 /// Quantile-sketch lane for end-to-end request latency in virtual cycles:
 /// HTTP per request, TPC-C per transaction, FTP per session. Observed only
@@ -13,10 +26,10 @@ use bastion_obs as obs;
 /// zero-overhead on plain benchmark runs.
 pub const REQUEST_CYCLES_SKETCH: &str = "loadgen.request_cycles";
 
-/// Scheduler slice between client pumps.
+/// Scheduler slice between client calls.
 const SLICE: u64 = 400_000;
 
-/// Progress guard: pump iterations without progress before giving up.
+/// Progress guard: slices without progress before giving up.
 const STALL_LIMIT: u32 = 10_000;
 
 /// wrk-style HTTP load results.
@@ -47,146 +60,66 @@ impl HttpStats {
 /// below the request count).
 pub const KEEPALIVE_REQUESTS: u64 = 29;
 
-struct HttpConn {
-    id: bastion_kernel::ExtConnId,
-    buf: Vec<u8>,
-    /// Requests this connection may still send.
-    remaining: u64,
-    /// A request is in flight awaiting its response.
-    outstanding: bool,
-    /// Virtual time the in-flight request was sent (latency sketch lane).
-    sent_at: u64,
+/// Alternates one client call with one scheduler slice until `client`
+/// is done. HTTP consumes, then opens (see the module docs); the other
+/// protocols take one [`Traffic::pump`].
+///
+/// # Panics
+/// Panics after [`STALL_LIMIT`] consecutive slices in which neither the
+/// client nor the scheduler made progress (deadlock guard).
+fn run_to_done(world: &mut World, client: &mut Traffic, what: &str) {
+    let mut stalled = 0u32;
+    loop {
+        let progressed = match client {
+            Traffic::Http(http) => {
+                let consumed = http.consume(world);
+                http.open(world) || consumed
+            }
+            _ => client.pump(world),
+        };
+        if client.done() {
+            return;
+        }
+        let status = world.run(SLICE);
+        if progressed || status == RunStatus::Budget {
+            stalled = 0;
+            continue;
+        }
+        stalled += 1;
+        assert!(
+            stalled < STALL_LIMIT,
+            "{what} stalled: {}/{} done, status {status:?}\n{}",
+            client.served(),
+            client.target(),
+            world.summary()
+        );
+    }
 }
 
 /// Drives `total` HTTP requests against `port` with `concurrency`
 /// keep-alive connections of [`KEEPALIVE_REQUESTS`] requests each.
-/// Responses are framed by their `Content-Length` header.
 ///
 /// # Panics
 /// Panics if the server stops making progress (deadlock guard).
 pub fn http_load(world: &mut World, port: u16, concurrency: usize, total: u64) -> HttpStats {
-    let request: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
     let start = world.now();
-    let mut stats = HttpStats::default();
-    let mut conns: Vec<HttpConn> = Vec::new();
-    let mut issued = 0u64;
-    let mut stall = 0u32;
-
-    // Deterministic connection plan: every run of a given (total,
-    // concurrency) opens exactly the same connections with the same
-    // request quotas, so protected and baseline runs see identical
-    // workloads (conn-count jitter would otherwise mask sub-0.1%
-    // per-context overhead deltas).
-    let mut plan: Vec<u64> = Vec::new();
-    let mut left = total;
-    while left > 0 {
-        let q = KEEPALIVE_REQUESTS.min(left);
-        plan.push(q);
-        left -= q;
-    }
-    let mut next_conn = 0usize;
-
-    while stats.requests < total {
-        // Keep the pipe full: one outstanding request per connection.
-        while conns.len() < concurrency && next_conn < plan.len() {
-            let Some(id) = world.net_connect(port) else {
-                break; // backlog full; let the server drain
-            };
-            let quota = plan[next_conn];
-            next_conn += 1;
-            world.net_send(id, request);
-            issued += 1;
-            conns.push(HttpConn {
-                id,
-                buf: Vec::new(),
-                remaining: quota - 1,
-                outstanding: true,
-                sent_at: world.now(),
-            });
-        }
-        let status = world.run(SLICE);
-        let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let chunk = world.net_recv(conns[i].id);
-            if !chunk.is_empty() {
-                conns[i].buf.extend_from_slice(&chunk);
-                progressed = true;
-            }
-            // Consume the response if complete, then pipeline the next
-            // request on the same connection.
-            while let Some(len) = complete_response(&conns[i].buf) {
-                conns[i].buf.drain(..len);
-                conns[i].outstanding = false;
-                obs::sketch_observe(
-                    REQUEST_CYCLES_SKETCH,
-                    world.now().saturating_sub(conns[i].sent_at),
-                );
-                stats.requests += 1;
-                stats.bytes += len as u64;
-                progressed = true;
-                if conns[i].remaining > 0 && issued < total {
-                    world.net_send(conns[i].id, request);
-                    conns[i].remaining -= 1;
-                    conns[i].outstanding = true;
-                    conns[i].sent_at = world.now();
-                    issued += 1;
-                }
-            }
-            let exhausted = !conns[i].outstanding && (conns[i].remaining == 0 || issued >= total);
-            if exhausted || world.net_server_closed(conns[i].id) {
-                world.net_close(conns[i].id);
-                conns.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if progressed || status == RunStatus::Budget {
-            stall = 0;
-        } else {
-            stall += 1;
-            assert!(
-                stall < STALL_LIMIT,
-                "http_load stalled: {}/{total} done ({} issued), {} conns, status {status:?}\n{}",
-                stats.requests,
-                issued,
-                conns.len(),
-                world.summary()
-            );
-        }
-    }
-    // Drain: close any remaining connections and run the world until all
-    // workers have re-parked in accept4. This makes every measurement
-    // cover the identical logical workload (including per-connection
-    // close + re-accept costs), so per-context overhead deltas are not
-    // masked by window-boundary jitter.
-    for c in conns.drain(..) {
-        world.net_close(c.id);
-    }
+    let mut client = Traffic::Http(HttpTraffic::new(port, concurrency, total));
+    run_to_done(world, &mut client, "http_load");
+    // Drain: run the world until all workers have re-parked in accept4.
+    // This makes every measurement cover the identical logical workload
+    // (including per-connection close + re-accept costs), so per-context
+    // overhead deltas are not masked by window-boundary jitter.
     for _ in 0..STALL_LIMIT {
         match world.run(SLICE) {
             RunStatus::Idle | RunStatus::AllExited => break,
             RunStatus::Budget => {}
         }
     }
-    stats.cycles = world.now() - start;
-    stats
-}
-
-/// If `buf` starts with a complete HTTP response (headers + body per
-/// `Content-Length`), returns its total length. Shared with the stepped
-/// [`crate::traffic`] drivers so both frame responses identically.
-pub(crate) fn complete_response(buf: &[u8]) -> Option<usize> {
-    let hdr_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let headers = &buf[..hdr_end];
-    let text = std::str::from_utf8(headers).ok()?;
-    let mut body_len = 0usize;
-    for line in text.split("\r\n") {
-        if let Some(v) = line.strip_prefix("Content-Length: ") {
-            body_len = v.trim().parse().ok()?;
-        }
+    HttpStats {
+        requests: client.served(),
+        bytes: client.bytes(),
+        cycles: world.now() - start,
     }
-    (buf.len() >= hdr_end + body_len).then_some(hdr_end + body_len)
 }
 
 /// DBT2-style transaction results.
@@ -211,76 +144,19 @@ impl TpccStats {
 }
 
 /// Runs `total` NEWORDER transactions over `sessions` concurrent client
-/// sessions against the dbkv server.
+/// sessions against the dbkv server, then closes the sessions (after the
+/// last commit, so the close is outside the measured window).
 ///
 /// # Panics
 /// Panics on a server stall.
 pub fn tpcc_load(world: &mut World, port: u16, sessions: usize, total: u64) -> TpccStats {
     let start = world.now();
-    let mut stats = TpccStats::default();
-    let mut conns: Vec<(bastion_kernel::ExtConnId, u64, u64)> = Vec::new();
-    // Open sessions up front (long-lived, like DBT2 terminals).
-    for _ in 0..sessions {
-        if let Some(c) = world.net_connect(port) {
-            conns.push((c, 0, 0));
-        }
+    let mut client = Traffic::Tpcc(TpccTraffic::new(port, sessions, total));
+    run_to_done(world, &mut client, "tpcc_load");
+    TpccStats {
+        transactions: client.served(),
+        cycles: world.now() - start,
     }
-    assert!(!conns.is_empty(), "dbkv server not listening");
-    let mut issued = 0u64;
-    // Seed one transaction per session.
-    let seeded_at = world.now();
-    for (i, (c, _, sent_at)) in conns.iter_mut().enumerate() {
-        world.net_send(*c, order_cmd(issued + i as u64).as_bytes());
-        *sent_at = seeded_at;
-    }
-    issued += conns.len() as u64;
-    let mut stall = 0u32;
-
-    while stats.transactions < total {
-        let status = world.run(SLICE);
-        let mut progressed = false;
-        let now = world.now();
-        for (c, buffered, sent_at) in &mut conns {
-            let chunk = world.net_recv(*c);
-            if chunk.is_empty() {
-                continue;
-            }
-            progressed = true;
-            *buffered += chunk.iter().filter(|&&b| b == b'\n').count() as u64;
-            while *buffered > 0 && stats.transactions < total {
-                *buffered -= 1;
-                obs::sketch_observe(REQUEST_CYCLES_SKETCH, now.saturating_sub(*sent_at));
-                stats.transactions += 1;
-                if issued < total {
-                    world.net_send(*c, order_cmd(issued).as_bytes());
-                    *sent_at = now;
-                    issued += 1;
-                }
-            }
-        }
-        if progressed || status == RunStatus::Budget {
-            stall = 0;
-        } else {
-            stall += 1;
-            assert!(
-                stall < STALL_LIMIT,
-                "tpcc_load stalled: {}/{total} done, status {status:?}\n{}",
-                stats.transactions,
-                world.summary()
-            );
-        }
-    }
-    stats.cycles = world.now() - start;
-    stats
-}
-
-pub(crate) fn order_cmd(seq: u64) -> String {
-    format!(
-        "NEWORDER {} {} {}\n",
-        1 + seq % 4,
-        seq * 7 % 251,
-        1 + seq % 9
-    )
 }
 
 /// dkftpbench-style download results.
@@ -314,128 +190,22 @@ impl FtpStats {
 /// Panics on a server stall.
 pub fn ftp_load(world: &mut World, port: u16, downloads: u64, path: &str) -> FtpStats {
     let start = world.now();
-    let mut stats = FtpStats::default();
-    for session in 0..downloads {
-        let session_start = world.now();
-        let ctrl = loop {
-            match world.net_connect(port) {
-                Some(c) => break c,
-                None => {
-                    world.run(SLICE);
-                }
-            }
-        };
-        expect_reply(world, ctrl, b"220", session);
-        world.net_send(ctrl, b"USER bench\n");
-        expect_reply(world, ctrl, b"331", session);
-        world.net_send(ctrl, b"PASS bench\n");
-        expect_reply(world, ctrl, b"230", session);
-        world.net_send(ctrl, format!("RETR {path}\n").as_bytes());
-        // Server announces the passive port: "227 <port>\n".
-        let pasv = expect_reply(world, ctrl, b"227", session);
-        let port_num: u16 = String::from_utf8_lossy(&pasv[4..])
-            .trim()
-            .parse()
-            .expect("pasv port");
-        // Connect the data channel so the server's accept completes.
-        let data = loop {
-            match world.net_connect(port_num) {
-                Some(c) => break c,
-                None => {
-                    world.run(SLICE);
-                }
-            }
-        };
-        // Drain data until the control channel reports 226.
-        let mut ctrl_buf = Vec::new();
-        let mut stall = 0u32;
-        loop {
-            world.run(SLICE);
-            let chunk = world.net_recv(data);
-            if !chunk.is_empty() {
-                stats.bytes += chunk.len() as u64;
-                stall = 0;
-            }
-            ctrl_buf.extend(world.net_recv(ctrl));
-            if ctrl_buf.windows(3).any(|w| w == b"226") {
-                break;
-            }
-            stall += 1;
-            assert!(
-                stall < STALL_LIMIT,
-                "ftp_load stalled mid-transfer: {} files, {} bytes\n{}",
-                stats.files,
-                stats.bytes,
-                world.summary()
-            );
-        }
-        // Drain any trailing data bytes.
-        let tail = world.net_recv(data);
-        stats.bytes += tail.len() as u64;
-        stats.files += 1;
-        obs::sketch_observe(
-            REQUEST_CYCLES_SKETCH,
-            world.now().saturating_sub(session_start),
-        );
-        world.net_send(ctrl, b"QUIT\n");
-        world.run(SLICE);
-        let _ = world.net_recv(ctrl);
-        world.net_close(data);
-        world.net_close(ctrl);
+    let mut client = Traffic::Ftp(FtpTraffic::new(port, downloads, path));
+    run_to_done(world, &mut client, "ftp_load");
+    if downloads > 0 {
+        // Let the server finish tearing down the last session.
         world.run(SLICE);
     }
-    stats.cycles = world.now() - start;
-    stats
-}
-
-/// Waits for a control-channel reply starting with `code`; returns the
-/// full reply bytes.
-fn expect_reply(
-    world: &mut World,
-    ctrl: bastion_kernel::ExtConnId,
-    code: &[u8],
-    session: u64,
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for _ in 0..STALL_LIMIT {
-        world.run(SLICE);
-        buf.extend(world.net_recv(ctrl));
-        if buf.len() >= code.len() && buf.contains(&b'\n') {
-            // Find the line with the code.
-            for line in buf.split(|&b| b == b'\n') {
-                if line.starts_with(code) {
-                    return line.to_vec();
-                }
-            }
-        }
+    FtpStats {
+        files: client.served(),
+        bytes: client.bytes(),
+        cycles: world.now() - start,
     }
-    panic!(
-        "ftp session {session}: no `{}` reply (got {:?})",
-        String::from_utf8_lossy(code),
-        String::from_utf8_lossy(&buf)
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn http_response_framing() {
-        let resp = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello";
-        assert_eq!(complete_response(resp), Some(resp.len()));
-        // Incomplete body.
-        assert_eq!(complete_response(&resp[..resp.len() - 1]), None);
-        // Incomplete headers.
-        assert_eq!(complete_response(b"HTTP/1.0 200 OK\r\nContent-"), None);
-        // Zero-length body (404s).
-        let err = b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n";
-        assert_eq!(complete_response(err), Some(err.len()));
-        // Pipelined responses: only the first is consumed.
-        let mut two = resp.to_vec();
-        two.extend_from_slice(err);
-        assert_eq!(complete_response(&two), Some(resp.len()));
-    }
 
     #[test]
     fn metrics_convert_units() {
@@ -459,15 +229,5 @@ mod tests {
         assert!((f.seconds_for(100_000_000, 2_000_000_000) - 100.0).abs() < 1e-9);
         let empty = FtpStats::default();
         assert!(empty.seconds_for(1, 1).is_infinite());
-    }
-
-    #[test]
-    fn order_commands_are_well_formed() {
-        for i in 0..50 {
-            let c = order_cmd(i);
-            assert!(c.starts_with("NEWORDER "));
-            assert!(c.ends_with('\n'));
-            assert_eq!(c.split_whitespace().count(), 4);
-        }
     }
 }

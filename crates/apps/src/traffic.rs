@@ -1,20 +1,22 @@
-//! Stepped (non-blocking) traffic drivers for the `bastion serve`
-//! supervisor.
+//! Stepped (non-blocking) protocol clients — the one implementation of the
+//! wrk, DBT2 and dkftpbench client sides.
 //!
-//! The [`loadgen`](crate::loadgen) generators own the scheduler: they call
-//! `world.run` in a loop until the workload completes, which is right for
-//! one world run to completion but wrong for a supervisor multiplexing
-//! hundreds of tenant worlds under a round-robin quantum. These drivers
-//! invert control: [`Traffic::pump`] plays one slice of the client side —
-//! open connections, send what can be sent, consume what arrived — and
-//! returns, leaving every `world.run` call to the supervisor's scheduler.
-//!
-//! Protocol framing, keep-alive quotas, and the latency sketch lane
-//! ([`loadgen::REQUEST_CYCLES_SKETCH`]) are shared with the blocking
-//! generators, so per-request latency distributions are comparable between
+//! Each client inverts control: one call plays one slice of the client
+//! side — open connections, send what can be sent, consume what arrived —
+//! and returns, leaving every `world.run` call to its caller. The
+//! `bastion serve` supervisor calls [`Traffic::pump`] once per tenant turn
+//! under its round-robin quantum; the blocking [`loadgen`](crate::loadgen)
+//! generators are slice loops over the same clients for one world run to
+//! completion. Both therefore share the protocol framing, keep-alive
+//! quotas, and the latency sketch lane ([`REQUEST_CYCLES_SKETCH`]), so
+//! per-request latency distributions are comparable between
 //! `bastion bench` and `bastion serve`.
+//!
+//! The HTTP client is split into `open` and `consume` halves because the
+//! two callers order them differently; the [`loadgen`](crate::loadgen)
+//! module docs say how and why.
 
-use crate::loadgen::{complete_response, order_cmd, KEEPALIVE_REQUESTS, REQUEST_CYCLES_SKETCH};
+use crate::loadgen::{KEEPALIVE_REQUESTS, REQUEST_CYCLES_SKETCH};
 use crate::App;
 use bastion_kernel::{ExtConnId, World};
 use bastion_obs as obs;
@@ -99,8 +101,11 @@ impl Traffic {
 struct HttpConn {
     id: ExtConnId,
     buf: Vec<u8>,
+    /// Requests this connection may still send.
     remaining: u64,
+    /// A request is in flight awaiting its response.
     outstanding: bool,
+    /// Virtual time the in-flight request was sent (latency sketch lane).
     sent_at: u64,
 }
 
@@ -113,14 +118,19 @@ impl std::fmt::Debug for HttpConn {
     }
 }
 
-/// Stepped analogue of [`crate::loadgen::http_load`]: the same
-/// deterministic connection plan ([`KEEPALIVE_REQUESTS`] per keep-alive
-/// connection), one outstanding request per connection.
+/// wrk-style HTTP client: one outstanding request per keep-alive
+/// connection of [`KEEPALIVE_REQUESTS`] requests each. Responses are
+/// framed by their `Content-Length` header.
 #[derive(Debug)]
 pub struct HttpTraffic {
     port: u16,
     concurrency: usize,
     total: u64,
+    /// Deterministic connection plan: every run of a given (total,
+    /// concurrency) opens exactly the same connections with the same
+    /// request quotas, so protected and baseline runs see identical
+    /// workloads (conn-count jitter would otherwise mask sub-0.1%
+    /// per-context overhead deltas).
     plan: Vec<u64>,
     next_conn: usize,
     issued: u64,
@@ -132,6 +142,8 @@ pub struct HttpTraffic {
 }
 
 impl HttpTraffic {
+    const REQUEST: &'static [u8] = b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
+
     /// A driver for `total` requests over `concurrency` connections.
     pub fn new(port: u16, concurrency: usize, total: u64) -> Self {
         let mut plan = Vec::new();
@@ -155,7 +167,13 @@ impl HttpTraffic {
     }
 
     fn pump(&mut self, world: &mut World) -> bool {
-        const REQUEST: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
+        let opened = self.open(world);
+        self.consume(world) || opened
+    }
+
+    /// Keeps the pipe full: opens planned connections up to the
+    /// concurrency limit, each sending its first request.
+    pub(crate) fn open(&mut self, world: &mut World) -> bool {
         let mut progressed = false;
         while self.conns.len() < self.concurrency && self.next_conn < self.plan.len() {
             let Some(id) = world.net_connect(self.port) else {
@@ -163,7 +181,7 @@ impl HttpTraffic {
             };
             let quota = self.plan[self.next_conn];
             self.next_conn += 1;
-            world.net_send(id, REQUEST);
+            world.net_send(id, Self::REQUEST);
             self.issued += 1;
             progressed = true;
             self.conns.push(HttpConn {
@@ -174,6 +192,13 @@ impl HttpTraffic {
                 sent_at: world.now(),
             });
         }
+        progressed
+    }
+
+    /// Consumes every complete response, pipelines the next request on the
+    /// same connection, and closes exhausted or server-closed connections.
+    pub(crate) fn consume(&mut self, world: &mut World) -> bool {
+        let mut progressed = false;
         let mut i = 0;
         while i < self.conns.len() {
             let chunk = world.net_recv(self.conns[i].id);
@@ -192,7 +217,7 @@ impl HttpTraffic {
                 self.bytes += len as u64;
                 progressed = true;
                 if self.conns[i].remaining > 0 && self.issued < self.total {
-                    world.net_send(self.conns[i].id, REQUEST);
+                    world.net_send(self.conns[i].id, Self::REQUEST);
                     self.conns[i].remaining -= 1;
                     self.conns[i].outstanding = true;
                     self.conns[i].sent_at = world.now();
@@ -213,8 +238,22 @@ impl HttpTraffic {
     }
 }
 
-/// Stepped analogue of [`crate::loadgen::tpcc_load`]: long-lived terminal
-/// sessions, one outstanding NEWORDER per session.
+/// If `buf` starts with a complete HTTP response (headers + body per
+/// `Content-Length`), returns its total length.
+fn complete_response(buf: &[u8]) -> Option<usize> {
+    let hdr_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let text = std::str::from_utf8(&buf[..hdr_end]).ok()?;
+    let mut body_len = 0usize;
+    for line in text.split("\r\n") {
+        if let Some(v) = line.strip_prefix("Content-Length: ") {
+            body_len = v.trim().parse().ok()?;
+        }
+    }
+    (buf.len() >= hdr_end + body_len).then_some(hdr_end + body_len)
+}
+
+/// DBT2-style client: long-lived terminal sessions, one outstanding
+/// NEWORDER per session, all closed once the last transaction commits.
 #[derive(Debug)]
 pub struct TpccTraffic {
     port: u16,
@@ -292,6 +331,15 @@ impl TpccTraffic {
     }
 }
 
+fn order_cmd(seq: u64) -> String {
+    format!(
+        "NEWORDER {} {} {}\n",
+        1 + seq % 4,
+        seq * 7 % 251,
+        1 + seq % 9
+    )
+}
+
 /// Where the FTP session state machine stands (one transition per pump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FtpState {
@@ -304,20 +352,20 @@ enum FtpState {
     /// Sent `PASS`, awaiting `230`.
     Pass,
     /// Sent `RETR`, awaiting the `227 <port>` passive announcement.
-    Pasv { retr_sent: bool },
+    Pasv,
     /// Data channel open; draining until the control channel says `226`.
     Transfer { data: ExtConnId },
     /// Sent `QUIT`; next pump tears the session down.
     Quit { data: ExtConnId },
 }
 
-/// Stepped analogue of [`crate::loadgen::ftp_load`]: sequential RETR
-/// sessions, advanced one protocol transition per pump.
+/// dkftpbench-style client: sequential RETR sessions ("launching clients
+/// one after another"), advanced one protocol transition per pump.
 #[derive(Debug)]
 pub struct FtpTraffic {
     port: u16,
     downloads: u64,
-    path: &'static str,
+    path: String,
     state: FtpState,
     ctrl: Option<ExtConnId>,
     ctrl_buf: Vec<u8>,
@@ -331,11 +379,11 @@ pub struct FtpTraffic {
 
 impl FtpTraffic {
     /// A driver for `downloads` sequential sessions fetching `path`.
-    pub fn new(port: u16, downloads: u64, path: &'static str) -> Self {
+    pub fn new(port: u16, downloads: u64, path: &str) -> Self {
         FtpTraffic {
             port,
             downloads,
-            path,
+            path: path.to_string(),
             state: FtpState::Between,
             ctrl: None,
             ctrl_buf: Vec::new(),
@@ -403,12 +451,12 @@ impl FtpTraffic {
                         self.ctrl.unwrap(),
                         format!("RETR {}\n", self.path).as_bytes(),
                     );
-                    self.state = FtpState::Pasv { retr_sent: true };
+                    self.state = FtpState::Pasv;
                     return true;
                 }
                 false
             }
-            FtpState::Pasv { .. } => {
+            FtpState::Pasv => {
                 if self.pasv_port == 0 {
                     let Some(reply) = self.take_reply(b"227") else {
                         return false;
@@ -465,13 +513,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn http_plan_matches_blocking_generator() {
+    fn http_plan_splits_keepalive_quotas() {
         let t = HttpTraffic::new(8080, 4, 100);
         // 100 requests = 3 full keep-alive connections of 29 + one of 13.
         assert_eq!(t.plan, vec![29, 29, 29, 13]);
         let empty = HttpTraffic::new(8080, 4, 0);
         assert!(empty.plan.is_empty());
         assert!(Traffic::Http(empty).done());
+    }
+
+    #[test]
+    fn http_response_framing() {
+        let resp = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(complete_response(resp), Some(resp.len()));
+        // Incomplete body.
+        assert_eq!(complete_response(&resp[..resp.len() - 1]), None);
+        // Incomplete headers.
+        assert_eq!(complete_response(b"HTTP/1.0 200 OK\r\nContent-"), None);
+        // Zero-length body (404s).
+        let err = b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n";
+        assert_eq!(complete_response(err), Some(err.len()));
+        // Pipelined responses: only the first is consumed.
+        let mut two = resp.to_vec();
+        two.extend_from_slice(err);
+        assert_eq!(complete_response(&two), Some(resp.len()));
+    }
+
+    #[test]
+    fn order_commands_are_well_formed() {
+        for i in 0..50 {
+            let c = order_cmd(i);
+            assert!(c.starts_with("NEWORDER "));
+            assert!(c.ends_with('\n'));
+            assert_eq!(c.split_whitespace().count(), 4);
+        }
     }
 
     #[test]

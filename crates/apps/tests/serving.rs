@@ -69,6 +69,18 @@ fn dbkv_commits_transactions() {
 }
 
 #[test]
+fn dbkv_serves_repeated_batches_on_one_world() {
+    // `bastion top`'s pattern: back-to-back batches against one long-lived
+    // world. Each batch must close its sessions, or the workers stay parked
+    // reading the previous batch's connections and the next batch stalls.
+    let mut world = boot(App::Dbkv);
+    for batch in 0..4 {
+        let stats = loadgen::tpcc_load(&mut world, App::Dbkv.port(), 4, 32);
+        assert_eq!(stats.transactions, 32, "batch {batch}");
+    }
+}
+
+#[test]
 fn ftpd_streams_downloads() {
     let mut world = boot(App::Ftpd);
     let stats = loadgen::ftp_load(

@@ -461,25 +461,11 @@ struct TopLane {
 }
 
 fn boot_lane(app: bastion::apps::App) -> TopLane {
-    let cost = CostModel::default();
-    let protection = bastion::Protection::full();
-    let out = BastionCompiler::new()
-        .compile(app.module().expect("app compiles"))
+    let d = bastion::Deployment::from_module(app.module().expect("app compiles"))
         .expect("instrumentation succeeds");
-    let metadata = out.metadata;
-    let image = Arc::new(Image::load(out.module).expect("image loads"));
-    let mut world = World::new(cost);
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let mut machine = Machine::new(image.clone(), cost);
-    protection.hardening.apply(&mut machine);
-    let pid = world.spawn(machine);
-    bastion::monitor::protect(
-        &mut world,
-        pid,
-        &image,
-        &metadata,
-        protection.monitor.expect("full protection has a monitor"),
-    );
+    d.launch(&mut world, &bastion::Protection::full());
     world.run(1_000_000_000);
     assert!(world.alive_count() > 0, "{} died during boot", app.id());
     TopLane {

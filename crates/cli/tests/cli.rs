@@ -6,10 +6,14 @@ fn bastion() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bastion"))
 }
 
+/// Writes the demo program to a file of its own: tests run in parallel, and
+/// rewriting one shared file truncates it under a concurrent reader.
 fn write_demo() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("bastion-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.mc");
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!("demo-{n}.mc"));
     std::fs::write(
         &path,
         r#"

@@ -94,7 +94,7 @@ fn bench_mem_access(c: &mut Criterion) {
             m
         });
     });
-    // 17 resident pages: pages 0 and 16 share a slot-cache entry, so the
+    // 17 resident pages: pages 0 and 16 share a TLB entry, so the
     // round-robin evicts and refills it on every pass.
     let mut spread = Memory::new();
     spread.map_region(BASE, 17 * PAGE);

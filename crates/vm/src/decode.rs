@@ -21,7 +21,11 @@
 //! * a `FrameAddr` followed by a load or store through its result becomes
 //!   one [`DecodedInst::FrameLoad`]/[`DecodedInst::FrameStore`]
 //!   superinstruction (the compiler addresses every named variable this
-//!   way), with the second unit kept for control transfers into it.
+//!   way), with the second unit kept for control transfers into it;
+//! * a `Cmp dst` followed by the block's `Br` on `dst` becomes one
+//!   [`DecodedInst::CmpBr`] the same way;
+//! * [`DecodedProgram::resolve`] maps a runtime code address (a return
+//!   address or an indirect-call target) straight to its unit.
 //!
 //! Decoding is layout-faithful by construction: unit `i` of the stream
 //! executes the instruction at code address `base + i * INST_SIZE` (a
@@ -155,6 +159,19 @@ pub enum DecodedInst {
     },
     /// Unconditional jump to a flat unit in the same function.
     Jmp { target: u32 },
+    /// Superinstruction: `Cmp dst` fused with the `Br` on `dst` in the
+    /// next unit (the block's terminator). Executes both halves, so it
+    /// keeps their accounting (two steps, `inst + inst` cycles, `dst`
+    /// written); the next unit still holds the plain `Br` for control
+    /// transfers that land on it.
+    CmpBr {
+        dst: Reg,
+        op: CmpOp,
+        a: Operand,
+        b: Operand,
+        then_: u32,
+        else_: u32,
+    },
     /// Conditional branch to flat units in the same function.
     Br {
         cond: Operand,
@@ -375,7 +392,7 @@ impl DecodedProgram {
             }
         }
         units.resize(total, DecodedInst::Pad);
-        fuse_frame_accesses(&mut units);
+        fuse_pairs(&mut units);
         DecodedProgram {
             base,
             units,
@@ -429,6 +446,23 @@ impl DecodedProgram {
         ((addr - self.base) / INST_SIZE) as usize
     }
 
+    /// The unit a control transfer to `addr` lands on, if `addr` is the
+    /// start of an instruction: aligned, inside the code segment and not
+    /// padding. Agrees with [`CodeLayout::loc_of`] through
+    /// [`Self::loc_at`], without its binary searches.
+    #[inline]
+    pub fn resolve(&self, addr: u64) -> Option<usize> {
+        let delta = addr.wrapping_sub(self.base);
+        if !delta.is_multiple_of(INST_SIZE) {
+            return None;
+        }
+        let unit = usize::try_from(delta / INST_SIZE).ok()?;
+        match self.units.get(unit)? {
+            DecodedInst::Pad => None,
+            _ => Some(unit),
+        }
+    }
+
     /// The interned operands of an [`ArgSlice`].
     #[inline]
     pub fn arg_ops(&self, s: ArgSlice) -> &[Operand] {
@@ -438,30 +472,49 @@ impl DecodedProgram {
 
 /// Peephole: rewrites each `FrameAddr tmp` whose next unit loads or
 /// stores through `tmp` into a [`DecodedInst::FrameLoad`] or
-/// [`DecodedInst::FrameStore`]. A `FrameAddr` is never a block's last unit
-/// (terminators are), so the pair always lies in one block. The second
-/// unit is left as it is.
-fn fuse_frame_accesses(units: &mut [DecodedInst]) {
+/// [`DecodedInst::FrameStore`], and each `Cmp dst` whose next unit
+/// branches on `dst` into a [`DecodedInst::CmpBr`]. Neither first half is
+/// ever a block's last unit (terminators are), so each pair lies in one
+/// block. The second unit is left as it is.
+fn fuse_pairs(units: &mut [DecodedInst]) {
     for i in 0..units.len().saturating_sub(1) {
-        let DecodedInst::FrameAddr { dst: tmp, neg_off } = units[i] else {
-            continue;
-        };
-        units[i] = match units[i + 1] {
-            DecodedInst::Load {
+        units[i] = match (units[i], units[i + 1]) {
+            (
+                DecodedInst::Cmp { dst, op, a, b },
+                DecodedInst::Br {
+                    cond: Operand::Reg(c),
+                    then_,
+                    else_,
+                },
+            ) if c == dst => DecodedInst::CmpBr {
                 dst,
-                addr: Operand::Reg(a),
-                width,
-            } if a == tmp => DecodedInst::FrameLoad {
+                op,
+                a,
+                b,
+                then_,
+                else_,
+            },
+            (
+                DecodedInst::FrameAddr { dst: tmp, neg_off },
+                DecodedInst::Load {
+                    dst,
+                    addr: Operand::Reg(a),
+                    width,
+                },
+            ) if a == tmp => DecodedInst::FrameLoad {
                 tmp,
                 neg_off,
                 dst,
                 width,
             },
-            DecodedInst::Store {
-                addr: Operand::Reg(a),
-                src,
-                width,
-            } if a == tmp => DecodedInst::FrameStore {
+            (
+                DecodedInst::FrameAddr { dst: tmp, neg_off },
+                DecodedInst::Store {
+                    addr: Operand::Reg(a),
+                    src,
+                    width,
+                },
+            ) if a == tmp => DecodedInst::FrameStore {
                 tmp,
                 neg_off,
                 src,
@@ -534,6 +587,77 @@ mod tests {
         }
         // Three 16-byte-aligned functions with small bodies: at least one gap.
         assert!(pads > 0);
+    }
+
+    #[test]
+    fn resolve_agrees_with_the_layout_on_every_address() {
+        let img = decoded();
+        let prog = &img.decoded;
+        let (base, end) = (img.layout.code_base().raw(), img.layout.code_end().raw());
+        for a in base - 64..=end + INST_SIZE {
+            assert_eq!(
+                prog.resolve(a).map(|u| prog.loc_at(u)),
+                img.layout.loc_of(bastion_ir::CodeAddr(a)),
+                "{a:#x}"
+            );
+        }
+        assert_eq!(prog.resolve(0), None);
+        assert_eq!(prog.resolve(u64::MAX - 3), None);
+    }
+
+    /// `main` branches on a comparison and returns one of two constants.
+    fn compare_and_branch() -> Image {
+        let mut mb = ModuleBuilder::new("c");
+        let mut f = mb.function("main", &[], Ty::I64);
+        let yes = f.new_block();
+        let no = f.new_block();
+        let c = f.cmp(CmpOp::Lt, 1i64, 2i64);
+        f.br(c, yes, no);
+        f.switch_to(yes);
+        f.ret(Some(Operand::Imm(1)));
+        f.switch_to(no);
+        f.ret(Some(Operand::Imm(0)));
+        f.finish();
+        Image::load(mb.finish()).unwrap()
+    }
+
+    #[test]
+    fn compare_then_branch_on_its_result_is_fused() {
+        let img = compare_and_branch();
+        let prog = &img.decoded;
+        let entry = prog.unit_of_addr(img.layout.func_entry(img.entry).raw());
+        let DecodedInst::Br { then_, else_, .. } = prog.inst(entry + 1) else {
+            panic!("expected the plain Br after the fused unit");
+        };
+        match prog.inst(entry) {
+            DecodedInst::CmpBr {
+                op: CmpOp::Lt,
+                then_: t,
+                else_: e,
+                ..
+            } => assert_eq!((t, e), (then_, else_)),
+            other => panic!("expected CmpBr, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn branch_on_another_register_is_not_fused() {
+        let mut mb = ModuleBuilder::new("c");
+        let mut f = mb.function("main", &[], Ty::I64);
+        let yes = f.new_block();
+        let no = f.new_block();
+        let flag = f.mov(1i64);
+        let _ = f.cmp(CmpOp::Eq, flag, 0i64);
+        f.br(flag, yes, no);
+        f.switch_to(yes);
+        f.ret(Some(Operand::Imm(1)));
+        f.switch_to(no);
+        f.ret(Some(Operand::Imm(0)));
+        f.finish();
+        let img = Image::load(mb.finish()).unwrap();
+        let prog = &img.decoded;
+        let entry = prog.unit_of_addr(img.layout.func_entry(img.entry).raw());
+        assert!(matches!(prog.inst(entry + 1), DecodedInst::Cmp { .. }));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! terminate the process.
 
 use crate::decode::DecodedInst;
-use crate::machine::{Fault, Machine};
+use crate::machine::{Fault, Machine, RetTo};
 use crate::mem::{MemIo, Memory, OutOfBounds};
 use crate::shadow::ShadowTable;
 use bastion_ir::{
@@ -199,18 +199,32 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
             }
             DecodedInst::Cmp { dst, op, a, b } => {
                 let fr = m.frames.last_mut().expect("no active frame");
-                let (a, b) = (ev(&fr.regs, a) as i64, ev(&fr.regs, b) as i64);
-                let v = match op {
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                };
+                let v = compare(op, ev(&fr.regs, a), ev(&fr.regs, b));
                 fr.regs[dst.index()] = u64::from(v);
                 cycles += cost.inst;
                 idx += 1;
+            }
+            // Like the frame-slot pairs: two steps, and a budget that ends
+            // between the halves runs only the `Cmp`.
+            DecodedInst::CmpBr {
+                dst,
+                op,
+                a,
+                b,
+                then_,
+                else_,
+            } => {
+                let fr = m.frames.last_mut().expect("no active frame");
+                let v = compare(op, ev(&fr.regs, a), ev(&fr.regs, b));
+                fr.regs[dst.index()] = u64::from(v);
+                cycles += cost.inst;
+                if steps == max_steps {
+                    idx += 1;
+                    break;
+                }
+                steps += 1;
+                cycles += cost.inst;
+                idx = if v { then_ } else { else_ } as usize;
             }
             DecodedInst::Load { dst, addr, width } => {
                 let Machine { frames, mem, .. } = &mut *m;
@@ -323,8 +337,7 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
                 if m.shadow_stack.is_some() {
                     cycles += cost.cet;
                 }
-                let loc = prog.loc_at(target_unit as usize);
-                let res = m.do_call_resolved(loc, &argv, dst, CodeAddr(retaddr));
+                let res = m.do_call_unit(target_unit as usize, &argv, dst, CodeAddr(retaddr));
                 m.call_scratch = argv;
                 match res {
                     Ok(()) => idx = target_unit as usize,
@@ -359,14 +372,10 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
                 if m.shadow_stack.is_some() {
                     cycles += cost.cet;
                 }
-                let Some(loc) = image.layout.loc_of(CodeAddr(t)) else {
-                    m.call_scratch = argv;
-                    exit_at!(idx, Event::Fault(Fault::BadJump(t)));
-                };
-                let res = m.do_call_resolved(loc, &argv, dst, CodeAddr(retaddr));
+                let res = m.do_call(CodeAddr(t), &argv, dst, CodeAddr(retaddr));
                 m.call_scratch = argv;
                 match res {
-                    Ok(()) => idx = prog.unit_of_addr(t),
+                    Ok(unit) => idx = unit,
                     Err(f) => exit_at!(idx, Event::Fault(f)),
                 }
             }
@@ -442,8 +451,8 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
                 let v = val.map_or(0, |op| m.eval(op));
                 cycles += cost.call;
                 match m.do_ret(v) {
-                    Ok(Some(code)) => exit_at!(idx, Event::Exited(code)),
-                    Ok(None) => idx = prog.unit_of_addr(image.layout.addr_of(m.pc).raw()),
+                    Ok(RetTo::Exit(code)) => exit_at!(idx, Event::Exited(code)),
+                    Ok(RetTo::Unit(unit)) => idx = unit,
                     Err(f) => exit_at!(idx, Event::Fault(f)),
                 }
             }
@@ -456,7 +465,21 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
     (steps, None)
 }
 
-/// A guest load of `width` at `a`, one page lookup.
+/// `a <op> b` as signed integers.
+#[inline(always)]
+fn compare(op: CmpOp, a: u64, b: u64) -> bool {
+    let (a, b) = (a as i64, b as i64);
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    }
+}
+
+/// A guest load of `width` at `a`, one TLB probe on a hit.
 #[inline(always)]
 fn load(mem: &Memory, a: u64, width: Width) -> Result<u64, OutOfBounds> {
     match width {
@@ -465,7 +488,7 @@ fn load(mem: &Memory, a: u64, width: Width) -> Result<u64, OutOfBounds> {
     }
 }
 
-/// A guest store of `width` at `a`, one page lookup.
+/// A guest store of `width` at `a`, one TLB probe on a hit.
 #[inline(always)]
 fn store(mem: &mut Memory, a: u64, v: u64, width: Width) -> Result<(), OutOfBounds> {
     match width {
@@ -513,15 +536,7 @@ fn exec_inst(m: &mut Machine, inst: &Inst) -> Event {
             Event::Continue
         }
         Inst::Cmp { dst, op, a, b } => {
-            let (a, b) = (m.eval(*a) as i64, m.eval(*b) as i64);
-            let v = match op {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            };
+            let v = compare(*op, m.eval(*a), m.eval(*b));
             m.set_reg(*dst, u64::from(v));
             m.charge(m.cost.inst);
             m.advance();
@@ -635,7 +650,7 @@ fn exec_inst(m: &mut Machine, inst: &Inst) -> Event {
                 m.charge(m.cost.cet);
             }
             match m.do_call(target, &argv, *dst, retaddr) {
-                Ok(()) => Event::Continue,
+                Ok(_) => Event::Continue,
                 Err(f) => Event::Fault(f),
             }
         }
@@ -716,8 +731,8 @@ fn exec_term(m: &mut Machine, term: Terminator) -> Event {
             let v = val.map_or(0, |op| m.eval(op));
             m.charge(m.cost.call);
             match m.do_ret(v) {
-                Ok(Some(code)) => Event::Exited(code),
-                Ok(None) => Event::Continue,
+                Ok(RetTo::Exit(code)) => Event::Exited(code),
+                Ok(RetTo::Unit(_)) => Event::Continue,
                 Err(f) => Event::Fault(f),
             }
         }
@@ -1063,6 +1078,74 @@ mod tests {
         assert_eq!(fast.pc, legacy.pc);
         assert_eq!(fast.cycles, legacy.cycles);
         assert_eq!(regs(&fast), regs(&legacy));
+    }
+
+    /// `main` counts a local up to 3 in a loop whose header ends in a
+    /// compare-and-branch, then returns it.
+    fn counting_loop() -> Arc<Image> {
+        let mut mb = ModuleBuilder::new("t");
+        let mut f = mb.function("main", &[], Ty::I64);
+        let i = f.local("i", Ty::I64);
+        let ia = f.frame_addr(i);
+        f.store(ia, 0i64);
+        let header = f.new_block();
+        let body = f.new_block();
+        let exit = f.new_block();
+        f.jmp(header);
+        f.switch_to(header);
+        let ib = f.frame_addr(i);
+        let iv = f.load(ib);
+        let c = f.cmp(CmpOp::Lt, iv, 3i64);
+        f.br(c, body, exit);
+        f.switch_to(body);
+        let next = f.bin(BinOp::Add, iv, 1i64);
+        let ic = f.frame_addr(i);
+        f.store(ic, next);
+        f.jmp(header);
+        f.switch_to(exit);
+        f.ret(Some(iv.into()));
+        f.finish();
+        Arc::new(Image::load(mb.finish()).unwrap())
+    }
+
+    #[test]
+    fn budget_ending_between_fused_compare_and_branch_runs_only_the_cmp() {
+        let img = counting_loop();
+        assert!(img
+            .decoded
+            .insts()
+            .iter()
+            .any(|u| matches!(u, DecodedInst::CmpBr { .. })));
+        let mut legacy = Machine::new(img.clone(), CostModel::default());
+        assert_eq!(run_legacy(&mut legacy, 1_000).event(), Event::Exited(3));
+        let mut stopped_on_br = 0;
+        for k in 1..=40u64 {
+            let mut legacy = Machine::new(img.clone(), CostModel::default());
+            let mut fast = Machine::new(img.clone(), CostModel::default());
+            let le = run_legacy(&mut legacy, k);
+            let (n, fe) = run_bounded(&mut fast, k);
+            assert_eq!(
+                fe.map_or(RunOutcome::BudgetExhausted, RunOutcome::Event),
+                le
+            );
+            if le.exhausted() {
+                assert_eq!(n, k);
+            }
+            assert_eq!(fast.pc, legacy.pc, "pc after {k} steps");
+            assert_eq!(fast.cycles, legacy.cycles, "cycles after {k} steps");
+            assert_eq!(regs(&fast), regs(&legacy), "registers after {k} steps");
+            if le.exhausted() {
+                let unit = img.decoded.unit_of_addr(img.layout.addr_of(fast.pc).raw());
+                if matches!(img.decoded.inst(unit), DecodedInst::Br { .. }) {
+                    stopped_on_br += 1;
+                }
+                // Resuming mid-pair runs the plain `Br` unit.
+                assert_eq!(run(&mut fast, 100).event(), Event::Exited(3));
+                assert_eq!(run_legacy(&mut legacy, 100).event(), Event::Exited(3));
+                assert_eq!(fast.cycles, legacy.cycles);
+            }
+        }
+        assert_eq!(stopped_on_br, 4, "one split per loop-header visit");
     }
 
     #[test]

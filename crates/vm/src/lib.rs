@@ -61,6 +61,6 @@ pub use cost::CostModel;
 pub use decode::{DecodedInst, DecodedProgram};
 pub use image::{Image, ImageBuilder};
 pub use interp::{run, run_bounded, run_legacy, step, Event, RunOutcome};
-pub use machine::{CfiPolicy, Fault, Frame, Machine};
+pub use machine::{CfiPolicy, Fault, Frame, Machine, RetTo};
 pub use mem::{MemIo, Memory, OutOfBounds};
 pub use shadow::{ShadowError, ShadowTable, SHADOW_REGION_SIZE};

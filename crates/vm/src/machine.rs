@@ -97,6 +97,16 @@ impl fmt::Display for Fault {
     }
 }
 
+/// Where a `ret` went.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetTo {
+    /// `main` returned: the process exit status.
+    Exit(i64),
+    /// Execution resumes at this flat code unit (`pc` already points at
+    /// it).
+    Unit(usize),
+}
+
 /// The CPU + memory state of one process.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -300,6 +310,7 @@ impl Machine {
 
     /// Performs the call sequence onto `target` (an instruction address —
     /// usually a function entry, but ROP/JOP may land mid-function).
+    /// Returns the flat code unit the call landed on.
     ///
     /// # Errors
     /// Faults on stack overflow, unmapped stack, or a non-code target.
@@ -309,28 +320,30 @@ impl Machine {
         args: &[u64],
         ret_dst: Option<Reg>,
         retaddr: CodeAddr,
-    ) -> Result<(), Fault> {
-        let loc = self
+    ) -> Result<usize, Fault> {
+        let unit = self
             .image
-            .layout
-            .loc_of(target)
+            .decoded
+            .resolve(target.raw())
             .ok_or(Fault::BadJump(target.raw()))?;
-        self.do_call_resolved(loc, args, ret_dst, retaddr)
+        self.do_call_unit(unit, args, ret_dst, retaddr)?;
+        Ok(unit)
     }
 
-    /// [`Self::do_call`] with the target already resolved to an instruction
-    /// location (the predecoded engine resolves direct-call targets at image
-    /// load and indirect targets before calling in).
+    /// [`Self::do_call`] onto a flat code unit already known to start an
+    /// instruction (the predecoded engine resolves direct-call targets at
+    /// image load).
     ///
     /// # Errors
     /// Faults on stack overflow or an unmapped stack.
-    pub fn do_call_resolved(
+    pub(crate) fn do_call_unit(
         &mut self,
-        loc: InstLoc,
+        unit: usize,
         args: &[u64],
         ret_dst: Option<Reg>,
         retaddr: CodeAddr,
     ) -> Result<(), Fault> {
+        let loc = self.image.decoded.loc_at(unit);
         let callee = loc.func;
         let fi = &self.image.frame_info[callee.index()];
         if self.sp < self.image.stack_base + fi.frame_size + 64 {
@@ -376,11 +389,12 @@ impl Machine {
     }
 
     /// Performs the return sequence, trusting the in-memory frame chain.
-    /// Returns the process exit value when `main` returns.
+    /// Returns the process exit value when `main` returns, else the unit
+    /// execution resumes at.
     ///
     /// # Errors
     /// Faults on unmapped stack, CET mismatch, or a non-code return target.
-    pub fn do_ret(&mut self, val: u64) -> Result<Option<i64>, Fault> {
+    pub fn do_ret(&mut self, val: u64) -> Result<RetTo, Fault> {
         let saved_fp = self.mem.read_u64(self.fp).map_err(Fault::Mem)?;
         let retaddr = self.mem.read_u64(self.fp + 8).map_err(Fault::Mem)?;
         if let Some(ss) = &mut self.shadow_stack {
@@ -405,13 +419,14 @@ impl Machine {
         }
         if retaddr == 0 {
             self.exited = Some(val as i64);
-            return Ok(Some(val as i64));
+            return Ok(RetTo::Exit(val as i64));
         }
-        let loc = self
+        let unit = self
             .image
-            .layout
-            .loc_of(CodeAddr(retaddr))
+            .decoded
+            .resolve(retaddr)
             .ok_or(Fault::BadJump(retaddr))?;
+        let loc = self.image.decoded.loc_at(unit);
         match self.frames.last_mut() {
             Some(parent) if parent.func == loc.func => {
                 if let Some(dst) = ret_dst {
@@ -431,7 +446,7 @@ impl Machine {
             }
         }
         self.pc = loc;
-        Ok(None)
+        Ok(RetTo::Unit(unit))
     }
 
     /// Records the trapped syscall state (the registers the monitor reads).
@@ -508,8 +523,8 @@ mod tests {
         let ra = m.pc_addr().offset(bastion_ir::CALL_SIZE);
         let old_fp = m.fp;
         m.do_call(entry, &[5], Some(Reg(0)), ra).unwrap();
-        let exited = m.do_ret(42).unwrap();
-        assert_eq!(exited, None);
+        let to = m.do_ret(42).unwrap();
+        assert!(matches!(to, RetTo::Unit(_)));
         assert_eq!(m.fp, old_fp);
         assert_eq!(m.frame().regs[0], 42);
         assert_eq!(m.depth(), 1);
@@ -519,7 +534,7 @@ mod tests {
     fn main_ret_exits() {
         let mut m = machine();
         let exited = m.do_ret(7).unwrap();
-        assert_eq!(exited, Some(7));
+        assert_eq!(exited, RetTo::Exit(7));
         assert_eq!(m.exited, Some(7));
     }
 
@@ -558,8 +573,8 @@ mod tests {
         let entry = m.image.layout.func_entry(callee);
         let ra = m.pc_addr().offset(bastion_ir::CALL_SIZE);
         m.do_call(entry, &[5], None, ra).unwrap();
-        assert_eq!(m.do_ret(1).unwrap(), None);
-        assert_eq!(m.do_ret(0).unwrap(), Some(0));
+        assert!(matches!(m.do_ret(1).unwrap(), RetTo::Unit(_)));
+        assert_eq!(m.do_ret(0).unwrap(), RetTo::Exit(0));
     }
 
     #[test]
@@ -568,7 +583,7 @@ mod tests {
         let callee = m.image.module.func_by_name("callee").unwrap();
         let entry = m.image.layout.func_entry(callee);
         let ra = m.pc_addr().offset(bastion_ir::CALL_SIZE);
-        let mut res = Ok(());
+        let mut res = Ok(0);
         for _ in 0..100_000 {
             res = m.do_call(entry, &[1], None, ra);
             if res.is_err() {

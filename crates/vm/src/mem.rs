@@ -80,12 +80,53 @@ impl Page {
     }
 }
 
-/// Entries in the direct-mapped page → slot cache.
-const SLOT_CACHE: usize = 16;
+/// Entries in the guest TLB (direct-mapped, indexed by the page number's
+/// low bits). 32 and 64 entries ran no faster on the Figure 3 grid or the
+/// webserve fleet, and every `Memory` (each process and snapshot) carries
+/// its own TLB.
+const TLB_SIZE: usize = 16;
 
-/// Tag of an empty slot-cache entry. No page number reaches it
+/// Tag of an empty TLB entry. No page number reaches it
 /// (`u64::MAX / PAGE_SIZE` is the largest).
 const NO_PAGE: u64 = u64::MAX;
+
+/// TLB slot value of a mapped page with no backing page yet (reads as
+/// zeros). Out of range of any `slots` index.
+const NOT_RESIDENT: u32 = u32::MAX;
+
+/// One guest TLB entry: what a load or store needs to know about a page
+/// to skip the region map and the page index.
+///
+/// An entry exists only while bytes `[0, limit)` of page `tag` lie inside
+/// one mapped region, so a hit on an access that ends at or below `limit`
+/// proves the access is mapped. `slot` mirrors the page index: a page
+/// insert updates the entry, and a slot renumbering or an unmap flushes
+/// the TLB. Whether a store may write in place is read off the page
+/// itself ([`Page::Own`]), which the store has to load anyway.
+#[derive(Debug, Clone, Copy)]
+struct TlbEntry {
+    /// Page number, or [`NO_PAGE`].
+    tag: u64,
+    /// Index into [`Memory::slots`], or [`NOT_RESIDENT`].
+    slot: u32,
+    /// Mapped prefix of the page in bytes (at most [`PAGE_SIZE`]).
+    limit: u16,
+}
+
+impl TlbEntry {
+    const EMPTY: TlbEntry = TlbEntry {
+        tag: NO_PAGE,
+        slot: NOT_RESIDENT,
+        limit: 0,
+    };
+
+    /// Whether this entry covers the `len` bytes at `addr`.
+    #[inline(always)]
+    fn covers(self, addr: u64, len: u64) -> bool {
+        self.tag == addr / PAGE_SIZE
+            && (addr % PAGE_SIZE).saturating_add(len) <= u64::from(self.limit)
+    }
+}
 
 /// An access outside any mapped region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,25 +191,20 @@ pub trait MemIo {
 ///
 /// `Clone` deep-copies owned pages and shares shared ones; call
 /// [`Memory::share_pages`] first when the clone should share everything.
+/// A clone keeps the TLB, whose slot numbers carry over with the pages.
 #[derive(Debug, Clone)]
 pub struct Memory {
     /// Page number → slot in `slots`.
     index: PageIndex,
     /// Resident pages with their page numbers. Slots are renumbered only
     /// when pages are dropped (`prune_zero_pages`, `unmap_region`), which
-    /// flushes `slot_cache`.
+    /// flushes `tlb`.
     slots: Vec<(u64, Page)>,
-    /// Direct-mapped page → slot cache, indexed by the page number's low
-    /// bits, as `(page, slot)` with [`NO_PAGE`] for empty. A load or store
-    /// that hits skips the `index` probe. Caches resident pages only.
-    slot_cache: [Cell<(u64, u32)>; SLOT_CACHE],
+    /// The guest TLB in front of `regions` and `index`; see [`TlbEntry`].
+    /// Loads and stores that hit touch nothing else; misses fill it.
+    tlb: [Cell<TlbEntry>; TLB_SIZE],
     /// Mapped regions: start → length (disjoint, coalesced on insert).
     regions: BTreeMap<u64, u64>,
-    /// Last region hit by a mapping check, as `(start, end)`. Loop-local
-    /// and sequential accesses land in the same region, so this skips the
-    /// `BTreeMap` range query on the interpreter's load/store hot path.
-    /// `(0, 0)` means empty; invalidated whenever the region set changes.
-    cache: Cell<(u64, u64)>,
 }
 
 impl Default for Memory {
@@ -176,9 +212,8 @@ impl Default for Memory {
         Memory {
             index: PageIndex::default(),
             slots: Vec::new(),
-            slot_cache: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            tlb: std::array::from_fn(|_| Cell::new(TlbEntry::EMPTY)),
             regions: BTreeMap::new(),
-            cache: Cell::new((0, 0)),
         }
     }
 }
@@ -192,7 +227,8 @@ impl Memory {
     /// Maps `[start, start+len)`; overlapping and adjacent maps are
     /// coalesced into one region, so a re-map can never shrink an existing
     /// mapping and a nested map can never shadow its enclosing region from
-    /// the `is_mapped` probe.
+    /// the `is_mapped` probe. Mapping only adds mapped bytes, so every TLB
+    /// entry stays valid.
     pub fn map_region(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -210,13 +246,13 @@ impl Memory {
             new_end = new_end.max(re);
         }
         self.regions.insert(new_start, new_end - new_start);
-        self.cache.set((0, 0));
     }
 
     /// Unmaps any region starting inside `[start, start+len)` and trims
     /// regions overlapping the range (byte-exact). The range's contents are
     /// gone: pages wholly inside it are dropped and the part of a page it
     /// covers is zeroed, so a later re-map reads zeros, as after munmap.
+    /// Flushes the TLB (through `retain_pages`).
     pub fn unmap_region(&mut self, start: u64, len: u64) {
         let end = start.saturating_add(len);
         let mut rebuilt = BTreeMap::new();
@@ -234,7 +270,6 @@ impl Memory {
             }
         }
         self.regions = rebuilt;
-        self.cache.set((0, 0));
         self.retain_pages(|page, p| {
             let ps = page * PAGE_SIZE;
             let pe = ps.saturating_add(PAGE_SIZE);
@@ -250,17 +285,14 @@ impl Memory {
         });
     }
 
-    /// Whether every byte of `[addr, addr+len)` is mapped.
+    /// Whether every byte of `[addr, addr+len)` is mapped. An access
+    /// within one page that hits the TLB skips the region map.
     #[inline]
     pub fn is_mapped(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
+        if len == 0 || self.tlb_entry(addr / PAGE_SIZE).covers(addr, len) {
             return true;
         }
         let end = addr.saturating_add(len);
-        let (cs, ce) = self.cache.get();
-        if addr >= cs && end <= ce {
-            return true;
-        }
         let mut cur = addr;
         while cur < end {
             let Some((&rs, &rl)) = self.regions.range(..=cur).next_back() else {
@@ -269,9 +301,6 @@ impl Memory {
             let re = rs + rl;
             if cur >= re {
                 return false;
-            }
-            if cur == addr {
-                self.cache.set((rs, re));
             }
             cur = re;
         }
@@ -324,7 +353,7 @@ impl Memory {
 
     /// Makes every owned page shareable, so that the next `clone` shares
     /// all pages with this `Memory` instead of copying the owned ones.
-    /// Slots keep their numbers, so the slot cache stays valid.
+    /// Slots keep their numbers, so the TLB stays valid.
     pub fn share_pages(&mut self) {
         for (_, p) in &mut self.slots {
             if let Page::Own(b) = p {
@@ -345,29 +374,54 @@ impl Memory {
     }
 
     /// Keeps the pages `keep` returns true for (it may also edit them),
-    /// then renumbers the slots and flushes the slot cache.
+    /// then renumbers the slots and flushes the TLB.
     fn retain_pages(&mut self, mut keep: impl FnMut(u64, &mut Page) -> bool) {
         self.slots.retain_mut(|(page, p)| keep(*page, p));
         self.index.clear();
         for (slot, &(page, _)) in self.slots.iter().enumerate() {
             self.index.insert(page, slot as u32);
         }
-        for entry in &self.slot_cache {
-            entry.set((NO_PAGE, 0));
+        self.flush_tlb();
+    }
+
+    fn flush_tlb(&self) {
+        for entry in &self.tlb {
+            entry.set(TlbEntry::EMPTY);
         }
     }
 
-    /// Slot of a resident page, through the slot cache.
+    /// The TLB entry `page` maps to (its tag may be another page's).
+    #[inline(always)]
+    fn tlb_entry(&self, page: u64) -> TlbEntry {
+        self.tlb[page as usize % TLB_SIZE].get()
+    }
+
+    /// Installs `page`'s TLB entry if the page starts inside a mapped
+    /// region; the entry covers the part of the page that region maps.
+    fn fill_tlb(&self, page: u64) {
+        let ps = page * PAGE_SIZE;
+        let Some((&rs, &rl)) = self.regions.range(..=ps).next_back() else {
+            return;
+        };
+        let re = rs + rl;
+        if re <= ps {
+            return;
+        }
+        self.tlb[page as usize % TLB_SIZE].set(TlbEntry {
+            tag: page,
+            slot: self.index.get(&page).copied().unwrap_or(NOT_RESIDENT),
+            limit: (re - ps).min(PAGE_SIZE) as u16,
+        });
+    }
+
+    /// Slot of a resident page, through the TLB when it holds the page.
     #[inline]
     fn slot(&self, page: u64) -> Option<usize> {
-        let entry = &self.slot_cache[page as usize % SLOT_CACHE];
-        let (tag, slot) = entry.get();
-        if tag == page {
-            return Some(slot as usize);
+        let e = self.tlb_entry(page);
+        if e.tag == page {
+            return (e.slot != NOT_RESIDENT).then_some(e.slot as usize);
         }
-        let slot = *self.index.get(&page)?;
-        entry.set((page, slot));
-        Some(slot as usize)
+        self.index.get(&page).map(|&s| s as usize)
     }
 
     /// A resident page's bytes; `None` reads as zeros.
@@ -376,8 +430,8 @@ impl Memory {
         self.slot(page).map(|s| self.slots[s].1.bytes())
     }
 
-    /// A page's bytes for writing: allocates an absent page and copies a
-    /// shared one.
+    /// A page's bytes for writing: allocates an absent page (updating its
+    /// TLB entry, if any) and copies a shared one.
     #[inline]
     fn page_mut(&mut self, page: u64) -> &mut PageBytes {
         let slot = match self.slot(page) {
@@ -387,7 +441,14 @@ impl Memory {
                 self.slots
                     .push((page, Page::Own(Box::new([0u8; PAGE_SIZE as usize]))));
                 self.index.insert(page, s as u32);
-                self.slot_cache[page as usize % SLOT_CACHE].set((page, s as u32));
+                let entry = &self.tlb[page as usize % TLB_SIZE];
+                let e = entry.get();
+                if e.tag == page {
+                    entry.set(TlbEntry {
+                        slot: s as u32,
+                        ..e
+                    });
+                }
                 s
             }
         };
@@ -424,30 +485,73 @@ impl Memory {
         }
     }
 
-    /// Reads one byte: a mapping check and a single page lookup.
+    /// Reads one byte: one TLB probe on a hit.
     ///
     /// # Errors
     /// Fails if the byte is unmapped.
-    #[inline]
+    #[inline(always)]
     pub fn read_u8(&self, addr: u64) -> Result<u8, OutOfBounds> {
-        if !self.is_mapped(addr, 1) {
-            return Err(OutOfBounds { addr, write: false });
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 1) {
+            return Ok(self
+                .hit_page(e)
+                .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]));
         }
-        Ok(self
-            .page(addr / PAGE_SIZE)
-            .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]))
+        let mut b = [0u8; 1];
+        self.read_miss(addr, &mut b)?;
+        Ok(b[0])
     }
 
-    /// Writes one byte: a mapping check and a single page lookup.
+    /// Writes one byte: one TLB probe on a hit to an owned page.
     ///
     /// # Errors
     /// Fails if the byte is unmapped.
-    #[inline]
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), OutOfBounds> {
-        if !self.is_mapped(addr, 1) {
-            return Err(OutOfBounds { addr, write: true });
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 1) {
+            if let Some(p) = self.hit_page_mut(e) {
+                p[(addr % PAGE_SIZE) as usize] = v;
+                return Ok(());
+            }
         }
-        self.page_mut(addr / PAGE_SIZE)[(addr % PAGE_SIZE) as usize] = v;
+        self.write_miss(addr, &[v])
+    }
+
+    /// The page behind a TLB hit; `None` reads as zeros.
+    #[inline(always)]
+    fn hit_page(&self, e: TlbEntry) -> Option<&PageBytes> {
+        self.slots.get(e.slot as usize).map(|(_, p)| p.bytes())
+    }
+
+    /// The page behind a TLB hit if a store may write it in place: it is
+    /// resident and owned. Other stores take the miss path.
+    #[inline(always)]
+    fn hit_page_mut(&mut self, e: TlbEntry) -> Option<&mut PageBytes> {
+        match &mut self.slots.get_mut(e.slot as usize)?.1 {
+            Page::Own(p) => Some(p),
+            Page::Shared(_) => None,
+        }
+    }
+
+    /// A load that missed the TLB: the region check and page lookups of
+    /// [`MemIo::read`], then a TLB fill for the page at `addr`.
+    #[cold]
+    #[inline(never)]
+    fn read_miss(&self, addr: u64, buf: &mut [u8]) -> Result<(), OutOfBounds> {
+        self.read(addr, buf)?;
+        self.fill_tlb(addr / PAGE_SIZE);
+        Ok(())
+    }
+
+    /// A store that missed the TLB or found the page absent or shared: the
+    /// region check, page allocation and copy-on-write break of
+    /// [`MemIo::write`], then a TLB fill for the page at `addr`.
+    #[cold]
+    #[inline(never)]
+    fn write_miss(&mut self, addr: u64, buf: &[u8]) -> Result<(), OutOfBounds> {
+        self.write(addr, buf)?;
+        self.fill_tlb(addr / PAGE_SIZE);
         Ok(())
     }
 }
@@ -471,36 +575,31 @@ impl MemIo for Memory {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     fn read_u64(&self, addr: u64) -> Result<u64, OutOfBounds> {
-        if !self.is_mapped(addr, 8) {
-            return Err(OutOfBounds { addr, write: false });
-        }
-        let off = (addr % PAGE_SIZE) as usize;
-        if off <= PAGE_SIZE as usize - 8 {
-            // Within one page: a single lookup and an aligned-free copy.
-            return Ok(match self.page(addr / PAGE_SIZE) {
-                Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().unwrap()),
-                None => 0,
-            });
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 8) {
+            let off = (addr % PAGE_SIZE) as usize;
+            return Ok(self.hit_page(e).map_or(0, |p| {
+                u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
+            }));
         }
         let mut b = [0u8; 8];
-        self.read_unchecked(addr, &mut b);
+        self.read_miss(addr, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    #[inline]
+    #[inline(always)]
     fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), OutOfBounds> {
-        if !self.is_mapped(addr, 8) {
-            return Err(OutOfBounds { addr, write: true });
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 8) {
+            if let Some(p) = self.hit_page_mut(e) {
+                let off = (addr % PAGE_SIZE) as usize;
+                p[off..off + 8].copy_from_slice(&v.to_le_bytes());
+                return Ok(());
+            }
         }
-        let off = (addr % PAGE_SIZE) as usize;
-        if off <= PAGE_SIZE as usize - 8 {
-            self.page_mut(addr / PAGE_SIZE)[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            return Ok(());
-        }
-        self.write_unchecked(addr, &v.to_le_bytes());
-        Ok(())
+        self.write_miss(addr, &v.to_le_bytes())
     }
 }
 
@@ -657,11 +756,11 @@ mod tests {
     }
 
     #[test]
-    fn slot_cache_stays_coherent_when_prune_renumbers_slots() {
+    fn tlb_stays_coherent_when_prune_renumbers_slots() {
         let mut m = Memory::new();
         m.map_region(0, 0x40 * PAGE_SIZE);
-        // Pages 0x01 and 0x11 share a cache entry; page 0x00 takes slot 0
-        // and is pruned, so every later slot moves down by one.
+        // Page 0x00 takes slot 0 and is pruned, so every later slot moves
+        // down by one.
         m.write_u64(0, 0).unwrap();
         m.write_u64(PAGE_SIZE, 1).unwrap();
         m.write_u64(0x11 * PAGE_SIZE, 0x11).unwrap();
@@ -682,14 +781,14 @@ mod tests {
     }
 
     #[test]
-    fn slot_cache_stays_coherent_across_a_cow_break() {
+    fn tlb_stays_coherent_across_a_cow_break() {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x1000);
         m.write_u64(0x1000, 1).unwrap();
-        assert_eq!(m.read_u64(0x1000).unwrap(), 1); // cache holds the page
+        assert_eq!(m.read_u64(0x1000).unwrap(), 1); // the TLB holds the page
         m.share_pages();
         let snap = m.clone();
-        // The store copies the shared page into the same slot; the cached
+        // The store copies the shared page into the same slot; the TLB's
         // slot must now reach the private copy, not the shared one.
         m.write_u64(0x1000, 2).unwrap();
         assert_eq!(m.read_u64(0x1000).unwrap(), 2);
@@ -751,14 +850,77 @@ mod tests {
     }
 
     #[test]
-    fn region_cache_is_invalidated_by_unmap() {
+    fn tlb_is_flushed_by_unmap() {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x1000);
-        assert!(m.is_mapped(0x1800, 8)); // populates the cache
+        assert_eq!(m.read_u64(0x1800), Ok(0)); // fills the TLB
+        assert!(m.is_mapped(0x1800, 8));
         m.unmap_region(0x1000, 0x1000);
         assert!(!m.is_mapped(0x1800, 8));
+        assert!(m.read_u64(0x1800).is_err());
         m.map_region(0x1000, 0x800);
         assert!(m.is_mapped(0x1000, 0x800));
         assert!(!m.is_mapped(0x1800, 8));
+        assert!(m.write_u8(0x1800, 1).is_err());
+    }
+
+    #[test]
+    fn tlb_covers_only_the_mapped_prefix_of_a_page() {
+        // A brk-like region ending mid-page: the TLB entry must stop at the
+        // region's end, and growing the region must extend it.
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x100);
+        m.write_u64(0x10f8, 7).unwrap();
+        assert_eq!(m.read_u64(0x10f8), Ok(7));
+        assert_eq!(
+            m.read_u64(0x10f9),
+            Err(OutOfBounds {
+                addr: 0x10f9,
+                write: false
+            })
+        );
+        assert!(m.write_u8(0x1100, 1).is_err());
+        m.map_region(0x1100, 0x100);
+        m.write_u8(0x1100, 1).unwrap();
+        assert_eq!(m.read_u64(0x10f9), Ok(1 << 56));
+        m.unmap_region(0x1080, 0x180);
+        assert!(m.read_u8(0x1080).is_err());
+        assert_eq!(m.read_u64(0x10f8 - 0x80), Ok(0));
+    }
+
+    #[test]
+    fn unchecked_write_to_a_cached_absent_page_updates_the_tlb() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x1000);
+        assert_eq!(m.read_u64(0x1000), Ok(0)); // TLB: mapped, not resident
+        m.write_unchecked(0x1008, &9u64.to_le_bytes());
+        assert_eq!(m.read_u64(0x1008), Ok(9));
+        m.write_u64(0x1000, 1).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u64(0x1000), Ok(1));
+    }
+
+    #[test]
+    fn unchecked_write_outside_the_mapping_installs_no_tlb_entry() {
+        let mut m = Memory::new();
+        m.write_unchecked(0x5000, &[1]);
+        assert!(m.read_u8(0x5000).is_err());
+        assert!(m.write_u8(0x5000, 2).is_err());
+        m.map_region(0x5000, 1);
+        assert_eq!(m.read_u8(0x5000), Ok(1));
+        assert!(m.read_u8(0x5001).is_err());
+    }
+
+    #[test]
+    fn store_after_share_pages_breaks_the_share() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x1000);
+        m.write_u64(0x1000, 1).unwrap(); // TLB entry for an owned page
+        m.share_pages();
+        let snap = m.clone();
+        m.write_u8(0x1000, 2).unwrap();
+        assert_eq!(m.read_u64(0x1000), Ok(2));
+        assert_eq!(snap.read_u64(0x1000), Ok(1));
+        assert_eq!(snap.shared_pages(), 0);
     }
 }

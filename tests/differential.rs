@@ -7,14 +7,15 @@
 //! [`bastion::kernel::set_thread_legacy_interp`] switch, so whole-stack
 //! code paths (harness, attack scenarios) run unmodified on either engine.
 
-use bastion::apps::App;
+use bastion::apps::{App, ALL_APPS};
 use bastion::attacks::{catalog, evaluate, ScenarioResult};
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
-use bastion::ir::{BinOp, CmpOp, Inst, IntrinsicOp, Module, Operand, Ty};
+use bastion::ir::layout::INST_SIZE;
+use bastion::ir::{BinOp, CmpOp, CodeAddr, Inst, IntrinsicOp, Module, Operand, Ty};
 use bastion::kernel::LegacyInterpGuard;
-use bastion::vm::{interp, CostModel, Event, Image, Machine};
+use bastion::vm::{interp, CostModel, DecodedInst, Event, Image, ImageBuilder, Machine};
 use bastion::Protection;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -117,11 +118,22 @@ fn table6_full_matrix_identical() {
 
 // ---- random-IR step-for-step equivalence ----
 
+/// Units in `random_module`'s `helper`. Not a multiple of four, so
+/// alignment padding follows it.
+const HELPER_UNITS: u64 = 5;
+
+/// Offsets from `helper`'s entry that `random_module`'s indirect calls
+/// target: the entry, one unit in, a misaligned address, and the padding
+/// after `helper`.
+const INDIRECT_OFFSETS: [u64; 4] = [0, INST_SIZE, 1, HELPER_UNITS * INST_SIZE];
+
 /// Builds a random (but valid) module from fuzz bytes: forward-only
 /// control flow over `nblocks` chained blocks, instructions drawn from the
 /// whole menu (arithmetic incl. faulting div, loads/stores incl. wild
-/// ones, calls, syscalls, intrinsics), so every interpreter path is
-/// exercised.
+/// ones, direct and indirect calls, syscalls, intrinsics), and block ends
+/// that branch on a fresh comparison, so every interpreter path is
+/// exercised, the fused compare-and-branch and the code-address resolver
+/// included.
 fn random_module(nblocks: usize, ops: &[u8]) -> Module {
     let mut mb = ModuleBuilder::new("rand");
     let getpid = mb.declare_syscall_stub("getpid", 39, 0);
@@ -131,6 +143,8 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
         let a = f.frame_addr(f.param_slot(0));
         let v = f.load(a);
         let d = f.bin(BinOp::Mul, v, 3i64);
+        // Pads `helper` to HELPER_UNITS.
+        let d = f.bin(BinOp::Add, d, 0i64);
         f.ret(Some(d.into()));
         f.finish();
     }
@@ -152,7 +166,7 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
                     regs[arg as usize % regs.len()].into()
                 }
             };
-            match sel % 13 {
+            match sel % 14 {
                 0 => regs.push(f.mov(i64::from(arg))),
                 1 => {
                     let (a, b) = (pick(&regs), pick(&regs));
@@ -208,6 +222,16 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
                         value: i64::from(arg),
                     }));
                 }
+                12 => {
+                    // Entry + 1 unit faults (its load goes through a
+                    // zeroed register); misaligned and padding targets
+                    // are bad jumps.
+                    let entry = f.func_addr(helper);
+                    let off = INDIRECT_OFFSETS[arg as usize % INDIRECT_OFFSETS.len()];
+                    let t = f.bin(BinOp::Add, entry, off as i64);
+                    let v = pick(&regs);
+                    regs.push(f.call_indirect(t, &[v]));
+                }
                 _ => {
                     // Wild store: faults on unmapped memory on both paths.
                     let v = pick(&regs);
@@ -219,11 +243,16 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
             // Forward-only: terminates by construction.
             let next = chain[bi];
             let skip = chain[(bi + 1).min(chain.len() - 1)];
-            if regs.is_empty() {
-                f.jmp(next);
-            } else {
-                let c = regs[regs.len() - 1];
-                f.br(c, next, skip);
+            match (body.first().map_or(0, |&b| b % 3), regs.last().copied()) {
+                (_, None) => f.jmp(next),
+                (0, Some(c)) => f.br(c, next, skip),
+                (k, Some(c)) => {
+                    // Cmp then Br on its result: decodes to a `CmpBr`.
+                    let op = CMP_OPS[body.len() % CMP_OPS.len()];
+                    let c = f.cmp(op, c, i64::from(k) - 1);
+                    regs.push(c);
+                    f.br(c, next, skip);
+                }
             }
             f.switch_to(next);
         } else {
@@ -233,6 +262,63 @@ fn random_module(nblocks: usize, ops: &[u8]) -> Module {
     }
     f.finish();
     mb.finish()
+}
+
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+#[test]
+fn random_module_covers_fused_branches_and_every_indirect_target() {
+    let img = Image::load(random_module(3, &[1, 3, 12, 0, 12, 1, 12, 2, 12, 3])).unwrap();
+    let prog = &img.decoded;
+    let helper = img.module.func_by_name("helper").unwrap();
+    let entry = img.layout.func_entry(helper).raw();
+    let landed: Vec<Option<DecodedInst>> = INDIRECT_OFFSETS
+        .iter()
+        .map(|off| prog.resolve(entry + off).map(|u| prog.inst(u)))
+        .collect();
+    assert!(matches!(landed[0], Some(DecodedInst::FrameLoad { .. })));
+    assert!(matches!(landed[1], Some(DecodedInst::Load { .. })));
+    assert_eq!(landed[2], None);
+    assert_eq!(landed[3], None);
+    let pad = prog.unit_of_addr(entry + INDIRECT_OFFSETS[3]);
+    assert_eq!(prog.inst(pad), DecodedInst::Pad);
+    let units = prog.insts();
+    assert!(units
+        .iter()
+        .any(|u| matches!(u, DecodedInst::CallIndirect { .. })));
+    assert!(units.iter().any(|u| matches!(u, DecodedInst::CmpBr { .. })));
+}
+
+/// Code addresses from 64 bytes below the code segment to one unit past
+/// its end resolve to the same instruction through the predecoded
+/// program's resolver as through the layout, for each app's protected
+/// image with and without an ASLR slide.
+#[test]
+fn resolver_agrees_with_the_layout_on_every_code_address() {
+    for app in ALL_APPS {
+        let out = BastionCompiler::new()
+            .compile(app.module().expect("app parses"))
+            .expect("app compiles");
+        for builder in [ImageBuilder::new(), ImageBuilder::new().aslr_seed(7)] {
+            let img = builder.build(out.module.clone()).expect("app image loads");
+            let prog = &img.decoded;
+            let (base, end) = (img.layout.code_base().raw(), img.layout.code_end().raw());
+            for a in base - 64..=end + INST_SIZE {
+                assert_eq!(
+                    prog.resolve(a).map(|u| prog.loc_at(u)),
+                    img.layout.loc_of(CodeAddr(a)),
+                    "{app:?} at {a:#x}"
+                );
+            }
+        }
+    }
 }
 
 /// Every live frame's register file, innermost last.

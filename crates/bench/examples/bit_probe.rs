@@ -9,9 +9,7 @@ use bastion::Protection;
 
 fn main() {
     let traced = std::env::args().any(|a| a == "--traced");
-    if traced {
-        bastion::obs::enable(1 << 16);
-    }
+    let _telemetry = traced.then(|| bastion::obs::TelemetryGuard::enable(1 << 16));
     let b = run_app_benchmark(
         App::Webserve,
         &Protection::full(),

@@ -221,7 +221,7 @@ fn main() {
         ] {
             let mut prot = Protection::full();
             prot.monitor = Some(cfg);
-            obs::enable(1 << 17);
+            let guard = obs::TelemetryGuard::enable(1 << 17);
             let r = run_app_benchmark(
                 App::Webserve,
                 &prot,
@@ -229,8 +229,7 @@ fn main() {
                 &compiler,
                 CostModel::default(),
             );
-            let events = obs::take_events();
-            obs::disable();
+            let (events, _) = guard.finish();
             let totals = obs::phase_totals(&events);
             let trap_time = totals
                 .iter()

@@ -6,8 +6,8 @@
 //! ftpd on the quick workload), plus the monitor's virtual cycles/trap.
 //! Writes one record list (`bastion::gate::Record`) to
 //! `BENCH_interp.json` (or the path given as the first argument):
-//! virtual records are deterministic and gated by `perf_gate` and
-//! `obs_smoke`; wall seconds, steps/s and speedups are host records.
+//! virtual records are deterministic and gated by `perf_gate`; wall
+//! seconds, steps/s and speedups are host records.
 //! `--jobs=N` shards the per-app engine comparisons over the fleet
 //! runner; the virtual records are unchanged, only wall-clock noise
 //! differs.

@@ -7,12 +7,19 @@
 //!   `{app}.steady_cycles_per_trap`) vs `BENCH_interp.json` through
 //!   `gate::check` — exact, or the one-sided band the baseline record
 //!   carries (2% on the per-trap ratio);
-//! * telemetry transparency — a sketch-recording run must reproduce the
-//!   clean run's cycle counts bit-for-bit (observability charges zero
-//!   virtual cycles), under both the Table 1 scope and the §11.2
-//!   filesystem-extended scope;
+//! * telemetry transparency — a traced run must reproduce the clean run's
+//!   cycles, traps and monitor time (`trace_cycles`) bit-for-bit
+//!   (observability charges zero virtual cycles), under both the Table 1
+//!   scope and the §11.2 filesystem-extended scope;
 //! * sketch accuracy — the `trap.verify_cycles` p99 must land within 2%
 //!   of the exact p99 recomputed from the per-trap span durations;
+//! * span-ring integrity, per app and scope — the ring did not wrap (so
+//!   no span check reads a truncated ring), the exported Chrome trace
+//!   validates with one trap span per monitor trap, the trap spans sum to
+//!   the monitor time after initialization (`trace_cycles -
+//!   init_cycles`), the CT and walk cache-hit instants equal the
+//!   `MonitorStats` counters, and the traced registry's Prometheus
+//!   exposition validates with at least one summary family;
 //! * fleet determinism — the Table 6 catalog renders byte-identically on
 //!   1 and 2 workers.
 //!
@@ -28,7 +35,7 @@ use bastion::compiler::BastionCompiler;
 use bastion::gate::{self, GateReport, Record};
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::obs::sketch::exact_quantile;
-use bastion::obs::{self, EventKind, Phase, TraceEvent};
+use bastion::obs::{self, EventKind, MetricsSnapshot, Phase, TraceEvent};
 use bastion::vm::CostModel;
 use bastion::{attacks, fleet, Protection};
 use std::time::Instant;
@@ -72,8 +79,8 @@ fn run_records(tag: &str, b: &AppBenchmark) -> Vec<Record> {
 }
 
 /// Runs one app/scope twice — telemetry off, then on — pushes the
-/// telemetry-transparency and sketch-accuracy checks for `tag`, and
-/// returns the clean run plus the scope's verify-latency records. The
+/// telemetry-transparency, sketch-accuracy and span-ring checks for `tag`,
+/// and returns the clean run plus the scope's verify-latency records. The
 /// traced run's registry must see exactly one sketch observation per
 /// trap.
 fn measure_scope(
@@ -93,6 +100,7 @@ fn measure_scope(
     let t1 = Instant::now();
     let traced = run_app_benchmark(app, protection, &size, compiler, cost);
     let traced_wall = t1.elapsed().as_secs_f64();
+    let recorded = obs::event_count();
     let (events, registry) = guard.finish();
     let snap = registry.snapshot();
 
@@ -119,6 +127,11 @@ fn measure_scope(
         traced.traps,
     ));
     report.push(gate::check_exact(
+        format!("{tag}.telemetry_trace_identity"),
+        clean.trace_cycles,
+        traced.trace_cycles,
+    ));
+    report.push(gate::check_exact(
         format!("{tag}.sketch_count"),
         traced.traps,
         sketch.count,
@@ -129,6 +142,7 @@ fn measure_scope(
         sketch.p99 as f64,
         2.0,
     ));
+    push_span_checks(tag, &traced, recorded, &events, &snap, report);
     eprintln!(
         "{tag}: cycles={} traps={} verify p50/p95/p99={}/{}/{} (exact p99 {exact_p99}, err {rel_err:.3}%)",
         traced.cycles, traced.traps, sketch.p50, sketch.p95, sketch.p99
@@ -155,6 +169,75 @@ fn measure_scope(
         ),
     ];
     (clean, records)
+}
+
+/// The span-ring checks of one traced run against its own
+/// `MonitorStats`. `recorded` is the scope's event count before the ring
+/// was drained into `events`.
+fn push_span_checks(
+    tag: &str,
+    traced: &AppBenchmark,
+    recorded: u64,
+    events: &[TraceEvent],
+    snap: &MetricsSnapshot,
+    report: &mut GateReport,
+) {
+    let stats = traced.monitor.as_ref().unwrap_or_else(|| {
+        eprintln!("FAIL: {tag}: traced run has no monitor stats");
+        std::process::exit(1);
+    });
+    // Every span check below reads the ring; a wrapped ring would drop
+    // the oldest traps and could pass them on partial data.
+    report.push(gate::check_exact(
+        format!("{tag}.ring_unwrapped"),
+        recorded,
+        events.len() as u64,
+    ));
+
+    let shape = obs::validate_chrome_trace(&obs::chrome_trace_json(events))
+        .map_err(|e| eprintln!("{tag}: exported Chrome trace invalid: {e}"))
+        .ok();
+    report.push(gate::check_flag(
+        format!("{tag}.chrome_trace_valid"),
+        true,
+        shape.is_some(),
+    ));
+    report.push(gate::check_exact(
+        format!("{tag}.trace_trap_spans"),
+        stats.traps,
+        shape.map_or(0, |s| s.trap_spans),
+    ));
+
+    // The trap spans partition monitor time exactly: trace_cycles minus
+    // the one-time monitor initialization.
+    let totals = obs::phase_totals(events);
+    let total = |p: Phase| totals.iter().find(|t| t.phase == p);
+    let instants = |p: Phase| total(p).map_or(0, |t| t.instants);
+    report.push(gate::check_exact(
+        format!("{tag}.trap_span_cycles"),
+        traced.trace_cycles - stats.init_cycles,
+        total(Phase::Trap).map_or(0, |t| t.cycles),
+    ));
+    report.push(gate::check_exact(
+        format!("{tag}.ct_cache_hit_instants"),
+        stats.ct_cache_hits,
+        instants(Phase::CtCacheHit),
+    ));
+    report.push(gate::check_exact(
+        format!("{tag}.walk_cache_hit_instants"),
+        stats.walk_cache_hits,
+        instants(Phase::WalkCacheHit),
+    ));
+
+    let prom = obs::prometheus_text(snap, &[("scope", tag)]);
+    let summaries = obs::validate_prometheus(&prom)
+        .map_err(|e| eprintln!("{tag}: Prometheus exposition invalid: {e}"))
+        .map_or(0, |s| s.summaries);
+    report.push(gate::check_flag(
+        format!("{tag}.prometheus_summary_valid"),
+        true,
+        summaries > 0,
+    ));
 }
 
 fn main() {

@@ -27,7 +27,7 @@ use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::ir::sysno;
-use bastion::monitor::{ContextConfig, NoPrefilterGuard};
+use bastion::monitor::ContextConfig;
 use bastion::vm::CostModel;
 use bastion::Protection;
 use std::fmt::Write as _;
@@ -76,11 +76,10 @@ fn parity_pair(app: App, compiler: &BastionCompiler, scope: &str, hit_floor: f64
     } else {
         Protection::full()
     };
+    let mut tier2_only = prot;
+    tier2_only.monitor = prot.monitor.map(|cfg| cfg.with_prefilter(false));
     let pf = run(app, &prot, compiler);
-    let t2 = {
-        let _guard = NoPrefilterGuard::new(true);
-        run(app, &prot, compiler)
-    };
+    let t2 = run(app, &tier2_only, compiler);
     let (pf_stats, t2_stats) = (
         pf.monitor.as_ref().expect("monitor"),
         t2.monitor.as_ref().expect("monitor"),

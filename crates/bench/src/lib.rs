@@ -10,7 +10,7 @@
 //! | `fig3_table3` | Figure 3 (% overhead) + Table 3 (raw metrics) |
 //! | `table4` | Table 4 — sensitive syscall usage + §9.2 depth stats |
 //! | `table5` | Table 5 — instrumentation statistics |
-//! | `table6` | Table 6 — the 32-attack security evaluation |
+//! | `bastion fleet --only=table6` (CLI) | Table 6 — the 32-attack security evaluation |
 //! | `table7` | Table 7 — filesystem-extended protection overhead |
 //! | `ablations` | §11.2 in-kernel monitor model, ASLR, init cost |
 //!

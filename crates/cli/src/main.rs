@@ -101,12 +101,16 @@ USAGE:
     bastion chaos [--jobs=N] [--cold]
         Run the chaos matrix alone. Cells fork warm from a copy-on-write
         world checkpoint by default; --cold forces a full re-deploy per
-        cell. The rendered report is byte-identical either way.
+        cell. The rendered report is byte-identical either way. Exits
+        nonzero if no fault fired, an attack flipped to Allow, or a deny
+        record lacks the flight-recorder dump of its trap.
 
     bastion fleet [--jobs=N] [--only=chaos|table6|bench] [--cold]
         Run the evaluation surfaces — chaos matrix, Table 6, app
         benchmarks — sharded over N worker threads (default: one per
-        core). The report is byte-identical for any N.
+        core). The report is byte-identical for any N. Exits nonzero on a
+        chaos failure (as `bastion chaos`) or a Table 6 mismatch;
+        `--only=table6 --jobs=1` is the Table 6 front end.
 
     bastion inspect <file.mc>...
         Print call-type classes and control-flow edges for sensitive
@@ -203,10 +207,10 @@ fn parse_protect(flags: &[&str]) -> Result<Option<ContextConfig>, String> {
 /// Compiles `files` and runs them in a fresh world under the flags'
 /// protection. Returns the finished world and the victim pid.
 fn execute(files: &[&str], flags: &[&str]) -> Result<(World, bastion::kernel::Pid), String> {
-    // `--no-prefilter` pins tier-2-only verification for this run; the
-    // flag is read at `protect()` time, when the filter is built.
-    let _tier2_only = bastion::monitor::NoPrefilterGuard::new(flags.contains(&"--no-prefilter"));
-    let monitor_cfg = parse_protect(flags)?;
+    let mut monitor_cfg = parse_protect(flags)?;
+    if flags.contains(&"--no-prefilter") {
+        monitor_cfg = monitor_cfg.map(|cfg| cfg.with_prefilter(false));
+    }
     let out = compile(files)?;
     let image = Arc::new(Image::load(out.module).map_err(|e| format!("load: {e}"))?);
     let mut world = World::new(CostModel::default());
@@ -383,10 +387,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         None => 1 << 16,
     };
     let out_path = flag_value(&flags, "out").unwrap_or("trace.json");
-    bastion::obs::enable(capacity);
+    let guard = bastion::obs::TelemetryGuard::enable(capacity);
     let result = execute(&files, &flags);
-    let events = bastion::obs::take_events();
-    bastion::obs::disable();
+    let (events, _) = guard.finish();
     result?;
     let json = bastion::obs::chrome_trace_json(&events);
     let shape = bastion::obs::validate_chrome_trace(&json)
@@ -412,10 +415,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (files, flags) = split_flags(args);
-    bastion::obs::enable(1 << 16);
+    let guard = bastion::obs::TelemetryGuard::enable(1 << 16);
     let result = execute(&files, &flags);
-    let metrics = bastion::obs::metrics_snapshot();
-    bastion::obs::disable();
+    let metrics = guard.finish().1.snapshot();
     let (mut world, _pid) = result?;
     match bastion::chaos::monitor_report(&mut world) {
         Some((stats, _)) => print_monitor_stats(&stats),
@@ -704,15 +706,7 @@ fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
     use bastion::fleet;
     let outcome = fleet::chaos_matrix_mode(jobs, fleet::ATTACK_SEEDS, None, cold);
     print!("{}", outcome.report);
-    if outcome.faults_fired == 0 {
-        failures.push("chaos matrix never injected a fault".into());
-    }
-    if outcome.flipped > 0 {
-        failures.push(format!(
-            "{} attack(s) flipped to Allow under faults",
-            outcome.flipped
-        ));
-    }
+    failures.extend(outcome.failures());
 }
 
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
@@ -757,9 +751,17 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         println!("== table 6 ==");
         let results = fleet::table6_matrix(jobs);
         print!("{}", bastion::attacks::render(&results));
-        let mismatched = results.iter().filter(|r| !r.matches_paper()).count();
-        if mismatched > 0 {
-            failures.push(format!("{mismatched} scenario(s) diverged from Table 6"));
+        let mismatched: Vec<String> = results
+            .iter()
+            .filter(|r| !r.matches_paper())
+            .map(|r| format!("#{}", r.id))
+            .collect();
+        if !mismatched.is_empty() {
+            failures.push(format!(
+                "{} scenario(s) diverged from Table 6 ({}; `bastion attack ID` shows why)",
+                mismatched.len(),
+                mismatched.join(", ")
+            ));
         }
         println!();
     }

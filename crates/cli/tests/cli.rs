@@ -120,3 +120,27 @@ fn compile_error_reporting() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("nope"));
 }
+
+/// `--no-prefilter` turns the tier-1 check program off for the run: no
+/// trap is classified at tier 1, while the default run classifies them.
+#[test]
+fn no_prefilter_flag_disables_tier_one() {
+    let src = write_demo();
+    let prefilter_checks = |extra: &[&str]| -> u64 {
+        let out = bastion()
+            .args(["run", src.to_str().unwrap(), "--stats"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with("prefilter:"))
+            .and_then(|l| l.split_whitespace().find_map(|w| w.strip_prefix("checks=")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no prefilter checks count in {stdout}"))
+    };
+    assert_eq!(prefilter_checks(&["--no-prefilter"]), 0);
+    assert!(prefilter_checks(&[]) > 0);
+}

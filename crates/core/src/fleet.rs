@@ -201,6 +201,33 @@ pub struct ChaosMatrixOutcome {
     pub flight_missing: u64,
 }
 
+impl ChaosMatrixOutcome {
+    /// The chaos pass rule, stated once for every front end: at least one
+    /// fault fired, no attack (catalog or generated) flipped to Allow, and
+    /// every deny record carries a flight-recorder dump of the denied
+    /// trap. Returns one message per broken condition; empty means pass.
+    #[must_use]
+    pub fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.faults_fired == 0 {
+            out.push("chaos matrix never injected a fault".to_string());
+        }
+        if self.flipped > 0 {
+            out.push(format!(
+                "{} attack(s) flipped to Allow under faults",
+                self.flipped
+            ));
+        }
+        if self.flight_missing > 0 {
+            out.push(format!(
+                "{} deny record(s) missing a flight-recorder dump of the denied trap",
+                self.flight_missing
+            ));
+        }
+        out
+    }
+}
+
 /// Runs the full chaos matrix with warm copy-on-write cell forking (see
 /// [`chaos_matrix_mode`]).
 pub fn chaos_matrix(jobs: usize, seeds: &[u64], filter: Option<&[u32]>) -> ChaosMatrixOutcome {
@@ -465,6 +492,49 @@ mod tests {
         let pooled = run_ordered(8, items, |i, &x| (i as u64, x * x));
         assert_eq!(serial, pooled);
         assert_eq!(pooled[37], (37, 37 * 37));
+    }
+
+    #[test]
+    fn chaos_failures_name_each_broken_condition() {
+        let pass = ChaosMatrixOutcome {
+            report: String::new(),
+            flipped: 0,
+            faults_fired: 12,
+            deny_total: 4,
+            join_total: 2,
+            generated_flipped: 0,
+            flight_missing: 0,
+        };
+        assert!(pass.failures().is_empty());
+
+        let no_faults = ChaosMatrixOutcome {
+            faults_fired: 0,
+            ..pass.clone()
+        };
+        assert_eq!(
+            no_faults.failures(),
+            vec!["chaos matrix never injected a fault"]
+        );
+
+        // A generated flip is counted into `flipped` as well.
+        let flipped = ChaosMatrixOutcome {
+            flipped: 1,
+            generated_flipped: 1,
+            ..pass.clone()
+        };
+        assert_eq!(
+            flipped.failures(),
+            vec!["1 attack(s) flipped to Allow under faults"]
+        );
+
+        let no_dump = ChaosMatrixOutcome {
+            flight_missing: 3,
+            ..pass
+        };
+        assert_eq!(
+            no_dump.failures(),
+            vec!["3 deny record(s) missing a flight-recorder dump of the denied trap"]
+        );
     }
 
     #[test]

@@ -33,48 +33,7 @@ use bastion_compiler::ContextMetadata;
 use bastion_kernel::{EscalateReason, Pid, PrefilterVerdict, TraceVerdict, Tracee, Tracer};
 use bastion_obs::{self as obs, DenyContext, DenyRecord, FaultCtx, FlightEntry, Phase};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::collections::HashMap;
-
-thread_local! {
-    /// When set, [`protect`] builds plain-`Trace` filters: every sensitive
-    /// trap stops for the full monitor and tier 1 never runs. This is the
-    /// differential oracle's "off" switch (the `--no-prefilter` CLI flag),
-    /// mirroring the kernel's thread-local legacy-interpreter toggle.
-    static NO_PREFILTER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Forces (or stops forcing) tier-2-only verification for worlds protected
-/// on this thread.
-pub fn set_thread_no_prefilter(on: bool) {
-    NO_PREFILTER.with(|c| c.set(on));
-}
-
-/// Whether tier-2-only verification is forced on this thread.
-pub fn thread_no_prefilter() -> bool {
-    NO_PREFILTER.with(|c| c.get())
-}
-
-/// RAII guard for [`set_thread_no_prefilter`]; restores the previous value
-/// on drop so nested scopes compose.
-pub struct NoPrefilterGuard {
-    prev: bool,
-}
-
-impl NoPrefilterGuard {
-    /// Sets the thread-local no-prefilter flag for the guard's lifetime.
-    pub fn new(on: bool) -> Self {
-        let prev = thread_no_prefilter();
-        set_thread_no_prefilter(on);
-        NoPrefilterGuard { prev }
-    }
-}
-
-impl Drop for NoPrefilterGuard {
-    fn drop(&mut self) {
-        set_thread_no_prefilter(self.prev);
-    }
-}
 
 /// Resilience policy: how the monitor reacts when its *substrate* (ptrace
 /// register fetches, `process_vm_readv` remote reads, the shared shadow
@@ -185,8 +144,8 @@ pub struct ContextConfig {
     /// authoritative monitor. Default-on only for the full configuration;
     /// [`protect`] additionally disables it under a watchdog deadline
     /// (tier-1 traps charge almost nothing, which would hollow out the
-    /// deadline semantics) and under the thread-local
-    /// [`set_thread_no_prefilter`] override.
+    /// deadline semantics). `with_prefilter(false)` is the tier-2-only
+    /// differential oracle (the CLI's `--no-prefilter`).
     pub prefilter: bool,
     /// Differential oracle: after every tier-1 Allow, run the full
     /// tier-2 verification on the same stopped state and panic on any
@@ -546,15 +505,11 @@ pub fn protect(
     let trace = cfg.verifies() || cfg.fetch_state;
     let info = LaunchInfo::from_image(image, metadata);
     let mut monitor = Monitor::new(metadata, cfg, info);
-    // Tier-1 prefilter: only for verifying configurations, never under a
-    // watchdog deadline (tier-1 traps charge almost nothing, which would
-    // change what the deadline measures), and subject to the thread-local
-    // differential-oracle override.
-    let prefiltered = trace
-        && cfg.verifies()
-        && cfg.prefilter
-        && cfg.resilience.deadline_cycles.is_none()
-        && !thread_no_prefilter();
+    // Tier-1 prefilter: only for verifying configurations, and never under
+    // a watchdog deadline (tier-1 traps charge almost nothing, which would
+    // change what the deadline measures).
+    let prefiltered =
+        trace && cfg.verifies() && cfg.prefilter && cfg.resilience.deadline_cycles.is_none();
     if prefiltered {
         monitor.enable_prefilter();
     }

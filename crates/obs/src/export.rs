@@ -1,5 +1,5 @@
 //! Exporters: Chrome `trace_event` JSON for the span ring, plus phase
-//! aggregation shared by the CLI, bench bins, and the smoke test.
+//! aggregation shared by the CLI and the bench bins.
 //!
 //! The exporter re-balances the event stream before emitting it: a ring
 //! that wrapped mid-span leaves orphaned `End` events at the front (their

@@ -9,8 +9,8 @@
 //! tier, verdict, escalation-reason code, charged virtual cycles, and
 //! the prefilter's flow-automaton word. Recording is host-side memory
 //! writes only; **zero virtual cycles** are ever charged, so clean-path
-//! cycle counts stay byte-identical with the recorder running (the
-//! `obs_smoke` CI gate re-proves this against `BENCH_interp.json`).
+//! cycle counts stay byte-identical with the recorder running (`perf_gate`
+//! re-proves this against `BENCH_interp.json`).
 //!
 //! The ring is dumped and joined to its [`crate::DenyRecord`] on every
 //! deny, and captured as a labelled [`FlightDump`] on ladder-rung

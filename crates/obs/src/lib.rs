@@ -61,32 +61,18 @@ thread_local! {
     static DENY_SINK: RefCell<Option<DenySink>> = const { RefCell::new(None) };
 }
 
-/// Enables telemetry on this thread with a span ring buffer of `capacity`
-/// events (preallocated up front; recording never allocates afterwards).
-/// Also resets the metrics registry.
-pub fn enable(capacity: usize) {
-    TRACER.with(|t| *t.borrow_mut() = Some(SpanTracer::new(capacity)));
-    METRICS.with(|m| *m.borrow_mut() = Some(MetricsRegistry::new()));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Disables telemetry on this thread and drops the tracer and registry.
-pub fn disable() {
-    ENABLED.with(|e| e.set(false));
-    TRACER.with(|t| *t.borrow_mut() = None);
-    METRICS.with(|m| *m.borrow_mut() = None);
-}
-
 /// Whether telemetry is enabled on this thread.
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.with(Cell::get)
 }
 
-/// RAII scope for the thread-local telemetry state: swaps in a fresh span
-/// ring + metrics registry and restores whatever was installed before on
-/// drop (including on panic), so telemetry cannot leak into later tests or
-/// into fleet workers that reuse the same OS thread.
+/// RAII scope for the thread-local telemetry state, and the only way to
+/// turn telemetry on: swaps in a fresh span ring (preallocated up front;
+/// recording never allocates afterwards) + metrics registry and restores
+/// whatever was installed before on drop (including on panic), so
+/// telemetry cannot leak into later tests or into fleet workers that
+/// reuse the same OS thread.
 ///
 /// Call [`TelemetryGuard::finish`] to harvest the scope's events and
 /// registry (the fleet runner merges them across workers); merely dropping
@@ -134,15 +120,15 @@ impl Drop for TelemetryGuard {
     }
 }
 
-/// Total events recorded since [`enable`] (including any overwritten by
-/// ring wraparound). 0 when telemetry was never enabled.
+/// Total events recorded in the current [`TelemetryGuard`] scope
+/// (including any overwritten by ring wraparound). 0 when telemetry is
+/// off.
 pub fn event_count() -> u64 {
     TRACER.with(|t| t.borrow().as_ref().map_or(0, |s| s.total_recorded()))
 }
 
 /// Drains the ring buffer, returning its events in chronological order.
-/// Tracing stays enabled; subsequent events land in the emptied ring.
-pub fn take_events() -> Vec<TraceEvent> {
+fn take_events() -> Vec<TraceEvent> {
     TRACER.with(|t| {
         t.borrow_mut()
             .as_mut()
@@ -259,7 +245,7 @@ mod tests {
 
     #[test]
     fn disabled_path_records_nothing() {
-        disable();
+        assert!(!is_enabled());
         span_begin(Phase::Trap, 1, 100);
         span_end(Phase::Trap, 1, 200, 0);
         instant(Phase::Retry, 1, 150, 1);
@@ -273,7 +259,7 @@ mod tests {
 
     #[test]
     fn enabled_roundtrip() {
-        enable(16);
+        let guard = TelemetryGuard::enable(16);
         span_begin(Phase::Trap, 1, 100);
         span_begin(Phase::CtCheck, 1, 110);
         span_end(Phase::CtCheck, 1, 150, 0);
@@ -281,21 +267,21 @@ mod tests {
         counter_add("monitor.traps", 1);
         sketch_observe("monitor.walk_depth", 3);
         assert_eq!(event_count(), 4);
-        let evs = take_events();
+        let (evs, registry) = guard.finish();
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].phase, Phase::Trap);
         assert_eq!(evs[0].kind, EventKind::Begin);
-        let snap = metrics_snapshot();
+        let snap = registry.snapshot();
         assert_eq!(snap.counters[0].value, 1);
         assert_eq!(snap.sketch("monitor.walk_depth").unwrap().count, 1);
-        disable();
+        assert!(!is_enabled());
         assert_eq!(event_count(), 0);
     }
 
     #[test]
     fn telemetry_guard_restores_outer_state() {
         // Outer telemetry with one recorded event.
-        enable(8);
+        let outer = TelemetryGuard::enable(8);
         span_begin(Phase::Trap, 1, 10);
         {
             let g = TelemetryGuard::enable(8);
@@ -310,9 +296,10 @@ mod tests {
         // Outer ring and registry are back, untouched by the scope.
         assert!(is_enabled());
         assert_eq!(event_count(), 1);
-        assert_eq!(take_events()[0].phase, Phase::Trap);
         assert_eq!(metrics_snapshot().counter("worker.only"), None);
-        disable();
+        let (events, _) = outer.finish();
+        assert_eq!(events[0].phase, Phase::Trap);
+        assert!(!is_enabled());
         // A dropped (unfinished) guard also restores: disabled stays
         // disabled afterwards.
         {

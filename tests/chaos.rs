@@ -185,8 +185,8 @@ fn benign_mix_chaos_never_panics_any_app() {
 
 /// One representative scenario per Table 6 section plus an AI-only data
 /// attack — the rows where a masked verification step would be most
-/// dangerous. The full 32-row matrix runs in `--ignored` mode and in the
-/// `chaos` bench binary.
+/// dangerous. The full 32-row matrix runs in `--ignored` mode and in
+/// `bastion chaos`.
 const REPRESENTATIVE: &[u32] = &[1, 14, 19, 30];
 
 fn assert_catalog_contained(ids: &[u32], seeds: &[u64]) {

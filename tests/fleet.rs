@@ -25,8 +25,7 @@ fn fleet_chaos_report_is_byte_identical_across_worker_counts() {
         serial.report, pooled.report,
         "N=1 and N=4 aggregate reports diverged"
     );
-    assert_eq!(serial.flipped, 0);
-    assert!(serial.faults_fired > 0, "subset matrix fired no faults");
+    assert_eq!(serial.failures(), Vec::<String>::new());
     assert_eq!(
         (serial.faults_fired, serial.deny_total, serial.join_total),
         (pooled.faults_fired, pooled.deny_total, pooled.join_total)

@@ -4,11 +4,11 @@
 //! trap counts, syscall counts — and every injected-fault cell must
 //! escalate to tier 2 (the fail-closed ladder never runs at tier 1).
 //!
-//! The tier-2-only oracle is the thread-local
-//! [`bastion::monitor::NoPrefilterGuard`] switch (the CLI's
-//! `--no-prefilter`), so whole-stack code paths run unmodified in both
-//! modes. Cycle totals legitimately differ — a tier-1 hit skips the
-//! ptrace stop — so parity is asserted on verdicts, never on time.
+//! The tier-2-only oracle is `ContextConfig::with_prefilter(false)` (the
+//! CLI's `--no-prefilter`), passed to the same whole-stack code paths as
+//! the prefiltered configuration. Cycle totals legitimately differ — a
+//! tier-1 hit skips the ptrace stop — so parity is asserted on verdicts,
+//! never on time.
 
 use bastion::attacks::{catalog, AttackEnv, Scenario};
 use bastion::chaos;
@@ -17,19 +17,12 @@ use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{sysno, Module, Operand, Ty};
 use bastion::kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
-use bastion::monitor::{protect, ContextConfig, NoPrefilterGuard};
+use bastion::monitor::{protect, ContextConfig};
 use bastion::obs::DenyRecord;
 use bastion::vm::{CostModel, Image, Machine};
 use bastion::Protection;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Runs `f` with tier-2-only verification forced on this thread; the RAII
-/// guard restores the previous mode even if `f` panics.
-fn on_tier2<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = NoPrefilterGuard::new(true);
-    f()
-}
 
 /// Everything verdict-relevant one world run produces.
 #[derive(Debug, PartialEq)]
@@ -87,10 +80,15 @@ fn observe(mut world: World) -> Observables {
 
 // ---- Table 6: the 32-attack catalog, byte-identical in both modes ----
 
-/// Runs one scenario under full BASTION and captures the observables plus
-/// the attack's own success predicate.
-fn attack_observables(s: &Scenario) -> (bool, Observables) {
-    let mut env = AttackEnv::deploy(s.victim, Some(ContextConfig::full()), s.extended_set, false);
+/// The tier-2-only oracle: full BASTION with the tier-1 prefilter off.
+fn tier2_only() -> ContextConfig {
+    ContextConfig::full().with_prefilter(false)
+}
+
+/// Runs one scenario under `cfg` and captures the observables plus the
+/// attack's own success predicate.
+fn attack_observables(s: &Scenario, cfg: ContextConfig) -> (bool, Observables) {
+    let mut env = AttackEnv::deploy(s.victim, Some(cfg), s.extended_set, false);
     (s.attack)(&mut env);
     env.settle();
     let succeeded = (s.success)(&env);
@@ -105,8 +103,8 @@ fn attack_observables(s: &Scenario) -> (bool, Observables) {
 #[test]
 fn table6_catalog_is_byte_identical_with_and_without_prefilter() {
     for s in &catalog() {
-        let (pf_success, pf) = attack_observables(s);
-        let (t2_success, t2) = on_tier2(|| attack_observables(s));
+        let (pf_success, pf) = attack_observables(s, ContextConfig::full());
+        let (t2_success, t2) = attack_observables(s, tier2_only());
         assert_eq!(
             pf_success, t2_success,
             "#{} {}: attack success flipped",
@@ -302,8 +300,10 @@ fn app_benchmarks_agree_and_prefilter_pays() {
         bastion::apps::App::Dbkv,
         bastion::apps::App::Ftpd,
     ] {
+        let mut tier2 = Protection::full();
+        tier2.monitor = Some(tier2_only());
         let pf = run_app_benchmark(app, &Protection::full(), &quick, &compiler, cost);
-        let t2 = on_tier2(|| run_app_benchmark(app, &Protection::full(), &quick, &compiler, cost));
+        let t2 = run_app_benchmark(app, &tier2, &quick, &compiler, cost);
         assert_eq!(pf.traps, t2.traps, "{app:?}: trap counts diverged");
         assert_eq!(pf.steps, t2.steps, "{app:?}: retired steps diverged");
         assert_eq!(
@@ -315,7 +315,7 @@ fn app_benchmarks_agree_and_prefilter_pays() {
         assert_eq!(st2.violations(), 0, "{app:?}: clean run denied (tier 2)");
         assert_eq!(
             st2.prefilter_checks, 0,
-            "{app:?}: guard did not disable tier 1"
+            "{app:?}: with_prefilter(false) did not disable tier 1"
         );
         assert!(spf.prefilter_hits > 0, "{app:?}: prefilter never hit");
         let (c_pf, c_t2) = (pf.steady_cycles_per_trap(), t2.steady_cycles_per_trap());
@@ -396,20 +396,14 @@ fn random_program(flag: i64, depth_via_worker: bool, do_exec: bool, reps: usize)
     mb.finish()
 }
 
-fn run_random(module: Module) -> Observables {
+fn run_random(module: Module, cfg: ContextConfig) -> Observables {
     let out = BastionCompiler::new().compile(module).unwrap();
     let image = Arc::new(Image::load(out.module).unwrap());
     let machine = Machine::new(image.clone(), CostModel::default());
     let mut world = World::new(CostModel::default());
     world.kernel.vfs.put_file("/bin/true", vec![0x7f], 0o755);
     let pid = world.spawn(machine);
-    protect(
-        &mut world,
-        pid,
-        &image,
-        &out.metadata,
-        ContextConfig::full(),
-    );
+    protect(&mut world, pid, &image, &out.metadata, cfg);
     assert_eq!(world.run(200_000_000), RunStatus::AllExited);
     observe(world)
 }
@@ -425,8 +419,9 @@ proptest! {
         do_exec in any::<bool>(),
         reps in 1usize..4,
     ) {
-        let pf = run_random(random_program(flag, depth_via_worker, do_exec, reps));
-        let t2 = on_tier2(|| run_random(random_program(flag, depth_via_worker, do_exec, reps)));
+        let module = random_program(flag, depth_via_worker, do_exec, reps);
+        let pf = run_random(module.clone(), ContextConfig::full());
+        let t2 = run_random(module, tier2_only());
         prop_assert_eq!(pf, t2);
     }
 }

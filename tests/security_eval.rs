@@ -1,6 +1,6 @@
 //! Table 6 integration: representative attacks from each section run in
 //! debug CI; the full 32-attack matrix runs under `--ignored` (it is part
-//! of `cargo run -p bastion-bench --bin table6`).
+//! of `bastion fleet --only=table6 --jobs=1`).
 
 use bastion::attacks::{catalog, evaluate};
 

@@ -34,7 +34,7 @@ use std::rc::Rc;
 fn ring_wraparound_preserves_span_nesting() {
     // Capacity for 16 events; each synthetic trap emits 6 — the ring wraps
     // several times, cutting spans mid-flight at both ends.
-    obs::enable(16);
+    let guard = obs::TelemetryGuard::enable(16);
     for trap in 1..=8u64 {
         let t0 = trap * 1000;
         obs::span_begin(Phase::Trap, trap, t0);
@@ -45,8 +45,7 @@ fn ring_wraparound_preserves_span_nesting() {
         obs::span_end(Phase::CfWalk, trap, t0 + 90, 3);
         obs::span_end(Phase::Trap, trap, t0 + 100, 0);
     }
-    let events = obs::take_events();
-    obs::disable();
+    let (events, _) = guard.finish();
     assert_eq!(events.len(), 16, "ring keeps exactly its capacity");
     let json = obs::chrome_trace_json(&events);
     let shape =
@@ -59,7 +58,7 @@ fn ring_wraparound_preserves_span_nesting() {
 fn deep_nesting_survives_wraparound() {
     // Wrap mid-way through a *nested* span stack: the export must close
     // the dangling begins innermost-first and drop the orphaned ends.
-    obs::enable(8);
+    let guard = obs::TelemetryGuard::enable(8);
     for i in 0..5u64 {
         let t = i * 100;
         obs::span_begin(Phase::Trap, i, t);
@@ -69,8 +68,7 @@ fn deep_nesting_survives_wraparound() {
         obs::span_end(Phase::CfWalk, i, t + 40, 0);
         obs::span_end(Phase::Trap, i, t + 50, 0);
     }
-    let events = obs::take_events();
-    obs::disable();
+    let (events, _) = guard.finish();
     let json = obs::chrome_trace_json(&events);
     let shape = obs::validate_chrome_trace(&json).expect("nested wrap validates");
     assert_eq!(shape.begins, shape.ends);

@@ -80,12 +80,15 @@ pub struct Parked {
 /// A warm checkpoint of a deployed [`AttackEnv`]: the world snapshot plus
 /// the attacker-side bookkeeping (image, metadata, scratch cursor, notes).
 /// Produced by [`AttackEnv::checkpoint`], consumed any number of times by
-/// [`AttackEnv::restore`].
+/// [`AttackEnv::restore`]. The image and metadata are shared by `Arc` with
+/// every environment restored from it. `Send` but not `Sync` (the
+/// snapshotted monitor keeps its caches in `RefCell`s): workers that
+/// share one checkpoint hold a lock around [`AttackEnv::restore`].
 #[derive(Debug)]
 pub struct DeployCheckpoint {
     snap: bastion_kernel::WorldSnapshot,
     image: Arc<Image>,
-    metadata: ContextMetadata,
+    metadata: Arc<ContextMetadata>,
     victim: Victim,
     root_pid: Pid,
     scratch_cursor: u64,
@@ -99,7 +102,7 @@ pub struct AttackEnv {
     /// The (instrumented, when protected) image.
     pub image: Arc<Image>,
     /// Compiler metadata (also available to the attacker: white-box).
-    pub metadata: ContextMetadata,
+    pub metadata: Arc<ContextMetadata>,
     /// Which application is under attack.
     pub victim: Victim,
     /// Pid of the victim's initial process.
@@ -150,7 +153,7 @@ impl AttackEnv {
         AttackEnv {
             world,
             image,
-            metadata: out.metadata,
+            metadata: Arc::new(out.metadata),
             victim,
             root_pid,
             scratch_cursor: 0,

@@ -101,9 +101,10 @@ USAGE:
     bastion chaos [--jobs=N] [--cold]
         Run the chaos matrix alone. Cells fork warm from a copy-on-write
         world checkpoint by default; --cold forces a full re-deploy per
-        cell. The rendered report is byte-identical either way. Exits
-        nonzero if no fault fired, an attack flipped to Allow, or a deny
-        record lacks the flight-recorder dump of its trap.
+        cell. The rendered report is byte-identical either way; the
+        number of victim deploys goes to stderr. Exits nonzero if no
+        fault fired, an attack flipped to Allow, or a deny record lacks
+        the flight-recorder dump of its trap.
 
     bastion fleet [--jobs=N] [--only=chaos|table6|bench] [--cold]
         Run the evaluation surfaces — chaos matrix, Table 6, app
@@ -701,11 +702,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// Shared chaos-matrix driver for `bastion chaos` and the fleet's chaos
 /// section: runs the matrix, prints the report, and collects gate
-/// failures.
+/// failures. The deploy count differs warm vs cold, so it goes to stderr
+/// and the report on stdout stays byte-identical across modes.
 fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
     use bastion::fleet;
     let outcome = fleet::chaos_matrix_mode(jobs, fleet::ATTACK_SEEDS, None, cold);
     print!("{}", outcome.report);
+    eprintln!("chaos matrix: {} victim deploys", outcome.deploys);
     failures.extend(outcome.failures());
 }
 

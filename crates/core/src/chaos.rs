@@ -23,20 +23,24 @@
 //!
 //! Both drivers fork their cells from a warm copy-on-write checkpoint
 //! ([`bastion_kernel::World::snapshot`]) taken right after the fault-free
-//! boot, instead of recompiling and rebooting the victim per cell; a
-//! `cold` flag forces the full replay, and reports are byte-identical
-//! either way (CI gates the diff). The schedule families cover the
-//! monitor-substrate faults (DESIGN.md §6d) plus the `app-flip` family:
-//! SFP-style bit flips in the *application's* registers, stack frames and
-//! shadow-bound locals at trap entry, which the monitor must survive
-//! without ever approving corrupted state.
+//! boot, instead of recompiling and rebooting the victim per cell; the
+//! fleet's matrix deploys each victim configuration once and shares that
+//! checkpoint across every scenario that attacks it. A `cold` flag forces
+//! the full replay, and reports are byte-identical either way (CI gates
+//! the diff). The schedule families cover the monitor-substrate faults
+//! (DESIGN.md §6d) plus the `app-flip` family: SFP-style bit flips in the
+//! *application's* registers, stack frames and shadow-bound locals at
+//! trap entry, which the monitor must survive without ever approving
+//! corrupted state.
 
 use bastion_apps::App;
-use bastion_attacks::env::{AttackEnv, RunOutcome};
+use bastion_attacks::env::{AttackEnv, DeployCheckpoint, RunOutcome};
 use bastion_attacks::scenario::Scenario;
 use bastion_kernel::{FaultKind, FaultSchedule, Trigger, World};
 use bastion_monitor::{ContextConfig, MonitorStats};
 use bastion_obs::{flight::verdict as flight_verdict, DenyRecord, FlightDump};
+use std::cell::Cell;
+use std::sync::{Mutex, Once};
 
 /// Cycle slice between net-poll rounds of the lenient driver.
 const SLICE: u64 = 250_000;
@@ -293,29 +297,53 @@ const HARNESS_LIVENESS: &[&str] = &[
     "a process parked in accept",
 ];
 
-/// Runs `scenario.attack`, absorbing only harness-liveness panics.
-/// Returns the panic message when staging was cut short by a fault.
-fn stage(scenario: &Scenario, env: &mut AttackEnv) -> Option<String> {
-    let hook = std::panic::take_hook();
-    // Silence the default hook for the duration: an absorbed liveness
-    // panic would otherwise spray a backtrace per chaos replay.
-    std::panic::set_hook(Box::new(|_| {}));
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (scenario.attack)(env)));
-    std::panic::set_hook(hook);
-    match r {
-        Ok(()) => None,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if HARNESS_LIVENESS.iter().any(|h| msg.contains(h)) {
-                Some(msg)
-            } else {
-                std::panic::resume_unwind(payload)
+thread_local! {
+    /// Set while this thread runs [`absorb_liveness_panics`].
+    static ABSORBING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn is_liveness(msg: &str) -> bool {
+    HARNESS_LIVENESS.iter().any(|h| msg.contains(h))
+}
+
+/// Installs, once per process, a panic hook that stays silent for a
+/// harness-liveness panic raised on a thread inside
+/// [`absorb_liveness_panics`] (an absorbed panic would otherwise spray a
+/// backtrace per chaos replay) and hands every other panic to the hook
+/// that was installed before. Installing once, instead of swapping the
+/// process-global hook around every cell, keeps concurrent workers from
+/// racing each other's swaps and leaving the silent hook behind.
+fn install_absorbing_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let absorbing = ABSORBING.try_with(Cell::get).unwrap_or(false);
+            if !(absorbing && info.payload_as_str().is_some_and(is_liveness)) {
+                previous(info);
             }
-        }
+        }));
+    });
+}
+
+/// Runs `f`, absorbing only harness-liveness panics ([`HARNESS_LIVENESS`]).
+/// Returns the panic message when `f` was cut short by one; any other
+/// panic propagates, after reaching the previously installed hook.
+pub fn absorb_liveness_panics(f: impl FnOnce()) -> Option<String> {
+    install_absorbing_hook();
+    let outer = ABSORBING.replace(true);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    ABSORBING.set(outer);
+    let payload = r.err()?;
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    if is_liveness(&msg) {
+        Some(msg)
+    } else {
+        std::panic::resume_unwind(payload)
     }
 }
 
@@ -352,7 +380,7 @@ fn run_attack_in(
     // counts traps, pinning the window for the chaos replay.
     env.world
         .install_faults(schedule.unwrap_or_else(|| FaultSchedule::new(0)));
-    let staging_failure = stage(scenario, &mut env);
+    let staging_failure = absorb_liveness_panics(|| (scenario.attack)(&mut env));
     env.settle();
     let outcome = RunOutcome {
         defense: env.defense_fired(),
@@ -436,11 +464,34 @@ pub fn attack_chaos_mode(
     seeds: &[u64],
     cold: bool,
 ) -> Vec<AttackChaosReport> {
-    let checkpoint = (!cold).then(|| {
-        AttackEnv::deploy(scenario.victim, Some(cfg), scenario.extended_set, false).checkpoint()
-    });
-    let cell = |schedule: Option<FaultSchedule>| match &checkpoint {
-        Some(ck) => run_attack_in(scenario, AttackEnv::restore(ck), schedule),
+    let checkpoint = (!cold).then(|| Mutex::new(warm_checkpoint(scenario, cfg)));
+    attack_chaos_shared(scenario, cfg, seeds, checkpoint.as_ref())
+}
+
+/// Deploys `scenario`'s victim under `cfg` and checkpoints it: the warm
+/// start of every cell whose scenario has the same `(victim,
+/// extended_set)` and configuration.
+pub fn warm_checkpoint(scenario: &Scenario, cfg: ContextConfig) -> DeployCheckpoint {
+    AttackEnv::deploy(scenario.victim, Some(cfg), scenario.extended_set, false).checkpoint()
+}
+
+/// The chaos matrix of one scenario: calibration, then every `seeds` ×
+/// [`chaos_schedules`] cell. Each cell forks from `checkpoint` — a
+/// [`warm_checkpoint`] of the same victim configuration, possibly shared
+/// with other scenarios and workers, locked only while a cell restores
+/// from it — or, when `None`, re-deploys cold.
+pub fn attack_chaos_shared(
+    scenario: &Scenario,
+    cfg: ContextConfig,
+    seeds: &[u64],
+    checkpoint: Option<&Mutex<DeployCheckpoint>>,
+) -> Vec<AttackChaosReport> {
+    let cell = |schedule: Option<FaultSchedule>| match checkpoint {
+        Some(ck) => {
+            let env = AttackEnv::restore(&ck.lock().expect("no cell panics mid-restore"));
+            assert_eq!(env.victim, scenario.victim, "checkpoint of another victim");
+            run_attack_in(scenario, env, schedule)
+        }
         None => run_attack(scenario, cfg, schedule),
     };
     let clean_traps = cell(None).traps;

@@ -27,10 +27,13 @@
 //! Wall-clock numbers (and only those) vary run to run; nothing derived
 //! from them enters a fleet report.
 
-use crate::chaos::{attack_chaos_mode, benign_chaos_suite, AttackChaosReport, BenignChaosReport};
+use crate::chaos::{
+    attack_chaos_shared, benign_chaos_suite, warm_checkpoint, AttackChaosReport, BenignChaosReport,
+};
 use crate::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use crate::Protection;
 use bastion_apps::App;
+use bastion_attacks::env::DeployCheckpoint;
 use bastion_attacks::{catalog, evaluate, generate, Scenario, ScenarioResult};
 use bastion_compiler::BastionCompiler;
 use bastion_kernel::{LegacyInterpGuard, Tracer, World};
@@ -38,7 +41,7 @@ use bastion_monitor::{ContextConfig, Monitor};
 use bastion_obs as obs;
 use bastion_vm::CostModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 // The Send-audit, enforced at compile time: a World (with an attached
 // monitor) and the monitor itself must be movable across the fleet's
@@ -199,6 +202,11 @@ pub struct ChaosMatrixOutcome {
     /// Deny records *not* carrying a flight-recorder dump of the denied
     /// trap (must be 0: every deny joins its ring dump).
     pub flight_missing: u64,
+    /// Victim deploys (compile, boot) the run paid for: warm, one per
+    /// distinct attack victim configuration plus one per benign app; cold,
+    /// one per cell (calibration runs included). Not part of `report`,
+    /// which is byte-identical warm vs cold.
+    pub deploys: u64,
 }
 
 impl ChaosMatrixOutcome {
@@ -256,14 +264,47 @@ pub fn chaos_matrix_mode(
             benign_chaos_suite(app, ContextConfig::full(), seed, 6, cold)
         });
 
+    let cfg = ContextConfig::full();
     let scenarios: Vec<Scenario> = catalog()
         .into_iter()
         .filter(|s| filter.is_none_or(|ids| ids.contains(&s.id)))
         .collect();
-    let per_scenario: Vec<Vec<AttackChaosReport>> = run_ordered(jobs, scenarios, |_, scenario| {
-        let _interp = LegacyInterpGuard::set(false);
-        attack_chaos_mode(scenario, ContextConfig::full(), seeds, cold)
-    });
+    // Warm: one deploy per distinct victim configuration, its checkpoint
+    // shared by every scenario (and worker) that attacks it.
+    let config = |s: &Scenario| (s.victim, s.extended_set);
+    let mut keys: Vec<&Scenario> = Vec::new();
+    for s in &scenarios {
+        if !keys.iter().any(|k| config(k) == config(s)) {
+            keys.push(s);
+        }
+    }
+    let checkpoints: Vec<Mutex<DeployCheckpoint>> = if cold {
+        Vec::new()
+    } else {
+        run_ordered(jobs, keys.clone(), |_, s| {
+            let _interp = LegacyInterpGuard::set(false);
+            Mutex::new(warm_checkpoint(s, cfg))
+        })
+    };
+    let per_scenario: Vec<Vec<AttackChaosReport>> =
+        run_ordered(jobs, scenarios.iter().collect(), |_, &scenario| {
+            let _interp = LegacyInterpGuard::set(false);
+            let checkpoint = (!cold).then(|| {
+                let key = keys
+                    .iter()
+                    .position(|k| config(k) == config(scenario))
+                    .expect("every scenario's configuration was deployed");
+                &checkpoints[key]
+            });
+            attack_chaos_shared(scenario, cfg, seeds, checkpoint)
+        });
+    let deploys = if cold {
+        let benign_cells: usize = benign.iter().map(Vec::len).sum();
+        let attack_cells: usize = per_scenario.iter().map(|r| r.len() + 1).sum();
+        benign_cells + attack_cells
+    } else {
+        benign.len() + keys.len()
+    } as u64;
 
     let corpus = generate::corpus();
     let generated: Vec<(&'static str, &'static str, generate::GenReport)> =
@@ -424,6 +465,7 @@ pub fn chaos_matrix_mode(
         join_total,
         generated_flipped,
         flight_missing,
+        deploys,
     }
 }
 
@@ -504,6 +546,7 @@ mod tests {
             join_total: 2,
             generated_flipped: 0,
             flight_missing: 0,
+            deploys: 8,
         };
         assert!(pass.failures().is_empty());
 
@@ -535,6 +578,17 @@ mod tests {
             no_dump.failures(),
             vec!["3 deny record(s) missing a flight-recorder dump of the denied trap"]
         );
+    }
+
+    /// Warm, the full catalog deploys each of its five distinct victim
+    /// configurations once (plus one boot per benign app), on any number
+    /// of workers.
+    #[test]
+    fn warm_matrix_deploys_once_per_victim_configuration() {
+        for jobs in [1, 2] {
+            let warm = chaos_matrix_mode(jobs, &ATTACK_SEEDS[..1], None, false);
+            assert_eq!(warm.deploys, 5 + 3, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ use bastion_kernel::{EscalateReason, Pid, PrefilterVerdict, TraceVerdict, Tracee
 use bastion_obs::{self as obs, DenyContext, DenyRecord, FaultCtx, FlightEntry, Phase};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Resilience policy: how the monitor reacts when its *substrate* (ptrace
 /// register fetches, `process_vm_readv` remote reads, the shared shadow
@@ -522,18 +523,20 @@ pub fn protect(
 }
 
 /// The BASTION runtime monitor. `Clone` is the world-snapshot path
-/// ([`bastion_kernel::Tracer::snapshot_box`]): stats, deny log, caches,
-/// resilience rung, and the prefilter's per-pid flow state are all
-/// structural copies, so a restored world resumes verification exactly
-/// where the checkpoint left it.
+/// ([`bastion_kernel::Tracer::snapshot_box`]). The tables loaded at launch
+/// and only read afterwards — rebased metadata, launch info, the compiled
+/// tier-1 program — are shared by `Arc`; stats, logs, caches, resilience
+/// rung and the prefilter's per-pid flow state are structural copies, so
+/// a restored world resumes verification exactly where the checkpoint
+/// left it (DESIGN.md §6i).
 #[derive(Debug, Clone)]
 pub struct Monitor {
-    /// Rebased metadata (runtime addresses).
-    pub md: ContextMetadata,
+    /// Rebased metadata (runtime addresses), read-only after launch.
+    pub md: Arc<ContextMetadata>,
     /// Enabled contexts.
     pub cfg: ContextConfig,
-    /// Launch-time image information.
-    pub info: LaunchInfo,
+    /// Launch-time image information, read-only after launch.
+    pub info: Arc<LaunchInfo>,
     /// Statistics.
     pub stats: MonitorStats,
     /// Trap log: (nr, verdict ok?) for diagnostics and tests.
@@ -569,9 +572,9 @@ impl Monitor {
             + 20 * (md.functions.len() as u64)
             + 15 * (md.syscall_sites.len() as u64);
         Monitor {
-            md,
+            md: Arc::new(md),
             cfg,
-            info,
+            info: Arc::new(info),
             stats: MonitorStats {
                 init_cycles,
                 ..MonitorStats::default()

@@ -35,8 +35,9 @@ use bastion_obs as obs;
 use bastion_vm::shadow::Binding;
 use bastion_vm::ShadowTable;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-/// CT flag bits in [`Prefilter::ct_flags`].
+/// CT flag bits in [`CheckProgram::ct_flags`].
 const CT_CALLABLE: u8 = 1 << 0;
 const CT_DIRECT: u8 = 1 << 1;
 const CT_INDIRECT: u8 = 1 << 2;
@@ -106,9 +107,10 @@ enum PropPred {
     Const(u64),
 }
 
-/// The compiled flat check program plus the per-pid flow state it tracks.
-#[derive(Debug, Clone, Default)]
-pub struct Prefilter {
+/// The compiled flat check program: read-only after compilation, so every
+/// clone of a [`Prefilter`] (one per world snapshot) shares it by `Arc`.
+#[derive(Debug, Default)]
+struct CheckProgram {
     // Which contexts the program replicates (copied from the config so
     // tier 1 checks exactly what tier 2 would).
     call_type: bool,
@@ -144,7 +146,12 @@ pub struct Prefilter {
 
     main_entry: u64,
     stack: (u64, u64),
+}
 
+/// The shared check program plus the per-pid flow state it tracks.
+#[derive(Debug, Clone, Default)]
+pub struct Prefilter {
+    prog: Arc<CheckProgram>,
     /// Monitor-tracked automaton position per pid: 0 = no sensitive trap
     /// yet, `i + 1` = last trapped nr was `nrs[i]`.
     state: HashMap<Pid, usize>,
@@ -256,7 +263,7 @@ impl Prefilter {
             })
             .collect();
 
-        Prefilter {
+        let prog = CheckProgram {
             call_type: cfg.call_type,
             control_flow: cfg.control_flow,
             arg_integrity: cfg.arg_integrity,
@@ -272,14 +279,17 @@ impl Prefilter {
             prop,
             main_entry: md.main_entry,
             stack: info.stack,
+        };
+        Prefilter {
+            prog: Arc::new(prog),
             state: HashMap::new(),
         }
     }
 
     /// Rough compile cost in virtual cycles (charged to monitor init).
     pub fn compile_cycles(&self) -> u64 {
-        8 * (self.callsites.len() + self.funcs.len() + self.sites.len()) as u64
-            + 4 * self.nrs.len() as u64
+        let p = &self.prog;
+        8 * (p.callsites.len() + p.funcs.len() + p.sites.len()) as u64 + 4 * p.nrs.len() as u64
     }
 
     /// Seeds the child's automaton position from the parent at fork: the
@@ -298,63 +308,18 @@ impl Prefilter {
         self.state.get(&pid).map_or(0, |&s| s as u64)
     }
 
-    fn nr_pos(&self, nr: u32) -> Option<usize> {
-        self.nrs.binary_search(&nr).ok()
-    }
-
-    fn callsite(&self, addr: u64) -> Option<&CsRow> {
-        self.callsites
-            .binary_search_by_key(&addr, |r| r.addr)
-            .ok()
-            .map(|i| &self.callsites[i])
-    }
-
-    /// Range lookup mirroring [`ContextMetadata::func_of`].
-    fn func_of(&self, addr: u64) -> Option<&FnRow> {
-        let i = self.funcs.partition_point(|f| f.entry <= addr);
-        let f = self.funcs.get(i.checked_sub(1)?)?;
-        (addr < f.end).then_some(f)
-    }
-
-    fn func_by_entry(&self, entry: u64) -> Option<&FnRow> {
-        self.funcs
-            .binary_search_by_key(&entry, |f| f.entry)
-            .ok()
-            .map(|i| &self.funcs[i])
-    }
-
-    fn is_valid_caller(&self, callee: u64, callsite: u64) -> bool {
-        self.valid_callers
-            .binary_search_by_key(&callee, |(c, _)| *c)
-            .ok()
-            .is_some_and(|i| self.valid_callers[i].1.binary_search(&callsite).is_ok())
-    }
-
-    fn site(&self, callsite: u64) -> Option<&SiteRow> {
-        self.sites
-            .binary_search_by_key(&callsite, |s| s.callsite)
-            .ok()
-            .map(|i| &self.sites[i])
-    }
-
-    fn prop_specs(&self, callsite: u64) -> Option<&[(u8, PropPred)]> {
-        self.prop
-            .binary_search_by_key(&callsite, |(c, _)| *c)
-            .ok()
-            .map(|i| self.prop[i].1.as_slice())
-    }
-
     /// Evaluates the check program for the trap the tracee is stopped at.
     ///
     /// Mode/quarantine/fault gates are the caller's job
     /// ([`crate::Monitor`]); this is the pure table program.
     pub fn check(&mut self, tracee: &mut Tracee<'_>) -> PrefilterVerdict {
         let esc = PrefilterVerdict::Escalate;
+        let p = &*self.prog;
         let regs = tracee.kernel_regs();
         let nr = regs.nr;
 
         // ---- flow automaton (state word × transition table) ----
-        let Some(ni) = self.nr_pos(nr) else {
+        let Some(ni) = p.nr_pos(nr) else {
             return esc(R::FlowMiss);
         };
         let st = self.state.get(&tracee.pid()).copied().unwrap_or(0);
@@ -363,16 +328,16 @@ impl Prefilter {
         // automaton position stays synchronized across escalations.
         self.state.insert(tracee.pid(), ni + 1);
         let allowed = if st == 0 {
-            self.flow_initial[ni]
+            p.flow_initial[ni]
         } else {
-            self.flow_edges[(st - 1) * self.nrs.len() + ni]
+            p.flow_edges[(st - 1) * p.nrs.len() + ni]
         };
         if !allowed {
             return esc(R::FlowMiss);
         }
 
         // ---- stub + frame head (mirrors verify_trap's entry) ----
-        let Some(stub) = self.func_of(regs.rip) else {
+        let Some(stub) = p.func_of(regs.rip) else {
             // Tier 2 denies RipOutsideKnownCode.
             return esc(R::CtMismatch);
         };
@@ -383,12 +348,12 @@ impl Prefilter {
         let callsite0 = ret0.wrapping_sub(CALL_SIZE);
 
         // ---- Call-Type (dense flag byte per nr index) ----
-        if self.call_type {
-            let flags = self.ct_flags[ni];
+        if p.call_type {
+            let flags = p.ct_flags[ni];
             if flags & CT_CALLABLE == 0 {
                 return esc(R::CtMismatch);
             }
-            match self.callsite(callsite0) {
+            match p.callsite(callsite0) {
                 Some(cs) if cs.is_indirect() => {
                     if flags & CT_INDIRECT == 0 {
                         return esc(R::CtMismatch);
@@ -403,12 +368,12 @@ impl Prefilter {
             }
         }
 
-        if !self.control_flow && !self.arg_integrity {
+        if !p.control_flow && !p.arg_integrity {
             return PrefilterVerdict::Allow;
         }
 
         // ---- frame-pointer chain (mirrors read_chain + validate_chain) ----
-        let cf = self.control_flow;
+        let cf = p.control_flow;
         // (func_entry, creating callsite, fp) per frame, like FrameRec.
         let mut frames: Vec<(u64, Option<u64>, u64)> = Vec::new();
         let mut cur_entry = stub_entry;
@@ -426,7 +391,7 @@ impl Prefilter {
             };
             if ret == 0 {
                 // Bottom: only main may terminate the walk under CF.
-                if cf && cur_entry != self.main_entry {
+                if cf && cur_entry != p.main_entry {
                     return esc(R::ChainAnomaly);
                 }
                 frames.push((cur_entry, None, cur_fp));
@@ -434,7 +399,7 @@ impl Prefilter {
                 break;
             }
             let callsite = ret.wrapping_sub(CALL_SIZE);
-            let Some(cs) = self.callsite(callsite) else {
+            let Some(cs) = p.callsite(callsite) else {
                 // Unknown callsite: a CF violation, or (CF off) the end of
                 // the walkable chain.
                 if cf {
@@ -445,7 +410,7 @@ impl Prefilter {
                 break;
             };
             if cs.is_indirect() {
-                if cf && self.indirect_entries.binary_search(&cur_entry).is_err() {
+                if cf && p.indirect_entries.binary_search(&cur_entry).is_err() {
                     return esc(R::ChainAnomaly);
                 }
                 strict = false;
@@ -453,7 +418,7 @@ impl Prefilter {
                 if cs.target != cur_entry {
                     return esc(R::ChainAnomaly);
                 }
-                if strict && !self.is_valid_caller(cur_entry, callsite) {
+                if strict && !p.is_valid_caller(cur_entry, callsite) {
                     return esc(R::ChainAnomaly);
                 }
             }
@@ -467,12 +432,12 @@ impl Prefilter {
         }
 
         // ---- Argument Integrity (direct predicates + probe rows) ----
-        if self.arg_integrity {
+        if p.arg_integrity {
             let Some(&(_, Some(syscall_cs), _)) = frames.first() else {
                 // Tier 2 denies NoSyscallCallsite.
                 return esc(R::ArgMismatch);
             };
-            let Some(site) = self.site(syscall_cs) else {
+            let Some(site) = p.site(syscall_cs) else {
                 return esc(R::ArgMismatch);
             };
             if site.nr != nr {
@@ -521,7 +486,7 @@ impl Prefilter {
                         }
                     }
                     ArgPred::StackAddr => {
-                        let (lo, hi) = self.stack;
+                        let (lo, hi) = p.stack;
                         if actual != 0 && !(lo..hi).contains(&actual) {
                             return esc(R::ArgMismatch);
                         }
@@ -535,7 +500,7 @@ impl Prefilter {
                 let Some(created_by) = created_by else {
                     continue;
                 };
-                let Some(specs) = self.prop_specs(created_by) else {
+                let Some(specs) = p.prop_specs(created_by) else {
                     continue;
                 };
                 for (pos, pred) in specs {
@@ -551,7 +516,7 @@ impl Prefilter {
                             }
                         }
                         PropPred::Const(c) => {
-                            let Some(fm) = self.func_by_entry(entry) else {
+                            let Some(fm) = p.func_by_entry(entry) else {
                                 continue;
                             };
                             let idx = *pos as usize - 1;
@@ -572,6 +537,54 @@ impl Prefilter {
         }
 
         PrefilterVerdict::Allow
+    }
+}
+
+impl CheckProgram {
+    fn nr_pos(&self, nr: u32) -> Option<usize> {
+        self.nrs.binary_search(&nr).ok()
+    }
+
+    fn callsite(&self, addr: u64) -> Option<&CsRow> {
+        self.callsites
+            .binary_search_by_key(&addr, |r| r.addr)
+            .ok()
+            .map(|i| &self.callsites[i])
+    }
+
+    /// Range lookup mirroring [`ContextMetadata::func_of`].
+    fn func_of(&self, addr: u64) -> Option<&FnRow> {
+        let i = self.funcs.partition_point(|f| f.entry <= addr);
+        let f = self.funcs.get(i.checked_sub(1)?)?;
+        (addr < f.end).then_some(f)
+    }
+
+    fn func_by_entry(&self, entry: u64) -> Option<&FnRow> {
+        self.funcs
+            .binary_search_by_key(&entry, |f| f.entry)
+            .ok()
+            .map(|i| &self.funcs[i])
+    }
+
+    fn is_valid_caller(&self, callee: u64, callsite: u64) -> bool {
+        self.valid_callers
+            .binary_search_by_key(&callee, |(c, _)| *c)
+            .ok()
+            .is_some_and(|i| self.valid_callers[i].1.binary_search(&callsite).is_ok())
+    }
+
+    fn site(&self, callsite: u64) -> Option<&SiteRow> {
+        self.sites
+            .binary_search_by_key(&callsite, |s| s.callsite)
+            .ok()
+            .map(|i| &self.sites[i])
+    }
+
+    fn prop_specs(&self, callsite: u64) -> Option<&[(u8, PropPred)]> {
+        self.prop
+            .binary_search_by_key(&callsite, |(c, _)| *c)
+            .ok()
+            .map(|i| self.prop[i].1.as_slice())
     }
 }
 
@@ -703,7 +716,6 @@ mod tests {
     use bastion_ir::build::ModuleBuilder;
     use bastion_ir::{sysno, Operand, Ty};
     use bastion_vm::{CostModel, Image, Machine};
-    use std::sync::Arc;
 
     /// `main` → `execve(0, 0, 0)`: one clean sensitive trap.
     fn fixture() -> (Arc<Image>, ContextMetadata) {
@@ -747,6 +759,25 @@ mod tests {
             let mut tracee = Tracee::new(&m, 1, &mut charge);
             assert_eq!(pf.check(&mut tracee), want);
         }
+    }
+
+    /// A clone (the world-snapshot path) shares the compiled tables and
+    /// copies only the per-pid flow state, which then evolves per clone.
+    #[test]
+    fn clones_share_the_program_and_copy_flow_state() {
+        let (image, md) = fixture();
+        let mut m = Machine::new(image.clone(), CostModel::default());
+        let _ = bastion_vm::interp::run(&mut m, 1_000_000);
+        let info = LaunchInfo::from_image(&image, &md);
+        let md = md.rebased(info.load_bias);
+        let original = Prefilter::compile(&md, &info, &ContextConfig::full());
+        let mut fork = original.clone();
+        assert!(Arc::ptr_eq(&original.prog, &fork.prog));
+        let mut charge = 0u64;
+        let mut tracee = Tracee::new(&m, 1, &mut charge);
+        assert_eq!(fork.check(&mut tracee), PrefilterVerdict::Allow);
+        assert_ne!(fork.state_word(1), 0);
+        assert_eq!(original.state_word(1), 0);
     }
 
     // ---- classify-time mapping-boundary probe (ports the tier-2

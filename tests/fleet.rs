@@ -64,6 +64,10 @@ fn fleet_chaos_report_is_byte_identical_warm_vs_cold() {
             cold.generated_flipped
         )
     );
+    // Cold: one deploy per benign cell (3 apps x 2 schedules) and per
+    // attack cell (calibration + 7 fault classes, for 4 scenarios).
+    assert_eq!(cold.deploys, 3 * 2 + 4 * (1 + 7));
+    assert!(warm.deploys < cold.deploys);
 }
 
 /// A `World` with an attached monitor is `Send`: build it here, run it to

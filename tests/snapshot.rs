@@ -3,13 +3,17 @@
 //! — the checkpointed world, a world restored from the checkpoint, and a
 //! cold run that never checkpointed all replay step-for-step identically,
 //! on both interpreters. Fork state (the prefilter's per-pid flow
-//! automaton included) must survive the round-trip.
+//! automaton included) must survive the round-trip. Restored worlds share
+//! the monitor's read-only tables with their checkpoint and copy the rest.
 
+use bastion::attacks::env::Defense;
+use bastion::attacks::{catalog, AttackEnv};
 use bastion::chaos::monitor_stats;
-use bastion::kernel::{LegacyInterpGuard, World};
-use bastion::monitor::MonitorStats;
+use bastion::kernel::{LegacyInterpGuard, Tracer, World};
+use bastion::monitor::{ContextConfig, Monitor, MonitorStats};
 use bastion::{Deployment, Protection};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A small program with sensitive traps (mmap/mprotect), page-dirtying
 /// writes after the traps, and a nontrivial exit — enough moving state
@@ -152,4 +156,85 @@ fn fork_inherits_prefilter_state_across_a_restored_checkpoint() {
         behavioral(cold_stats),
         "monitor behaviour diverged across the checkpoint"
     );
+}
+
+fn monitor_of(tracer: Option<&dyn Tracer>) -> &Monitor {
+    tracer
+        .and_then(|t| t.as_any().downcast_ref::<Monitor>())
+        .expect("monitor attached")
+}
+
+/// Every piece of mutable monitor state a restore copies: stats, deny
+/// log, the prefilter's flow word per pid, and the verify-cache counters.
+fn mutable_state(m: &Monitor, pids: &[u32]) -> String {
+    let c = m.cache.borrow();
+    let flow: Vec<u64> = pids.iter().map(|&p| m.flow_word(p)).collect();
+    format!(
+        "{:?}\n{:?}\nflow {flow:?}\ncache {:?}",
+        m.stats,
+        m.deny_log,
+        (
+            c.ct_hits,
+            c.walk_hits,
+            c.walk_collisions,
+            c.batched_frame_reads,
+            c.batched_pointee_reads
+        )
+    )
+}
+
+/// Two environments restored from one attack checkpoint share its
+/// read-only tables (metadata and launch info by `Arc`) and nothing
+/// mutable: a denied attack in one leaves the other's monitor state, and
+/// the checkpoint's, exactly as captured.
+#[test]
+fn restored_attack_envs_share_tables_and_isolate_monitor_state() {
+    let scenario = catalog()
+        .into_iter()
+        .find(|s| s.id == 1)
+        .expect("scenario 1");
+    let ck = AttackEnv::deploy(
+        scenario.victim,
+        Some(ContextConfig::full()),
+        scenario.extended_set,
+        false,
+    )
+    .checkpoint();
+    let mut attacked = AttackEnv::restore(&ck);
+    let bystander = AttackEnv::restore(&ck);
+    let pids: Vec<u32> = bystander.world.procs.iter().map(|p| p.pid).collect();
+    let other = monitor_of(bystander.world.tracer_ref());
+    assert!(other.stats.traps > 0, "boot trapped nothing");
+    let captured = mutable_state(other, &pids);
+
+    (scenario.attack)(&mut attacked);
+    attacked.settle();
+    assert!(
+        matches!(
+            attacked.defense_fired(),
+            Defense::MonitorCt | Defense::MonitorCf | Defense::MonitorAi
+        ),
+        "scenario 1 was not denied by the monitor: {:?}",
+        attacked.defense_fired()
+    );
+    let denied = monitor_of(attacked.world.tracer_ref());
+    assert!(!denied.deny_log.is_empty());
+    assert_ne!(mutable_state(denied, &pids), captured);
+
+    assert_eq!(
+        mutable_state(other, &pids),
+        captured,
+        "an attack in one restored env leaked into its sibling"
+    );
+    let later = AttackEnv::restore(&ck);
+    assert_eq!(
+        mutable_state(monitor_of(later.world.tracer_ref()), &pids),
+        captured,
+        "an attack in a restored env leaked into its checkpoint"
+    );
+
+    assert!(Arc::ptr_eq(&attacked.metadata, &bystander.metadata));
+    assert!(Arc::ptr_eq(&attacked.metadata, &later.metadata));
+    assert!(Arc::ptr_eq(&denied.md, &other.md));
+    assert!(Arc::ptr_eq(&denied.info, &other.info));
 }

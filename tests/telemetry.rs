@@ -15,12 +15,13 @@
 //!   number (`DenyRecord::trap_seq` == `InjectedFault::world_trap`).
 
 use bastion::apps::App;
+use bastion::chaos::absorb_liveness_panics;
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::obs;
 use bastion::obs::{DenyRecord, Phase};
 use bastion::vm::CostModel;
-use bastion_attacks::{AttackEnv, Scenario};
+use bastion_attacks::AttackEnv;
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger};
 use bastion_monitor::ContextConfig;
 use std::cell::RefCell;
@@ -153,31 +154,6 @@ fn collect_denies<R>(f: impl FnOnce() -> R) -> (R, Vec<DenyRecord>) {
     (r, sink.take())
 }
 
-/// The attack scripts' liveness panics (see `bastion::chaos`): a worker
-/// killed out from under the script is a contained outcome, not a failure.
-fn stage_absorbing_liveness(scenario: &Scenario, env: &mut AttackEnv) {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (scenario.attack)(env)));
-    std::panic::set_hook(hook);
-    if let Err(payload) = r {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        let liveness = [
-            "victim pid",
-            "victim listener bound",
-            "a worker parked reading our connection",
-            "a process parked in accept",
-        ];
-        if !liveness.iter().any(|h| msg.contains(h)) {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
 #[test]
 fn every_catalog_deny_yields_one_byte_identical_record() {
     let mut total_denies = 0usize;
@@ -189,7 +165,7 @@ fn every_catalog_deny_yields_one_byte_identical_record() {
                 scenario.extended_set,
                 false,
             );
-            stage_absorbing_liveness(&scenario, &mut env);
+            absorb_liveness_panics(|| (scenario.attack)(&mut env));
             env.settle();
             env
         });
@@ -235,7 +211,7 @@ fn deny_records_carry_context_rule_and_ladder() {
     let scenario = catalog.iter().find(|s| s.id == 1).expect("row 1 exists");
     let (_env, records) = collect_denies(|| {
         let mut env = AttackEnv::deploy(scenario.victim, Some(ContextConfig::full()), false, false);
-        stage_absorbing_liveness(scenario, &mut env);
+        absorb_liveness_panics(|| (scenario.attack)(&mut env));
         env.settle();
         env
     });

@@ -8,13 +8,15 @@
 //! in force — code cannot be injected, only reused — and attacks are
 //! evaluated with and without CET per §10.1.
 
+use crate::deploy::{Deployment, Protection};
 use crate::victim::Victim;
 use bastion_compiler::{BastionCompiler, ContextMetadata};
+use bastion_defenses::HardeningConfig;
 use bastion_ir::sysno;
 use bastion_kernel::process::{ProcState, WaitReason};
 use bastion_kernel::{ExitReason, ExtConnId, Pid, World};
 use bastion_monitor::ContextConfig;
-use bastion_vm::{CostModel, Image, Machine};
+use bastion_vm::Image;
 use std::sync::Arc;
 
 /// How a run was stopped (or not).
@@ -126,25 +128,24 @@ impl AttackEnv {
         extended_set: bool,
         cet: bool,
     ) -> AttackEnv {
-        let module = victim.module();
         let compiler = if extended_set {
             BastionCompiler::with_sensitive(sysno::extended_sensitive_set())
         } else {
             BastionCompiler::new()
         };
-        let out = compiler.compile(module).expect("victim compiles");
-        let image = Arc::new(Image::load(out.module).expect("victim image loads"));
-        let mut world = World::new(CostModel::default());
+        let d = Deployment::with_compiler(victim.module(), &compiler).expect("victim compiles");
+        let protection = Protection {
+            label: "attack victim",
+            hardening: if cet {
+                HardeningConfig::cet()
+            } else {
+                HardeningConfig::vanilla()
+            },
+            monitor: cfg,
+        };
+        let mut world = d.world();
         victim.setup(&mut world);
-        let mut machine = Machine::new(image.clone(), CostModel::default());
-        if cet {
-            machine.enable_cet();
-        }
-        let root_pid = world.spawn(machine);
-        if let Some(cfg) = cfg {
-            bastion_monitor::protect(&mut world, root_pid, &image, &out.metadata, cfg);
-        }
-        world.run(2_000_000_000);
+        let (root_pid, _) = d.boot(&mut world, &protection, 2_000_000_000);
         assert!(
             world.alive_count() > 0,
             "{victim:?} died during boot: {:?}",
@@ -152,8 +153,8 @@ impl AttackEnv {
         );
         AttackEnv {
             world,
-            image,
-            metadata: Arc::new(out.metadata),
+            image: d.image,
+            metadata: Arc::new(d.metadata),
             victim,
             root_pid,
             scratch_cursor: 0,

@@ -22,11 +22,10 @@
 //! the checked-in regression corpus under `crates/attacks/corpus/` holds
 //! one shrunk witness per deny-rule family (see [`corpus`]).
 
-use bastion_compiler::BastionCompiler;
+use crate::deploy::{Deployment, Protection};
 use bastion_ir::sysno;
 use bastion_kernel::{ExitReason, World};
 use bastion_monitor::ContextConfig;
-use bastion_vm::{CostModel, Image, Machine};
 
 // ---- deterministic rng ----
 
@@ -525,8 +524,8 @@ fn effect(world: &World) -> bool {
 /// Compiles and runs one MiniC source, protected (`Some(cfg)`) or as the
 /// unprotected ground-truth run (`None`), and classifies the outcome.
 pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
-    let module = match bastion_minic::compile_program("generated", &[source]) {
-        Ok(m) => m,
+    let d = match Deployment::from_minic("generated", &[source]) {
+        Ok(d) => d,
         Err(e) => {
             return GenReport {
                 verdict: Verdict::Rejected(e.to_string()),
@@ -534,32 +533,13 @@ pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
             }
         }
     };
-    let out = match BastionCompiler::new().compile(module) {
-        Ok(o) => o,
-        Err(e) => {
-            return GenReport {
-                verdict: Verdict::Rejected(e.to_string()),
-                effect: false,
-            }
-        }
+    let mut world = d.world();
+    let protection = Protection {
+        monitor: cfg,
+        ..Protection::vanilla()
     };
-    let image = match Image::load(out.module) {
-        Ok(i) => std::sync::Arc::new(i),
-        Err(e) => {
-            return GenReport {
-                verdict: Verdict::Rejected(format!("{e:?}")),
-                effect: false,
-            }
-        }
-    };
-    let mut world = World::new(CostModel::default());
-    let machine = Machine::new(image.clone(), CostModel::default());
-    let pid = world.spawn(machine);
+    d.boot(&mut world, &protection, 2_000_000_000);
     let protected = cfg.is_some();
-    if let Some(cfg) = cfg {
-        bastion_monitor::protect(&mut world, pid, &image, &out.metadata, cfg);
-    }
-    world.run(2_000_000_000);
     let eff = effect(&world);
     let exit = world.procs.iter().find_map(|p| p.exit.clone());
     let verdict = match exit {
@@ -715,6 +695,21 @@ mod tests {
             );
             let truth = ground_truth(&prog.source);
             assert!(truth.effect, "{} has no unprotected effect", prog.family);
+        }
+    }
+
+    #[test]
+    fn front_end_failure_is_rejected_not_allowed() {
+        let src = "long main() { return nope(); }";
+        for rep in [run_protected(src), ground_truth(src)] {
+            assert!(
+                matches!(&rep.verdict, Verdict::Rejected(msg) if msg.contains("nope")),
+                "{:?}",
+                rep.verdict
+            );
+            assert_eq!(rep.verdict.key(), "rejected");
+            assert!(!rep.effect);
+            assert!(!rep.flipped_to_allow());
         }
     }
 

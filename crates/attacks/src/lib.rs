@@ -14,6 +14,9 @@
 //!    reproducing Table 6's ✓/× matrix;
 //! 3. **full BASTION** — all three contexts together must block it.
 //!
+//! Victims, generated programs and workloads all boot through
+//! [`Deployment`], the one compile → load → spawn → protect → boot path.
+//!
 //! ```no_run
 //! let results = bastion_attacks::table6::evaluate_all();
 //! println!("{}", bastion_attacks::table6::render(&results));
@@ -21,6 +24,7 @@
 //! ```
 
 pub mod catalog;
+pub mod deploy;
 pub mod env;
 pub mod generate;
 pub mod scenario;
@@ -28,6 +32,7 @@ pub mod table6;
 pub mod victim;
 
 pub use catalog::catalog;
+pub use deploy::{Deployment, Error, Protection};
 pub use env::{AttackEnv, Defense, RunOutcome};
 pub use generate::{AttackProgram, GenReport, Generator, Verdict};
 pub use scenario::{Category, Expected, Scenario};

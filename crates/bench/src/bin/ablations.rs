@@ -17,7 +17,7 @@ use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::ir::sysno;
 use bastion::vm::CostModel;
-use bastion::Protection;
+use bastion::{Deployment, Protection};
 
 fn main() {
     let size = WorkloadSize::standard();
@@ -77,19 +77,14 @@ fn main() {
             .aslr_seed(seed)
             .build(out.module)
             .expect("image");
-        let image = std::sync::Arc::new(image);
-        let mut world = bastion::kernel::World::new(CostModel::default());
+        let d = Deployment {
+            image: std::sync::Arc::new(image),
+            metadata: out.metadata,
+            cost: CostModel::default(),
+        };
+        let mut world = d.world();
         App::Webserve.setup_vfs(&mut world);
-        let machine = bastion::vm::Machine::new(image.clone(), CostModel::default());
-        let pid = world.spawn(machine);
-        bastion::monitor::protect(
-            &mut world,
-            pid,
-            &image,
-            &out.metadata,
-            bastion::monitor::ContextConfig::full(),
-        );
-        world.run(2_000_000_000);
+        d.boot(&mut world, &Protection::bastion_no_cet(), 2_000_000_000);
         let stats = bastion::apps::loadgen::http_load(
             &mut world,
             App::Webserve.port(),
@@ -97,17 +92,10 @@ fn main() {
             quick.http_requests,
         );
         let traps = world.trap_count;
-        let clean = world
-            .take_tracer()
-            .and_then(|t| {
-                t.as_any()
-                    .downcast_ref::<bastion::monitor::Monitor>()
-                    .map(|m| m.stats.violations() == 0)
-            })
-            .unwrap_or(false);
+        let clean = bastion::chaos::monitor_stats(&mut world).is_some_and(|m| m.violations() == 0);
         println!(
             "  slide seed {seed:>3}: code base {:#x}, {} requests served, {traps} traps, 0 violations = {clean}",
-            image.layout.code_base().raw(),
+            d.image.layout.code_base().raw(),
             stats.requests,
         );
     }
@@ -145,13 +133,11 @@ fn main() {
     println!();
     println!("Ablation 4: monitor initialization cost (§9.2, paper: ≈21 ms for NGINX)");
     for app in ALL_APPS {
-        let out = compiler
-            .compile(app.module().expect("compiles"))
+        let d = Deployment::with_compiler(app.module().expect("compiles"), &compiler)
             .expect("instrumentation");
-        let image = std::sync::Arc::new(bastion::vm::Image::load(out.module).expect("image"));
-        let info = bastion::monitor::LaunchInfo::from_image(&image, &out.metadata);
+        let info = bastion::monitor::LaunchInfo::from_image(&d.image, &d.metadata);
         let m = bastion::monitor::Monitor::new(
-            &out.metadata,
+            &d.metadata,
             bastion::monitor::ContextConfig::full(),
             info,
         );
@@ -160,8 +146,8 @@ fn main() {
             app.id(),
             m.stats.init_cycles,
             m.stats.init_cycles as f64 / 2e9 * 1000.0,
-            out.metadata.callsites.len(),
-            out.metadata.functions.len(),
+            d.metadata.callsites.len(),
+            d.metadata.functions.len(),
         );
     }
 

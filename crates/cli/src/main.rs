@@ -10,12 +10,12 @@
 //! ```
 
 use bastion::compiler::BastionCompiler;
+use bastion::defenses::HardeningConfig;
 use bastion::kernel::{ExitReason, World};
 use bastion::minic;
 use bastion::monitor::ContextConfig;
-use bastion::vm::{CostModel, Image, Machine};
+use bastion::{Deployment, Protection};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -193,37 +193,46 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--protect MODE` into a monitor configuration.
-fn parse_protect(flags: &[&str]) -> Result<Option<ContextConfig>, String> {
-    match flag_value(flags, "protect").unwrap_or("full") {
-        "full" => Ok(Some(ContextConfig::full())),
-        "ct" => Ok(Some(ContextConfig::ct())),
-        "ct-cf" => Ok(Some(ContextConfig::ct_cf())),
-        "hook" => Ok(Some(ContextConfig::hook_only())),
-        "none" => Ok(None),
-        other => Err(format!("unknown --protect mode `{other}`")),
+/// Parses `--protect MODE`, `--no-prefilter` and `--cet` into the run's
+/// protection.
+fn parse_protection(flags: &[&str]) -> Result<Protection, String> {
+    let (label, mut monitor) = match flag_value(flags, "protect").unwrap_or("full") {
+        "full" => ("full", Some(ContextConfig::full())),
+        "ct" => ("ct", Some(ContextConfig::ct())),
+        "ct-cf" => ("ct-cf", Some(ContextConfig::ct_cf())),
+        "hook" => ("hook", Some(ContextConfig::hook_only())),
+        "none" => ("none", None),
+        other => return Err(format!("unknown --protect mode `{other}`")),
+    };
+    if flags.contains(&"--no-prefilter") {
+        monitor = monitor.map(|cfg| cfg.with_prefilter(false));
     }
+    let hardening = if flags.contains(&"--cet") {
+        HardeningConfig::cet()
+    } else {
+        HardeningConfig::vanilla()
+    };
+    Ok(Protection {
+        label,
+        hardening,
+        monitor,
+    })
 }
 
 /// Compiles `files` and runs them in a fresh world under the flags'
 /// protection. Returns the finished world and the victim pid.
 fn execute(files: &[&str], flags: &[&str]) -> Result<(World, bastion::kernel::Pid), String> {
-    let mut monitor_cfg = parse_protect(flags)?;
-    if flags.contains(&"--no-prefilter") {
-        monitor_cfg = monitor_cfg.map(|cfg| cfg.with_prefilter(false));
-    }
-    let out = compile(files)?;
-    let image = Arc::new(Image::load(out.module).map_err(|e| format!("load: {e}"))?);
-    let mut world = World::new(CostModel::default());
-    let mut machine = Machine::new(image.clone(), CostModel::default());
-    if flags.contains(&"--cet") {
-        machine.enable_cet();
-    }
-    let pid = world.spawn(machine);
-    if let Some(cfg) = monitor_cfg {
-        bastion::monitor::protect(&mut world, pid, &image, &out.metadata, cfg);
-    }
-    let status = world.run(10_000_000_000);
+    let protection = parse_protection(flags)?;
+    let sources = read_sources(files)?;
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let d = Deployment::from_minic("cli", &refs).map_err(|e| match e {
+        bastion::Error::Front(e) => format!("compile error: {e}"),
+        // The front end validates its output, so the loader (a missing
+        // `main`) is where a well-formed program is still refused.
+        bastion::Error::Validate(e) => format!("load: {e}"),
+    })?;
+    let mut world = d.world();
+    let (pid, status) = d.boot(&mut world, &protection, 10_000_000_000);
     let console = String::from_utf8_lossy(&world.kernel.console).into_owned();
     if !console.is_empty() {
         print!("{console}");
@@ -464,12 +473,11 @@ struct TopLane {
 }
 
 fn boot_lane(app: bastion::apps::App) -> TopLane {
-    let d = bastion::Deployment::from_module(app.module().expect("app compiles"))
+    let d = Deployment::from_module(app.module().expect("app compiles"))
         .expect("instrumentation succeeds");
     let mut world = d.world();
     app.setup_vfs(&mut world);
-    d.launch(&mut world, &bastion::Protection::full());
-    world.run(1_000_000_000);
+    d.boot(&mut world, &Protection::full(), 1_000_000_000);
     assert!(world.alive_count() > 0, "{} died during boot", app.id());
     TopLane {
         app,

@@ -118,7 +118,9 @@ fn compile_error_reporting() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("nope"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("bastion: compile error: "), "{stderr}");
+    assert!(stderr.contains("nope"), "{stderr}");
 }
 
 /// `--no-prefilter` turns the tier-1 check program off for the run: no
@@ -143,4 +145,36 @@ fn no_prefilter_flag_disables_tier_one() {
     };
     assert_eq!(prefilter_checks(&["--no-prefilter"]), 0);
     assert!(prefilter_checks(&[]) > 0);
+}
+
+/// `--cet` hardens the machine with the shadow stack: the unprotected demo
+/// exits the same way, and the shadow-stack charge shows in its virtual
+/// cycle count.
+#[test]
+fn cet_flag_charges_the_shadow_stack() {
+    let src = write_demo();
+    let run = |extra: &[&str]| -> (Option<i32>, u64) {
+        let out = bastion()
+            .args(["run", src.to_str().unwrap(), "--protect=none"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let cycles = stdout
+            .lines()
+            .find_map(|l| {
+                l.strip_prefix("[exited with status 0; ")?
+                    .strip_suffix(" virtual cycles]")
+            })
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no clean exit with a cycle count in {stdout}"));
+        (out.status.code(), cycles)
+    };
+    let (plain_code, plain_cycles) = run(&[]);
+    let (cet_code, cet_cycles) = run(&["--cet"]);
+    assert_eq!(cet_code, plain_code);
+    assert!(
+        cet_cycles > plain_cycles,
+        "--cet {cet_cycles} vs plain {plain_cycles} cycles"
+    );
 }

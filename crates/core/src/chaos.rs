@@ -33,6 +33,7 @@
 //! trap entry, which the monitor must survive without ever approving
 //! corrupted state.
 
+use crate::{Deployment, Protection};
 use bastion_apps::App;
 use bastion_attacks::env::{AttackEnv, DeployCheckpoint, RunOutcome};
 use bastion_attacks::scenario::Scenario;
@@ -93,17 +94,15 @@ pub struct BenignChaosReport {
 /// Panics only if the application fails to compile or boot *without*
 /// faults (shipped apps are tested to do both).
 fn deploy_benign(app: App, cfg: ContextConfig) -> World {
-    let compiler = bastion_compiler::BastionCompiler::new();
-    let module = app.module().expect("app compiles");
-    let out = compiler.compile(module).expect("instrumentation succeeds");
-    let image = std::sync::Arc::new(bastion_vm::Image::load(out.module).expect("image loads"));
-    let cost = bastion_vm::CostModel::default();
-    let mut world = World::new(cost);
+    let d = Deployment::from_module(app.module().expect("app compiles"))
+        .expect("instrumentation succeeds");
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let machine = bastion_vm::Machine::new(image.clone(), cost);
-    let pid = world.spawn(machine);
-    bastion_monitor::protect(&mut world, pid, &image, &out.metadata, cfg);
-    world.run(1_000_000_000);
+    let protection = Protection {
+        monitor: Some(cfg),
+        ..Protection::bastion_no_cet()
+    };
+    d.boot(&mut world, &protection, 1_000_000_000);
     assert!(
         world.alive_count() > 0,
         "{} died during clean boot",

@@ -4,12 +4,11 @@
 //! Everything is measured in deterministic virtual time, so a single run
 //! per configuration regenerates each table bit-for-bit.
 
-use crate::protection::Protection;
+use crate::{Deployment, Protection};
 use bastion_apps::{loadgen, App};
-use bastion_compiler::{BastionCompiler, InstrStats};
-use bastion_kernel::{Pid, World};
+use bastion_compiler::{BastionCompiler, ContextMetadata, InstrStats};
 use bastion_monitor::MonitorStats;
-use bastion_vm::{CostModel, Image, Machine};
+use bastion_vm::{CostModel, Image};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -123,34 +122,24 @@ pub fn run_app_benchmark(
     cost: CostModel,
 ) -> AppBenchmark {
     let module = app.module().expect("app compiles");
-    let (image, metadata, instr) = if protection.has_monitor() {
-        let out = compiler.compile(module).expect("instrumentation succeeds");
-        let stats = out.metadata.stats.clone();
-        (
-            Arc::new(Image::load(out.module).expect("image loads")),
-            Some(out.metadata),
-            Some(stats),
-        )
+    let d = if protection.has_monitor() {
+        Deployment::with_compiler(module, compiler)
+            .expect("instrumentation succeeds")
+            .with_cost(cost)
     } else {
-        (
-            Arc::new(Image::load(module).expect("image loads")),
-            None,
-            None,
-        )
+        // Baselines run the uninstrumented binary; no monitor reads metadata.
+        Deployment {
+            image: Arc::new(Image::load(module).expect("image loads")),
+            metadata: ContextMetadata::default(),
+            cost,
+        }
     };
+    let instr = protection.has_monitor().then(|| d.metadata.stats.clone());
 
-    let mut world = World::new(cost);
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let mut machine = Machine::new(image.clone(), cost);
-    protection.hardening.apply(&mut machine);
-    let pid: Pid = world.spawn(machine);
-    if let Some(cfg) = protection.monitor {
-        let md = metadata.as_ref().expect("metadata built with monitor");
-        bastion_monitor::protect(&mut world, pid, &image, md, cfg);
-    }
-
     // Boot until every process parks (workers blocked in accept).
-    world.run(1_000_000_000);
+    let (pid, _) = d.boot(&mut world, protection, 1_000_000_000);
     assert!(
         world.alive_count() > 0,
         "{} died during boot under {}: {:?}",

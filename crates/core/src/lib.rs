@@ -9,7 +9,8 @@
 //! This crate ties the whole reproduction together:
 //!
 //! * [`Deployment`] — compile a program (MiniC source or IR) under the
-//!   BASTION compiler and launch it, protected, in a simulated world;
+//!   BASTION compiler and boot it, protected, in a simulated world; every
+//!   entry point boots through it (defined in [`attacks::deploy`]);
 //! * [`Protection`] — the defense configurations of Figure 3 (vanilla,
 //!   LLVM CFI, CET, CET+CT, CET+CT+CF, CET+CT+CF+AI) plus the Table 7
 //!   extended-scope variants;
@@ -39,8 +40,7 @@
 //! "#;
 //! let deployment = Deployment::from_minic("demo", &[src])?;
 //! let mut world = deployment.world();
-//! let pid = deployment.launch(&mut world, &Protection::full());
-//! world.run(10_000_000);
+//! let (pid, _status) = deployment.boot(&mut world, &Protection::full(), 10_000_000);
 //! let proc = world.proc(pid).unwrap();
 //! assert!(matches!(
 //!     proc.exit,
@@ -54,9 +54,9 @@ pub mod chaos;
 pub mod fleet;
 pub mod gate;
 pub mod harness;
-pub mod protection;
 pub mod serve;
 
+pub use bastion_attacks::deploy::{Deployment, Error, Protection};
 pub use chaos::{
     attack_chaos, attack_chaos_mode, benign_chaos, benign_chaos_suite, AttackChaosReport,
     BenignChaosReport,
@@ -64,7 +64,6 @@ pub use chaos::{
 pub use fleet::{run_ordered, run_ordered_traced, ChaosMatrixOutcome, FleetTelemetry};
 pub use gate::{GateCheck, GateReport};
 pub use harness::{run_app_benchmark, run_extended_scope_pair, AppBenchmark, WorkloadSize};
-pub use protection::Protection;
 pub use serve::{run_serve, serve_with_specs, ServeConfig, ServeReport, ServeRun, TenantKind};
 
 /// Re-export: static analyses.
@@ -89,156 +88,3 @@ pub use bastion_monitor as monitor;
 pub use bastion_obs as obs;
 /// Re-export: the process VM.
 pub use bastion_vm as vm;
-
-use bastion_compiler::{BastionCompiler, ContextMetadata};
-use bastion_kernel::{Pid, World};
-use bastion_vm::{CostModel, Image, Machine};
-use std::fmt;
-use std::sync::Arc;
-
-/// Any pipeline error.
-#[derive(Debug)]
-pub enum Error {
-    /// MiniC front-end failure.
-    Front(bastion_minic::FrontError),
-    /// IR validation failure.
-    Validate(bastion_ir::ValidateError),
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::Front(e) => write!(f, "front-end: {e}"),
-            Error::Validate(e) => write!(f, "validation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<bastion_minic::FrontError> for Error {
-    fn from(e: bastion_minic::FrontError) -> Self {
-        Error::Front(e)
-    }
-}
-
-impl From<bastion_ir::ValidateError> for Error {
-    fn from(e: bastion_ir::ValidateError) -> Self {
-        Error::Validate(e)
-    }
-}
-
-/// A program compiled under BASTION and ready to launch.
-///
-/// Holds both the instrumented image and the context metadata; launching
-/// installs the seccomp filter and attaches the runtime monitor according
-/// to the chosen [`Protection`].
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    /// The loaded (instrumented) program image.
-    pub image: Arc<Image>,
-    /// The compiler-generated context metadata.
-    pub metadata: ContextMetadata,
-    /// Cost model used for machines and worlds.
-    pub cost: CostModel,
-}
-
-impl Deployment {
-    /// Compiles MiniC sources (libc prelude included) under the default
-    /// sensitive set.
-    ///
-    /// # Errors
-    /// Propagates front-end and validation errors.
-    pub fn from_minic(name: &str, sources: &[&str]) -> Result<Self, Error> {
-        let module = bastion_minic::compile_program(name, sources)?;
-        Self::from_module(module)
-    }
-
-    /// Compiles an IR module under the default sensitive set.
-    ///
-    /// # Errors
-    /// Propagates validation errors.
-    pub fn from_module(module: bastion_ir::Module) -> Result<Self, Error> {
-        Self::with_compiler(module, &BastionCompiler::new())
-    }
-
-    /// Compiles with an explicit compiler configuration (e.g. the Table 7
-    /// extended sensitive set).
-    ///
-    /// # Errors
-    /// Propagates validation errors.
-    pub fn with_compiler(
-        module: bastion_ir::Module,
-        compiler: &BastionCompiler,
-    ) -> Result<Self, Error> {
-        let out = compiler.compile(module)?;
-        let image = Arc::new(Image::load(out.module)?);
-        Ok(Deployment {
-            image,
-            metadata: out.metadata,
-            cost: CostModel::default(),
-        })
-    }
-
-    /// Overrides the cost model (e.g. the §11.2 in-kernel monitor ablation).
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// A fresh world with this deployment's cost model.
-    pub fn world(&self) -> World {
-        World::new(self.cost)
-    }
-
-    /// Spawns the program in `world` with the given protection: applies
-    /// CET / LLVM-CFI hardening to the machine, and (when configured)
-    /// installs the BASTION seccomp filter and monitor.
-    pub fn launch(&self, world: &mut World, protection: &Protection) -> Pid {
-        let mut machine = Machine::new(self.image.clone(), self.cost);
-        protection.hardening.apply(&mut machine);
-        let pid = world.spawn(machine);
-        if let Some(cfg) = protection.monitor {
-            bastion_monitor::protect(world, pid, &self.image, &self.metadata, cfg);
-        }
-        pid
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bastion_kernel::ExitReason;
-
-    #[test]
-    fn deployment_pipeline_end_to_end() {
-        let d = Deployment::from_minic("t", &["long main() { return getpid(); }"]).unwrap();
-        let mut world = d.world();
-        let pid = d.launch(&mut world, &Protection::full());
-        world.run(10_000_000);
-        // getpid is not sensitive: allowed without a trap.
-        assert_eq!(world.trap_count, 0);
-        let p = world.proc(pid).unwrap();
-        assert_eq!(p.exit, Some(ExitReason::Exited(1)));
-    }
-
-    #[test]
-    fn vanilla_launch_has_no_monitor() {
-        let d = Deployment::from_minic("t", &["long main() { return 0; }"]).unwrap();
-        let mut world = d.world();
-        let pid = d.launch(&mut world, &Protection::vanilla());
-        world.run(10_000_000);
-        assert!(world.proc(pid).unwrap().seccomp.is_none());
-    }
-
-    #[test]
-    fn sensitive_syscall_traps_under_full_protection() {
-        let d = Deployment::from_minic("t", &["long main() { return socket(2, 1, 0); }"]).unwrap();
-        let mut world = d.world();
-        let pid = d.launch(&mut world, &Protection::full());
-        world.run(10_000_000);
-        assert_eq!(world.trap_count, 1);
-        let p = world.proc(pid).unwrap();
-        assert!(matches!(p.exit, Some(ExitReason::Exited(_))));
-    }
-}

@@ -619,8 +619,7 @@ fn boot(
         app.setup_vfs(&mut world);
     }
     let guard = TelemetryGuard::enable(TURN_SPANS);
-    d.launch(&mut world, &Protection::full());
-    world.run(BOOT_BUDGET);
+    d.boot(&mut world, &Protection::full(), BOOT_BUDGET);
     let (_, registry) = guard.finish();
     let traffic = match &spec.kind {
         TenantKind::App(app) if world.alive_count() > 0 => {

@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Serve a legitimate admin command under full protection.
     let mut world = deployment.world();
-    let pid = deployment.launch(&mut world, &Protection::full());
-    world.run(10_000_000); // boots, then parks in accept
+    // Boots, then parks in accept.
+    let (pid, _) = deployment.boot(&mut world, &Protection::full(), 10_000_000);
     let c = world.net_connect(9000).expect("daemon listening");
     world.net_send(c, b"relock\n");
     world.run(10_000_000);

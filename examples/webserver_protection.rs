@@ -7,36 +7,19 @@
 //! ```
 
 use bastion::apps::{loadgen, App};
-use bastion::compiler::BastionCompiler;
 use bastion::ir::sysno;
-use bastion::kernel::World;
-use bastion::vm::{CostModel, Image, Machine};
-use bastion::{monitor, Protection};
-use std::sync::Arc;
+use bastion::{Deployment, Protection};
 
 fn main() {
     let app = App::Webserve;
     let protection = Protection::full();
     println!("booting {} under {} ...", app.label(), protection.label);
 
-    let out = BastionCompiler::new()
-        .compile(app.module().expect("webserve compiles"))
+    let d = Deployment::from_module(app.module().expect("webserve compiles"))
         .expect("instrumentation succeeds");
-    let image = Arc::new(Image::load(out.module).expect("image loads"));
-    let mut world = World::new(CostModel::default());
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let mut machine = Machine::new(image.clone(), CostModel::default());
-    protection.hardening.apply(&mut machine);
-    let pid = world.spawn(machine);
-    monitor::protect(
-        &mut world,
-        pid,
-        &image,
-        &out.metadata,
-        protection.monitor.expect("full protection has a monitor"),
-    );
-
-    world.run(1_000_000_000);
+    d.boot(&mut world, &protection, 1_000_000_000);
     println!(
         "boot complete: {} processes (1 master + 32 workers), {} init-phase traps",
         world.alive_count(),
@@ -62,11 +45,7 @@ fn main() {
             println!("  {:<18} {n}", sysno::name(nr).expect("named"));
         }
     }
-    if let Some(stats) = world.take_tracer().and_then(|t| {
-        t.as_any()
-            .downcast_ref::<monitor::Monitor>()
-            .map(|m| m.stats.clone())
-    }) {
+    if let Some(stats) = bastion::chaos::monitor_stats(&mut world) {
         println!();
         println!(
             "monitor: {} traps, 0 violations = {}, stack depth avg {:.1} (min {}, max {})",

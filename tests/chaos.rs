@@ -12,13 +12,12 @@
 //! All seeds are pinned: a failure replays bit-for-bit.
 
 use bastion::chaos::{attack_chaos, benign_chaos};
+use bastion::{Deployment, Protection};
 use bastion_apps::App;
 use bastion_ir::build::ModuleBuilder;
 use bastion_ir::{sysno, CmpOp, Module, Operand, Ty};
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
-use bastion_monitor::{protect, ContextConfig, MonitorMode, Resilience};
-use bastion_vm::{CostModel, Image, Machine};
-use std::sync::Arc;
+use bastion_monitor::{ContextConfig, MonitorMode, Resilience};
 
 /// A request volume large enough to produce a dozen monitor traps
 /// (accept4 is sensitive, so every served connection traps at least once).
@@ -336,17 +335,16 @@ struct LoopSetup {
 }
 
 fn launch_loop(rebind_per_iter: bool, cfg: ContextConfig) -> LoopSetup {
-    let out = bastion_compiler::BastionCompiler::new()
-        .compile(looped_mmap_app(rebind_per_iter))
-        .expect("loop app compiles");
-    let image = Arc::new(Image::load(out.module).expect("loop app image loads"));
-    let main = image.module.func_by_name("main").expect("main exists");
-    let fi = image.frame(main);
-    let prot_addr = (image.stack_top - 16) - fi.frame_size + fi.slot_offsets[0];
-    let machine = Machine::new(image.clone(), CostModel::default());
-    let mut world = World::new(CostModel::default());
-    let pid = world.spawn(machine);
-    protect(&mut world, pid, &image, &out.metadata, cfg);
+    let d = Deployment::from_module(looped_mmap_app(rebind_per_iter)).expect("loop app compiles");
+    let main = d.image.module.func_by_name("main").expect("main exists");
+    let fi = d.image.frame(main);
+    let prot_addr = (d.image.stack_top - 16) - fi.frame_size + fi.slot_offsets[0];
+    let mut world = d.world();
+    let protection = Protection {
+        monitor: Some(cfg),
+        ..Protection::vanilla()
+    };
+    let pid = d.launch(&mut world, &protection);
     LoopSetup {
         world,
         pid,

@@ -97,7 +97,7 @@ fn metadata_survives_serialization_and_rebase() {
 #[test]
 fn aslr_does_not_break_protection() {
     use bastion::compiler::BastionCompiler;
-    use bastion::vm::{CostModel, ImageBuilder, Machine};
+    use bastion::vm::{CostModel, ImageBuilder};
     use std::sync::Arc;
 
     let module = bastion::minic::compile_program("daemon", &[DAEMON]).expect("compiles");
@@ -108,18 +108,13 @@ fn aslr_does_not_break_protection() {
             .build(out.module.clone())
             .expect("loads");
         assert_ne!(image.slide, 0);
-        let image = Arc::new(image);
-        let mut world = bastion::kernel::World::new(CostModel::default());
-        let machine = Machine::new(image.clone(), CostModel::default());
-        let pid = world.spawn(machine);
-        bastion::monitor::protect(
-            &mut world,
-            pid,
-            &image,
-            &out.metadata,
-            bastion::monitor::ContextConfig::full(),
-        );
-        world.run(50_000_000);
+        let d = Deployment {
+            image: Arc::new(image),
+            metadata: out.metadata.clone(),
+            cost: CostModel::default(),
+        };
+        let mut world = d.world();
+        let (pid, _) = d.boot(&mut world, &Protection::bastion_no_cet(), 50_000_000);
         assert_eq!(
             world.proc(pid).unwrap().exit,
             Some(ExitReason::Exited(0)),

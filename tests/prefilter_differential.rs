@@ -17,12 +17,11 @@ use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{sysno, Module, Operand, Ty};
 use bastion::kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
-use bastion::monitor::{protect, ContextConfig};
+use bastion::monitor::ContextConfig;
 use bastion::obs::DenyRecord;
-use bastion::vm::{CostModel, Image, Machine};
-use bastion::Protection;
+use bastion::vm::CostModel;
+use bastion::{Deployment, Protection};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Everything verdict-relevant one world run produces.
 #[derive(Debug, PartialEq)]
@@ -188,22 +187,13 @@ fn assert_fault_cells_escalate(compiler: &BastionCompiler, scope: &str) {
     ];
     for (kind_label, kind) in kinds {
         let label = format!("{scope}/{kind_label}");
-        let out = compiler.compile(faultable_app()).unwrap();
-        let image = Arc::new(Image::load(out.module).unwrap());
-        let machine = Machine::new(image.clone(), CostModel::default());
-        let mut world = World::new(CostModel::default());
+        let d = Deployment::with_compiler(faultable_app(), compiler).unwrap();
+        let mut world = d.world();
         world
             .kernel
             .vfs
             .put_file("/sbin/upgrade", vec![0x7f], 0o755);
-        let pid = world.spawn(machine);
-        protect(
-            &mut world,
-            pid,
-            &image,
-            &out.metadata,
-            ContextConfig::full(),
-        );
+        d.launch(&mut world, &Protection::bastion_no_cet());
         // Faults are live from the very first trap: no clean-boot window.
         world.install_faults(FaultSchedule::new(11).with(
             kind,
@@ -397,14 +387,15 @@ fn random_program(flag: i64, depth_via_worker: bool, do_exec: bool, reps: usize)
 }
 
 fn run_random(module: Module, cfg: ContextConfig) -> Observables {
-    let out = BastionCompiler::new().compile(module).unwrap();
-    let image = Arc::new(Image::load(out.module).unwrap());
-    let machine = Machine::new(image.clone(), CostModel::default());
-    let mut world = World::new(CostModel::default());
+    let d = Deployment::from_module(module).unwrap();
+    let mut world = d.world();
     world.kernel.vfs.put_file("/bin/true", vec![0x7f], 0o755);
-    let pid = world.spawn(machine);
-    protect(&mut world, pid, &image, &out.metadata, cfg);
-    assert_eq!(world.run(200_000_000), RunStatus::AllExited);
+    let protection = Protection {
+        monitor: Some(cfg),
+        ..Protection::vanilla()
+    };
+    let (_, status) = d.boot(&mut world, &protection, 200_000_000);
+    assert_eq!(status, RunStatus::AllExited);
     observe(world)
 }
 

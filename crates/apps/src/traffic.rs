@@ -476,16 +476,16 @@ impl FtpTraffic {
                 true
             }
             FtpState::Transfer { data } => {
+                // The data channel's bytes are only counted, never read.
                 let mut progressed = false;
-                let chunk = world.net_recv(data);
-                if !chunk.is_empty() {
-                    self.bytes += chunk.len() as u64;
+                let n = world.net_recv_len(data);
+                if n > 0 {
+                    self.bytes += n as u64;
                     progressed = true;
                 }
                 if self.take_reply(b"226").is_some() {
                     // Drain trailing data bytes that landed with the 226.
-                    let tail = world.net_recv(data);
-                    self.bytes += tail.len() as u64;
+                    self.bytes += world.net_recv_len(data) as u64;
                     self.files += 1;
                     obs::sketch_observe(
                         REQUEST_CYCLES_SKETCH,

@@ -8,9 +8,11 @@
 //!
 //! 1. admits tenants through a bounded [`AdmissionQueue`] (overflow is
 //!    rejected deterministically, before any world boots),
-//! 2. compiles each distinct program **once** and shares the
-//!    [`Deployment`] (instrumented image + context metadata) across every
-//!    tenant that runs it,
+//! 2. compiles and boots each distinct program once per shard: the
+//!    [`Deployment`] (instrumented image + context metadata) is compiled
+//!    once and shared by every tenant that runs it, the shard's first
+//!    tenant of a program boots it, and every later one forks from a
+//!    copy-on-write checkpoint of that booted world (warm admission),
 //! 3. drives hundreds of concurrent protected worlds with a round-robin
 //!    run queue — each runnable tenant gets a fixed cycle quantum
 //!    ([`ServeConfig::quantum`]), yields on [`RunStatus::Budget`] or
@@ -36,7 +38,7 @@ use crate::fleet;
 use crate::{Deployment, Protection};
 use bastion_apps::loadgen::REQUEST_CYCLES_SKETCH;
 use bastion_apps::{traffic::Traffic, App, ALL_APPS};
-use bastion_kernel::{ExitReason, LegacyInterpGuard, RunStatus, World};
+use bastion_kernel::{ExitReason, LegacyInterpGuard, RunStatus, World, WorldSnapshot};
 use bastion_obs::{
     MetricsRegistry, MetricsSnapshot, QuantileSketch, SketchSnapshot, TelemetryGuard,
 };
@@ -556,6 +558,28 @@ struct Tenant {
     stall: u32,
 }
 
+impl Tenant {
+    /// A booted tenant with a fresh client for its own request count (no
+    /// client for a custom program or a world that died during boot).
+    fn new(spec: TenantSpec, world: World, registry: MetricsRegistry, cfg: &ServeConfig) -> Self {
+        let traffic = match &spec.kind {
+            TenantKind::App(app) if world.alive_count() > 0 => {
+                Some(Traffic::for_app(*app, spec.requests, cfg.concurrency))
+            }
+            _ => None,
+        };
+        Tenant {
+            spec,
+            world,
+            traffic,
+            registry,
+            turns: 0,
+            parked: 0,
+            stall: 0,
+        }
+    }
+}
+
 enum Turn {
     /// Quantum expired or world parked; re-enter the run queue.
     Yield,
@@ -563,9 +587,16 @@ enum Turn {
     Finished(String),
 }
 
-/// Boots every tenant of the shard, then round-robins the run queue until
-/// it drains. Returns `(row, payload_bytes, registry)` per tenant in
+/// Admits every tenant of the shard, then round-robins the run queue
+/// until it drains. Returns `(row, payload_bytes, registry)` per tenant in
 /// submission order.
+///
+/// Warm admission: the first tenant of each program key boots cold; the
+/// shard then checkpoints its world and boot registry, and every later
+/// tenant with that key forks from the checkpoint copy-on-write. A boot
+/// depends only on the key, and a restore replays a cold run bit for bit,
+/// so each forked tenant is the world a cold boot would have built. The
+/// checkpoints are dropped before the first turn.
 fn run_shard(
     specs: &[TenantSpec],
     programs: &BTreeMap<String, Result<Deployment, String>>,
@@ -574,8 +605,9 @@ fn run_shard(
     let _interp = LegacyInterpGuard::set(false);
     let mut done: BTreeMap<u32, (TenantReport, u64, MetricsRegistry)> = BTreeMap::new();
     let mut queue: VecDeque<Tenant> = VecDeque::new();
+    let mut warm = WarmBoots::new();
     for spec in specs {
-        match boot(spec.clone(), programs, cfg) {
+        match admit(spec, programs, cfg, &mut warm) {
             // A world dead straight out of boot never enters the queue.
             Ok(t) if t.world.alive_count() == 0 => {
                 let status = classify(&t.world);
@@ -587,6 +619,7 @@ fn run_shard(
             }
         }
     }
+    drop(warm);
     while let Some(mut t) = queue.pop_front() {
         match turn(&mut t, cfg.quantum) {
             Turn::Yield => queue.push_back(t),
@@ -599,6 +632,29 @@ fn run_shard(
         .iter()
         .map(|s| done.remove(&s.id).expect("every tenant finalized"))
         .collect()
+}
+
+/// A shard's boot checkpoints: per program key, the booted world and the
+/// registry its boot filled.
+type WarmBoots = BTreeMap<String, (WorldSnapshot, MetricsRegistry)>;
+
+/// Admits one tenant: forks it from its program's checkpoint if the shard
+/// holds one, else boots it cold and checkpoints the booted world. A
+/// program that failed to compile is never checkpointed.
+fn admit(
+    spec: &TenantSpec,
+    programs: &BTreeMap<String, Result<Deployment, String>>,
+    cfg: &ServeConfig,
+    warm: &mut WarmBoots,
+) -> Result<Tenant, String> {
+    let key = spec.kind.key();
+    if let Some((snap, registry)) = warm.get(&key) {
+        let world = World::restore(snap);
+        return Ok(Tenant::new(spec.clone(), world, registry.clone(), cfg));
+    }
+    let mut t = boot(spec.clone(), programs, cfg)?;
+    warm.insert(key, (t.world.snapshot(), t.registry.clone()));
+    Ok(t)
 }
 
 /// Boots one tenant: fresh world, VFS fixtures, protected launch, run to
@@ -621,21 +677,7 @@ fn boot(
     let guard = TelemetryGuard::enable(TURN_SPANS);
     d.boot(&mut world, &Protection::full(), BOOT_BUDGET);
     let (_, registry) = guard.finish();
-    let traffic = match &spec.kind {
-        TenantKind::App(app) if world.alive_count() > 0 => {
-            Some(Traffic::for_app(*app, spec.requests, cfg.concurrency))
-        }
-        _ => None,
-    };
-    Ok(Tenant {
-        spec,
-        world,
-        traffic,
-        registry,
-        turns: 0,
-        parked: 0,
-        stall: 0,
-    })
+    Ok(Tenant::new(spec, world, registry, cfg))
 }
 
 /// One scheduler quantum: pump the tenant's client side, run the world
@@ -838,6 +880,156 @@ mod tests {
         assert_eq!(run.report.rows[0].status, "exited[7]");
         assert_eq!(run.report.completed, 0);
         assert_eq!(run.report.evicted, 0);
+    }
+
+    /// The cold reference for warm admission: every tenant boots its own
+    /// world through `boot` and runs to completion alone (tenants are
+    /// independent, so the round-robin order cannot change a row). Returns
+    /// the rows, the payload bytes and the fleet registry merged in id
+    /// order.
+    fn cold_reference(
+        cfg: &ServeConfig,
+        specs: &[TenantSpec],
+    ) -> (Vec<TenantReport>, u64, MetricsSnapshot) {
+        let _interp = LegacyInterpGuard::set(false);
+        let programs = compile_programs(specs);
+        let (mut rows, mut bytes, mut fleet) = (Vec::new(), 0, MetricsRegistry::new());
+        for spec in specs {
+            let (row, b, reg) = match boot(spec.clone(), &programs, cfg) {
+                Err(status) => reject_row(spec, status),
+                Ok(t) if t.world.alive_count() == 0 => {
+                    let status = classify(&t.world);
+                    finalize(t, status)
+                }
+                Ok(mut t) => loop {
+                    if let Turn::Finished(status) = turn(&mut t, cfg.quantum) {
+                        break finalize(t, status);
+                    }
+                },
+            };
+            rows.push(row);
+            bytes += b;
+            fleet.merge(reg);
+        }
+        (rows, bytes, fleet.snapshot())
+    }
+
+    /// Asserts a serve run equals the cold reference row for row, in its
+    /// fleet totals and in its merged fleet metrics.
+    fn assert_matches_cold(cfg: &ServeConfig, specs: &[TenantSpec]) -> ServeReport {
+        let (rows, bytes, fleet) = cold_reference(cfg, specs);
+        let run = serve_with_specs(cfg, specs.to_vec());
+        let r = &run.report;
+        assert_eq!(
+            r.rows, rows,
+            "jobs={}: rows differ from cold boots",
+            cfg.jobs
+        );
+        let sum = |f: fn(&TenantReport) -> u64| rows.iter().map(f).sum::<u64>();
+        assert_eq!(r.total_requests, sum(|t| t.served));
+        assert_eq!(r.total_bytes, bytes);
+        assert_eq!(r.total_turns, sum(|t| t.turns));
+        assert_eq!(r.total_traps, sum(|t| t.traps));
+        assert_eq!(r.total_denies, sum(|t| t.denies));
+        assert_eq!(r.fleet_cycles, sum(|t| t.cycles));
+        assert_eq!(run.fleet, fleet, "jobs={}: fleet metrics differ", cfg.jobs);
+        run.report
+    }
+
+    fn spec(id: u32, kind: TenantKind, requests: u64) -> TenantSpec {
+        TenantSpec { id, kind, requests }
+    }
+
+    fn custom(name: &str, source: &str) -> TenantKind {
+        TenantKind::Custom {
+            name: name.to_string(),
+            source: source.to_string(),
+        }
+    }
+
+    #[test]
+    fn warm_admission_matches_cold_boots() {
+        let web = || TenantKind::App(App::Webserve);
+        let specs = vec![
+            spec(0, web(), 3),
+            spec(1, web(), 5),
+            spec(2, TenantKind::App(App::Dbkv), 4),
+            spec(3, web(), 4),
+            spec(4, web(), 2),
+            spec(5, TenantKind::App(App::Ftpd), 1),
+            spec(6, custom("ret7", "long main() { return 7; }"), 0),
+            spec(7, web(), 6),
+        ];
+        // jobs = 3 shards 3/3/2: two shards fork webserve tenants from
+        // checkpoints of their own.
+        for jobs in [1, 3] {
+            let cfg = ServeConfig::new(specs.len(), 0).with_jobs(jobs);
+            let r = assert_matches_cold(&cfg, &specs);
+            assert_eq!(r.completed, 7, "{}", r.render());
+            assert_eq!(r.rows[6].status, "exited[7]");
+        }
+
+        // A second tenant of a program forks from the first one's
+        // checkpoint and shares its unwritten pages.
+        let _interp = LegacyInterpGuard::set(false);
+        let cfg = ServeConfig::new(2, 0);
+        let programs = compile_programs(&specs);
+        let mut warm = WarmBoots::new();
+        let first = admit(&specs[0], &programs, &cfg, &mut warm).expect("boots");
+        assert_eq!(warm.len(), 1, "the first tenant is checkpointed");
+        let second = admit(&specs[1], &programs, &cfg, &mut warm).expect("forks");
+        assert_eq!(warm.len(), 1, "a forked tenant adds no checkpoint");
+        assert!(
+            second.world.page_stats().1 > 0,
+            "a forked tenant shares its pages"
+        );
+        assert_eq!(second.world.now(), first.world.now());
+        assert_eq!(second.world.trap_count, first.world.trap_count);
+        assert_eq!(second.traffic.as_ref().map(Traffic::target), Some(5));
+    }
+
+    #[test]
+    fn tenants_dying_or_denied_in_boot_fork_the_same_rows() {
+        let family = bastion_attacks::generate::FAMILIES
+            .iter()
+            .find(|f| f.name == "ct-indirect-execve")
+            .expect("family table");
+        let rogue = bastion_attacks::generate::Generator::new(5)
+            .program(family)
+            .source;
+        let exits = "long main() { return 3; }";
+        let specs: Vec<TenantSpec> = (0..3)
+            .map(|id| spec(id, custom("exits", exits), 0))
+            .chain((3..6).map(|id| spec(id, custom("rogue", &rogue), 0)))
+            .collect();
+        let cfg = ServeConfig::new(specs.len(), 0);
+        let r = assert_matches_cold(&cfg, &specs);
+        for row in &r.rows[..3] {
+            assert_eq!(row.status, "exited[3]");
+        }
+        for row in &r.rows[3..] {
+            assert!(row.status.starts_with("denied["), "{}", r.render());
+            assert!(row.denies > 0);
+        }
+        assert_eq!(r.evicted, 3);
+    }
+
+    #[test]
+    fn compile_error_key_is_rejected_per_tenant_and_never_checkpointed() {
+        let specs: Vec<TenantSpec> = (0..3)
+            .map(|id| spec(id, custom("broken", "long main( {"), 0))
+            .collect();
+        let cfg = ServeConfig::new(specs.len(), 0);
+        let r = assert_matches_cold(&cfg, &specs);
+        assert!(r.rows.iter().all(|t| t.status.starts_with("compile-error")));
+        assert_eq!(r.evicted, 3);
+
+        let programs = compile_programs(&specs);
+        let mut warm = WarmBoots::new();
+        for s in &specs {
+            assert!(admit(s, &programs, &cfg, &mut warm).is_err());
+        }
+        assert!(warm.is_empty(), "a compile error must not be checkpointed");
     }
 
     #[test]

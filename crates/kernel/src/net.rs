@@ -10,9 +10,11 @@
 //! The two directions are shaped by how they are consumed. The server reads
 //! client bytes a bounded prefix at a time (peek, then consume), so
 //! client→server is a `VecDeque`. The client always drains server→client
-//! whole, so that direction is a plain `Vec` handed over by `mem::take`:
-//! server writes append to it once and receiving moves the buffer out
-//! without copying a byte.
+//! whole, so that direction is a list of exact-size chunks, one per server
+//! write: a write allocates its chunk once at its final size (no doubling
+//! growth, no zero-fill of spare capacity), a receive of a lone chunk
+//! moves it out without copying a byte, and a count-only receive
+//! ([`Net::client_recv_len`]) drops the chunks without reading them.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -25,7 +27,8 @@ pub type ListenerId = usize;
 #[derive(Debug, Clone, Default)]
 pub struct Conn {
     to_server: VecDeque<u8>,
-    to_client: Vec<u8>,
+    /// Server writes not yet received, one exact-size chunk each.
+    to_client: Vec<Vec<u8>>,
     client_closed: bool,
     server_closed: bool,
     /// Synthetic peer port, reported by `accept`.
@@ -178,9 +181,10 @@ impl Net {
     }
 
     /// Server-side write of `len` bytes produced in place: `fill` writes
-    /// them straight into the tail of the server→client buffer, so a
-    /// source such as guest memory is copied exactly once. `fill` is not
-    /// called once the client has closed (the bytes would vanish anyway).
+    /// them straight into a new chunk of exactly `len` bytes queued for the
+    /// client, so a source such as guest memory is copied exactly once.
+    /// `fill` is not called once the client has closed (the bytes would
+    /// vanish anyway), nor for an empty write.
     pub fn server_write_with(
         &mut self,
         cid: ConnId,
@@ -188,12 +192,12 @@ impl Net {
         fill: impl FnOnce(&mut [u8]),
     ) -> usize {
         let c = &mut self.conns[cid];
-        if c.client_closed {
+        if c.client_closed || len == 0 {
             return len; // RST-free simplification: bytes vanish.
         }
-        let at = c.to_client.len();
-        c.to_client.resize(at + len, 0);
-        fill(&mut c.to_client[at..]);
+        let mut chunk = vec![0; len];
+        fill(&mut chunk);
+        c.to_client.push(chunk);
         len
     }
 
@@ -216,10 +220,25 @@ impl Net {
         }
     }
 
-    /// Client-side receive: hands over everything available, buffer and
-    /// all, leaving the connection holding no receive capacity.
+    /// Client-side receive: hands over everything available, leaving the
+    /// connection holding no receive capacity. A lone chunk is moved out
+    /// as is; several are concatenated in write order.
     pub fn client_recv(&mut self, cid: ConnId) -> Vec<u8> {
+        let mut chunks = std::mem::take(&mut self.conns[cid].to_client);
+        if chunks.len() == 1 {
+            return chunks.pop().unwrap_or_default();
+        }
+        chunks.concat()
+    }
+
+    /// Count-only client-side receive: drains everything available like
+    /// [`Net::client_recv`] but returns only its length, for a client that
+    /// never reads the bytes (a bulk-transfer data channel).
+    pub fn client_recv_len(&mut self, cid: ConnId) -> usize {
         std::mem::take(&mut self.conns[cid].to_client)
+            .iter()
+            .map(Vec::len)
+            .sum()
     }
 
     /// Client closes its side (server reads then see EOF).
@@ -382,10 +401,33 @@ mod tests {
             assert!(n.client_recv(c).is_empty());
         }
         assert_eq!(got, sent);
+        // An empty write queues nothing.
+        assert_eq!(n.server_write_with(c, 0, |_| unreachable!()), 0);
+        assert_eq!(n.conns[c].to_client.capacity(), 0);
         // After the client closes, writes report success but vanish.
         n.client_close(c);
         assert_eq!(n.server_write_with(c, 64, |_| unreachable!()), 64);
         assert!(n.client_recv(c).is_empty());
+    }
+
+    #[test]
+    fn count_only_receive_drains_what_a_receive_would_return() {
+        let mut n = Net::new();
+        let l = n.listen(80, 4).unwrap();
+        let c = n.external_connect(80).unwrap();
+        n.accept(l).unwrap();
+        assert_eq!(n.client_recv_len(c), 0);
+        n.server_write(c, b"150 ");
+        n.server_write(c, &[7u8; 3000]);
+        assert_eq!(n.client_recv_len(c), 3004);
+        assert_eq!(n.conns[c].to_client.capacity(), 0);
+        assert!(n.client_recv(c).is_empty());
+        // A lone write comes back as the very chunk that was queued.
+        n.server_write(c, &[9u8; 4096]);
+        let ptr = n.conns[c].to_client[0].as_ptr();
+        let got = n.client_recv(c);
+        assert_eq!(got, vec![9u8; 4096]);
+        assert_eq!(got.as_ptr(), ptr, "a lone chunk must move, not copy");
     }
 
     #[test]

@@ -753,6 +753,12 @@ impl World {
         self.kernel.net.client_recv(c)
     }
 
+    /// Drains server→client bytes from an external connection and returns
+    /// only how many there were (a client that never reads them).
+    pub fn net_recv_len(&mut self, c: ExtConnId) -> usize {
+        self.kernel.net.client_recv_len(c)
+    }
+
     /// Closes the client side of an external connection.
     pub fn net_close(&mut self, c: ExtConnId) {
         self.kernel.net.client_close(c);

@@ -13,7 +13,7 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Counters + quantile sketches for one thread of execution.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     sketches: BTreeMap<&'static str, QuantileSketch>,
@@ -83,7 +83,7 @@ impl MetricsRegistry {
 }
 
 /// One counter's value at snapshot time.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CounterSnapshot {
     /// Counter name (dotted, e.g. `monitor.retries`).
     pub name: String,
@@ -92,7 +92,7 @@ pub struct CounterSnapshot {
 }
 
 /// The whole registry as a plain struct (the metrics JSON dump).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct MetricsSnapshot {
     /// All counters, name-sorted.
     pub counters: Vec<CounterSnapshot>,

@@ -14,7 +14,6 @@ fn ct_only() -> ContextConfig {
         fetch_state: false,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
-        prefilter_differential: false,
     }
 }
 
@@ -26,7 +25,6 @@ fn cf_only() -> ContextConfig {
         fetch_state: false,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
-        prefilter_differential: false,
     }
 }
 
@@ -38,7 +36,6 @@ fn ai_only() -> ContextConfig {
         fetch_state: false,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
-        prefilter_differential: false,
     }
 }
 

@@ -9,8 +9,7 @@
 //! The default ladder is powers of two capped at the host's
 //! `available_parallelism` — worker counts past the core count only add
 //! scheduler churn and read as phantom regressions on small hosts.
-//! `--jobs-list=1,2,4,8` overrides the ladder explicitly (CI uses `1,2`
-//! as the fleet smoke — a parallel run diffed against the serial run).
+//! `--jobs-list=1,2,4,8` overrides the ladder explicitly.
 //! A worker count above `available_parallelism` is oversubscribed: its
 //! speedup measures scheduler contention, not fleet scaling.
 

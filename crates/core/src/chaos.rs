@@ -412,12 +412,6 @@ fn run_attack_in(
     }
 }
 
-/// Fault-free reference run: the trap count that calibrates the chaos
-/// window for `scenario` under `cfg`.
-pub fn calibrate(scenario: &Scenario, cfg: ContextConfig) -> u64 {
-    run_attack(scenario, cfg, None).traps
-}
-
 /// The per-fault-class schedules of the chaos matrix, all targeting the
 /// calibrated final-trap window (where the attack's own syscalls trap).
 pub fn chaos_schedules(seed: u64, clean_traps: u64) -> Vec<(&'static str, FaultSchedule)> {

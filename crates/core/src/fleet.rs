@@ -15,14 +15,9 @@
 //! * Workers steal *indices*, results are reordered by index before any
 //!   aggregation — scheduling decides only *when* a task runs, never where
 //!   its result lands.
-//! * Thread-local substrate state (legacy-interp default, telemetry rings)
-//!   is scoped per task with RAII guards ([`LegacyInterpGuard`],
-//!   [`obs::TelemetryGuard`]), so a reused pool thread leaks nothing into
-//!   the next task.
-//! * Telemetry merges are order-fixed: registries merge in task order
-//!   (commutative sums, but fixed order anyway) and span rings are
-//!   stitched into one Chrome trace with `tid` = task index + 1 — a task's
-//!   lane is its identity, not the OS thread it happened to run on.
+//! * Thread-local substrate state (the legacy-interp default) is scoped
+//!   per task with an RAII guard ([`LegacyInterpGuard`]), so a reused pool
+//!   thread leaks nothing into the next task.
 //!
 //! Wall-clock numbers (and only those) vary run to run; nothing derived
 //! from them enters a fleet report.
@@ -38,7 +33,6 @@ use bastion_attacks::{catalog, evaluate, generate, Scenario, ScenarioResult};
 use bastion_compiler::BastionCompiler;
 use bastion_kernel::{LegacyInterpGuard, Tracer, World};
 use bastion_monitor::{ContextConfig, Monitor};
-use bastion_obs as obs;
 use bastion_vm::CostModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -107,70 +101,6 @@ where
     })
 }
 
-/// Merged telemetry from a traced fleet run.
-#[derive(Debug, Clone)]
-pub struct FleetTelemetry {
-    /// Per-task registries merged in task order.
-    pub metrics: obs::MetricsSnapshot,
-    /// Per-task span rings stitched into one Chrome trace document,
-    /// `tid` = task index + 1.
-    pub trace_json: String,
-    /// Total span events across all tasks.
-    pub events: u64,
-}
-
-/// [`run_ordered`] with per-task telemetry: each task runs under a fresh
-/// [`obs::TelemetryGuard`] scope (ring of `capacity` events + its own
-/// metrics registry) and a pinned fast-path interpreter default; the
-/// harvested state is merged in task order into one [`FleetTelemetry`].
-/// Because lanes and merge order are keyed by task index, the telemetry —
-/// like the results — is byte-identical for any worker count.
-pub fn run_ordered_traced<I, R, F>(
-    jobs: usize,
-    capacity: usize,
-    items: Vec<I>,
-    f: F,
-) -> (Vec<R>, FleetTelemetry)
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-{
-    let per_task = run_ordered(jobs, items, |i, it| {
-        let _interp = LegacyInterpGuard::set(false);
-        let guard = obs::TelemetryGuard::enable(capacity);
-        let r = f(i, it);
-        let (events, registry) = guard.finish();
-        (r, events, registry)
-    });
-    let mut merged = obs::MetricsRegistry::new();
-    let mut rings: Vec<Vec<obs::TraceEvent>> = Vec::with_capacity(per_task.len());
-    let mut results = Vec::with_capacity(per_task.len());
-    for (r, mut events, registry) in per_task {
-        results.push(r);
-        merged.merge(registry);
-        // The stitched document must be byte-identical for any worker
-        // count; the diagnostic wall clock is scheduling-dependent, so it
-        // is dropped from fleet lanes (single-run exports keep it).
-        for ev in &mut events {
-            ev.wall_ns = 0;
-        }
-        rings.push(events);
-    }
-    let events = rings.iter().map(|e| e.len() as u64).sum();
-    let parts: Vec<(u64, &[obs::TraceEvent])> = rings
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i as u64 + 1, e.as_slice()))
-        .collect();
-    let telemetry = FleetTelemetry {
-        metrics: merged.snapshot(),
-        trace_json: obs::chrome_trace_json_parts(&parts),
-        events,
-    };
-    (results, telemetry)
-}
-
 /// Seeds of the benign half of the chaos matrix (one app each).
 pub const BENIGN_SEEDS: &[(App, u64)] = &[
     (App::Webserve, 0x0B5E_0001),
@@ -182,8 +112,8 @@ pub const BENIGN_SEEDS: &[(App, u64)] = &[
 pub const ATTACK_SEEDS: &[u64] = &[0xA77C_0001, 0xA77C_0002];
 
 /// Aggregate outcome of a fleet chaos-matrix run. `report` is the full
-/// human-readable matrix — the determinism artifact the fleet smoke test
-/// byte-compares across worker counts.
+/// human-readable matrix — the determinism artifact CI's chaos snapshot
+/// step byte-compares across worker counts.
 #[derive(Debug, Clone)]
 pub struct ChaosMatrixOutcome {
     /// The rendered matrix (benign table, attack table, provenance tail).
@@ -596,43 +526,5 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(run_ordered(4, empty, |_, _: &u8| 0u8).is_empty());
         assert_eq!(run_ordered(64, vec![5u64], |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn traced_fleet_merges_metrics_and_stitches_lanes() {
-        let (results, tel) = run_ordered_traced(4, 64, vec![1u64, 2, 3], |i, &x| {
-            obs::counter_add("fleet.test", x);
-            obs::span_begin(obs::Phase::Trap, i as u64, 10);
-            obs::span_end(obs::Phase::Trap, i as u64, 20, 0);
-            x
-        });
-        assert_eq!(results, vec![1, 2, 3]);
-        assert_eq!(tel.metrics.counter("fleet.test"), Some(6));
-        assert_eq!(tel.events, 6);
-        let shape = obs::validate_chrome_trace(&tel.trace_json).expect("stitched trace validates");
-        assert_eq!(shape.tids, 3);
-        assert_eq!(shape.trap_spans, 3);
-        // Telemetry stays scoped to the workers: none leaked to this thread.
-        assert!(!obs::is_enabled());
-    }
-
-    #[test]
-    fn traced_fleet_is_deterministic_across_worker_counts() {
-        let run = |jobs| {
-            run_ordered_traced(jobs, 32, (0..9u64).collect::<Vec<_>>(), |_, &x| {
-                obs::counter_add("c", x);
-                obs::sketch_observe("h", x);
-                obs::instant(obs::Phase::Retry, x, x, 0);
-                x * 2
-            })
-        };
-        let (r1, t1) = run(1);
-        let (r4, t4) = run(4);
-        assert_eq!(r1, r4);
-        assert_eq!(t1.trace_json, t4.trace_json, "stitched traces diverged");
-        assert_eq!(
-            serde_json::to_string(&t1.metrics).unwrap(),
-            serde_json::to_string(&t4.metrics).unwrap()
-        );
     }
 }

@@ -61,7 +61,7 @@ pub use chaos::{
     attack_chaos, attack_chaos_mode, benign_chaos, benign_chaos_suite, AttackChaosReport,
     BenignChaosReport,
 };
-pub use fleet::{run_ordered, run_ordered_traced, ChaosMatrixOutcome, FleetTelemetry};
+pub use fleet::{run_ordered, ChaosMatrixOutcome};
 pub use gate::{GateCheck, GateReport};
 pub use harness::{run_app_benchmark, run_extended_scope_pair, AppBenchmark, WorkloadSize};
 pub use serve::{run_serve, serve_with_specs, ServeConfig, ServeReport, ServeRun, TenantKind};

@@ -194,11 +194,6 @@ impl CodeLayout {
         }
     }
 
-    /// Whether `addr` is a valid code address (start of some instruction).
-    pub fn is_inst_start(&self, addr: CodeAddr) -> bool {
-        self.loc_of(addr).is_some()
-    }
-
     /// Total number of [`INST_SIZE`]-byte units spanned by the code segment,
     /// alignment padding between functions included. A predecoded flat
     /// instruction stream indexed by `(addr - base) / INST_SIZE` has exactly

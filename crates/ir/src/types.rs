@@ -77,11 +77,6 @@ impl Ty {
         }
     }
 
-    /// Whether values of this type fit in a single machine word.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Ty::I8 | Ty::I64 | Ty::Ptr(_) | Ty::Func { .. })
-    }
-
     /// The pointee type if this is a pointer.
     pub fn pointee(&self) -> Option<&Ty> {
         match self {

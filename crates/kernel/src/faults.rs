@@ -304,11 +304,6 @@ impl FaultInjector {
         self.traps
     }
 
-    /// Total substrate accesses observed so far.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
-    }
-
     /// Faults that fired so far.
     pub fn log(&self) -> &[InjectedFault] {
         &self.log

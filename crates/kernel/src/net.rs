@@ -256,11 +256,6 @@ impl Net {
         self.conns[cid].peer_port
     }
 
-    /// Number of connections ever created.
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// An outbound connection from the application to an unmodelled local
     /// service (used by the app-side `connect` syscall): writes are
     /// swallowed, reads see immediate EOF.

@@ -185,11 +185,6 @@ impl World {
         self.faults = Some(RefCell::new(FaultInjector::new(schedule)));
     }
 
-    /// Removes any installed fault schedule.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Monitor traps seen since the current schedule was installed (the
     /// injector's trap counter). Used to calibrate trap-targeted schedules
     /// against a clean reference run.

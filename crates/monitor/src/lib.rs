@@ -148,11 +148,6 @@ pub struct ContextConfig {
     /// deadline semantics). `with_prefilter(false)` is the tier-2-only
     /// differential oracle (the CLI's `--no-prefilter`).
     pub prefilter: bool,
-    /// Differential oracle: after every tier-1 Allow, run the full
-    /// tier-2 verification on the same stopped state and panic on any
-    /// verdict divergence. Test-only — the extra verification charges
-    /// cycles like real monitor work.
-    pub prefilter_differential: bool,
 }
 
 impl ContextConfig {
@@ -165,7 +160,6 @@ impl ContextConfig {
             fetch_state: true,
             resilience: Resilience::default(),
             prefilter: true,
-            prefilter_differential: false,
         }
     }
 
@@ -180,7 +174,6 @@ impl ContextConfig {
             fetch_state: true,
             resilience: Resilience::default(),
             prefilter: false,
-            prefilter_differential: false,
         }
     }
 
@@ -193,7 +186,6 @@ impl ContextConfig {
             fetch_state: true,
             resilience: Resilience::default(),
             prefilter: false,
-            prefilter_differential: false,
         }
     }
 
@@ -207,7 +199,6 @@ impl ContextConfig {
             fetch_state: false,
             resilience: Resilience::default(),
             prefilter: false,
-            prefilter_differential: false,
         }
     }
 
@@ -221,7 +212,6 @@ impl ContextConfig {
             fetch_state: true,
             resilience: Resilience::default(),
             prefilter: false,
-            prefilter_differential: false,
         }
     }
 
@@ -233,13 +223,6 @@ impl ContextConfig {
     /// The same configuration with the tier-1 prefilter forced on or off.
     pub fn with_prefilter(mut self, on: bool) -> Self {
         self.prefilter = on;
-        self
-    }
-
-    /// The same configuration with the tier-1/tier-2 differential oracle
-    /// enabled (panics on any verdict divergence; test harness use only).
-    pub fn with_differential(mut self) -> Self {
-        self.prefilter_differential = true;
         self
     }
 
@@ -598,11 +581,6 @@ impl Monitor {
         self.pf = Some(pf);
     }
 
-    /// Whether a compiled tier-1 check program is installed.
-    pub fn prefilter_enabled(&self) -> bool {
-        self.pf.is_some()
-    }
-
     /// The current degradation-ladder rung.
     pub fn mode(&self) -> MonitorMode {
         self.res.borrow().mode
@@ -741,29 +719,6 @@ impl Monitor {
         }
         self.pf.as_mut().expect("checked above").check(tracee)
     }
-
-    /// Differential oracle: tier 1 just allowed this trap, so the full
-    /// verification must agree — any deny here is a prefilter soundness
-    /// bug and panics the harness.
-    fn differential_check(&mut self, tracee: &mut Tracee<'_>) {
-        let regs = match verify::getregs_resilient(self, tracee) {
-            Ok(r) => r,
-            Err(v) => panic!(
-                "prefilter divergence: tier 1 allowed a trap whose registers \
-                 the monitor cannot read: {}",
-                v.msg
-            ),
-        };
-        if let Err(v) = verify::verify_trap(self, tracee, &regs) {
-            panic!(
-                "prefilter divergence: tier 1 allowed syscall {} that the \
-                 monitor denies: {}: {}",
-                regs.nr,
-                v.ctx.label(),
-                v.msg
-            );
-        }
-    }
 }
 
 impl Tracer for Monitor {
@@ -803,9 +758,6 @@ impl Tracer for Monitor {
                 self.pending_escalation = false;
                 self.stats.prefilter_hits += 1;
                 self.log.push((tracee.kernel_regs().nr, true));
-                if self.cfg.prefilter_differential {
-                    self.differential_check(tracee);
-                }
             }
             PrefilterVerdict::Escalate(r) => {
                 self.pending_escalation = true;

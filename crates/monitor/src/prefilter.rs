@@ -715,7 +715,7 @@ mod tests {
     use bastion_compiler::BastionCompiler;
     use bastion_ir::build::ModuleBuilder;
     use bastion_ir::{sysno, Operand, Ty};
-    use bastion_vm::{CostModel, Image, Machine};
+    use bastion_vm::{CostModel, Image, Machine, MemIo};
 
     /// `main` → `execve(0, 0, 0)`: one clean sensitive trap.
     fn fixture() -> (Arc<Image>, ContextMetadata) {
@@ -834,5 +834,146 @@ mod tests {
         let mut tracee = Tracee::new(&m, 1, &mut charge);
         let shadow = ShadowTable::new(tracee.gs_base());
         assert_eq!(probe_pointee(&mut tracee, &shadow, 0x10), Ok(()));
+    }
+
+    // ---- one check alone decides: tier 1 escalates exactly where the
+    // monitor denies, on a trap state that only that check tells apart
+    // from a clean one ----
+
+    /// `main` → `x` →(indirect) `y` → `w(0)` →
+    /// `execveat(-100, path, &argv, envp, 0)`, and `main` also calls `z`.
+    /// The site has Const, Global-pointee, StackAddr and Mem predicates;
+    /// `envp` is `w`'s parameter, so `y`'s call to `w` is a prop site with
+    /// a Const predicate; above the indirect edge the walk is no longer
+    /// strict, so the valid-caller table is not consulted for `x`'s frame.
+    fn one_of_each_app() -> bastion_ir::Module {
+        let mut mb = ModuleBuilder::new("each");
+        let execveat = mb.declare_syscall_stub("execveat", sysno::EXECVEAT, 5);
+        let path = mb.global_str("path", "/bin/true");
+        let w = mb.declare("w", &[("envp", Ty::I64)], Ty::Void);
+        let mut f = mb.define(w);
+        let argv = f.local("argv", Ty::I64);
+        let (p, a) = (f.global_addr(path), f.frame_addr(argv));
+        let envp = f.frame_addr(f.param_slot(0));
+        let envp = f.load(envp);
+        let args = [
+            (-100i64).into(),
+            p.into(),
+            a.into(),
+            envp.into(),
+            0i64.into(),
+        ];
+        let _ = f.call_direct(execveat, &args);
+        f.ret(None);
+        f.finish();
+        let y = mb.declare("y", &[], Ty::Void);
+        let mut f = mb.define(y);
+        let _ = f.call_direct(w, &[0i64.into()]);
+        f.ret(None);
+        f.finish();
+        let x = mb.declare("x", &[], Ty::Void);
+        let mut f = mb.define(x);
+        let target = f.func_addr(y);
+        let _ = f.call_indirect(target, &[]);
+        f.ret(None);
+        f.finish();
+        let z = mb.declare("z", &[], Ty::Void);
+        let mut f = mb.define(z);
+        f.ret(None);
+        f.finish();
+        let mut f = mb.function("main", &[], Ty::I64);
+        let _ = f.call_direct(x, &[]);
+        let _ = f.call_direct(z, &[]);
+        f.ret(Some(Operand::Imm(0)));
+        f.finish();
+        mb.finish()
+    }
+
+    /// [`one_of_each_app`] stopped at its trap, with its tier-1 program
+    /// and the monitor that owns its verdicts.
+    struct Stopped {
+        m: Machine,
+        pf: Prefilter,
+        mon: crate::Monitor,
+    }
+
+    impl Stopped {
+        fn new() -> Self {
+            let out = BastionCompiler::new().compile(one_of_each_app()).unwrap();
+            let image = Arc::new(Image::load(out.module).unwrap());
+            let mut m = Machine::new(image.clone(), CostModel::default());
+            let ev = bastion_vm::interp::run(&mut m, 1_000_000).event();
+            assert!(matches!(ev, bastion_vm::Event::Syscall { .. }), "{ev:?}");
+            let info = LaunchInfo::from_image(&image, &out.metadata);
+            let md = out.metadata.rebased(info.load_bias);
+            let pf = Prefilter::compile(&md, &info, &ContextConfig::full());
+            let mon = crate::Monitor::new(&out.metadata, ContextConfig::full(), info);
+            Stopped { m, pf, mon }
+        }
+
+        /// `(saved fp, return address)` of the frame at `fp`.
+        fn frame(&self, fp: u64) -> (u64, u64) {
+            let word = |a| self.m.mem.read_u64(a).unwrap();
+            (word(fp), word(fp + 8))
+        }
+
+        /// Tier 1's verdict (from a fresh flow state) and whether the
+        /// monitor allows the same stopped state.
+        fn verdicts(&self) -> (PrefilterVerdict, bool) {
+            let mut charge = 0u64;
+            let mut tracee = Tracee::new(&self.m, 1, &mut charge);
+            let tier1 = self.pf.clone().check(&mut tracee);
+            let regs = tracee.getregs();
+            let tier2 = crate::verify::verify_trap(&self.mon, &mut tracee, &regs);
+            (tier1, tier2.is_ok())
+        }
+    }
+
+    /// Tampers with a stopped state so that exactly one check fails.
+    type Forge = fn(&mut Stopped);
+
+    #[test]
+    fn each_check_alone_escalates_what_the_monitor_denies() {
+        assert_eq!(Stopped::new().verdicts(), (PrefilterVerdict::Allow, true));
+        let forge: [(&str, R, Forge); 5] = [
+            ("Const", R::ArgMismatch, |s| s.m.trap_args[4] = 1),
+            ("StackAddr", R::ArgMismatch, |s| s.m.trap_args[2] = 0x10),
+            ("Global pointee", R::ArgMismatch, |s| {
+                let path = s.m.trap_args[1];
+                s.m.mem.write_unchecked(path + 1, b"s");
+            }),
+            // `envp` overwritten before `w` binds it: the register, the
+            // variable and its shadow copy all agree on the forged value.
+            ("prop-site Const", R::ArgMismatch, |s| {
+                let (w_fp, ret) = s.frame(s.m.fp);
+                let w = s.pf.prog.func_of(ret).unwrap().clone();
+                let slot = w_fp - w.frame_size + w.slot_offsets[0];
+                s.m.mem.write_unchecked(slot, &7u64.to_le_bytes());
+                let shadow = ShadowTable::new(s.m.gs_base);
+                shadow.write_value(&mut s.m.mem, slot, 7, 8).unwrap();
+                s.m.trap_args[3] = 7;
+            }),
+            // `x` returns to just after `main`'s call to `z`: a real
+            // callsite in the right caller, but of another callee.
+            ("callee mismatch", R::ChainAnomaly, |s| {
+                let (y_fp, _) = s.frame(s.frame(s.m.fp).0);
+                let (x_fp, _) = s.frame(y_fp);
+                let into_x = *s.pf.prog.callsite(s.frame(x_fp).1 - CALL_SIZE).unwrap();
+                let into_z = s.pf.prog.callsites.iter().find(|c| {
+                    c.in_func == into_x.in_func && !c.is_indirect() && c.target != into_x.target
+                });
+                let ret = into_z.unwrap().addr + CALL_SIZE;
+                s.m.mem.write_unchecked(x_fp + 8, &ret.to_le_bytes());
+            }),
+        ];
+        for (what, reason, f) in forge {
+            let mut s = Stopped::new();
+            f(&mut s);
+            assert_eq!(
+                s.verdicts(),
+                (PrefilterVerdict::Escalate(reason), false),
+                "{what}"
+            );
+        }
     }
 }

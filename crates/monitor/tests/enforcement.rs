@@ -258,7 +258,6 @@ fn ct_and_cf_disabled_still_catch_with_ai() {
         fetch_state: true,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
-        prefilter_differential: false,
     };
     protect(&mut world, pid, &image, &out.metadata, cfg);
     assert_eq!(world.run(50_000_000), RunStatus::AllExited);

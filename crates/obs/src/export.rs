@@ -41,51 +41,38 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// `chrome://tracing` or in Perfetto). Timestamps are the deterministic
 /// virtual-cycle clock, one microsecond per cycle.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    chrome_trace_json_parts(&[(1, events)])
-}
-
-/// Renders several per-worker event streams as one Chrome trace document,
-/// one `tid` lane per part. Each part is balanced independently (its own
-/// LIFO stack and final timestamp), then emitted in part order — so the
-/// stitched document is a deterministic function of the parts alone, no
-/// matter how the workers that produced them were scheduled. Timestamps
-/// are monotone *within* a `tid`, which is all the trace viewers (and
-/// [`validate_chrome_trace`]) require.
-pub fn chrome_trace_json_parts(parts: &[(u64, &[TraceEvent])]) -> String {
     let mut out: Vec<Value> = Vec::new();
-    for &(tid, events) in parts {
-        let mut stack: Vec<Phase> = Vec::new();
-        let mut last_ts = 0u64;
-        for ev in events {
-            last_ts = ev.vcycles;
-            match ev.kind {
-                EventKind::Begin => {
-                    stack.push(ev.phase);
-                    out.push(trace_obj(ev, "B", tid));
-                }
-                EventKind::End => {
-                    // Only a LIFO match closes a span; anything else is an
-                    // orphan from ring wraparound and is dropped.
-                    if stack.last() == Some(&ev.phase) {
-                        stack.pop();
-                        out.push(trace_obj(ev, "E", tid));
-                    }
-                }
-                EventKind::Instant => out.push(trace_obj(ev, "i", tid)),
+    let mut stack: Vec<Phase> = Vec::new();
+    let mut last_ts = 0u64;
+    for ev in events {
+        last_ts = ev.vcycles;
+        match ev.kind {
+            EventKind::Begin => {
+                stack.push(ev.phase);
+                out.push(trace_obj(ev, "B"));
             }
+            EventKind::End => {
+                // Only a LIFO match closes a span; anything else is an
+                // orphan from ring wraparound and is dropped.
+                if stack.last() == Some(&ev.phase) {
+                    stack.pop();
+                    out.push(trace_obj(ev, "E"));
+                }
+            }
+            EventKind::Instant => out.push(trace_obj(ev, "i")),
         }
-        // Close dangling spans (innermost first) at the final timestamp.
-        while let Some(phase) = stack.pop() {
-            let synth = TraceEvent {
-                kind: EventKind::End,
-                phase,
-                trap: 0,
-                vcycles: last_ts,
-                wall_ns: 0,
-                arg: 0,
-            };
-            out.push(trace_obj(&synth, "E", tid));
-        }
+    }
+    // Close dangling spans (innermost first) at the final timestamp.
+    while let Some(phase) = stack.pop() {
+        let synth = TraceEvent {
+            kind: EventKind::End,
+            phase,
+            trap: 0,
+            vcycles: last_ts,
+            wall_ns: 0,
+            arg: 0,
+        };
+        out.push(trace_obj(&synth, "E"));
     }
     let doc = obj(vec![
         ("traceEvents", Value::Array(out)),
@@ -94,14 +81,14 @@ pub fn chrome_trace_json_parts(parts: &[(u64, &[TraceEvent])]) -> String {
     serde_json::to_string(&RawValue(doc)).expect("trace document serializes")
 }
 
-fn trace_obj(ev: &TraceEvent, ph: &str, tid: u64) -> Value {
+fn trace_obj(ev: &TraceEvent, ph: &str) -> Value {
     let mut fields = vec![
         ("name", Value::Str(ev.phase.name().to_string())),
         ("cat", Value::Str(ev.phase.category().to_string())),
         ("ph", Value::Str(ph.to_string())),
         ("ts", Value::UInt(ev.vcycles)),
         ("pid", Value::UInt(1)),
-        ("tid", Value::UInt(tid)),
+        ("tid", Value::UInt(1)),
     ];
     if ph == "i" {
         fields.push(("s", Value::Str("t".to_string())));
@@ -138,9 +125,8 @@ pub struct TraceShape {
 
 /// Validates Chrome-trace JSON shape: parseable, and — independently per
 /// `tid` lane (missing `tid` defaults to 1) — monotone (non-decreasing)
-/// timestamps and balanced B/E events with LIFO name nesting. A stitched
-/// multi-worker trace is exactly several valid single-worker lanes in one
-/// document. Returns the shape summary on success.
+/// timestamps and balanced B/E events with LIFO name nesting. Returns the
+/// shape summary on success.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
     use std::collections::BTreeMap;
     let raw: RawValue = serde_json::from_str(json).map_err(|e| format!("parse: {e}"))?;
@@ -530,25 +516,6 @@ mod tests {
         let shape = validate_chrome_trace(&json).expect("rebalanced trace validates");
         assert_eq!(shape.begins, shape.ends);
         assert_eq!(shape.trap_spans, 1, "dangling trap begin closed");
-    }
-
-    #[test]
-    fn stitched_parts_get_distinct_tids() {
-        let worker = |base: u64| {
-            vec![
-                ev(K::Begin, Phase::Trap, base),
-                ev(K::End, Phase::Trap, base + 50),
-            ]
-        };
-        let (a, b) = (worker(100), worker(10));
-        // Part order is the determinism contract; note lane 2's timestamps
-        // restart below lane 1's — legal, monotonicity is per tid.
-        let json = chrome_trace_json_parts(&[(1, &a), (2, &b)]);
-        let shape = validate_chrome_trace(&json).expect("stitched trace validates");
-        assert_eq!(shape.tids, 2);
-        assert_eq!(shape.trap_spans, 2);
-        assert_eq!(shape.begins, 2);
-        assert!(json.contains("\"tid\":2"));
     }
 
     #[test]

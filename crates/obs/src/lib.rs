@@ -40,8 +40,8 @@ pub mod span;
 
 pub use deny::{DenyContext, DenyRecord, DenyRule, FaultCtx};
 pub use export::{
-    chrome_trace_json, chrome_trace_json_parts, metrics_json, metrics_jsonl_line, phase_totals,
-    prometheus_text, validate_chrome_trace, validate_prometheus, PhaseTotal, PromShape, TraceShape,
+    chrome_trace_json, metrics_json, metrics_jsonl_line, phase_totals, prometheus_text,
+    validate_chrome_trace, validate_prometheus, PhaseTotal, PromShape, TraceShape,
 };
 pub use flight::{FlightDump, FlightEntry, FlightRecorder, FlightTrigger};
 pub use metrics::{CounterSnapshot, MetricsRegistry, MetricsSnapshot};

@@ -43,9 +43,8 @@ impl MetricsRegistry {
 
     /// Merges another registry into this one: counters add, sketches fold
     /// per log-bucket (always safe — the bucket mapping is global, not
-    /// per-instance). The fleet runner uses this to stitch per-worker
-    /// registries into one deterministic aggregate — merging in task order
-    /// yields the same registry regardless of how tasks were scheduled
+    /// per-instance). Merging per-worker registries in a fixed order
+    /// yields the same registry regardless of how work was scheduled
     /// across threads, because all maps are name-keyed and every operation
     /// commutes.
     pub fn merge(&mut self, other: MetricsRegistry) {

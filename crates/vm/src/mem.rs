@@ -331,11 +331,6 @@ impl Memory {
         self.regions.iter().map(|(&s, &l)| (s, l))
     }
 
-    /// Total bytes of backing pages actually allocated.
-    pub fn resident_bytes(&self) -> u64 {
-        self.slots.len() as u64 * PAGE_SIZE
-    }
-
     /// Number of backing pages currently in the page table.
     pub fn resident_pages(&self) -> u64 {
         self.slots.len() as u64

@@ -17,7 +17,6 @@ fn ai_only() -> ContextConfig {
         fetch_state: false,
         resilience: bastion_monitor::Resilience::default(),
         prefilter: false,
-        prefilter_differential: false,
     }
 }
 

@@ -38,9 +38,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// CT flag bits in [`CheckProgram::ct_flags`].
-const CT_CALLABLE: u8 = 1 << 0;
-const CT_DIRECT: u8 = 1 << 1;
-const CT_INDIRECT: u8 = 1 << 2;
+const CT_DIRECT: u8 = 1 << 0;
+const CT_INDIRECT: u8 = 1 << 1;
 
 /// One compiled callsite row (sorted by `addr`).
 #[derive(Debug, Clone, Copy)]
@@ -168,8 +167,7 @@ impl Prefilter {
             .iter()
             .map(|nr| {
                 md.syscall_classes.get(nr).map_or(0, |c| {
-                    (u8::from(c.callable()) * CT_CALLABLE)
-                        | (u8::from(c.allows_direct()) * CT_DIRECT)
+                    (u8::from(c.allows_direct()) * CT_DIRECT)
                         | (u8::from(c.allows_indirect()) * CT_INDIRECT)
                 })
             })
@@ -350,9 +348,6 @@ impl Prefilter {
         // ---- Call-Type (dense flag byte per nr index) ----
         if p.call_type {
             let flags = p.ct_flags[ni];
-            if flags & CT_CALLABLE == 0 {
-                return esc(R::CtMismatch);
-            }
             match p.callsite(callsite0) {
                 Some(cs) if cs.is_indirect() => {
                     if flags & CT_INDIRECT == 0 {

@@ -117,18 +117,16 @@ pub struct TraceShape {
     pub instants: u64,
     /// Matched begin/end pairs named `trap` (root spans).
     pub trap_spans: u64,
-    /// Deepest span nesting observed (on any single `tid` lane).
+    /// Deepest span nesting observed.
     pub max_depth: u64,
-    /// Distinct `tid` lanes seen (1 for a single-worker trace).
-    pub tids: u64,
 }
 
-/// Validates Chrome-trace JSON shape: parseable, and — independently per
-/// `tid` lane (missing `tid` defaults to 1) — monotone (non-decreasing)
-/// timestamps and balanced B/E events with LIFO name nesting. Returns the
-/// shape summary on success.
+/// Validates Chrome-trace JSON shape: parseable, non-decreasing
+/// timestamps, and balanced B/E events with LIFO name nesting and no span
+/// left open. The trace is one lane ([`chrome_trace_json`] writes every
+/// event on `tid` 1), so `pid`/`tid` are not read. Returns the shape
+/// summary on success.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
-    use std::collections::BTreeMap;
     let raw: RawValue = serde_json::from_str(json).map_err(|e| format!("parse: {e}"))?;
     let events = match raw.0.field("traceEvents") {
         Ok(Value::Array(items)) => items.clone(),
@@ -136,8 +134,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
         Err(e) => return Err(e.to_string()),
     };
     let mut shape = TraceShape::default();
-    // Per-tid lane state: (open-span stack, last timestamp).
-    let mut lanes: BTreeMap<u64, (Vec<String>, Option<u64>)> = BTreeMap::new();
+    let mut stack: Vec<String> = Vec::new();
+    let mut last_ts: Option<u64> = None;
     for (i, ev) in events.iter().enumerate() {
         let name = match ev.field("name") {
             Ok(Value::Str(s)) => s.clone(),
@@ -152,20 +150,12 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
             Ok(Value::Int(v)) if *v >= 0 => *v as u64,
             _ => return Err(format!("event {i}: missing integer `ts`")),
         };
-        let tid = match ev.field("tid") {
-            Ok(Value::UInt(v)) => *v,
-            Ok(Value::Int(v)) if *v >= 0 => *v as u64,
-            _ => 1,
-        };
-        let (stack, last_ts) = lanes.entry(tid).or_default();
-        if let Some(prev) = *last_ts {
+        if let Some(prev) = last_ts {
             if ts < prev {
-                return Err(format!(
-                    "event {i}: tid {tid} timestamp {ts} < predecessor {prev}"
-                ));
+                return Err(format!("event {i}: timestamp {ts} < predecessor {prev}"));
             }
         }
-        *last_ts = Some(ts);
+        last_ts = Some(ts);
         shape.events += 1;
         match ph.as_str() {
             "B" => {
@@ -176,11 +166,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
             "E" => {
                 let open = stack
                     .pop()
-                    .ok_or_else(|| format!("event {i}: `E` with no open span on tid {tid}"))?;
+                    .ok_or_else(|| format!("event {i}: `E` with no open span"))?;
                 if open != name {
-                    return Err(format!(
-                        "event {i}: `E` for `{name}` but `{open}` is open on tid {tid}"
-                    ));
+                    return Err(format!("event {i}: `E` for `{name}` but `{open}` is open"));
                 }
                 shape.ends += 1;
                 if name == "trap" {
@@ -191,15 +179,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
             other => return Err(format!("event {i}: unknown phase `{other}`")),
         }
     }
-    for (tid, (stack, _)) in &lanes {
-        if !stack.is_empty() {
-            return Err(format!(
-                "tid {tid}: {} span(s) never closed: {stack:?}",
-                stack.len()
-            ));
-        }
+    if !stack.is_empty() {
+        return Err(format!("{} span(s) never closed: {stack:?}", stack.len()));
     }
-    shape.tids = lanes.len() as u64;
     Ok(shape)
 }
 

@@ -18,18 +18,23 @@
 //!   offsets, and `ctx_bind_*` callsite addresses are all pre-resolved;
 //! * branch targets become flat unit indices, so taken branches are a
 //!   single index assignment;
-//! * a `FrameAddr` followed by a load or store through its result becomes
-//!   one [`DecodedInst::FrameLoad`]/[`DecodedInst::FrameStore`]
-//!   superinstruction (the compiler addresses every named variable this
-//!   way), with the second unit kept for control transfers into it;
-//! * a `Cmp dst` followed by the block's `Br` on `dst` becomes one
-//!   [`DecodedInst::CmpBr`] the same way;
+//! * straight-line runs the dispatch census finds hot become one
+//!   superinstruction each (see [`DecodedInst`] for the run rule): a
+//!   `FrameAddr` with the load or store through it
+//!   ([`DecodedInst::FrameLoad`], [`DecodedInst::FrameStore`]; the compiler
+//!   addresses every named variable this way), two frame loads in a row,
+//!   a frame load with the `Bin` on its result, a `Bin` with the frame
+//!   store of its result, a frame store with the block's `Jmp`, an
+//!   `IndexAddr` with the load through it, and a `Cmp` with the block's
+//!   `Br` on its result ([`DecodedInst::CmpBr`]);
+//! * the unfused stream is kept beside the fused one, so the interpreter
+//!   can finish a budget shorter than [`MAX_RUN`] unit by unit;
 //! * [`DecodedProgram::resolve`] maps a runtime code address (a return
 //!   address or an indirect-call target) straight to its unit.
 //!
-//! Decoding is layout-faithful by construction: unit `i` of the stream
+//! Decoding is layout-faithful by construction: unit `i` of either stream
 //! executes the instruction at code address `base + i * INST_SIZE` (a
-//! superinstruction then also runs the one after it), so ROP/JOP control
+//! superinstruction then also runs the rest of its run), so ROP/JOP control
 //! transfers into the middle of functions land on the same instruction the
 //! legacy path would execute.
 
@@ -59,8 +64,22 @@ impl ArgSlice {
     }
 }
 
+/// The most units one superinstruction covers ([`DecodedInst::FrameLoad2`]).
+/// The fast path dispatches from the fused stream only while at least this
+/// many steps of its budget remain, so no superinstruction ever has to stop
+/// between its units.
+pub const MAX_RUN: u64 = 4;
+
 /// One predecoded instruction unit. `Copy` and flat: executing one never
 /// touches the IR tree.
+///
+/// A superinstruction covers a straight-line run of units starting at its
+/// own: it executes them in order with their accounting (one step and the
+/// unit's cycles each, every register write), and only its last unit may
+/// transfer control. A fault in unit `j` of the run stops there, as the
+/// unit alone would. The units after the first keep their own decoded
+/// forms, so a branch, return or ROP/JOP transfer that lands inside a run
+/// executes from there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecodedInst {
     /// `dst = src`
@@ -95,10 +114,7 @@ pub enum DecodedInst {
     /// in (`neg_off = frame_size - slot_offset`).
     FrameAddr { dst: Reg, neg_off: u64 },
     /// Superinstruction: `FrameAddr tmp` fused with the `dst = *(tmp)`
-    /// load through it in the next unit. Executes both halves, so it keeps
-    /// their accounting (two steps, `inst + mem` cycles, `tmp` written);
-    /// the next unit still holds the plain `Load` for control transfers
-    /// that land on it.
+    /// load through it in the next unit (two units).
     FrameLoad {
         tmp: Reg,
         neg_off: u64,
@@ -113,6 +129,50 @@ pub enum DecodedInst {
         src: Operand,
         width: Width,
     },
+    /// Superinstruction: a [`DecodedInst::FrameStore`] followed by the
+    /// block's `Jmp` (three units).
+    FrameStoreJmp {
+        tmp: Reg,
+        neg_off: u64,
+        src: Operand,
+        width: Width,
+        target: u32,
+    },
+    /// Superinstruction: two [`DecodedInst::FrameLoad`]s in a row (four
+    /// units).
+    FrameLoad2 {
+        tmp: Reg,
+        neg_off: u64,
+        dst: Reg,
+        width: Width,
+        tmp2: Reg,
+        neg_off2: u64,
+        dst2: Reg,
+        width2: Width,
+    },
+    /// Superinstruction: a [`DecodedInst::FrameLoad`] into `dst` followed
+    /// by `bin_dst = dst <op> b` (three units).
+    FrameLoadBin {
+        tmp: Reg,
+        neg_off: u64,
+        dst: Reg,
+        width: Width,
+        bin_dst: Reg,
+        op: BinOp,
+        b: Operand,
+    },
+    /// Superinstruction: `dst = a <op> b` followed by a
+    /// [`DecodedInst::FrameStore`] of `dst` (three units). The slot offset
+    /// is narrowed to `u32` so the unit stays as small as the plain ones.
+    BinFrameStore {
+        dst: Reg,
+        op: BinOp,
+        a: Operand,
+        b: Operand,
+        tmp: Reg,
+        neg_off: u32,
+        width: Width,
+    },
     /// `dst = addr` — a pre-resolved `GlobalAddr` or `FuncAddr`.
     LoadAddr { dst: Reg, addr: u64 },
     /// `dst = base + off` — `FieldAddr` with the struct offset pre-summed.
@@ -123,6 +183,17 @@ pub enum DecodedInst {
         base: Operand,
         elem_size: u64,
         index: Operand,
+    },
+    /// Superinstruction: `IndexAddr tmp` fused with the `dst = *(tmp)`
+    /// load through it in the next unit (two units). The element size is
+    /// narrowed to `u32` so the unit stays as small as the plain ones.
+    IndexLoad {
+        tmp: Reg,
+        base: Operand,
+        elem_size: u32,
+        index: Operand,
+        dst: Reg,
+        width: Width,
     },
     /// Direct call with the target entry resolved to a flat unit and the
     /// return address precomputed.
@@ -160,10 +231,7 @@ pub enum DecodedInst {
     /// Unconditional jump to a flat unit in the same function.
     Jmp { target: u32 },
     /// Superinstruction: `Cmp dst` fused with the `Br` on `dst` in the
-    /// next unit (the block's terminator). Executes both halves, so it
-    /// keeps their accounting (two steps, `inst + inst` cycles, `dst`
-    /// written); the next unit still holds the plain `Br` for control
-    /// transfers that land on it.
+    /// next unit, the block's terminator (two units).
     CmpBr {
         dst: Reg,
         op: CmpOp,
@@ -185,11 +253,38 @@ pub enum DecodedInst {
     Pad,
 }
 
+// Superinstructions narrow their wide fields where needed so a unit stays
+// as small as the widest plain one (`IndexAddr`, `CmpBr`).
+const _: () = assert!(std::mem::size_of::<DecodedInst>() <= 48);
+
+impl DecodedInst {
+    /// How many units this instruction covers: 1 for a plain unit, the
+    /// run length for a superinstruction (at most [`MAX_RUN`]).
+    pub fn run_len(self) -> u64 {
+        match self {
+            DecodedInst::FrameLoad { .. }
+            | DecodedInst::FrameStore { .. }
+            | DecodedInst::IndexLoad { .. }
+            | DecodedInst::CmpBr { .. } => 2,
+            DecodedInst::FrameStoreJmp { .. }
+            | DecodedInst::FrameLoadBin { .. }
+            | DecodedInst::BinFrameStore { .. } => 3,
+            DecodedInst::FrameLoad2 { .. } => 4,
+            _ => 1,
+        }
+    }
+}
+
 /// The flat predecoded form of a loaded module.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     base: u64,
+    /// The fused stream: unit `i` holds the superinstruction whose run
+    /// starts at `i`, or the plain unit when none does.
     units: Vec<DecodedInst>,
+    /// The unfused stream, for the last steps of a budget, where fewer
+    /// than [`MAX_RUN`] remain.
+    plain: Vec<DecodedInst>,
     /// Interned call/syscall argument operands.
     args: Vec<Operand>,
     /// `InstLoc` of each unit (dummy for `Pad` units), for syncing the
@@ -392,10 +487,16 @@ impl DecodedProgram {
             }
         }
         units.resize(total, DecodedInst::Pad);
-        fuse_pairs(&mut units);
+        let plain = units;
+        let units: Vec<DecodedInst> = (0..plain.len())
+            .map(|i| fuse(&plain[i..]).unwrap_or(plain[i]))
+            .collect();
+        // The interpreter's budget guard relies on this.
+        debug_assert!(units.iter().all(|u| u.run_len() <= MAX_RUN));
         DecodedProgram {
             base,
             units,
+            plain,
             args,
             locs,
         }
@@ -416,7 +517,7 @@ impl DecodedProgram {
         self.units.is_empty()
     }
 
-    /// The unit at flat index `unit`.
+    /// The unit at flat index `unit` in the fused stream.
     ///
     /// # Panics
     /// Panics if `unit` is out of range.
@@ -425,10 +526,17 @@ impl DecodedProgram {
         self.units[unit]
     }
 
-    /// The full flat instruction stream, indexed by unit.
+    /// The fused instruction stream, indexed by unit.
     #[inline]
     pub fn insts(&self) -> &[DecodedInst] {
         &self.units
+    }
+
+    /// The unfused instruction stream, indexed by unit: no
+    /// superinstructions.
+    #[inline]
+    pub fn plain_insts(&self) -> &[DecodedInst] {
+        &self.plain
     }
 
     /// The architectural instruction location of `unit`.
@@ -470,59 +578,141 @@ impl DecodedProgram {
     }
 }
 
-/// Peephole: rewrites each `FrameAddr tmp` whose next unit loads or
-/// stores through `tmp` into a [`DecodedInst::FrameLoad`] or
-/// [`DecodedInst::FrameStore`], and each `Cmp dst` whose next unit
-/// branches on `dst` into a [`DecodedInst::CmpBr`]. Neither first half is
-/// ever a block's last unit (terminators are), so each pair lies in one
-/// block. The second unit is left as it is.
-fn fuse_pairs(units: &mut [DecodedInst]) {
-    for i in 0..units.len().saturating_sub(1) {
-        units[i] = match (units[i], units[i + 1]) {
-            (
-                DecodedInst::Cmp { dst, op, a, b },
-                DecodedInst::Br {
-                    cond: Operand::Reg(c),
-                    then_,
-                    else_,
-                },
-            ) if c == dst => DecodedInst::CmpBr {
+/// The superinstruction whose run starts at `run[0]` of the unfused
+/// stream, if one does. Every unit of a run but the last is a
+/// non-terminator, so a run never leaves its block. Where two runs start
+/// at the same unit the longer one wins.
+fn fuse(run: &[DecodedInst]) -> Option<DecodedInst> {
+    use DecodedInst as D;
+    let at = |k: usize| run.get(k).copied().unwrap_or(D::Pad);
+    Some(match (at(0), at(1)) {
+        (
+            D::FrameAddr { dst: tmp, neg_off },
+            D::Load {
                 dst,
-                op,
-                a,
-                b,
-                then_,
-                else_,
+                addr: Operand::Reg(a),
+                width,
+            },
+        ) if a == tmp => match (at(2), at(3)) {
+            (
+                D::FrameAddr {
+                    dst: tmp2,
+                    neg_off: neg_off2,
+                },
+                D::Load {
+                    dst: dst2,
+                    addr: Operand::Reg(a2),
+                    width: width2,
+                },
+            ) if a2 == tmp2 => D::FrameLoad2 {
+                tmp,
+                neg_off,
+                dst,
+                width,
+                tmp2,
+                neg_off2,
+                dst2,
+                width2,
             },
             (
-                DecodedInst::FrameAddr { dst: tmp, neg_off },
-                DecodedInst::Load {
-                    dst,
-                    addr: Operand::Reg(a),
-                    width,
+                D::Bin {
+                    dst: bin_dst,
+                    op,
+                    a: Operand::Reg(x),
+                    b,
                 },
-            ) if a == tmp => DecodedInst::FrameLoad {
+                _,
+            ) if x == dst => D::FrameLoadBin {
+                tmp,
+                neg_off,
+                dst,
+                width,
+                bin_dst,
+                op,
+                b,
+            },
+            _ => D::FrameLoad {
                 tmp,
                 neg_off,
                 dst,
                 width,
             },
-            (
-                DecodedInst::FrameAddr { dst: tmp, neg_off },
-                DecodedInst::Store {
-                    addr: Operand::Reg(a),
-                    src,
-                    width,
-                },
-            ) if a == tmp => DecodedInst::FrameStore {
+        },
+        (
+            D::FrameAddr { dst: tmp, neg_off },
+            D::Store {
+                addr: Operand::Reg(a),
+                src,
+                width,
+            },
+        ) if a == tmp => match at(2) {
+            D::Jmp { target } => D::FrameStoreJmp {
+                tmp,
+                neg_off,
+                src,
+                width,
+                target,
+            },
+            _ => D::FrameStore {
                 tmp,
                 neg_off,
                 src,
                 width,
             },
-            _ => continue,
-        };
-    }
+        },
+        (
+            D::Cmp { dst, op, a, b },
+            D::Br {
+                cond: Operand::Reg(c),
+                then_,
+                else_,
+            },
+        ) if c == dst => D::CmpBr {
+            dst,
+            op,
+            a,
+            b,
+            then_,
+            else_,
+        },
+        (
+            D::IndexAddr {
+                dst: tmp,
+                base,
+                elem_size,
+                index,
+            },
+            D::Load {
+                dst,
+                addr: Operand::Reg(a),
+                width,
+            },
+        ) if a == tmp => D::IndexLoad {
+            tmp,
+            base,
+            elem_size: u32::try_from(elem_size).ok()?,
+            index,
+            dst,
+            width,
+        },
+        (D::Bin { dst, op, a, b }, D::FrameAddr { dst: tmp, neg_off }) => match at(2) {
+            D::Store {
+                addr: Operand::Reg(x),
+                src: Operand::Reg(v),
+                width,
+            } if x == tmp && v == dst => D::BinFrameStore {
+                dst,
+                op,
+                a,
+                b,
+                tmp,
+                neg_off: u32::try_from(neg_off).ok()?,
+                width,
+            },
+            _ => return None,
+        },
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@ use bastion_compiler::{BastionCompiler, ContextMetadata};
 use bastion_defenses::HardeningConfig;
 use bastion_ir::sysno;
 use bastion_kernel::process::{ProcState, WaitReason};
-use bastion_kernel::{ExitReason, ExtConnId, Pid, World};
+use bastion_kernel::{ExitReason, ExtConnId, FaultSchedule, Pid, World, WorldSnapshot};
 use bastion_monitor::ContextConfig;
 use bastion_vm::Image;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How a run was stopped (or not).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,13 +88,45 @@ pub struct Parked {
 /// share one checkpoint hold a lock around [`AttackEnv::restore`].
 #[derive(Debug)]
 pub struct DeployCheckpoint {
-    snap: bastion_kernel::WorldSnapshot,
+    snap: WorldSnapshot,
     image: Arc<Image>,
     metadata: Arc<ContextMetadata>,
     victim: Victim,
     root_pid: Pid,
     scratch_cursor: u64,
     notes: std::collections::HashMap<&'static str, u64>,
+    /// The victim parked once from `snap` ([`DeployCheckpoint::park_once`]),
+    /// shared with every environment restored from this checkpoint and
+    /// locked only while one of them restores it.
+    parked: Option<Arc<Mutex<ParkedSnapshot>>>,
+}
+
+/// The world right after [`AttackEnv::park`] returned on a fork of a
+/// [`DeployCheckpoint`] with an empty fault schedule installed, and what
+/// `park` returned.
+#[derive(Debug)]
+struct ParkedSnapshot {
+    snap: WorldSnapshot,
+    parked: Parked,
+}
+
+impl DeployCheckpoint {
+    /// Parks a fork of the checkpoint once, under an empty fault schedule
+    /// whose injector counts the accesses and traps park makes, and keeps
+    /// the parked world. An environment restored from the checkpoint then
+    /// serves its first [`AttackEnv::park`] from that world instead of
+    /// running, as long as it has not changed its own world since the
+    /// restore and its fault schedule could not have fired during park
+    /// ([`World::resume_faults`]).
+    pub fn park_once(&mut self) {
+        let mut env = AttackEnv::restore(self);
+        env.world.install_faults(FaultSchedule::default());
+        let parked = env.park();
+        self.parked = Some(Arc::new(Mutex::new(ParkedSnapshot {
+            snap: env.world.snapshot(),
+            parked,
+        })));
+    }
 }
 
 /// A deployed victim plus attacker primitives.
@@ -111,6 +143,11 @@ pub struct AttackEnv {
     pub root_pid: Pid,
     scratch_cursor: u64,
     notes: std::collections::HashMap<&'static str, u64>,
+    /// The checkpoint's parked snapshot, kept only until the environment
+    /// changes its world: every mutating primitive clears it.
+    unchanged_park: Option<Arc<Mutex<ParkedSnapshot>>>,
+    /// Set once a park was served from the parked snapshot.
+    parked_from_snapshot: bool,
 }
 
 impl AttackEnv {
@@ -159,6 +196,8 @@ impl AttackEnv {
             root_pid,
             scratch_cursor: 0,
             notes: std::collections::HashMap::new(),
+            unchanged_park: None,
+            parked_from_snapshot: false,
         }
     }
 
@@ -167,7 +206,8 @@ impl AttackEnv {
     /// forking the world copy-on-write instead of recompiling and
     /// rebooting the victim. Taken after `deploy`'s boot run, so the
     /// checkpoint sits at a deterministic trap index and a restored cell
-    /// replays a cold deploy bit-for-bit.
+    /// replays a cold deploy bit-for-bit. The checkpoint holds no parked
+    /// snapshot until [`DeployCheckpoint::park_once`] adds one.
     pub fn checkpoint(&mut self) -> DeployCheckpoint {
         DeployCheckpoint {
             snap: self.world.snapshot(),
@@ -177,6 +217,7 @@ impl AttackEnv {
             root_pid: self.root_pid,
             scratch_cursor: self.scratch_cursor,
             notes: self.notes.clone(),
+            parked: None,
         }
     }
 
@@ -191,7 +232,15 @@ impl AttackEnv {
             root_pid: ck.root_pid,
             scratch_cursor: ck.scratch_cursor,
             notes: ck.notes.clone(),
+            unchanged_park: ck.parked.clone(),
+            parked_from_snapshot: false,
         }
+    }
+
+    /// Whether [`AttackEnv::park`] was served from the checkpoint's parked
+    /// snapshot instead of running.
+    pub fn parked_from_snapshot(&self) -> bool {
+        self.parked_from_snapshot
     }
 
     // ---- reconnaissance (infoleak-equivalent) ----
@@ -255,6 +304,7 @@ impl AttackEnv {
 
     /// Arbitrary 8-byte write in the victim.
     pub fn write_u64(&mut self, pid: Pid, addr: u64, val: u64) {
+        self.unchanged_park = None;
         self.world
             .proc_mut(pid)
             .expect("victim pid")
@@ -265,6 +315,7 @@ impl AttackEnv {
 
     /// Arbitrary byte-string write in the victim.
     pub fn write_bytes(&mut self, pid: Pid, addr: u64, bytes: &[u8]) {
+        self.unchanged_park = None;
         self.world
             .proc_mut(pid)
             .expect("victim pid")
@@ -313,9 +364,18 @@ impl AttackEnv {
     /// Connects and primes the victim so one worker parks blocked in a
     /// `read` on our connection (keep-alive wait), returning it.
     ///
+    /// On an environment restored from a checkpoint that holds a parked
+    /// snapshot ([`DeployCheckpoint::park_once`]), and that has not changed
+    /// its world since, the parked world is restored instead when the
+    /// installed fault schedule resumes on it ([`World::resume_faults`]);
+    /// the result is the world a real park would have left.
+    ///
     /// # Panics
     /// Panics if no worker parks (victims are tested to serve).
     pub fn park(&mut self) -> Parked {
+        if let Some(parked) = self.park_from_snapshot() {
+            return parked;
+        }
         let port = self.victim.port();
         let conn = self.world.net_connect(port).expect("victim listener bound");
         if let Some(priming) = self.victim.priming() {
@@ -336,6 +396,23 @@ impl AttackEnv {
             pid,
             conn: Some(conn),
         }
+    }
+
+    /// Restores the checkpoint's parked world with the installed fault
+    /// schedule resumed on it, if the environment's world is unchanged
+    /// since the restore and the schedule is quiet over park. Clears the
+    /// unchanged state either way: park changes the world.
+    fn park_from_snapshot(&mut self) -> Option<Parked> {
+        let ck = self.unchanged_park.take()?;
+        let schedule = self.world.fault_schedule()?;
+        let ck = ck.lock().expect("no cell panics mid-restore");
+        let mut world = World::restore(&ck.snap);
+        if !world.resume_faults(schedule) {
+            return None;
+        }
+        self.world = world;
+        self.parked_from_snapshot = true;
+        Some(ck.parked)
     }
 
     /// The process parked in `accept` on the victim's main listener (the
@@ -374,8 +451,11 @@ impl AttackEnv {
         self.settle();
     }
 
-    /// Runs the world until quiescence.
+    /// Runs the world until quiescence. [`AttackEnv::wake`] and
+    /// [`AttackEnv::send_request`] end here, so they too clear the
+    /// unchanged state that lets [`AttackEnv::park`] use a parked snapshot.
     pub fn settle(&mut self) {
+        self.unchanged_park = None;
         self.world.run(2_000_000_000);
     }
 

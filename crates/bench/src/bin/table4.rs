@@ -1,11 +1,17 @@
 //! Table 4: sensitive system call usage observed while benchmarking each
 //! application under full BASTION protection, plus the §9.2 stack-depth
 //! statistics.
+//!
+//! The syscall table comes from the shipped two-tier configuration. The
+//! depth statistics come from a tier-2-only run of the same protection:
+//! under two tiers the prefilter settles every clean trap without a stack
+//! walk, so only the tier-2 monitor, the one the paper measures, walks.
 
 use bastion::apps::ALL_APPS;
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::ir::sysno;
+use bastion::monitor::ContextConfig;
 use bastion::vm::CostModel;
 use bastion::Protection;
 
@@ -13,13 +19,19 @@ fn main() {
     let size = WorkloadSize::standard();
     let compiler = BastionCompiler::new();
     let cost = CostModel::default();
-    let runs: Vec<_> = ALL_APPS
-        .iter()
-        .map(|&app| {
-            eprintln!("running {} ...", app.label());
-            run_app_benchmark(app, &Protection::full(), &size, &compiler, cost)
-        })
-        .collect();
+    let mut tier2_only = Protection::full();
+    tier2_only.monitor = Some(ContextConfig::full().with_prefilter(false));
+    let run = |protection: &Protection| -> Vec<_> {
+        ALL_APPS
+            .iter()
+            .map(|&app| {
+                eprintln!("running {} ({}) ...", app.label(), protection.label);
+                run_app_benchmark(app, protection, &size, &compiler, cost)
+            })
+            .collect()
+    };
+    let runs = run(&Protection::full());
+    let walks = run(&tier2_only);
 
     println!("Table 4: Sensitive system call usage from benchmarking");
     println!();
@@ -45,8 +57,11 @@ fn main() {
     println!();
 
     println!();
-    println!("Stack-walk depth statistics (paper §9.2):");
-    for (app, r) in ALL_APPS.iter().zip(&runs) {
+    println!(
+        "Stack-walk depth statistics (paper §9.2; tier 2 only, \
+         ContextConfig::full().with_prefilter(false)):"
+    );
+    for (app, r) in ALL_APPS.iter().zip(&walks) {
         if let Some(m) = &r.monitor {
             println!(
                 "  {:<18} avg {:.1}  min {}  max {}   (init {} cycles ≈ {:.2} ms)",

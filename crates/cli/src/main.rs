@@ -102,7 +102,8 @@ USAGE:
         Run the chaos matrix alone. Cells fork warm from a copy-on-write
         world checkpoint by default; --cold forces a full re-deploy per
         cell. The rendered report is byte-identical either way; the
-        number of victim deploys goes to stderr. Exits nonzero if no
+        number of victim deploys and of attack cells parked from a
+        parked snapshot goes to stderr. Exits nonzero if no
         fault fired, an attack flipped to Allow, or a deny record lacks
         the flight-recorder dump of its trap.
 
@@ -710,13 +711,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// Shared chaos-matrix driver for `bastion chaos` and the fleet's chaos
 /// section: runs the matrix, prints the report, and collects gate
-/// failures. The deploy count differs warm vs cold, so it goes to stderr
-/// and the report on stdout stays byte-identical across modes.
+/// failures. The deploy and snapshot-park counts differ warm vs cold, so
+/// they go to stderr and the report on stdout stays byte-identical across
+/// modes.
 fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
     use bastion::fleet;
     let outcome = fleet::chaos_matrix_mode(jobs, fleet::ATTACK_SEEDS, None, cold);
     print!("{}", outcome.report);
     eprintln!("chaos matrix: {} victim deploys", outcome.deploys);
+    eprintln!(
+        "chaos matrix: {} attack cells parked from a parked snapshot",
+        outcome.snapshot_parks
+    );
     failures.extend(outcome.failures());
 }
 

@@ -258,6 +258,10 @@ pub struct AttackChaosReport {
     /// Flight-recorder dumps the world captured on ladder-rung
     /// transitions and escalation bursts during the faulted run.
     pub flight_dumps: Vec<FlightDump>,
+    /// Whether the cell's park was served from its checkpoint's parked
+    /// snapshot (always `false` cold). Everything else in the report is
+    /// the same either way.
+    pub parked_from_snapshot: bool,
 }
 
 impl AttackChaosReport {
@@ -355,6 +359,7 @@ struct AttackRun {
     deny_records: Vec<DenyRecord>,
     fault_deny_joins: Vec<(u64, &'static str)>,
     flight_dumps: Vec<FlightDump>,
+    parked_from_snapshot: bool,
 }
 
 /// Runs `scenario` under `cfg` with an optional fault schedule installed
@@ -409,6 +414,7 @@ fn run_attack_in(
         deny_records,
         fault_deny_joins,
         flight_dumps,
+        parked_from_snapshot: env.parked_from_snapshot(),
     }
 }
 
@@ -461,11 +467,16 @@ pub fn attack_chaos_mode(
     attack_chaos_shared(scenario, cfg, seeds, checkpoint.as_ref())
 }
 
-/// Deploys `scenario`'s victim under `cfg` and checkpoints it: the warm
-/// start of every cell whose scenario has the same `(victim,
-/// extended_set)` and configuration.
+/// Deploys `scenario`'s victim under `cfg`, checkpoints it and parks it
+/// once ([`DeployCheckpoint::park_once`]): the warm start of every cell
+/// whose scenario has the same `(victim, extended_set)` and
+/// configuration. A cell whose fault window lies past park's traps skips
+/// park by restoring the parked world.
 pub fn warm_checkpoint(scenario: &Scenario, cfg: ContextConfig) -> DeployCheckpoint {
-    AttackEnv::deploy(scenario.victim, Some(cfg), scenario.extended_set, false).checkpoint()
+    let mut ck =
+        AttackEnv::deploy(scenario.victim, Some(cfg), scenario.extended_set, false).checkpoint();
+    ck.park_once();
+    ck
 }
 
 /// The chaos matrix of one scenario: calibration, then every `seeds` ×
@@ -504,6 +515,7 @@ pub fn attack_chaos_shared(
                 deny_records: run.deny_records,
                 fault_deny_joins: run.fault_deny_joins,
                 flight_dumps: run.flight_dumps,
+                parked_from_snapshot: run.parked_from_snapshot,
             });
         }
     }

@@ -137,6 +137,10 @@ pub struct ChaosMatrixOutcome {
     /// one per cell (calibration runs included). Not part of `report`,
     /// which is byte-identical warm vs cold.
     pub deploys: u64,
+    /// Attack cells (calibration runs aside) whose park was served from
+    /// their checkpoint's parked snapshot instead of running; 0 cold. Not
+    /// part of `report` either.
+    pub snapshot_parks: u64,
 }
 
 impl ChaosMatrixOutcome {
@@ -235,6 +239,11 @@ pub fn chaos_matrix_mode(
     } else {
         benign.len() + keys.len()
     } as u64;
+    let snapshot_parks = per_scenario
+        .iter()
+        .flatten()
+        .filter(|r| r.parked_from_snapshot)
+        .count() as u64;
 
     let corpus = generate::corpus();
     let generated: Vec<(&'static str, &'static str, generate::GenReport)> =
@@ -396,6 +405,7 @@ pub fn chaos_matrix_mode(
         generated_flipped,
         flight_missing,
         deploys,
+        snapshot_parks,
     }
 }
 
@@ -457,6 +467,8 @@ pub fn render_bench(rows: &[AppBenchmark]) -> String {
 mod tests {
     use super::*;
 
+    use crate::chaos::chaos_schedules;
+
     #[test]
     fn run_ordered_preserves_item_order() {
         let items: Vec<u64> = (0..100).collect();
@@ -477,6 +489,7 @@ mod tests {
             generated_flipped: 0,
             flight_missing: 0,
             deploys: 8,
+            snapshot_parks: 182,
         };
         assert!(pass.failures().is_empty());
 
@@ -512,13 +525,22 @@ mod tests {
 
     /// Warm, the full catalog deploys each of its five distinct victim
     /// configurations once (plus one boot per benign app), on any number
-    /// of workers.
+    /// of workers, and 26 of its 32 scenarios take every cell's park from
+    /// the parked snapshot: all but the five ftpd ones and the extended
+    /// webserve one (#20), whose fault windows reach into park's traps.
+    /// Cold, no cell does.
     #[test]
-    fn warm_matrix_deploys_once_per_victim_configuration() {
+    fn warm_matrix_deploys_and_parks_once_per_victim_configuration() {
+        let cells = chaos_schedules(0, 1).len() as u64;
         for jobs in [1, 2] {
             let warm = chaos_matrix_mode(jobs, &ATTACK_SEEDS[..1], None, false);
             assert_eq!(warm.deploys, 5 + 3, "jobs={jobs}");
+            assert_eq!(warm.snapshot_parks, 26 * cells, "jobs={jobs}");
         }
+        let cold = chaos_matrix_mode(1, &ATTACK_SEEDS[..1], Some(&[1, 10]), true);
+        assert_eq!(cold.snapshot_parks, 0);
+        let warm = chaos_matrix_mode(1, &ATTACK_SEEDS[..1], Some(&[1, 10]), false);
+        assert_eq!(warm.snapshot_parks, cells);
     }
 
     #[test]

@@ -865,6 +865,33 @@ mod tests {
         assert!(run.fleet.sketch(REQUEST_CYCLES_SKETCH).is_some());
     }
 
+    /// The `vm.steps` counter (`bastion_vm_steps` in `bastion serve
+    /// --prom`) counts every guest step, syscall traps included: per
+    /// tenant it equals the world's own step count, and the serve run's
+    /// fleet counter equals their sum.
+    #[test]
+    fn vm_steps_counter_equals_world_steps_on_a_serve_run() {
+        let _interp = LegacyInterpGuard::set(false);
+        let mut cfg = ServeConfig::new(3, 2);
+        cfg.requests_per_tenant = 4;
+        let specs = tenant_mix(&cfg);
+        let programs = compile_programs(&specs);
+        let mut steps = 0;
+        for spec in &specs {
+            let mut t = boot(spec.clone(), &programs, &cfg).expect("mix compiles");
+            while t.world.alive_count() > 0 {
+                if let Turn::Finished(_) = turn(&mut t, cfg.quantum) {
+                    break;
+                }
+            }
+            let counted = t.registry.snapshot().counter("vm.steps");
+            assert_eq!(counted, Some(t.world.steps), "tenant {}", spec.id);
+            steps += t.world.steps;
+        }
+        let run = serve_with_specs(&cfg, specs);
+        assert_eq!(run.fleet.counter("vm.steps"), Some(steps));
+    }
+
     #[test]
     fn custom_exit_tenant_finishes_without_traffic() {
         let cfg = ServeConfig::new(1, 0);

@@ -154,6 +154,25 @@ impl Trigger {
             Trigger::TrapRange { from, to } => trap >= from && trap <= to,
         }
     }
+
+    /// Whether this trigger could have matched anything an injector saw
+    /// over `accesses` substrate accesses (indices `1..=accesses`) and
+    /// `traps` traps (indices `0..=traps`). Conservative: an access
+    /// trigger ignores the access class and a trap trigger ignores
+    /// whether its trap made any access, so `false` proves it never fired.
+    fn could_have_matched(self, accesses: u64, traps: u64) -> bool {
+        match self {
+            Trigger::OnAccess(n) => n >= 1 && n <= accesses,
+            Trigger::FromAccess(n) => accesses >= n.max(1),
+            // The first matching access index is `phase`, or `n` when the
+            // comb starts at the never-seen index 0.
+            Trigger::EveryNth { n, phase } => {
+                n > 0 && (if phase == 0 { n } else { phase }) <= accesses
+            }
+            Trigger::OnTrap(n) => n <= traps,
+            Trigger::TrapRange { from, to } => from <= to && from <= traps,
+        }
+    }
 }
 
 /// One fault rule: a kind plus the trigger that fires it.
@@ -254,9 +273,10 @@ pub enum FaultAction {
 }
 
 /// Replays a [`FaultSchedule`] against a run. Deterministic: the random
-/// stream advances only when a fault fires, so identical runs see identical
-/// faults. `Clone` so a [`crate::World`] snapshot can capture mid-schedule
-/// injector state.
+/// stream advances only when a trigger matches (almost always as a fault
+/// fires; a `Mix` rule also draws for a zero-length access it then
+/// leaves alone), so identical runs see identical faults. `Clone` so a
+/// [`crate::World`] snapshot can capture mid-schedule injector state.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     schedule: FaultSchedule,
@@ -307,6 +327,32 @@ impl FaultInjector {
     /// Faults that fired so far.
     pub fn log(&self) -> &[InjectedFault] {
         &self.log
+    }
+
+    /// The schedule being replayed.
+    pub fn schedule(&self) -> &FaultSchedule {
+        &self.schedule
+    }
+
+    /// `schedule` resumed at this injector's counters: the injector a run
+    /// would hold now had `schedule` been installed where this one was.
+    /// That holds only when this injector never fired and no trigger of
+    /// `schedule` could have matched an access or trap seen so far: an
+    /// injector draws from its random stream and alters an access only
+    /// when a trigger matches, so the two runs then made the same accesses
+    /// with the same results. `None` otherwise.
+    pub fn resumed(&self, schedule: FaultSchedule) -> Option<FaultInjector> {
+        let quiet = self.log.is_empty()
+            && schedule
+                .specs
+                .iter()
+                .all(|s| !s.trigger.could_have_matched(self.accesses, self.traps));
+        quiet.then(|| FaultInjector {
+            accesses: self.accesses,
+            traps: self.traps,
+            world_trap: self.world_trap,
+            ..FaultInjector::new(schedule)
+        })
     }
 
     /// Consults the schedule for one substrate access of `class` moving
@@ -593,6 +639,94 @@ mod tests {
             drain(&mut b, AccessClass::ReadFrame, 8)
         );
         assert_eq!(a.log(), b.log());
+    }
+
+    /// An injector that saw 5 accesses over 2 traps without firing.
+    fn quiet_injector() -> FaultInjector {
+        let mut inj = FaultInjector::new(FaultSchedule::new(0));
+        inj.begin_trap(41);
+        drain(&mut inj, AccessClass::ReadMem, 2);
+        inj.begin_trap(42);
+        drain(&mut inj, AccessClass::ReadMem, 3);
+        assert_eq!((inj.accesses, inj.traps), (5, 2));
+        inj
+    }
+
+    /// Each trigger variant, exactly at the counters seen (refused) and
+    /// one past them (resumed).
+    #[test]
+    fn resume_refuses_a_trigger_that_could_have_matched() {
+        let base = quiet_injector();
+        let cases = [
+            (Trigger::OnAccess(5), Trigger::OnAccess(6)),
+            (Trigger::FromAccess(5), Trigger::FromAccess(6)),
+            (
+                Trigger::EveryNth { n: 3, phase: 5 },
+                Trigger::EveryNth { n: 3, phase: 6 },
+            ),
+            (
+                Trigger::EveryNth { n: 5, phase: 0 },
+                Trigger::EveryNth { n: 6, phase: 0 },
+            ),
+            (Trigger::OnTrap(2), Trigger::OnTrap(3)),
+            (
+                Trigger::TrapRange { from: 2, to: 9 },
+                Trigger::TrapRange { from: 3, to: 9 },
+            ),
+        ];
+        for (at, past) in cases {
+            let sched = |t| FaultSchedule::new(4).with(FaultKind::ReadError, t);
+            assert!(base.resumed(sched(at)).is_none(), "{at:?} resumed");
+            let r = base
+                .resumed(sched(past))
+                .unwrap_or_else(|| panic!("{past:?}"));
+            assert_eq!((r.accesses, r.traps, r.world_trap), (5, 2, 42));
+            assert_eq!(r.schedule(), &sched(past));
+        }
+        // Never-matching shapes stay quiet whatever the counters.
+        for t in [
+            Trigger::OnAccess(0),
+            Trigger::EveryNth { n: 0, phase: 1 },
+            Trigger::TrapRange { from: 2, to: 1 },
+        ] {
+            assert!(base
+                .resumed(FaultSchedule::new(4).with(FaultKind::Mix, t))
+                .is_some());
+        }
+        // An injector that fired never resumes, even an empty schedule.
+        let mut fired = FaultInjector::new(FaultSchedule::chaos(1, 1));
+        fired.on_access(AccessClass::ReadMem, 8);
+        assert!(fired.resumed(FaultSchedule::new(0)).is_none());
+    }
+
+    /// A resumed injector replays a cold one installed at the same point:
+    /// same faults, same draws, same log.
+    #[test]
+    fn resumed_injector_matches_one_installed_before_the_quiet_prefix() {
+        let sched = FaultSchedule::new(17)
+            .with(FaultKind::Mix, Trigger::TrapRange { from: 3, to: 4 })
+            .with(FaultKind::AppStateFlip, Trigger::OnTrap(4));
+        let mut cold = FaultInjector::new(sched.clone());
+        let mut quiet = FaultInjector::new(FaultSchedule::new(0));
+        for inj in [&mut cold, &mut quiet] {
+            for trap in 1..=2 {
+                inj.begin_trap(trap);
+                drain(inj, AccessClass::ReadFrame, 4);
+            }
+        }
+        let mut warm = quiet.resumed(sched).expect("prefix is quiet");
+        for trap in 3..=5 {
+            for inj in [&mut cold, &mut warm] {
+                inj.begin_trap(trap);
+            }
+            assert_eq!(cold.app_state_flips(), warm.app_state_flips());
+            assert_eq!(
+                drain(&mut cold, AccessClass::ReadFrame, 4),
+                drain(&mut warm, AccessClass::ReadFrame, 4)
+            );
+        }
+        assert!(!cold.log().is_empty());
+        assert_eq!(cold.log(), warm.log());
     }
 
     #[test]

@@ -177,26 +177,28 @@ impl Net {
 
     /// Server-side write (always succeeds; queues are unbounded).
     pub fn server_write(&mut self, cid: ConnId, bytes: &[u8]) -> usize {
-        self.server_write_with(cid, bytes.len(), |dst| dst.copy_from_slice(bytes))
+        self.server_write_with(cid, bytes.len(), |dst| dst.extend_from_slice(bytes))
     }
 
-    /// Server-side write of `len` bytes produced in place: `fill` writes
-    /// them straight into a new chunk of exactly `len` bytes queued for the
-    /// client, so a source such as guest memory is copied exactly once.
-    /// `fill` is not called once the client has closed (the bytes would
-    /// vanish anyway), nor for an empty write.
+    /// Server-side write of `len` bytes produced in place: `fill` appends
+    /// exactly `len` bytes to a new, empty chunk with room for them, which
+    /// is queued for the client, so a source such as guest memory is
+    /// copied exactly once and never zero-filled first. `fill` is not
+    /// called once the client has closed (the bytes would vanish anyway),
+    /// nor for an empty write.
     pub fn server_write_with(
         &mut self,
         cid: ConnId,
         len: usize,
-        fill: impl FnOnce(&mut [u8]),
+        fill: impl FnOnce(&mut Vec<u8>),
     ) -> usize {
         let c = &mut self.conns[cid];
         if c.client_closed || len == 0 {
             return len; // RST-free simplification: bytes vanish.
         }
-        let mut chunk = vec![0; len];
+        let mut chunk = Vec::with_capacity(len);
         fill(&mut chunk);
+        debug_assert_eq!(chunk.len(), len, "fill must append exactly len bytes");
         c.to_client.push(chunk);
         len
     }

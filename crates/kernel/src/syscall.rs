@@ -470,9 +470,7 @@ impl Kernel {
         let n = len as usize;
         match self.ofds[id].kind.clone() {
             OfdKind::Stdout | OfdKind::Stderr => {
-                let at = self.console.len();
-                self.console.resize(at + n, 0);
-                mem.read_unchecked(buf, &mut self.console[at..]);
+                mem.read_unchecked_into(buf, n, &mut self.console);
                 SysOutcome::Done(len)
             }
             OfdKind::File {
@@ -500,7 +498,7 @@ impl Kernel {
             OfdKind::Conn(cid) => {
                 let n = self
                     .net
-                    .server_write_with(cid, n, |dst| mem.read_unchecked(buf, dst));
+                    .server_write_with(cid, n, |dst| mem.read_unchecked_into(buf, n, dst));
                 SysOutcome::Done(n as u64)
             }
             _ => SysOutcome::Done(err(errno::EINVAL)),

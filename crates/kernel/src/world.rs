@@ -185,6 +185,28 @@ impl World {
         self.faults = Some(RefCell::new(FaultInjector::new(schedule)));
     }
 
+    /// The installed fault schedule, if any.
+    pub fn fault_schedule(&self) -> Option<FaultSchedule> {
+        self.faults.as_ref().map(|f| f.borrow().schedule().clone())
+    }
+
+    /// Puts `schedule` onto the installed injector's counters, as if it had
+    /// been installed where that injector was (see
+    /// [`FaultInjector::resumed`]). Returns `false`, changing nothing, when
+    /// no injector is installed, it already fired, or a trigger of
+    /// `schedule` could have matched an access or trap it saw.
+    pub fn resume_faults(&mut self, schedule: FaultSchedule) -> bool {
+        let resumed = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.borrow().resumed(schedule));
+        let Some(resumed) = resumed else {
+            return false;
+        };
+        self.faults = Some(RefCell::new(resumed));
+        true
+    }
+
     /// Monitor traps seen since the current schedule was installed (the
     /// injector's trap counter). Used to calibrate trap-targeted schedules
     /// against a clean reference run.
@@ -325,7 +347,18 @@ impl World {
     /// every live process sleeps on a future deadline advances the clock
     /// to the earliest wake instead of reporting a spurious
     /// [`RunStatus::Idle`].
+    ///
+    /// Adds the guest steps it ran to the `vm.steps` telemetry counter, so
+    /// the counter equals [`World::steps`] on either interpreter.
     pub fn run(&mut self, max_cycles: u64) -> RunStatus {
+        let steps = self.steps;
+        let status = self.schedule(max_cycles);
+        obs::counter_add("vm.steps", self.steps - steps);
+        status
+    }
+
+    /// The scheduling loop of [`World::run`].
+    fn schedule(&mut self, max_cycles: u64) -> RunStatus {
         let deadline = self.now().saturating_add(max_cycles);
         loop {
             self.wake_blocked();

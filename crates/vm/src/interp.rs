@@ -169,7 +169,6 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
         ($idx:expr, $ev:expr) => {{
             m.pc = prog.loc_at($idx);
             m.cycles = cycles;
-            bastion_obs::counter_add("vm.steps", steps);
             return (steps, Some($ev));
         }};
     }
@@ -546,7 +545,6 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
     park!();
     m.pc = prog.loc_at(idx);
     m.cycles = cycles;
-    bastion_obs::counter_add("vm.steps", steps);
     (steps, None)
 }
 

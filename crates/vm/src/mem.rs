@@ -467,6 +467,24 @@ impl Memory {
         }
     }
 
+    /// [`Memory::read_unchecked`] of `len` bytes appended to `out`, one
+    /// page-sized extend per page touched, so a caller building a buffer
+    /// never zero-fills bytes it is about to overwrite.
+    pub fn read_unchecked_into(&self, addr: u64, len: usize, out: &mut Vec<u8>) {
+        out.reserve(len);
+        let mut done = 0usize;
+        while done < len {
+            let a = addr.wrapping_add(done as u64);
+            let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
+            let n = (len - done).min(PAGE_SIZE as usize - off);
+            match self.page(page) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            done += n;
+        }
+    }
+
     /// Raw write that ignores the region map (attacker primitive).
     /// Copies page-sized chunks, one page lookup per page touched.
     pub fn write_unchecked(&mut self, addr: u64, buf: &[u8]) {
@@ -662,6 +680,24 @@ mod tests {
         // And a read of never-written memory yields zeros.
         m.read_unchecked(0xffff_ffff_0000, &mut b);
         assert_eq!(&b, &[0, 0]);
+    }
+
+    #[test]
+    fn appending_read_matches_the_slice_read_across_pages() {
+        let mut m = Memory::new();
+        let src: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8 + 1).collect();
+        // Spans a written page, a never-written page and a written page.
+        m.write_unchecked(0x1f00, &src[..256]);
+        m.write_unchecked(0x3000, &src[256..]);
+        let len = 0x3000 - 0x1f00 + 2744;
+        let mut want = vec![0u8; len];
+        m.read_unchecked(0x1f00, &mut want);
+        let mut got = b"head".to_vec();
+        m.read_unchecked_into(0x1f00, len, &mut got);
+        assert_eq!(&got[..4], b"head");
+        assert_eq!(&got[4..], &want[..]);
+        assert_eq!(&got[4..260], &src[..256]);
+        assert!(got[260..4 + 0x1100].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! All seeds are pinned: a failure replays bit-for-bit.
 
-use bastion::chaos::{attack_chaos, benign_chaos};
+use bastion::chaos::{attack_chaos, attack_chaos_mode, benign_chaos, AttackChaosReport};
 use bastion::{Deployment, Protection};
 use bastion_apps::App;
 use bastion_ir::build::ModuleBuilder;
@@ -222,6 +222,46 @@ fn representative_attacks_stay_contained_under_chaos() {
 fn full_catalog_stays_contained_under_chaos() {
     let ids: Vec<u32> = bastion_attacks::catalog().iter().map(|s| s.id).collect();
     assert_catalog_contained(&ids, &[0xA77C_0001, 0xA77C_0002]);
+}
+
+/// A report with the fields that may differ between warm and cold cells
+/// cleared: whether park came from the parked snapshot, and the page
+/// totals, which count copy-on-write sharing.
+fn comparable(mut r: AttackChaosReport) -> String {
+    r.parked_from_snapshot = false;
+    if let Some(s) = &mut r.stats {
+        s.resident_pages = 0;
+        s.snapshot_shared_pages = 0;
+    }
+    format!("{r:?}")
+}
+
+/// Warm cells, forked from a checkpoint parked once, report exactly what
+/// cold cells do. Scenario 1 (webserve) attacks past park's traps, so
+/// every warm cell restores the parked world; scenario 10 (ftpd) is
+/// faulted inside park's traps, so every warm cell parks for real.
+#[test]
+fn warm_cells_from_the_parked_snapshot_match_cold_cells() {
+    let catalog = bastion_attacks::catalog();
+    for (id, from_snapshot) in [(1, true), (10, false)] {
+        let s = catalog
+            .iter()
+            .find(|s| s.id == id)
+            .expect("scenario id exists");
+        let seeds = [0xA77C_0001];
+        let warm = attack_chaos_mode(s, ContextConfig::full(), &seeds, false);
+        let cold = attack_chaos_mode(s, ContextConfig::full(), &seeds, true);
+        assert_eq!(warm.len(), cold.len());
+        assert!(
+            warm.iter().all(|r| r.parked_from_snapshot == from_snapshot),
+            "#{id}"
+        );
+        assert!(cold.iter().all(|r| !r.parked_from_snapshot), "#{id}");
+        assert!(warm.iter().any(|r| r.faults_fired > 0), "#{id}");
+        for (w, c) in warm.into_iter().zip(cold) {
+            assert_eq!(comparable(w), comparable(c), "#{id}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 //! sizes): the claims the paper's Figure 3 / Table 7 make must hold
 //! qualitatively in every build.
 
-use bastion::apps::App;
+use bastion::apps::{App, ALL_APPS};
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, run_table7_row, WorkloadSize};
+use bastion::monitor::ContextConfig;
 use bastion::vm::CostModel;
 use bastion::Protection;
 
@@ -45,6 +46,32 @@ fn ftpd_full_protection_overhead_is_low() {
     let o = full.overhead_vs(&base);
     assert!(o > 0.0 && o < 15.0, "ftpd overhead {o}");
     assert!(full.traps > 0);
+}
+
+/// §9.2's stack-walk depths, measured as Table 4 measures them: on the
+/// tier-2-only run, since under two tiers no clean trap walks. A zero
+/// reading means nothing walked. The paper's NGINX reading is avg 5.2,
+/// min 4, max 9.
+#[test]
+fn walk_depths_are_nonzero_and_paper_shaped() {
+    let mut tier2_only = Protection::full();
+    tier2_only.monitor = Some(ContextConfig::full().with_prefilter(false));
+    for app in ALL_APPS {
+        let run = run_app_benchmark(
+            app,
+            &tier2_only,
+            &WorkloadSize::quick(),
+            &BastionCompiler::new(),
+            CostModel::default(),
+        );
+        let m = run.monitor.expect("monitor attached");
+        let avg = m.avg_depth();
+        let (min, max) = (m.min_depth as f64, m.max_depth as f64);
+        assert!(
+            m.min_depth > 0 && min <= avg && avg <= max && (2.0..=9.0).contains(&avg),
+            "{app:?}: avg {avg:.1} min {min} max {max}"
+        );
+    }
 }
 
 #[test]

@@ -6,10 +6,10 @@
 //! automaton included) must survive the round-trip. Restored worlds share
 //! the monitor's read-only tables with their checkpoint and copy the rest.
 
-use bastion::attacks::env::Defense;
+use bastion::attacks::env::{Defense, Parked};
 use bastion::attacks::{catalog, AttackEnv};
 use bastion::chaos::monitor_stats;
-use bastion::kernel::{LegacyInterpGuard, Tracer, World};
+use bastion::kernel::{FaultSchedule, LegacyInterpGuard, Tracer, World};
 use bastion::monitor::{ContextConfig, Monitor, MonitorStats};
 use bastion::{Deployment, Protection};
 use proptest::prelude::*;
@@ -237,4 +237,108 @@ fn restored_attack_envs_share_tables_and_isolate_monitor_state() {
     assert!(Arc::ptr_eq(&attacked.metadata, &later.metadata));
     assert!(Arc::ptr_eq(&denied.md, &other.md));
     assert!(Arc::ptr_eq(&denied.info, &other.info));
+}
+
+/// The root process as an accept-parked victim (no connection of ours).
+fn accept_parked(env: &AttackEnv) -> Parked {
+    Parked {
+        pid: env.root_pid,
+        conn: None,
+    }
+}
+
+/// A world's observable state: totals, every process's scheduler state,
+/// the monitor's mutable state, and the fault injector's counters.
+fn observed(env: &AttackEnv) -> String {
+    let pids: Vec<u32> = env.world.procs.iter().map(|p| p.pid).collect();
+    format!(
+        "{} | {} | {} | {:?}",
+        env.world.summary(),
+        env.world.fault_trap_count(),
+        mutable_state(monitor_of(env.world.tracer_ref()), &pids),
+        env.world.fault_log()
+    )
+}
+
+/// `park` serves a restored environment from its checkpoint's parked
+/// snapshot only while the environment has not changed its world and a
+/// fault schedule is installed; the world it hands back is the one a real
+/// park leaves, and stays so once the attack runs on. Every mutating
+/// primitive, and park itself, makes the next park run for real.
+#[test]
+fn park_serves_the_parked_snapshot_only_to_an_unchanged_world() {
+    let scenario = catalog()
+        .into_iter()
+        .find(|s| s.id == 1)
+        .expect("scenario 1");
+    let mut ck = AttackEnv::deploy(
+        scenario.victim,
+        Some(ContextConfig::full()),
+        scenario.extended_set,
+        false,
+    )
+    .checkpoint();
+    ck.park_once();
+    let fresh = || {
+        let mut env = AttackEnv::restore(&ck);
+        env.world.install_faults(FaultSchedule::default());
+        env
+    };
+
+    let mut warm = fresh();
+    let parked = warm.park();
+    assert!(warm.parked_from_snapshot());
+    let mut real = fresh();
+    real.write_bytes(real.root_pid, real.image.stack_base + 0x800, &[0]);
+    let real_parked = real.park();
+    assert!(!real.parked_from_snapshot());
+    assert_eq!(
+        (parked.pid, parked.conn),
+        (real_parked.pid, real_parked.conn)
+    );
+    assert_eq!(observed(&warm), observed(&real));
+    (scenario.attack)(&mut warm);
+    (scenario.attack)(&mut real);
+    assert_ne!(warm.defense_fired(), Defense::None);
+    assert_eq!(observed(&warm), observed(&real));
+
+    type Mutate = fn(&mut AttackEnv);
+    let mutators: [(&str, Mutate); 7] = [
+        ("write_u64", |e| {
+            e.write_u64(e.root_pid, e.image.stack_base + 0x800, 1)
+        }),
+        ("write_bytes", |e| {
+            e.write_bytes(e.root_pid, e.image.stack_base + 0x800, &[1])
+        }),
+        ("plant_string", |e| {
+            e.plant_string(e.root_pid, "x");
+        }),
+        ("settle", AttackEnv::settle),
+        ("wake", |e| e.wake(accept_parked(e))),
+        ("send_request", |e| e.send_request(accept_parked(e), b"")),
+        ("park", |e| {
+            e.park();
+        }),
+    ];
+    for (name, mutate) in mutators {
+        let mut env = fresh();
+        mutate(&mut env);
+        let steps = env.world.steps;
+        if name == "park" {
+            // The first park came from the snapshot; the second runs.
+            assert!(env.parked_from_snapshot());
+            env.park();
+            assert!(env.world.steps > steps, "a second park was served too");
+        } else {
+            env.park();
+            assert!(
+                !env.parked_from_snapshot(),
+                "{name} left the world unchanged"
+            );
+        }
+    }
+    // Without an installed schedule there are no counters to resume.
+    let mut bare = AttackEnv::restore(&ck);
+    bare.park();
+    assert!(!bare.parked_from_snapshot());
 }

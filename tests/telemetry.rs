@@ -28,6 +28,27 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
+// Counters
+// ---------------------------------------------------------------------------
+
+/// The `vm.steps` counter counts every guest step, the steps that end in
+/// a syscall trap included: over a whole app run it equals the world's own
+/// step count.
+#[test]
+fn vm_steps_counter_equals_world_steps_on_an_app_run() {
+    let guard = obs::TelemetryGuard::enable(64);
+    let run = run_app_benchmark(
+        App::Dbkv,
+        &bastion::Protection::full(),
+        &WorkloadSize::quick(),
+        &BastionCompiler::new(),
+        CostModel::default(),
+    );
+    let (_, registry) = guard.finish();
+    assert_eq!(registry.snapshot().counter("vm.steps"), Some(run.steps));
+}
+
+// ---------------------------------------------------------------------------
 // Span ring
 // ---------------------------------------------------------------------------
 

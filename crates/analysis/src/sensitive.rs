@@ -20,7 +20,7 @@ use bastion_ir::{
     BinOp, Callee, FuncId, GlobalId, Inst, InstLoc, Module, Operand, Reg, SlotId, StructId, Width,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// An abstract memory location class.
 ///
@@ -199,8 +199,9 @@ enum ValSpec {
 }
 
 struct FuncIndex<'m> {
-    /// Single-definition map (builder-produced IR defines each reg once).
-    defs: HashMap<Reg, &'m Inst>,
+    /// Single-definition map indexed by register (builder-produced IR
+    /// defines each reg once; a redefinition keeps the last).
+    defs: Vec<Option<&'m Inst>>,
     /// All stores: (loc, addr operand, src operand, width, resolved target).
     stores: Vec<(InstLoc, Operand, Operand, Width, Option<Loc>)>,
 }
@@ -232,11 +233,14 @@ impl<'m> Analyzer<'m> {
     fn new(module: &'m Module, cg: &'m CallGraph, sensitive_nrs: &'m BTreeSet<u32>) -> Self {
         let mut idx = Vec::with_capacity(module.functions.len());
         for (_fid, f) in module.iter_funcs() {
-            let mut defs = HashMap::new();
+            let mut defs = vec![None; f.reg_count as usize];
             for b in &f.blocks {
                 for inst in &b.insts {
                     if let Some(d) = inst.def() {
-                        defs.insert(d, inst);
+                        if d.index() >= defs.len() {
+                            defs.resize(d.index() + 1, None);
+                        }
+                        defs[d.index()] = Some(inst);
                     }
                 }
             }
@@ -262,6 +266,11 @@ impl<'m> Analyzer<'m> {
         a.index_stores();
         a.index_addr_args();
         a
+    }
+
+    /// The instruction defining register `r` of function `f`.
+    fn def(&self, f: FuncId, r: Reg) -> Option<&'m Inst> {
+        self.idx[f.index()].defs.get(r.index()).copied().flatten()
     }
 
     /// Indexes `&L` (or `&global`) passed directly as a call argument, so
@@ -300,7 +309,7 @@ impl<'m> Analyzer<'m> {
     /// address) to the location it names, without enqueueing anything.
     fn addr_value(&self, f: FuncId, op: Operand) -> Option<Loc> {
         let r = op.as_reg()?;
-        match self.idx[f.index()].defs.get(&r)? {
+        match self.def(f, r)? {
             Inst::FrameAddr { slot, .. } => Some(Loc::Slot {
                 func: f,
                 slot: *slot,
@@ -350,7 +359,7 @@ impl<'m> Analyzer<'m> {
             return None;
         }
         let r = op.as_reg()?;
-        let def = self.idx[f.index()].defs.get(&r)?;
+        let def = self.def(f, r)?;
         match def {
             Inst::FrameAddr { slot, .. } => Some(Loc::Slot {
                 func: f,
@@ -387,7 +396,7 @@ impl<'m> Analyzer<'m> {
             Operand::Imm(v) => return ValSpec::Const(v),
             Operand::Reg(r) => r,
         };
-        let Some(def) = self.idx[f.index()].defs.get(&r).copied() else {
+        let Some(def) = self.def(f, r) else {
             return ValSpec::Opaque;
         };
         match def {
@@ -572,7 +581,8 @@ impl<'m> Analyzer<'m> {
         // 1. Instrument every store writing this class and trace its source.
         let hits: Vec<(FuncId, usize)> = self.store_index.get(loc).cloned().unwrap_or_default();
         for (fid, sidx) in hits {
-            let (sloc, _addr, src, width, _res) = self.idx[fid.index()].stores[sidx].clone();
+            let (sloc, _addr, src, width, _) = &self.idx[fid.index()].stores[sidx];
+            let (sloc, src, width) = (*sloc, *src, *width);
             if self.stores_seen.insert(sloc) {
                 self.report.store_sites.push(StoreSite {
                     loc: sloc,
@@ -645,7 +655,8 @@ impl<'m> Analyzer<'m> {
         let key = Loc::pointee(Loc::Slot { func: f, slot });
         let hits: Vec<(FuncId, usize)> = self.store_index.get(&key).cloned().unwrap_or_default();
         for (fid, sidx) in hits {
-            let (sloc, _addr, _src, width, _res) = self.idx[fid.index()].stores[sidx].clone();
+            let (sloc, _addr, _src, width, _) = &self.idx[fid.index()].stores[sidx];
+            let (sloc, width) = (*sloc, *width);
             if self.stores_seen.insert(sloc) {
                 self.report.store_sites.push(StoreSite {
                     loc: sloc,
@@ -689,7 +700,7 @@ impl<'m> Analyzer<'m> {
             return false;
         }
         let Some(r) = op.as_reg() else { return false };
-        match self.idx[f.index()].defs.get(&r) {
+        match self.def(f, r) {
             Some(Inst::Load { addr, .. }) => {
                 self.addr_value(f, *addr) == Some(Loc::Slot { func: f, slot })
             }

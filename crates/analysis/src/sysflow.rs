@@ -36,36 +36,103 @@ pub struct SyscallFlow {
     pub edges: BTreeSet<(u32, u32)>,
 }
 
+/// A small sorted set of syscall numbers. The sets here hold a handful
+/// of sensitive nrs, so a sorted `Vec` is cheaper than a `BTreeSet` and
+/// can be overwritten in place without allocating. It iterates in the
+/// same ascending order.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NrSet(Vec<u32>);
+
+impl NrSet {
+    fn insert(&mut self, nr: u32) -> bool {
+        match self.0.binary_search(&nr) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, nr);
+                true
+            }
+        }
+    }
+
+    /// Adds every member of `other`; whether anything was new.
+    fn union_with(&mut self, other: &NrSet) -> bool {
+        let mut grew = false;
+        for &nr in &other.0 {
+            grew |= self.insert(nr);
+        }
+        grew
+    }
+
+    fn assign(&mut self, other: &NrSet) {
+        self.0.clone_from(&other.0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Per-function summary: first/last emittable sensitive nrs plus whether
 /// the function can run to completion emitting nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FlowSummary {
-    first: BTreeSet<u32>,
-    last: BTreeSet<u32>,
+    first: NrSet,
+    last: NrSet,
     eps: bool,
 }
 
 /// Block dataflow state: the set of nrs that may have been emitted last
 /// so far, plus whether "nothing emitted yet" is still possible (`bot`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct BlockState {
-    last: BTreeSet<u32>,
+    last: NrSet,
     bot: bool,
 }
 
 impl BlockState {
     fn entry() -> Self {
         BlockState {
-            last: BTreeSet::new(),
+            last: NrSet::default(),
             bot: true,
         }
     }
 
     fn join(&mut self, other: &BlockState) -> bool {
-        let before = (self.last.len(), self.bot);
-        self.last.extend(other.last.iter().copied());
+        let grew = self.last.union_with(&other.last);
+        let bot = self.bot;
         self.bot |= other.bot;
-        (self.last.len(), self.bot) != before
+        grew || self.bot != bot
+    }
+
+    fn assign(&mut self, other: &BlockState) {
+        self.last.assign(&other.last);
+        self.bot = other.bot;
+    }
+}
+
+/// The event emitted by calling `callee`: the target's summary for direct
+/// calls; for indirect calls, the union of every address-taken function's
+/// summary, built in `scratch`.
+fn callee_event<'a>(
+    summaries: &'a [FlowSummary],
+    cg: &CallGraph,
+    callee: &Callee,
+    scratch: &'a mut FlowSummary,
+) -> &'a FlowSummary {
+    match callee {
+        Callee::Direct(t) => &summaries[t.index()],
+        Callee::Indirect(_) => {
+            scratch.first.0.clear();
+            scratch.last.0.clear();
+            scratch.eps = cg.address_taken.is_empty();
+            for &t in &cg.address_taken {
+                let s = &summaries[t.index()];
+                scratch.first.union_with(&s.first);
+                scratch.last.union_with(&s.last);
+                scratch.eps |= s.eps;
+            }
+            scratch
+        }
     }
 }
 
@@ -96,34 +163,34 @@ pub fn analyze(module: &Module, cg: &CallGraph, sensitive: &BTreeSet<u32>) -> Sy
         }
     }
 
-    // The event emitted by calling `callee`: the union of possible
-    // target summaries for indirect calls (every address-taken
-    // function), the target's summary for direct calls.
-    let callee_event = |summaries: &[FlowSummary], callee: &Callee| -> FlowSummary {
-        match callee {
-            Callee::Direct(t) => summaries[t.index()].clone(),
-            Callee::Indirect(_) => {
-                let mut ev = FlowSummary::default();
-                for &t in &cg.address_taken {
-                    let s = &summaries[t.index()];
-                    ev.first.extend(s.first.iter().copied());
-                    ev.last.extend(s.last.iter().copied());
-                    ev.eps |= s.eps;
-                }
-                if cg.address_taken.is_empty() {
-                    ev.eps = true;
-                }
-                ev
-            }
-        }
-    };
+    // The callees of each block's calls, in order: the only instructions
+    // the dataflow looks at. The module's k-th block (counting blocks of
+    // all functions in order) calls `calls[calls_at[k]..calls_at[k + 1]]`.
+    let mut calls: Vec<&Callee> = Vec::new();
+    let mut calls_at: Vec<usize> = Vec::new();
+    for b in module.functions.iter().flat_map(|f| &f.blocks) {
+        calls_at.push(calls.len());
+        calls.extend(b.insts.iter().filter_map(|inst| match inst {
+            Inst::Call { callee, .. } => Some(callee),
+            _ => None,
+        }));
+    }
+    calls_at.push(calls.len());
+
+    // Scratch buffers reused across blocks and functions.
+    let mut indirect = FlowSummary::default();
+    let mut st = BlockState::default();
+    let mut states: Vec<Option<BlockState>> = Vec::new();
 
     // Module-level fixpoint: recompute every defined function's summary
     // (and the global edge set) until nothing changes. Monotone in both,
     // so termination is bounded by |sensitive|² + |funcs|·|sensitive|.
     loop {
         let mut changed = false;
+        let mut first_block = 0;
         for (fid, f) in module.iter_funcs() {
+            let base = first_block;
+            first_block += f.blocks.len();
             if f.kind != FuncKind::Normal {
                 continue;
             }
@@ -137,43 +204,43 @@ pub fn analyze(module: &Module, cg: &CallGraph, sensitive: &BTreeSet<u32>) -> Sy
             }
             let mut new = FlowSummary {
                 first: summaries[fid.index()].first.clone(),
-                last: BTreeSet::new(),
+                last: NrSet::default(),
                 eps: false,
             };
             // Per-block dataflow over the CFG, iterated locally to a
             // fixpoint (loops feed block entry states back around).
-            let mut states: Vec<Option<BlockState>> = vec![None; f.blocks.len()];
+            states.clear();
+            states.resize(f.blocks.len(), None);
             states[0] = Some(BlockState::entry());
             let mut exit: Option<BlockState> = None;
             loop {
                 let mut local_changed = false;
                 for (bid, b) in f.iter_blocks() {
-                    let Some(mut st) = states[bid.index()].clone() else {
+                    let Some(entry) = &states[bid.index()] else {
                         continue;
                     };
-                    for inst in &b.insts {
-                        let ev = match inst {
-                            Inst::Call { callee, .. } => callee_event(&summaries, callee),
-                            _ => continue,
-                        };
+                    st.assign(entry);
+                    let k = base + bid.index();
+                    for callee in &calls[calls_at[k]..calls_at[k + 1]] {
+                        let ev = callee_event(&summaries, cg, callee, &mut indirect);
                         if ev.first.is_empty() && ev.last.is_empty() {
                             // Pure-eps event: no emission possible.
                             continue;
                         }
-                        for &nf in &ev.first {
+                        for &nf in &ev.first.0 {
                             if st.bot && new.first.insert(nf) {
                                 changed = true;
                             }
-                            for &l in &st.last {
+                            for &l in &st.last.0 {
                                 if edges.insert((l, nf)) {
                                     changed = true;
                                 }
                             }
                         }
                         if ev.eps {
-                            st.last.extend(ev.last.iter().copied());
+                            st.last.union_with(&ev.last);
                         } else {
-                            st.last = ev.last.clone();
+                            st.last.assign(&ev.last);
                             st.bot = false;
                         }
                     }
@@ -218,7 +285,7 @@ pub fn analyze(module: &Module, cg: &CallGraph, sensitive: &BTreeSet<u32>) -> Sy
 
     let initial = module
         .func_by_name("main")
-        .map(|m| summaries[m.index()].first.clone())
+        .map(|m| summaries[m.index()].first.0.iter().copied().collect())
         .unwrap_or_default();
     SyscallFlow { initial, edges }
 }

@@ -117,7 +117,7 @@ impl DeployCheckpoint {
     /// serves its first [`AttackEnv::park`] from that world instead of
     /// running, as long as it has not changed its own world since the
     /// restore and its fault schedule could not have fired during park
-    /// ([`World::resume_faults`]).
+    /// ([`World::restore_resuming`]).
     pub fn park_once(&mut self) {
         let mut env = AttackEnv::restore(self);
         env.world.install_faults(FaultSchedule::default());
@@ -367,7 +367,7 @@ impl AttackEnv {
     /// On an environment restored from a checkpoint that holds a parked
     /// snapshot ([`DeployCheckpoint::park_once`]), and that has not changed
     /// its world since, the parked world is restored instead when the
-    /// installed fault schedule resumes on it ([`World::resume_faults`]);
+    /// installed fault schedule resumes on it ([`World::restore_resuming`]);
     /// the result is the world a real park would have left.
     ///
     /// # Panics
@@ -406,11 +406,7 @@ impl AttackEnv {
         let ck = self.unchanged_park.take()?;
         let schedule = self.world.fault_schedule()?;
         let ck = ck.lock().expect("no cell panics mid-restore");
-        let mut world = World::restore(&ck.snap);
-        if !world.resume_faults(schedule) {
-            return None;
-        }
-        self.world = world;
+        self.world = World::restore_resuming(&ck.snap, schedule)?;
         self.parked_from_snapshot = true;
         Some(ck.parked)
     }

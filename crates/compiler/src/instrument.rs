@@ -14,8 +14,9 @@
 //! analysis results through it before assigning final addresses.
 
 use bastion_analysis::sensitive::{ArgSpec, SensitiveReport};
-use bastion_ir::{Block, Inst, InstLoc, IntrinsicOp, Module, Operand, Reg, Width};
-use std::collections::{HashMap, HashSet};
+use bastion_ir::{
+    BlockId, FuncId, FxHashMap, FxHashSet, Inst, InstLoc, IntrinsicOp, Module, Operand, Width,
+};
 
 /// Output of the instrumentation pass.
 #[derive(Debug)]
@@ -23,30 +24,86 @@ pub struct Instrumented {
     /// The rewritten module.
     pub module: Module,
     /// old `InstLoc` → new `InstLoc` for every original instruction.
-    pub loc_map: HashMap<InstLoc, InstLoc>,
+    pub loc_map: LocMap,
     /// `(old callsite, position)` pairs for which a memory binding was
     /// actually placed (specs whose address could not be re-derived are
     /// downgraded by the caller).
-    pub placed_mem_binds: HashSet<(InstLoc, u8)>,
+    pub placed_mem_binds: FxHashSet<(InstLoc, u8)>,
     /// Count of `ctx_bind_const` intrinsics inserted.
     pub const_binds: usize,
     /// Count of `ctx_write_mem` intrinsics inserted.
     pub write_mems: usize,
 }
 
+/// Where each instruction of the input module (terminators included)
+/// ended up. The pass only inserts into blocks, so an instruction keeps
+/// its function and block and moves down by the number of instructions
+/// inserted before it; the map stores that count densely, one entry per
+/// instruction, in module order.
+#[derive(Debug)]
+pub struct LocMap {
+    /// Index into `block_start` of each function's first block.
+    func_start: Vec<u32>,
+    /// Index into `shift` of each block's first instruction.
+    block_start: Vec<u32>,
+    /// Instructions inserted before each original instruction.
+    shift: Vec<u32>,
+}
+
+impl LocMap {
+    /// The identity map over `module`'s instructions.
+    fn identity(module: &Module) -> LocMap {
+        let mut func_start = Vec::with_capacity(module.functions.len());
+        let mut block_start = Vec::new();
+        let mut units = 0u32;
+        for f in &module.functions {
+            func_start.push(block_start.len() as u32);
+            for b in &f.blocks {
+                block_start.push(units);
+                units += b.insts.len() as u32 + 1;
+            }
+        }
+        LocMap {
+            func_start,
+            block_start,
+            shift: vec![0; units as usize],
+        }
+    }
+
+    /// Index into `shift` of the first instruction of `block` of `func`.
+    fn first(&self, func: FuncId, block: BlockId) -> usize {
+        self.block_start[self.func_start[func.index()] as usize + block.index()] as usize
+    }
+
+    /// The new location of `old`, an instruction or terminator of the
+    /// input module.
+    ///
+    /// # Panics
+    /// Panics if `old`'s function or block is not in the input module.
+    pub fn get(&self, old: InstLoc) -> InstLoc {
+        let shift = self.shift[self.first(old.func, old.block) + old.inst];
+        InstLoc {
+            inst: old.inst + shift as usize,
+            ..old
+        }
+    }
+}
+
 /// Runs the pass with BASTION's sensitive-only store breadth.
-pub fn instrument(module: &Module, report: &SensitiveReport) -> Instrumented {
+pub fn instrument(module: Module, report: &SensitiveReport) -> Instrumented {
     instrument_with_breadth(module, report, crate::InstrumentationBreadth::SensitiveOnly)
 }
 
-/// Runs the pass with an explicit store-instrumentation breadth.
+/// Runs the pass with an explicit store-instrumentation breadth. The
+/// module is rewritten in place: only blocks that receive an intrinsic
+/// are rebuilt, and everything else moves through unchanged.
 pub fn instrument_with_breadth(
-    module: &Module,
+    mut module: Module,
     report: &SensitiveReport,
     breadth: crate::InstrumentationBreadth,
 ) -> Instrumented {
     // Index the plan by location.
-    let mut write_after: HashMap<InstLoc, Width> = HashMap::new();
+    let mut write_after: FxHashMap<InstLoc, Width> = FxHashMap::default();
     if breadth == crate::InstrumentationBreadth::AllStores {
         // DFI-style: shadow every store in the program.
         for (fid, f) in module.iter_funcs() {
@@ -69,35 +126,58 @@ pub fn instrument_with_breadth(
     for s in &report.store_sites {
         write_after.insert(s.loc, s.width);
     }
-    let mut bind_before: HashMap<InstLoc, Vec<(u8, ArgSpec)>> = HashMap::new();
+    let mut bind_before: FxHashMap<InstLoc, Vec<(u8, &ArgSpec)>> = FxHashMap::default();
     for s in &report.syscall_sites {
         let entry = bind_before.entry(s.callsite).or_default();
         for (i, spec) in s.args.iter().enumerate() {
-            entry.push(((i + 1) as u8, spec.clone()));
+            entry.push(((i + 1) as u8, spec));
         }
     }
     for s in &report.prop_sites {
         let entry = bind_before.entry(s.callsite).or_default();
         for (pos, spec) in &s.args {
-            entry.push((*pos, spec.clone()));
+            entry.push((*pos, spec));
         }
     }
+    // Bindings go in argument-position order (stable for equal positions).
+    for binds in bind_before.values_mut() {
+        binds.sort_by_key(|(p, _)| *p);
+    }
+
+    // The blocks the plan touches, in module order: every planned
+    // location's block, and the entry block of each function with a
+    // parameter spill.
+    let mut touched: Vec<(FuncId, BlockId)> = write_after
+        .keys()
+        .chain(bind_before.keys())
+        .map(|l| (l.func, l.block))
+        .chain(report.param_spills.iter().map(|&(f, _)| (f, BlockId(0))))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
 
     let mut out = Instrumented {
-        module: module.clone(),
-        loc_map: HashMap::new(),
-        placed_mem_binds: HashSet::new(),
+        module: Module::default(),
+        loc_map: LocMap::identity(&module),
+        placed_mem_binds: FxHashSet::default(),
         const_binds: 0,
         write_mems: 0,
     };
 
-    for (fid, f) in module.iter_funcs() {
+    let mut defs: Vec<Option<Def>> = Vec::new();
+    for group in touched.chunk_by(|a, b| a.0 == b.0) {
+        let fid = group[0].0;
+        let f = &mut module.functions[fid.index()];
         // Single-assignment def map for re-deriving bind addresses.
-        let mut defs: HashMap<Reg, &Inst> = HashMap::new();
+        defs.clear();
+        defs.resize(f.reg_count as usize, None);
         for b in &f.blocks {
             for inst in &b.insts {
                 if let Some(d) = inst.def() {
-                    defs.insert(d, inst);
+                    if d.index() >= defs.len() {
+                        defs.resize(d.index() + 1, None);
+                    }
+                    defs[d.index()] = Some(Def::of(inst));
                 }
             }
         }
@@ -120,15 +200,20 @@ pub fn instrument_with_breadth(
             }));
             out.write_mems += 1;
         }
-        out.module.functions[fid.index()].reg_count = next_reg;
+        f.reg_count = next_reg;
 
-        let mut new_blocks = Vec::with_capacity(f.blocks.len());
-        for (bid, b) in f.iter_blocks() {
-            let mut insts = Vec::with_capacity(b.insts.len());
+        for &(_, bid) in group {
+            let Some(block) = f.blocks.get_mut(bid.index()) else {
+                continue;
+            };
+            let first = out.loc_map.first(fid, bid);
+            let old_insts = std::mem::take(&mut block.insts);
+            let old_len = old_insts.len();
+            let mut insts = Vec::with_capacity(old_len + entry_prologue.len());
             if bid.index() == 0 {
                 insts.append(&mut entry_prologue);
             }
-            for (i, inst) in b.insts.iter().enumerate() {
+            for (i, inst) in old_insts.into_iter().enumerate() {
                 let old = InstLoc {
                     func: fid,
                     block: bid,
@@ -136,19 +221,17 @@ pub fn instrument_with_breadth(
                 };
                 // Bindings go in front of the call.
                 if let Some(binds) = bind_before.get(&old) {
-                    let mut binds = binds.clone();
-                    binds.sort_by_key(|(p, _)| *p);
-                    for (pos, spec) in binds {
+                    for &(pos, spec) in binds {
                         match spec {
                             ArgSpec::Const(v) => {
                                 insts.push(Inst::Intrinsic(IntrinsicOp::CtxBindConst {
                                     pos,
-                                    value: v,
+                                    value: *v,
                                 }));
                                 out.const_binds += 1;
                             }
                             ArgSpec::Mem(_) => {
-                                let arg = call_arg(inst, pos);
+                                let arg = call_arg(&inst, pos);
                                 if let Some(addr) = arg.and_then(|a| derive_addr(&defs, a, 0)) {
                                     insts.push(Inst::Intrinsic(IntrinsicOp::CtxBindMem {
                                         pos,
@@ -161,44 +244,51 @@ pub fn instrument_with_breadth(
                         }
                     }
                 }
-                let new = InstLoc {
-                    func: fid,
-                    block: bid,
-                    inst: insts.len(),
-                };
-                out.loc_map.insert(old, new);
-                insts.push(inst.clone());
+                out.loc_map.shift[first + i] = (insts.len() - i) as u32;
                 // Shadow refresh right after a sensitive store.
-                if let Some(width) = write_after.get(&old) {
-                    if let Inst::Store { addr, .. } = inst {
-                        insts.push(Inst::Intrinsic(IntrinsicOp::CtxWriteMem {
+                let refresh = match (&inst, write_after.get(&old)) {
+                    (Inst::Store { addr, .. }, Some(width)) => {
+                        Some(Inst::Intrinsic(IntrinsicOp::CtxWriteMem {
                             addr: *addr,
                             size: width.bytes() as u32,
-                        }));
-                        out.write_mems += 1;
+                        }))
                     }
+                    _ => None,
+                };
+                insts.push(inst);
+                if let Some(r) = refresh {
+                    insts.push(r);
+                    out.write_mems += 1;
                 }
             }
-            // The terminator keeps its (shifted) position; record it too.
-            let old_term = InstLoc {
-                func: fid,
-                block: bid,
-                inst: b.insts.len(),
-            };
-            let new_term = InstLoc {
-                func: fid,
-                block: bid,
-                inst: insts.len(),
-            };
-            out.loc_map.insert(old_term, new_term);
-            new_blocks.push(Block {
-                insts,
-                term: b.term,
-            });
+            // The terminator keeps its (shifted) position.
+            out.loc_map.shift[first + old_len] = (insts.len() - old_len) as u32;
+            block.insts = insts;
         }
-        out.module.functions[fid.index()].blocks = new_blocks;
     }
+    out.module = module;
     out
+}
+
+/// What [`derive_addr`] needs to know about a register's definition.
+#[derive(Debug, Clone, Copy)]
+enum Def {
+    /// `load addr`.
+    Load(Operand),
+    /// `mov src`.
+    Mov(Operand),
+    /// Anything else.
+    Other,
+}
+
+impl Def {
+    fn of(inst: &Inst) -> Def {
+        match inst {
+            Inst::Load { addr, .. } => Def::Load(*addr),
+            Inst::Mov { src, .. } => Def::Mov(*src),
+            _ => Def::Other,
+        }
+    }
 }
 
 /// The argument operand at 1-based `pos` of a call instruction.
@@ -212,15 +302,15 @@ fn call_arg(inst: &Inst, pos: u8) -> Option<Operand> {
 
 /// Re-derives the address operand behind a loaded argument value: the
 /// operand of the `load` that produced it (walking trivial moves).
-fn derive_addr(defs: &HashMap<Reg, &Inst>, arg: Operand, depth: u32) -> Option<Operand> {
+fn derive_addr(defs: &[Option<Def>], arg: Operand, depth: u32) -> Option<Operand> {
     if depth > 16 {
         return None;
     }
     let r = arg.as_reg()?;
-    match defs.get(&r)? {
-        Inst::Load { addr, .. } => Some(*addr),
-        Inst::Mov { src, .. } => derive_addr(defs, *src, depth + 1),
-        _ => None,
+    match defs.get(r.index()).copied().flatten()? {
+        Def::Load(addr) => Some(addr),
+        Def::Mov(src) => derive_addr(defs, src, depth + 1),
+        Def::Other => None,
     }
 }
 
@@ -269,7 +359,7 @@ mod tests {
     fn run(m: &Module) -> Instrumented {
         let cg = CallGraph::build(m);
         let report = SensitiveReport::build(m, &cg, &sysno::sensitive_set());
-        instrument(m, &report)
+        instrument(m.clone(), &report)
     }
 
     #[test]
@@ -320,7 +410,7 @@ mod tests {
                         block: bid,
                         inst: i,
                     };
-                    let new = out.loc_map[&old];
+                    let new = out.loc_map.get(old);
                     assert!(loc_exists(&out.module, new));
                     // Mapped instruction is identical to the original.
                     if i < b.insts.len() {

@@ -35,7 +35,7 @@
 pub mod instrument;
 pub mod metadata;
 
-pub use instrument::{instrument_with_breadth, Instrumented};
+pub use instrument::{instrument_with_breadth, Instrumented, LocMap};
 pub use metadata::{
     ArgMeta, CallsiteKind, CallsiteMeta, ContextMetadata, FuncMeta, InstrStats, SyscallSiteMeta,
 };
@@ -126,12 +126,12 @@ impl BastionCompiler {
         // automaton as the instrumented one.
         let syscall_flow = bastion_analysis::sysflow::analyze(&module, &cg, &self.sensitive);
 
-        let inst = instrument_with_breadth(&module, &sens, self.breadth);
+        let inst = instrument_with_breadth(module, &sens, self.breadth);
         inst.module.validate()?;
 
         let layout = CodeLayout::new(&inst.module);
         let new_cg = CallGraph::build(&inst.module);
-        let addr_of = |loc| layout.addr_of(inst.loc_map[&loc]).raw();
+        let addr_of = |loc| layout.addr_of(inst.loc_map.get(loc)).raw();
 
         // Callsite table from the instrumented module.
         let mut callsites = BTreeMap::new();
@@ -176,11 +176,7 @@ impl BastionCompiler {
                         end: layout.func_end(fid).raw(),
                         name: f.name.clone(),
                         frame_size: f.frame_size(&inst.module.structs),
-                        slot_offsets: (0..f.locals.len())
-                            .map(|i| {
-                                f.slot_offset(bastion_ir::SlotId(i as u32), &inst.module.structs)
-                            })
-                            .collect(),
+                        slot_offsets: f.slot_offsets(&inst.module.structs),
                         param_count: f.params.len() as u8,
                         stub_nr: f.syscall_nr(),
                         address_taken: new_cg.is_address_taken(fid),
@@ -201,9 +197,9 @@ impl BastionCompiler {
                     }
                 }
                 ArgSpec::GlobalAddr(g) => {
-                    let gd = &module.globals[g.index()];
+                    let gd = &inst.module.globals[g.index()];
                     let expected = if extended {
-                        init_bytes(&gd.init, gd.ty.size(&module.structs))
+                        init_bytes(&gd.init, gd.ty.size(&inst.module.structs))
                     } else {
                         None
                     };

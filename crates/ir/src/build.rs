@@ -62,10 +62,13 @@ impl ModuleBuilder {
     /// return-into-libc attacks (which enter the stub without a real call,
     /// inheriting attacker-controlled stack contents) behave faithfully.
     pub fn declare_syscall_stub(&mut self, name: impl Into<String>, nr: u32, arity: u8) -> FuncId {
+        const NAMES: [&str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
         let name = name.into();
-        let params: Vec<Param> = (0..arity)
+        let params: Vec<Param> = (0..usize::from(arity))
             .map(|i| Param {
-                name: format!("a{i}"),
+                name: NAMES
+                    .get(i)
+                    .map_or_else(|| format!("a{i}"), |n| (*n).to_string()),
                 ty: Ty::I64,
             })
             .collect();
@@ -76,8 +79,8 @@ impl ModuleBuilder {
                 ty: p.ty.clone(),
             })
             .collect();
-        let mut insts = Vec::new();
-        let mut args = Vec::new();
+        let mut insts = Vec::with_capacity(2 * usize::from(arity) + 1);
+        let mut args = Vec::with_capacity(usize::from(arity));
         let mut next = 0u32;
         for i in 0..arity {
             let addr = Reg(next);
@@ -187,8 +190,11 @@ impl ModuleBuilder {
         self.module.globals[id.index()].init = init;
     }
 
-    /// Finishes the module.
-    pub fn finish(self) -> Module {
+    /// Finishes the module, without the spare capacity its tables grew.
+    pub fn finish(mut self) -> Module {
+        self.module.structs.shrink_to_fit();
+        self.module.globals.shrink_to_fit();
+        self.module.functions.shrink_to_fit();
         self.module
     }
 
@@ -200,30 +206,39 @@ impl ModuleBuilder {
 
 /// Builds one function's body. Created by [`ModuleBuilder::function`] or
 /// [`ModuleBuilder::define`]; call [`FunctionBuilder::finish`] to commit.
+/// The builder holds the function's frame slots while it is live, so one
+/// dropped without `finish` leaves the function without body or frame.
 #[derive(Debug)]
 pub struct FunctionBuilder<'a> {
     mb: &'a mut ModuleBuilder,
     id: FuncId,
     locals: Vec<Local>,
     blocks: Vec<PartialBlock>,
+    /// Every instruction emitted so far with its block, in emission
+    /// order; `finish` deals them into exactly sized blocks.
+    insts: Vec<(u32, Inst)>,
     current: usize,
     next_reg: u32,
 }
 
 #[derive(Debug, Default)]
 struct PartialBlock {
-    insts: Vec<Inst>,
+    /// Instructions emitted into the block.
+    len: usize,
     term: Option<Terminator>,
 }
 
 impl<'a> FunctionBuilder<'a> {
     fn new(mb: &'a mut ModuleBuilder, id: FuncId) -> Self {
-        let locals = mb.module.functions[id.index()].locals.clone();
+        // The parameter slots move into the builder and come back with
+        // the body in `finish`.
+        let locals = std::mem::take(&mut mb.module.functions[id.index()].locals);
         FunctionBuilder {
             mb,
             id,
             locals,
             blocks: vec![PartialBlock::default()],
+            insts: Vec::new(),
             current: 0,
             next_reg: 0,
         }
@@ -286,7 +301,8 @@ impl<'a> FunctionBuilder<'a> {
     pub fn emit(&mut self, inst: Inst) {
         let blk = &mut self.blocks[self.current];
         assert!(blk.term.is_none(), "emitting into a terminated block");
-        blk.insts.push(inst);
+        blk.len += 1;
+        self.insts.push((self.current as u32, inst));
     }
 
     /// `dst = src`.
@@ -457,18 +473,23 @@ impl<'a> FunctionBuilder<'a> {
 
     /// Commits the body into the module. Unterminated blocks receive
     /// `ret void` (mirroring implicit returns at the end of C functions).
-    pub fn finish(self) {
-        let f = &mut self.mb.module.functions[self.id.index()];
-        f.locals = self.locals;
-        f.reg_count = self.next_reg;
-        f.blocks = self
+    pub fn finish(mut self) {
+        let mut blocks: Vec<Block> = self
             .blocks
-            .into_iter()
+            .iter()
             .map(|pb| Block {
-                insts: pb.insts,
+                insts: Vec::with_capacity(pb.len),
                 term: pb.term.unwrap_or(Terminator::Ret(None)),
             })
             .collect();
+        for (b, inst) in self.insts {
+            blocks[b as usize].insts.push(inst);
+        }
+        self.locals.shrink_to_fit();
+        let f = &mut self.mb.module.functions[self.id.index()];
+        f.locals = self.locals;
+        f.reg_count = self.next_reg;
+        f.blocks = blocks;
     }
 }
 

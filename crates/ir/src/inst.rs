@@ -305,31 +305,40 @@ impl Inst {
         }
     }
 
-    /// All operands read by this instruction.
-    pub fn uses(&self) -> Vec<Operand> {
-        match self {
-            Inst::Mov { src, .. } => vec![*src],
-            Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } => vec![*a, *b],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, src, .. } => vec![*addr, *src],
-            Inst::FrameAddr { .. } | Inst::GlobalAddr { .. } | Inst::FuncAddr { .. } => vec![],
-            Inst::FieldAddr { base, .. } => vec![*base],
-            Inst::IndexAddr { base, index, .. } => vec![*base, *index],
-            Inst::Call { callee, args, .. } => {
-                let mut v = Vec::with_capacity(args.len() + 1);
-                if let Callee::Indirect(op) = callee {
-                    v.push(*op);
-                }
-                v.extend(args.iter().copied());
-                v
+    /// All operands read by this instruction, in operand order: the fixed
+    /// operands first (an indirect call's target before its arguments),
+    /// then any argument list. The analyses rely on this order.
+    #[inline]
+    pub fn uses(&self) -> Uses<'_> {
+        const NONE: Operand = Operand::Imm(0);
+        let (fixed, n, list): ([Operand; 2], u8, &[Operand]) = match self {
+            Inst::Mov { src, .. } => ([*src, NONE], 1, &[]),
+            Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } => ([*a, *b], 2, &[]),
+            Inst::Load { addr, .. } => ([*addr, NONE], 1, &[]),
+            Inst::Store { addr, src, .. } => ([*addr, *src], 2, &[]),
+            Inst::FrameAddr { .. } | Inst::GlobalAddr { .. } | Inst::FuncAddr { .. } => {
+                ([NONE, NONE], 0, &[])
             }
-            Inst::Syscall { args, .. } => args.clone(),
+            Inst::FieldAddr { base, .. } => ([*base, NONE], 1, &[]),
+            Inst::IndexAddr { base, index, .. } => ([*base, *index], 2, &[]),
+            Inst::Call {
+                callee: Callee::Indirect(target),
+                args,
+                ..
+            } => ([*target, NONE], 1, args),
+            Inst::Call { args, .. } | Inst::Syscall { args, .. } => ([NONE, NONE], 0, args),
             Inst::Intrinsic(op) => match op {
                 IntrinsicOp::CtxWriteMem { addr, .. } | IntrinsicOp::CtxBindMem { addr, .. } => {
-                    vec![*addr]
+                    ([*addr, NONE], 1, &[])
                 }
-                IntrinsicOp::CtxBindConst { .. } => vec![],
+                IntrinsicOp::CtxBindConst { .. } => ([NONE, NONE], 0, &[]),
             },
+        };
+        Uses {
+            fixed,
+            fixed_len: n,
+            next: 0,
+            list: list.iter(),
         }
     }
 
@@ -337,6 +346,29 @@ impl Inst {
     /// "application callsites" for Table 5).
     pub fn is_call(&self) -> bool {
         matches!(self, Inst::Call { .. })
+    }
+}
+
+/// The operands an instruction reads, in order ([`Inst::uses`]).
+#[derive(Debug, Clone)]
+pub struct Uses<'a> {
+    fixed: [Operand; 2],
+    fixed_len: u8,
+    next: u8,
+    list: std::slice::Iter<'a, Operand>,
+}
+
+impl Iterator for Uses<'_> {
+    type Item = Operand;
+
+    #[inline]
+    fn next(&mut self) -> Option<Operand> {
+        if self.next < self.fixed_len {
+            self.next += 1;
+            Some(self.fixed[usize::from(self.next - 1)])
+        } else {
+            self.list.next().copied()
+        }
     }
 }
 
@@ -356,13 +388,25 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<crate::module::BlockId> {
+    /// Successor block ids: a branch's `then_` before its `else_`.
+    pub fn successors(&self) -> impl Iterator<Item = crate::module::BlockId> {
+        let succ = match self {
+            Terminator::Jmp(b) => [Some(*b), None],
+            Terminator::Br { then_, else_, .. } => [Some(*then_), Some(*else_)],
+            Terminator::Ret(_) => [None, None],
+        };
+        succ.into_iter().flatten()
+    }
+
+    /// The operand the terminator reads, if any: a branch condition or a
+    /// returned value.
+    pub fn uses(&self) -> impl Iterator<Item = Operand> {
         match self {
-            Terminator::Jmp(b) => vec![*b],
-            Terminator::Br { then_, else_, .. } => vec![*then_, *else_],
-            Terminator::Ret(_) => vec![],
+            Terminator::Br { cond, .. } => Some(*cond),
+            Terminator::Ret(v) => *v,
+            Terminator::Jmp(_) => None,
         }
+        .into_iter()
     }
 }
 
@@ -390,7 +434,7 @@ mod tests {
             b: Operand::Imm(1),
         };
         assert_eq!(i.def(), Some(Reg(2)));
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(i.uses().count(), 2);
 
         let s = Inst::Store {
             addr: Operand::Reg(Reg(0)),
@@ -398,7 +442,7 @@ mod tests {
             width: Width::W64,
         };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses().len(), 2);
+        assert_eq!(s.uses().count(), 2);
     }
 
     #[test]
@@ -408,25 +452,204 @@ mod tests {
             callee: Callee::Indirect(Operand::Reg(Reg(5))),
             args: vec![Operand::Imm(1)],
         };
-        assert_eq!(c.uses(), vec![Operand::Reg(Reg(5)), Operand::Imm(1)]);
+        assert_eq!(
+            c.uses().collect::<Vec<_>>(),
+            vec![Operand::Reg(Reg(5)), Operand::Imm(1)]
+        );
         assert!(c.is_call());
     }
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
-        assert_eq!(Terminator::Jmp(BlockId(3)).successors(), vec![BlockId(3)]);
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
+        assert_eq!(
+            Terminator::Jmp(BlockId(3)).successors().collect::<Vec<_>>(),
+            vec![BlockId(3)]
+        );
         let br = Terminator::Br {
             cond: Operand::Imm(1),
             then_: BlockId(1),
             else_: BlockId(2),
         };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(
+            br.successors().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2)]
+        );
     }
 
     #[test]
     fn width_bytes() {
         assert_eq!(Width::W8.bytes(), 1);
         assert_eq!(Width::W64.bytes(), 8);
+    }
+
+    const R0: Operand = Operand::Reg(Reg(0));
+    const R1: Operand = Operand::Reg(Reg(1));
+    const R2: Operand = Operand::Reg(Reg(2));
+
+    fn uses_of(i: Inst) -> Vec<Operand> {
+        i.uses().collect()
+    }
+
+    #[test]
+    fn uses_of_every_instruction_in_operand_order() {
+        use crate::module::{FuncId, GlobalId, SlotId};
+        use crate::types::StructId;
+        let d = Reg(9);
+        let cases: Vec<(Inst, Vec<Operand>)> = vec![
+            (Inst::Mov { dst: d, src: R0 }, vec![R0]),
+            (
+                Inst::Bin {
+                    dst: d,
+                    op: BinOp::Sub,
+                    a: R1,
+                    b: R0,
+                },
+                vec![R1, R0],
+            ),
+            (
+                Inst::Cmp {
+                    dst: d,
+                    op: CmpOp::Lt,
+                    a: Operand::Imm(4),
+                    b: R1,
+                },
+                vec![Operand::Imm(4), R1],
+            ),
+            (
+                Inst::Load {
+                    dst: d,
+                    addr: R2,
+                    width: Width::W8,
+                },
+                vec![R2],
+            ),
+            (
+                Inst::Store {
+                    addr: R1,
+                    src: R0,
+                    width: Width::W64,
+                },
+                vec![R1, R0],
+            ),
+            (
+                Inst::FrameAddr {
+                    dst: d,
+                    slot: SlotId(0),
+                },
+                vec![],
+            ),
+            (
+                Inst::GlobalAddr {
+                    dst: d,
+                    global: GlobalId(0),
+                },
+                vec![],
+            ),
+            (
+                Inst::FuncAddr {
+                    dst: d,
+                    func: FuncId(0),
+                },
+                vec![],
+            ),
+            (
+                Inst::FieldAddr {
+                    dst: d,
+                    base: R2,
+                    struct_id: StructId(0),
+                    field: 1,
+                },
+                vec![R2],
+            ),
+            (
+                Inst::IndexAddr {
+                    dst: d,
+                    base: R1,
+                    elem_size: 8,
+                    index: R2,
+                },
+                vec![R1, R2],
+            ),
+            (
+                Inst::Call {
+                    dst: Some(d),
+                    callee: Callee::Direct(FuncId(3)),
+                    args: vec![R2, Operand::Imm(7), R0],
+                },
+                vec![R2, Operand::Imm(7), R0],
+            ),
+            (
+                Inst::Call {
+                    dst: None,
+                    callee: Callee::Indirect(R1),
+                    args: vec![R0, R2],
+                },
+                vec![R1, R0, R2],
+            ),
+            (
+                Inst::Call {
+                    dst: None,
+                    callee: Callee::Indirect(R1),
+                    args: vec![],
+                },
+                vec![R1],
+            ),
+            (
+                Inst::Syscall {
+                    dst: d,
+                    nr: 59,
+                    args: vec![R2, R1, R0],
+                },
+                vec![R2, R1, R0],
+            ),
+            (
+                Inst::Intrinsic(IntrinsicOp::CtxWriteMem { addr: R1, size: 8 }),
+                vec![R1],
+            ),
+            (
+                Inst::Intrinsic(IntrinsicOp::CtxBindMem { pos: 2, addr: R0 }),
+                vec![R0],
+            ),
+            (
+                Inst::Intrinsic(IntrinsicOp::CtxBindConst { pos: 1, value: 5 }),
+                vec![],
+            ),
+        ];
+        for (inst, want) in cases {
+            assert_eq!(uses_of(inst.clone()), want, "{inst:?}");
+        }
+    }
+
+    #[test]
+    fn successors_and_uses_of_every_terminator() {
+        let cases = [
+            (Terminator::Jmp(BlockId(4)), vec![BlockId(4)], vec![]),
+            (
+                Terminator::Br {
+                    cond: R2,
+                    then_: BlockId(7),
+                    else_: BlockId(1),
+                },
+                vec![BlockId(7), BlockId(1)],
+                vec![R2],
+            ),
+            // A branch whose arms agree still lists both.
+            (
+                Terminator::Br {
+                    cond: Operand::Imm(0),
+                    then_: BlockId(2),
+                    else_: BlockId(2),
+                },
+                vec![BlockId(2), BlockId(2)],
+                vec![Operand::Imm(0)],
+            ),
+            (Terminator::Ret(None), vec![], vec![]),
+            (Terminator::Ret(Some(R1)), vec![], vec![R1]),
+        ];
+        for (t, succ, uses) in cases {
+            assert_eq!(t.successors().collect::<Vec<_>>(), succ, "{t:?}");
+            assert_eq!(t.uses().collect::<Vec<_>>(), uses, "{t:?}");
+        }
     }
 }

@@ -45,6 +45,7 @@
 //! ```
 
 pub mod build;
+pub mod hash;
 pub mod inst;
 pub mod layout;
 pub mod module;
@@ -53,7 +54,10 @@ pub mod sysno;
 pub mod types;
 pub mod validate;
 
-pub use inst::{BinOp, Callee, CmpOp, FuncRef, Inst, IntrinsicOp, Operand, Reg, Terminator, Width};
+pub use hash::{FxHashMap, FxHashSet};
+pub use inst::{
+    BinOp, Callee, CmpOp, FuncRef, Inst, IntrinsicOp, Operand, Reg, Terminator, Uses, Width,
+};
 pub use layout::{CodeAddr, CodeLayout, InstLoc, CALL_SIZE};
 pub use module::{
     Block, BlockId, FuncId, FuncKind, Function, Global, GlobalId, GlobalInit, Local, Module, Param,

@@ -175,16 +175,26 @@ impl Function {
         assert!(slot.index() < self.locals.len(), "slot out of bounds");
         self.locals[..slot.index()]
             .iter()
-            .map(|l| l.ty.size(structs).max(1).div_ceil(8) * 8)
+            .map(|l| slot_bytes(&l.ty, structs))
             .sum()
     }
 
     /// Total frame slot area size in bytes (each slot 8-byte aligned).
     pub fn frame_size(&self, structs: &[StructDef]) -> u64 {
+        self.locals.iter().map(|l| slot_bytes(&l.ty, structs)).sum()
+    }
+
+    /// [`Function::slot_offset`] of every slot, in slot order, in one pass.
+    pub fn slot_offsets(&self, structs: &[StructDef]) -> Vec<u64> {
+        let mut at = 0;
         self.locals
             .iter()
-            .map(|l| l.ty.size(structs).max(1).div_ceil(8) * 8)
-            .sum()
+            .map(|l| {
+                let off = at;
+                at += slot_bytes(&l.ty, structs);
+                off
+            })
+            .collect()
     }
 
     /// Iterate over `(BlockId, &Block)`.
@@ -199,6 +209,11 @@ impl Function {
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len() + 1).sum()
     }
+}
+
+/// Bytes a slot of type `ty` occupies: at least one, rounded up to a word.
+fn slot_bytes(ty: &Ty, structs: &[StructDef]) -> u64 {
+    ty.size(structs).max(1).div_ceil(8) * 8
 }
 
 /// A complete translation unit: the linked image the loader maps.
@@ -314,6 +329,7 @@ mod tests {
         assert_eq!(main.slot_offset(SlotId(0), &m.structs), 0);
         assert_eq!(main.slot_offset(SlotId(1), &m.structs), 16);
         assert_eq!(main.frame_size(&m.structs), 24);
+        assert_eq!(main.slot_offsets(&m.structs), vec![0, 16]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! bounds, every register is within the function's register file, every
 //! block is terminated, and syscall instructions appear only inside stubs.
 
-use crate::inst::{Callee, Inst, Operand, Terminator};
+use crate::hash::FxHashSet;
+use crate::inst::{Callee, Inst, Operand};
 use crate::module::{FuncKind, Module};
 use std::fmt;
 
@@ -45,9 +46,10 @@ impl Module {
         };
 
         // Unique function names (metadata and the front-end key on them).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
+        seen.reserve(self.functions.len());
         for f in &self.functions {
-            if !seen.insert(&f.name) {
+            if !seen.insert(f.name.as_str()) {
                 return err(None, format!("duplicate function name `{}`", f.name));
             }
         }
@@ -67,7 +69,7 @@ impl Module {
                         message: format!("block {bi}: {m}"),
                     })?;
                 }
-                for op in self.term_operands(&b.term) {
+                for op in b.term.uses() {
                     self.check_operand(f, op).map_err(|m| ValidateError {
                         func: Some(f.name.clone()),
                         message: format!("block {bi} terminator: {m}"),
@@ -81,14 +83,6 @@ impl Module {
             }
         }
         Ok(())
-    }
-
-    fn term_operands(&self, t: &Terminator) -> Vec<Operand> {
-        match t {
-            Terminator::Br { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
-        }
     }
 
     fn check_operand(&self, f: &crate::module::Function, op: Operand) -> Result<(), String> {

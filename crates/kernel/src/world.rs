@@ -190,23 +190,6 @@ impl World {
         self.faults.as_ref().map(|f| f.borrow().schedule().clone())
     }
 
-    /// Puts `schedule` onto the installed injector's counters, as if it had
-    /// been installed where that injector was (see
-    /// [`FaultInjector::resumed`]). Returns `false`, changing nothing, when
-    /// no injector is installed, it already fired, or a trigger of
-    /// `schedule` could have matched an access or trap it saw.
-    pub fn resume_faults(&mut self, schedule: FaultSchedule) -> bool {
-        let resumed = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.borrow().resumed(schedule));
-        let Some(resumed) = resumed else {
-            return false;
-        };
-        self.faults = Some(RefCell::new(resumed));
-        true
-    }
-
     /// Monitor traps seen since the current schedule was installed (the
     /// injector's trap counter). Used to calibrate trap-targeted schedules
     /// against a clean reference run.
@@ -934,6 +917,19 @@ impl World {
             esc_window_len: snap.esc_window_len,
             burst_cooldown: snap.burst_cooldown,
         }
+    }
+
+    /// [`World::restore`] with `schedule` put onto the snapshot injector's
+    /// counters, as if it had been installed where that injector was (see
+    /// [`FaultInjector::resumed`]). Decides on the snapshot's injector
+    /// first: `None`, having restored nothing, when the snapshot carries no
+    /// injector, it already fired, or a trigger of `schedule` could have
+    /// matched an access or trap it saw.
+    pub fn restore_resuming(snap: &WorldSnapshot, schedule: FaultSchedule) -> Option<World> {
+        let resumed = snap.faults.as_ref()?.resumed(schedule)?;
+        let mut world = World::restore(snap);
+        world.faults = Some(RefCell::new(resumed));
+        Some(world)
     }
 
     /// Runs until at least `traps` tracer stops have been delivered (or

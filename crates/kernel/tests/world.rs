@@ -311,3 +311,84 @@ fn run_budget_is_respected() {
     assert!(world.now() > t1);
     assert_eq!(world.alive_count(), 1);
 }
+
+/// Allows every trap after one register fetch (one substrate access).
+struct FetchAndAllow;
+
+impl bastion_kernel::Tracer for FetchAndAllow {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn on_trap(&mut self, t: &mut bastion_kernel::Tracee<'_>) -> bastion_kernel::TraceVerdict {
+        let _ = t.try_getregs();
+        bastion_kernel::TraceVerdict::Allow
+    }
+
+    fn snapshot_box(&self) -> Option<Box<dyn bastion_kernel::Tracer>> {
+        Some(Box::new(FetchAndAllow))
+    }
+}
+
+/// A traced guest making five `getpid` calls, with `schedule` installed.
+fn five_traced_getpids(schedule: bastion_kernel::FaultSchedule) -> World {
+    let mut mb = ModuleBuilder::new("resume");
+    let getpid = mb.declare_syscall_stub("getpid", sysno::GETPID, 0);
+    let mut f = mb.function("main", &[], Ty::I64);
+    for _ in 0..5 {
+        let _ = f.call_direct(getpid, &[]);
+    }
+    f.ret(Some(Operand::Imm(0)));
+    f.finish();
+    let mut world = World::new(CostModel::default());
+    let pid = spawn(&mut world, mb);
+    let mut filter = SeccompFilter::new(SeccompAction::Allow);
+    filter.set(sysno::GETPID, SeccompAction::Trace);
+    world.install_seccomp(pid, filter.shared(), true);
+    world.attach_tracer(Box::new(FetchAndAllow));
+    world.install_faults(schedule);
+    world
+}
+
+#[test]
+fn restore_resuming_decides_on_the_snapshot_injector() {
+    use bastion_kernel::{FaultKind, FaultSchedule, Trigger};
+
+    // Park a quiet world right after its second trap (two accesses).
+    let mut parked = five_traced_getpids(FaultSchedule::default());
+    while parked.trap_count < 2 {
+        assert_eq!(parked.run(10), RunStatus::Budget);
+    }
+    assert_eq!(parked.trap_count, 2);
+    let snap = parked.snapshot();
+
+    let stall = |t| FaultSchedule::new(9).with(FaultKind::Stall { cycles: 777 }, t);
+    // Triggers the two parked traps could have matched are refused.
+    for t in [
+        Trigger::OnTrap(2),
+        Trigger::OnAccess(1),
+        Trigger::FromAccess(2),
+    ] {
+        assert!(World::restore_resuming(&snap, stall(t)).is_none(), "{t:?}");
+    }
+    // A world without an injector never resumes.
+    let bare = World::new(CostModel::default()).snapshot();
+    assert!(World::restore_resuming(&bare, FaultSchedule::default()).is_none());
+
+    // Past the prefix: the resumed world runs on exactly as one that had
+    // the schedule installed from the start.
+    let late = stall(Trigger::FromAccess(3));
+    let mut warm = World::restore_resuming(&snap, late.clone()).expect("prefix is quiet");
+    assert_eq!(warm.fault_schedule(), Some(late.clone()));
+    assert_eq!(warm.fault_trap_count(), 2);
+    let mut cold = five_traced_getpids(late);
+    for w in [&mut warm, &mut cold] {
+        assert_eq!(w.run(10_000_000), RunStatus::AllExited);
+    }
+    assert_eq!(warm.fault_log().len(), 3, "traps 3-5 each stalled once");
+    assert_eq!(warm.fault_log(), cold.fault_log());
+    assert_eq!(warm.trap_count, cold.trap_count);
+    assert_eq!(warm.trace_cycles, cold.trace_cycles);
+    assert_eq!(warm.now(), cold.now());
+    assert_eq!(warm.steps, cold.steps);
+}

@@ -54,7 +54,7 @@ pub use lower::{LowerError, Lowerer};
 pub use parser::{parse, ParseError};
 
 use bastion_ir::build::ModuleBuilder;
-use bastion_ir::{sysno, Module};
+use bastion_ir::Module;
 use std::fmt;
 
 /// Any front-end failure.
@@ -207,15 +207,6 @@ long puts(char *s) {
 }
 "#;
 
-/// Adds a syscall stub for every number the simulator knows, mirroring a
-/// full libc link.
-pub fn add_syscall_stubs(mb: &mut ModuleBuilder) {
-    for &nr in sysno::ALL {
-        let name = sysno::name(nr).expect("ALL entries are named");
-        mb.declare_syscall_stub(name, nr, sysno::arg_count(nr));
-    }
-}
-
 /// Compiles one MiniC source into an existing builder (symbols from
 /// earlier units remain visible).
 ///
@@ -223,8 +214,7 @@ pub fn add_syscall_stubs(mb: &mut ModuleBuilder) {
 /// Propagates parse and lowering errors.
 pub fn compile_unit(src: &str, mb: &mut ModuleBuilder) -> Result<(), FrontError> {
     let unit = parse(src)?;
-    let mut lw = Lowerer::new(mb);
-    lw.lower_unit(&unit)?;
+    Lowerer::new(mb).lower_unit(&unit)?;
     Ok(())
 }
 
@@ -235,10 +225,10 @@ pub fn compile_unit(src: &str, mb: &mut ModuleBuilder) -> Result<(), FrontError>
 /// Propagates parse, lowering, and IR validation errors.
 pub fn compile_program(name: &str, sources: &[&str]) -> Result<Module, FrontError> {
     let mut mb = ModuleBuilder::new(name);
-    add_syscall_stubs(&mut mb);
-    compile_unit(LIBC, &mut mb)?;
-    for src in sources {
-        compile_unit(src, &mut mb)?;
+    let mut lw = Lowerer::new(&mut mb);
+    lw.add_syscall_stubs();
+    for src in std::iter::once(LIBC).chain(sources.iter().copied()) {
+        lw.lower_unit(&parse(src)?)?;
     }
     let module = mb.finish();
     module.validate().map_err(|e| {
@@ -262,7 +252,7 @@ mod tests {
         assert!(m.func_by_name("execve").is_some());
         assert!(m.func_by_name("main").is_some());
         // Every stub present (full libc surface).
-        assert_eq!(m.syscall_stubs().len(), sysno::ALL.len());
+        assert_eq!(m.syscall_stubs().len(), bastion_ir::sysno::ALL.len());
     }
 
     #[test]
@@ -290,6 +280,40 @@ mod tests {
         let e = compile_program("bad", &[src]).unwrap_err();
         let FrontError::Lower(e) = e else { panic!() };
         assert!(e.message.contains("no field"));
+    }
+
+    /// `compile_program` lowers every unit with one lowerer; a fresh
+    /// lowerer per unit over the same builder must give the same module.
+    /// The units reuse a struct name, reach each other's functions and
+    /// globals (typed `long` there: `cells() + 1` is not scaled), and name
+    /// string-literal globals (`__str_N`) that several units create, where
+    /// the one created last is visible.
+    #[test]
+    fn one_lowerer_over_many_units_matches_a_fresh_one_per_unit() {
+        let a = r#"
+            struct s { long x; };
+            long __str_1 = 7;
+            char *greeting = "hi";
+            long shared(long v) { puts("a0"); puts("a1"); return v + __str_1; }
+            long *cells() { return 0; }
+        "#;
+        let b = r#"
+            struct s { char c; long y; };
+            long twice(long v) {
+                struct s t;
+                t.y = shared(v);
+                puts("b0");
+                t.y = cells() + 1;
+                return t.y + greeting + __str_0;
+            }
+        "#;
+        let c = "long main() { return twice(1) + __str_0 + __str_1; }";
+        let mut mb = ModuleBuilder::new("multi");
+        Lowerer::new(&mut mb).add_syscall_stubs();
+        for src in [LIBC, a, b, c] {
+            compile_unit(src, &mut mb).unwrap();
+        }
+        assert_eq!(compile_program("multi", &[a, b, c]).unwrap(), mb.finish());
     }
 
     #[test]

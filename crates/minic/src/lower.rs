@@ -9,8 +9,9 @@
 use crate::ast::*;
 use bastion_ir::build::{FunctionBuilder, ModuleBuilder};
 use bastion_ir::module::{GlobalInit, RelocEntry};
+use bastion_ir::{sysno, FxHashMap};
 use bastion_ir::{BinOp, CmpOp, FuncId, GlobalId, Operand, SlotId, StructDef, StructId, Ty, Width};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A semantic error found during lowering.
@@ -33,47 +34,77 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-struct StructInfo {
+struct StructInfo<'s> {
     id: StructId,
-    fields: Vec<(CType, String)>,
+    fields: Vec<(CType<'s>, &'s str)>,
 }
+
+/// A symbol-table key: borrowed from the source text being lowered, or
+/// owned when it names something the lowerer did not parse (symbols read
+/// back from the module builder, string-literal globals).
+type Name<'s> = Cow<'s, str>;
 
 /// Unit-level lowering state.
-pub struct Lowerer<'mb> {
+///
+/// One lowerer can lower several units into the same module, in order:
+/// each unit then sees what the earlier ones defined exactly as a fresh
+/// [`Lowerer::new`] over the module would — every function and global by
+/// name, typed as an opaque `long` — while its structs and string
+/// literals stay private to it.
+pub struct Lowerer<'mb, 's> {
     mb: &'mb mut ModuleBuilder,
-    structs: HashMap<String, StructInfo>,
-    globals: HashMap<String, (GlobalId, CType)>,
-    funcs: HashMap<String, (FuncId, CType, usize)>,
-    strings: HashMap<Vec<u8>, GlobalId>,
+    structs: FxHashMap<&'s str, StructInfo<'s>>,
+    globals: FxHashMap<Name<'s>, (GlobalId, CType<'s>)>,
+    funcs: FxHashMap<Name<'s>, (FuncId, CType<'s>, usize)>,
+    strings: FxHashMap<Vec<u8>, GlobalId>,
     next_str: usize,
+    /// Globals the current unit created, in creation order, with their
+    /// source name (`None` for string literals).
+    unit_globals: Vec<(Option<&'s str>, GlobalId)>,
+    /// Whether a unit has begun; the next [`Self::begin_unit`] closes it.
+    unit_open: bool,
 }
 
-impl<'mb> Lowerer<'mb> {
+impl<'mb, 's> Lowerer<'mb, 's> {
     /// Creates a lowerer targeting `mb` (which may already contain syscall
     /// stubs and previously compiled units — their symbols are visible).
     pub fn new(mb: &'mb mut ModuleBuilder) -> Self {
-        let mut funcs = HashMap::new();
+        let mut funcs = FxHashMap::default();
         for (i, f) in mb.module().functions.iter().enumerate() {
             funcs.insert(
-                f.name.clone(),
+                Name::Owned(f.name.clone()),
                 (bastion_ir::FuncId(i as u32), CType::Long, f.params.len()),
             );
         }
-        let mut globals = HashMap::new();
+        let mut globals = FxHashMap::default();
         for (i, g) in mb.module().globals.iter().enumerate() {
             // Pre-existing globals are visible as opaque longs/arrays.
             globals.insert(
-                g.name.clone(),
+                Name::Owned(g.name.clone()),
                 (bastion_ir::GlobalId(i as u32), CType::Long),
             );
         }
         Lowerer {
             mb,
-            structs: HashMap::new(),
+            structs: FxHashMap::default(),
             globals,
             funcs,
-            strings: HashMap::new(),
+            strings: FxHashMap::default(),
             next_str: 0,
+            unit_globals: Vec::new(),
+            unit_open: false,
+        }
+    }
+
+    /// Adds a syscall stub for every number the simulator knows, mirroring
+    /// a full libc link, and makes each visible by name.
+    pub fn add_syscall_stubs(&mut self) {
+        for &nr in sysno::ALL {
+            let name = sysno::name(nr).expect("ALL entries are named");
+            let arity = sysno::arg_count(nr);
+            let id = self.mb.declare_syscall_stub(name, nr, arity);
+            self.funcs
+                .insert(Name::Borrowed(name), (id, CType::Long, usize::from(arity)));
         }
     }
 
@@ -84,34 +115,73 @@ impl<'mb> Lowerer<'mb> {
         })
     }
 
+    /// Closes the previous unit: its structs and string table go out of
+    /// scope, and its functions and globals stay visible as opaque longs
+    /// (a global created later shadows an earlier one of the same name,
+    /// as module order does for a fresh lowerer).
+    fn begin_unit(&mut self) {
+        if !std::mem::replace(&mut self.unit_open, true) {
+            return;
+        }
+        self.structs.clear();
+        self.strings.clear();
+        self.next_str = 0;
+        for (name, gid) in std::mem::take(&mut self.unit_globals) {
+            let name = match name {
+                Some(n) => Name::Borrowed(n),
+                None => Name::Owned(self.mb.module().globals[gid.index()].name.clone()),
+            };
+            self.globals.insert(name, (gid, CType::Long));
+        }
+        for f in self.funcs.values_mut() {
+            f.1 = CType::Long;
+        }
+    }
+
+    /// Adds a global to the module; `source` is its name in the unit's
+    /// source text (`None` for a string literal).
+    fn add_global(
+        &mut self,
+        source: Option<&'s str>,
+        name: String,
+        ty: Ty,
+        init: GlobalInit,
+    ) -> GlobalId {
+        let gid = self.mb.global(name, ty, init);
+        self.unit_globals.push((source, gid));
+        gid
+    }
+
     /// Lowers a parsed unit into the module builder.
     ///
     /// # Errors
     /// Reports unknown names, arity mismatches, and unsupported constructs.
-    pub fn lower_unit(&mut self, unit: &Unit) -> Result<(), LowerError> {
+    /// A lowerer that reported an error must not lower further units.
+    pub fn lower_unit(&mut self, unit: &Unit<'s>) -> Result<(), LowerError> {
+        self.begin_unit();
         // Pass 1: struct definitions.
         for d in &unit.decls {
             if let Decl::Struct { name, fields } = d {
-                if self.structs.contains_key(name) {
+                if self.structs.contains_key(*name) {
                     return self.err(format!("duplicate struct `{name}`"));
                 }
                 // Two-phase: register the name first so self-referential
                 // pointer fields resolve; sizes only need pointee names for
                 // non-pointer fields, which must be previously defined.
-                let mut ir_fields = Vec::new();
-                let id = self.mb.struct_def(StructDef::new(name.clone(), Vec::new()));
+                let mut ir_fields = Vec::with_capacity(fields.len());
+                let id = self.mb.struct_def(StructDef::new(*name, Vec::new()));
                 self.structs.insert(
-                    name.clone(),
+                    *name,
                     StructInfo {
                         id,
                         fields: fields.clone(),
                     },
                 );
                 for (ty, fname) in fields {
-                    ir_fields.push((fname.clone(), self.ir_ty(ty)?));
+                    ir_fields.push((fname.to_string(), self.ir_ty(ty)?));
                 }
                 // Patch the real fields in.
-                let def = StructDef::new(name.clone(), ir_fields);
+                let def = StructDef::new(*name, ir_fields);
                 self.patch_struct(id, def);
             }
         }
@@ -125,43 +195,36 @@ impl<'mb> Lowerer<'mb> {
         }
 
         // Pass 3: globals (relocation names resolved in pass 5).
-        let mut pending_relocs: Vec<(GlobalId, Vec<InitItem>)> = Vec::new();
+        let mut pending_relocs: Vec<(GlobalId, &[InitItem<'s>])> = Vec::new();
         for d in &unit.decls {
             let Decl::Global { ty, name, init } = d else {
                 continue;
             };
-            if self.globals.contains_key(name) {
+            if self.globals.contains_key(*name) {
                 return self.err(format!("duplicate global `{name}`"));
             }
             let ir_ty = self.ir_ty(ty)?;
-            let gid = match init {
-                GlobalInitAst::Zero => self.mb.global(name.clone(), ir_ty, GlobalInit::Zero),
-                GlobalInitAst::Int(v) => {
-                    self.mb
-                        .global(name.clone(), ir_ty, GlobalInit::Words(vec![*v]))
-                }
+            let ir_init = match init {
+                GlobalInitAst::Zero => GlobalInit::Zero,
+                GlobalInitAst::Int(v) => GlobalInit::Words(vec![*v]),
                 GlobalInitAst::Str(s) => {
                     if matches!(ty, CType::Ptr(_)) {
                         let sg = self.intern_string(s);
-                        self.mb.global(
-                            name.clone(),
-                            ir_ty,
-                            GlobalInit::Relocated(vec![RelocEntry::GlobalAddr(sg)]),
-                        )
+                        GlobalInit::Relocated(vec![RelocEntry::GlobalAddr(sg)])
                     } else {
-                        let mut bytes = s.clone();
+                        let mut bytes = Vec::with_capacity(s.len() + 1);
+                        bytes.extend_from_slice(s);
                         bytes.push(0);
-                        self.mb
-                            .global(name.clone(), ir_ty, GlobalInit::Bytes(bytes))
+                        GlobalInit::Bytes(bytes)
                     }
                 }
-                GlobalInitAst::List(items) => {
-                    let gid = self.mb.global(name.clone(), ir_ty, GlobalInit::Zero);
-                    pending_relocs.push((gid, items.clone()));
-                    gid
-                }
+                GlobalInitAst::List(_) => GlobalInit::Zero,
             };
-            self.globals.insert(name.clone(), (gid, ty.clone()));
+            let gid = self.add_global(Some(name), name.to_string(), ir_ty, ir_init);
+            if let GlobalInitAst::List(items) = init {
+                pending_relocs.push((gid, items));
+            }
+            self.globals.insert(Name::Borrowed(name), (gid, ty.clone()));
         }
 
         // Pass 4: declare functions.
@@ -172,29 +235,29 @@ impl<'mb> Lowerer<'mb> {
             else {
                 continue;
             };
-            if self.funcs.contains_key(name) {
+            if self.funcs.contains_key(*name) {
                 return self.err(format!("duplicate function `{name}`"));
             }
-            let mut ps = Vec::new();
+            let mut ps = Vec::with_capacity(params.len());
             for (pt, pn) in params {
-                ps.push((pn.as_str(), self.ir_ty(pt)?));
+                ps.push((*pn, self.ir_ty(pt)?));
             }
             let ret_ty = self.ir_ty(ret)?;
-            let id = self.mb.declare(name.clone(), &ps, ret_ty);
+            let id = self.mb.declare(*name, &ps, ret_ty);
             self.funcs
-                .insert(name.clone(), (id, ret.clone(), params.len()));
+                .insert(Name::Borrowed(name), (id, ret.clone(), params.len()));
         }
 
         // Pass 5: resolve brace-list relocations.
         for (gid, items) in pending_relocs {
             let mut entries = Vec::with_capacity(items.len());
-            for item in &items {
+            for item in items {
                 entries.push(match item {
                     InitItem::Int(v) => RelocEntry::Word(*v),
                     InitItem::Name(n) => {
-                        if let Some((fid, _, _)) = self.funcs.get(n) {
+                        if let Some((fid, _, _)) = self.funcs.get(*n) {
                             RelocEntry::FuncAddr(*fid)
-                        } else if let Some((g, _)) = self.globals.get(n) {
+                        } else if let Some((g, _)) = self.globals.get(*n) {
                             RelocEntry::GlobalAddr(*g)
                         } else {
                             return self.err(format!("unknown initializer name `{n}`"));
@@ -216,12 +279,11 @@ impl<'mb> Lowerer<'mb> {
             else {
                 continue;
             };
-            let id = self.funcs[name].0;
-            self.lower_func(id, name, ret, params, body)
-                .map_err(|mut e| {
-                    e.func = Some(name.clone());
-                    e
-                })?;
+            let id = self.funcs[*name].0;
+            self.lower_func(id, ret, params, body).map_err(|mut e| {
+                e.func = Some(name.to_string());
+                e
+            })?;
         }
         Ok(())
     }
@@ -235,8 +297,8 @@ impl<'mb> Lowerer<'mb> {
         self.mb.patch_global_init(id, init);
     }
 
-    fn intern_strings_in(&mut self, body: &[Stmt]) {
-        fn walk_expr(l: &mut Lowerer<'_>, e: &Expr) {
+    fn intern_strings_in(&mut self, body: &[Stmt<'s>]) {
+        fn walk_expr(l: &mut Lowerer<'_, '_>, e: &Expr<'_>) {
             match e {
                 Expr::Str(s) => {
                     l.intern_string(s);
@@ -261,7 +323,7 @@ impl<'mb> Lowerer<'mb> {
                 Expr::Int(_) | Expr::Ident(_) | Expr::SizeOf(_) => {}
             }
         }
-        fn walk(l: &mut Lowerer<'_>, stmts: &[Stmt]) {
+        fn walk(l: &mut Lowerer<'_, '_>, stmts: &[Stmt<'_>]) {
             for s in stmts {
                 match s {
                     Stmt::Decl { init: Some(e), .. } | Stmt::Expr(e) | Stmt::Return(Some(e)) => {
@@ -299,10 +361,12 @@ impl<'mb> Lowerer<'mb> {
         }
         let name = format!("__str_{}", self.next_str);
         self.next_str += 1;
-        let mut bytes = s.to_vec();
+        let mut bytes = Vec::with_capacity(s.len() + 1);
+        bytes.extend_from_slice(s);
         bytes.push(0);
         let len = bytes.len() as u64;
-        let g = self.mb.global(
+        let g = self.add_global(
+            None,
             name,
             Ty::Array(Box::new(Ty::I8), len),
             GlobalInit::Bytes(bytes),
@@ -311,7 +375,7 @@ impl<'mb> Lowerer<'mb> {
         g
     }
 
-    fn ir_ty(&self, t: &CType) -> Result<Ty, LowerError> {
+    fn ir_ty(&self, t: &CType<'_>) -> Result<Ty, LowerError> {
         Ok(match t {
             CType::Void => Ty::Void,
             CType::Char => Ty::I8,
@@ -319,7 +383,7 @@ impl<'mb> Lowerer<'mb> {
             CType::Ptr(p) => Ty::ptr(self.ir_ty(p)?),
             CType::FnPtr => Ty::Func { arity: 0 },
             CType::Struct(name) => {
-                let si = self.structs.get(name).ok_or_else(|| LowerError {
+                let si = self.structs.get(*name).ok_or_else(|| LowerError {
                     func: None,
                     message: format!("unknown struct `{name}`"),
                 })?;
@@ -332,10 +396,9 @@ impl<'mb> Lowerer<'mb> {
     fn lower_func(
         &mut self,
         id: FuncId,
-        _name: &str,
-        ret: &CType,
-        params: &[(CType, String)],
-        body: &[Stmt],
+        ret: &CType<'s>,
+        params: &[(CType<'s>, &'s str)],
+        body: &[Stmt<'s>],
     ) -> Result<(), LowerError> {
         // Split borrows: FunctionBuilder takes &mut ModuleBuilder, so move
         // lookup tables out temporarily.
@@ -352,14 +415,14 @@ impl<'mb> Lowerer<'mb> {
                 globals: &globals,
                 funcs: &funcs,
                 strings: &strings,
-                scopes: vec![HashMap::new()],
+                scopes: vec![FxHashMap::default()],
                 loops: Vec::new(),
                 ret: ret.clone(),
                 temp_count: 0,
             };
             for (i, (pt, pn)) in params.iter().enumerate() {
                 cx.scopes[0].insert(
-                    pn.clone(),
+                    *pn,
                     Var {
                         slot: cx.fb.param_slot(i),
                         ty: pt.clone(),
@@ -388,31 +451,30 @@ impl<'mb> Lowerer<'mb> {
     }
 }
 
-#[derive(Clone)]
-struct Var {
+struct Var<'s> {
     slot: SlotId,
-    ty: CType,
+    ty: CType<'s>,
 }
 
-struct FnCx<'a, 'mb> {
+struct FnCx<'a, 'mb, 's> {
     fb: FunctionBuilder<'mb>,
-    structs: &'a HashMap<String, StructInfo>,
-    globals: &'a HashMap<String, (GlobalId, CType)>,
-    funcs: &'a HashMap<String, (FuncId, CType, usize)>,
-    strings: &'a HashMap<Vec<u8>, GlobalId>,
-    scopes: Vec<HashMap<String, Var>>,
+    structs: &'a FxHashMap<&'s str, StructInfo<'s>>,
+    globals: &'a FxHashMap<Name<'s>, (GlobalId, CType<'s>)>,
+    funcs: &'a FxHashMap<Name<'s>, (FuncId, CType<'s>, usize)>,
+    strings: &'a FxHashMap<Vec<u8>, GlobalId>,
+    scopes: Vec<FxHashMap<&'s str, Var<'s>>>,
     loops: Vec<(bastion_ir::BlockId, bastion_ir::BlockId)>, // (break, continue)
-    ret: CType,
+    ret: CType<'s>,
     temp_count: usize,
 }
 
 /// A typed value.
-struct Val {
+struct Val<'s> {
     op: Operand,
-    ty: CType,
+    ty: CType<'s>,
 }
 
-impl FnCx<'_, '_> {
+impl<'s> FnCx<'_, '_, 's> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, LowerError> {
         Err(LowerError {
             func: None,
@@ -420,16 +482,11 @@ impl FnCx<'_, '_> {
         })
     }
 
-    fn lookup(&self, name: &str) -> Option<Var> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(v.clone());
-            }
-        }
-        None
+    fn lookup(&self, name: &str) -> Option<&Var<'s>> {
+        self.scopes.iter().rev().find_map(|scope| scope.get(name))
     }
 
-    fn width_of(&self, t: &CType) -> Width {
+    fn width_of(&self, t: &CType<'_>) -> Width {
         if matches!(t, CType::Char) {
             Width::W8
         } else {
@@ -437,7 +494,7 @@ impl FnCx<'_, '_> {
         }
     }
 
-    fn size_of(&self, t: &CType) -> Result<u64, LowerError> {
+    fn size_of(&self, t: &CType<'_>) -> Result<u64, LowerError> {
         let module_structs = |name: &str| -> Result<u64, LowerError> {
             let si = self.structs.get(name).ok_or_else(|| LowerError {
                 func: None,
@@ -458,7 +515,7 @@ impl FnCx<'_, '_> {
         })
     }
 
-    fn field_of(&self, sname: &str, fname: &str) -> Result<(StructId, u32, CType), LowerError> {
+    fn field_of(&self, sname: &str, fname: &str) -> Result<(StructId, u32, CType<'s>), LowerError> {
         let si = self.structs.get(sname).ok_or_else(|| LowerError {
             func: None,
             message: format!("unknown struct `{sname}`"),
@@ -466,7 +523,7 @@ impl FnCx<'_, '_> {
         let idx = si
             .fields
             .iter()
-            .position(|(_, n)| n == fname)
+            .position(|(_, n)| *n == fname)
             .ok_or_else(|| LowerError {
                 func: None,
                 message: format!("struct `{sname}` has no field `{fname}`"),
@@ -474,8 +531,8 @@ impl FnCx<'_, '_> {
         Ok((si.id, idx as u32, si.fields[idx].0.clone()))
     }
 
-    fn stmts(&mut self, body: &[Stmt]) -> Result<(), LowerError> {
-        self.scopes.push(HashMap::new());
+    fn stmts(&mut self, body: &[Stmt<'s>]) -> Result<(), LowerError> {
+        self.scopes.push(FxHashMap::default());
         for s in body {
             if self.fb.is_terminated() {
                 // Dead code after return/break/continue: park it in an
@@ -489,13 +546,13 @@ impl FnCx<'_, '_> {
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, s: &Stmt<'s>) -> Result<(), LowerError> {
         match s {
             Stmt::Decl { ty, name, init } => {
                 let ir_ty = self.decl_ty(ty)?;
-                let slot = self.fb.local(name.clone(), ir_ty);
+                let slot = self.fb.local(*name, ir_ty);
                 self.scopes.last_mut().expect("scope stack").insert(
-                    name.clone(),
+                    name,
                     Var {
                         slot,
                         ty: ty.clone(),
@@ -566,7 +623,7 @@ impl FnCx<'_, '_> {
                 Ok(())
             }
             Stmt::For(init, cond, step, body) => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(FxHashMap::default());
                 self.stmt(init)?;
                 let header = self.fb.new_block();
                 let body_b = self.fb.new_block();
@@ -609,7 +666,7 @@ impl FnCx<'_, '_> {
         }
     }
 
-    fn decl_ty(&self, t: &CType) -> Result<Ty, LowerError> {
+    fn decl_ty(&self, t: &CType<'_>) -> Result<Ty, LowerError> {
         Ok(match t {
             CType::Void => return self.err("variables cannot be void"),
             CType::Char => Ty::I8,
@@ -617,7 +674,7 @@ impl FnCx<'_, '_> {
             CType::Ptr(_) => Ty::ptr(Ty::I64),
             CType::FnPtr => Ty::Func { arity: 0 },
             CType::Struct(n) => {
-                let si = self.structs.get(n).ok_or_else(|| LowerError {
+                let si = self.structs.get(*n).ok_or_else(|| LowerError {
                     func: None,
                     message: format!("unknown struct `{n}`"),
                 })?;
@@ -627,7 +684,7 @@ impl FnCx<'_, '_> {
         })
     }
 
-    fn decl_ty_elem(&self, t: &CType) -> Result<Ty, LowerError> {
+    fn decl_ty_elem(&self, t: &CType<'_>) -> Result<Ty, LowerError> {
         match t {
             CType::Void => self.err("arrays cannot be void"),
             other => self.decl_ty(other),
@@ -635,13 +692,14 @@ impl FnCx<'_, '_> {
     }
 
     /// Address + element type of an lvalue.
-    fn lvalue(&mut self, e: &Expr) -> Result<(Operand, CType), LowerError> {
+    fn lvalue(&mut self, e: &Expr<'s>) -> Result<(Operand, CType<'s>), LowerError> {
         match e {
             Expr::Ident(name) => {
                 if let Some(v) = self.lookup(name) {
-                    let a = self.fb.frame_addr(v.slot);
-                    Ok((a.into(), v.ty))
-                } else if let Some((gid, ty)) = self.globals.get(name) {
+                    let (slot, ty) = (v.slot, v.ty.clone());
+                    let a = self.fb.frame_addr(slot);
+                    Ok((a.into(), ty))
+                } else if let Some((gid, ty)) = self.globals.get(*name) {
                     let a = self.fb.global_addr(*gid);
                     Ok((a.into(), ty.clone()))
                 } else {
@@ -651,8 +709,7 @@ impl FnCx<'_, '_> {
             Expr::Deref(p) => {
                 let v = self.rvalue(p)?;
                 let inner = match v.ty {
-                    CType::Ptr(t) => *t,
-                    CType::Array(t, _) => *t,
+                    CType::Ptr(t) | CType::Array(t, _) => (*t).clone(),
                     CType::Long | CType::FnPtr => CType::Long,
                     other => return self.err(format!("cannot deref {other:?}")),
                 };
@@ -684,12 +741,12 @@ impl FnCx<'_, '_> {
                 let v = self.rvalue(p)?;
                 let sname = match &v.ty {
                     CType::Ptr(inner) => match inner.as_ref() {
-                        CType::Struct(s) => s.clone(),
+                        CType::Struct(s) => *s,
                         other => return self.err(format!("`->{fname}` on {other:?} pointer")),
                     },
                     other => return self.err(format!("`->{fname}` on non-pointer {other:?}")),
                 };
-                let (sid, idx, fty) = self.field_of(&sname, fname)?;
+                let (sid, idx, fty) = self.field_of(sname, fname)?;
                 let a = self.fb.field_addr(v.op, sid, idx);
                 Ok((a.into(), fty))
             }
@@ -698,7 +755,7 @@ impl FnCx<'_, '_> {
     }
 
     /// Evaluates an expression to a word value (arrays decay to pointers).
-    fn rvalue(&mut self, e: &Expr) -> Result<Val, LowerError> {
+    fn rvalue(&mut self, e: &Expr<'s>) -> Result<Val<'s>, LowerError> {
         match e {
             Expr::Int(v) => Ok(Val {
                 op: Operand::Imm(*v),
@@ -721,8 +778,8 @@ impl FnCx<'_, '_> {
             }),
             Expr::Ident(name) => {
                 // A bare function name is its address (address-taken).
-                if let Some((fid, _, _)) = self.funcs.get(name) {
-                    if self.lookup(name).is_none() && !self.globals.contains_key(name) {
+                if let Some((fid, _, _)) = self.funcs.get(*name) {
+                    if self.lookup(name).is_none() && !self.globals.contains_key(*name) {
                         let a = self.fb.func_addr(*fid);
                         return Ok(Val {
                             op: a.into(),
@@ -779,7 +836,7 @@ impl FnCx<'_, '_> {
         }
     }
 
-    fn load_decayed(&mut self, addr: Operand, ty: CType) -> Result<Val, LowerError> {
+    fn load_decayed(&mut self, addr: Operand, ty: CType<'s>) -> Result<Val<'s>, LowerError> {
         match ty {
             CType::Array(elem, _) => Ok(Val {
                 op: addr,
@@ -797,7 +854,12 @@ impl FnCx<'_, '_> {
         }
     }
 
-    fn bin_expr(&mut self, op: BinExprOp, a: &Expr, b: &Expr) -> Result<Val, LowerError> {
+    fn bin_expr(
+        &mut self,
+        op: BinExprOp,
+        a: &Expr<'s>,
+        b: &Expr<'s>,
+    ) -> Result<Val<'s>, LowerError> {
         // Short-circuit forms need a temp slot (the IR has no phis).
         if matches!(op, BinExprOp::LAnd | BinExprOp::LOr) {
             let tmp = self.temp_slot();
@@ -842,7 +904,7 @@ impl FnCx<'_, '_> {
         }
 
         // Pointer arithmetic scales by the pointee size.
-        let pointee = |t: &CType| -> Option<CType> {
+        let pointee = |t: &CType<'s>| -> Option<CType<'s>> {
             match t {
                 CType::Ptr(p) => Some((**p).clone()),
                 _ => None,
@@ -894,7 +956,7 @@ impl FnCx<'_, '_> {
         })
     }
 
-    fn call_expr(&mut self, callee: &Expr, args: &[Expr]) -> Result<Val, LowerError> {
+    fn call_expr(&mut self, callee: &Expr<'s>, args: &[Expr<'s>]) -> Result<Val<'s>, LowerError> {
         let mut argv = Vec::with_capacity(args.len());
         for a in args {
             argv.push(self.rvalue(a)?.op);
@@ -902,8 +964,8 @@ impl FnCx<'_, '_> {
         // Direct call if the callee names a function (and no local/global
         // variable shadows that name).
         if let Expr::Ident(name) = callee {
-            if self.lookup(name).is_none() && !self.globals.contains_key(name) {
-                let Some((fid, ret, arity)) = self.funcs.get(name).cloned() else {
+            if self.lookup(name).is_none() && !self.globals.contains_key(*name) {
+                let Some((fid, ret, arity)) = self.funcs.get(*name).cloned() else {
                     return self.err(format!("unknown function `{name}`"));
                 };
                 if argv.len() != arity {

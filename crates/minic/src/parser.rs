@@ -7,6 +7,7 @@
 use crate::ast::*;
 use crate::lexer::{lex, LexError, Tok, Token};
 use std::fmt;
+use std::rc::Rc;
 
 /// A parse error with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +39,7 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 /// Returns the first syntax error with its line number.
-pub fn parse(src: &str) -> Result<Unit, ParseError> {
+pub fn parse(src: &str) -> Result<Unit<'_>, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let mut unit = Unit::default();
@@ -48,13 +49,13 @@ pub fn parse(src: &str) -> Result<Unit, ParseError> {
     Ok(unit)
 }
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'s> {
+    toks: Vec<Token<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'s> Parser<'s> {
+    fn peek(&self) -> &Tok<'s> {
         &self.toks[self.pos].tok
     }
 
@@ -66,12 +67,15 @@ impl Parser {
         matches!(self.peek(), Tok::Eof)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    /// Consumes the current token. The parser never looks back, so a
+    /// consumed token is moved out (the final `Eof` stays in place).
+    fn bump(&mut self) -> Tok<'s> {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].tok, Tok::Eof)
+        } else {
+            Tok::Eof
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -99,7 +103,7 @@ impl Parser {
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+        if matches!(self.peek(), Tok::Ident(s) if *s == kw) {
             self.bump();
             true
         } else {
@@ -107,7 +111,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'s str, ParseError> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => self.err(format!("expected identifier, found {other}")),
@@ -116,13 +120,13 @@ impl Parser {
 
     fn is_type_start(&self) -> bool {
         matches!(self.peek(), Tok::Ident(s)
-            if s == "void" || s == "char" || s == "long" || s == "fnptr" || s == "struct")
+            if matches!(*s, "void" | "char" | "long" | "fnptr" | "struct"))
     }
 
     /// base type + leading `*`s (no array suffix).
-    fn parse_type(&mut self) -> Result<CType, ParseError> {
+    fn parse_type(&mut self) -> Result<CType<'s>, ParseError> {
         let base = match self.bump() {
-            Tok::Ident(s) => match s.as_str() {
+            Tok::Ident(s) => match s {
                 "void" => CType::Void,
                 "char" => CType::Char,
                 "long" => CType::Long,
@@ -139,9 +143,9 @@ impl Parser {
         Ok(t)
     }
 
-    fn top_decl(&mut self) -> Result<Decl, ParseError> {
+    fn top_decl(&mut self) -> Result<Decl<'s>, ParseError> {
         // struct definition?
-        if matches!(self.peek(), Tok::Ident(s) if s == "struct")
+        if matches!(self.peek(), Tok::Ident("struct"))
             && matches!(&self.toks[self.pos + 2].tok, Tok::Punct("{"))
         {
             self.bump(); // struct
@@ -232,21 +236,21 @@ impl Parser {
         Ok(Decl::Global { ty, name, init })
     }
 
-    fn maybe_array(&mut self, ty: CType) -> Result<CType, ParseError> {
+    fn maybe_array(&mut self, ty: CType<'s>) -> Result<CType<'s>, ParseError> {
         if self.eat_punct("[") {
             let n = match self.bump() {
                 Tok::Int(v) if v > 0 => v as u64,
                 other => return self.err(format!("expected array length, found {other}")),
             };
             self.expect_punct("]")?;
-            Ok(CType::Array(Box::new(ty), n))
+            Ok(CType::Array(Rc::new(ty), n))
         } else {
             Ok(ty)
         }
     }
 
     /// Statements until the closing `}` (consumed).
-    fn block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block_body(&mut self) -> Result<Vec<Stmt<'s>>, ParseError> {
         let mut body = Vec::new();
         while !self.eat_punct("}") {
             if self.at_eof() {
@@ -257,19 +261,19 @@ impl Parser {
         Ok(body)
     }
 
-    fn braced_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn braced_block(&mut self) -> Result<Vec<Stmt<'s>>, ParseError> {
         self.expect_punct("{")?;
         self.block_body()
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<Stmt<'s>, ParseError> {
         if self.eat_kw("if") {
             self.expect_punct("(")?;
             let c = self.expr()?;
             self.expect_punct(")")?;
             let then_b = self.braced_block()?;
             let else_b = if self.eat_kw("else") {
-                if matches!(self.peek(), Tok::Ident(s) if s == "if") {
+                if matches!(self.peek(), Tok::Ident("if")) {
                     vec![self.stmt()?]
                 } else {
                     self.braced_block()?
@@ -319,7 +323,7 @@ impl Parser {
     }
 
     /// Declaration, assignment, or expression — no trailing `;`.
-    fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn simple_stmt(&mut self) -> Result<Stmt<'s>, ParseError> {
         if self.is_type_start() {
             // Disambiguate `struct s x` from expression starting with ident:
             // all our type keywords are reserved, so this is a declaration.
@@ -341,11 +345,11 @@ impl Parser {
         Ok(Stmt::Expr(lhs))
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<Expr<'s>, ParseError> {
         self.bin_expr(0)
     }
 
-    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr<'s>, ParseError> {
         let mut lhs = self.unary()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -379,7 +383,7 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Expr<'s>, ParseError> {
         if self.eat_punct("-") {
             return Ok(Expr::Neg(Box::new(self.unary()?)));
         }
@@ -398,7 +402,7 @@ impl Parser {
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<Expr<'s>, ParseError> {
         let mut e = self.primary()?;
         loop {
             if self.eat_punct("(") {
@@ -428,7 +432,7 @@ impl Parser {
         Ok(e)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Expr<'s>, ParseError> {
         if self.eat_kw("sizeof") {
             self.expect_punct("(")?;
             let ty = self.parse_type()?;
@@ -489,7 +493,7 @@ mod tests {
         let u = parse(src).unwrap();
         assert_eq!(u.decls.len(), 6);
         assert!(matches!(&u.decls[0], Decl::Struct { name, fields }
-            if name == "ctx" && fields.len() == 2));
+            if *name == "ctx" && fields.len() == 2));
         assert!(
             matches!(&u.decls[3], Decl::Global { init: GlobalInitAst::List(items), .. }
             if items.len() == 2)

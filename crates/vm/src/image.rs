@@ -96,14 +96,9 @@ impl ImageBuilder {
         let frame_info: Vec<FrameInfo> = module
             .functions
             .iter()
-            .map(|f| {
-                let slot_offsets = (0..f.locals.len())
-                    .map(|i| f.slot_offset(bastion_ir::SlotId(i as u32), &module.structs))
-                    .collect();
-                FrameInfo {
-                    frame_size: f.frame_size(&module.structs),
-                    slot_offsets,
-                }
+            .map(|f| FrameInfo {
+                frame_size: f.frame_size(&module.structs),
+                slot_offsets: f.slot_offsets(&module.structs),
             })
             .collect();
 

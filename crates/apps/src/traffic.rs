@@ -467,8 +467,9 @@ impl FtpTraffic {
                         .expect("pasv port");
                 }
                 // The passive connect can race the server's listen; keep
-                // retrying on subsequent pumps.
-                let Some(data) = world.net_connect(self.pasv_port) else {
+                // retrying on subsequent pumps. The data channel's bytes
+                // are only counted, so the server never copies them out.
+                let Some(data) = world.net_connect_counting(self.pasv_port) else {
                     return false;
                 };
                 self.pasv_port = 0;
@@ -476,7 +477,6 @@ impl FtpTraffic {
                 true
             }
             FtpState::Transfer { data } => {
-                // The data channel's bytes are only counted, never read.
                 let mut progressed = false;
                 let n = world.net_recv_len(data);
                 if n > 0 {

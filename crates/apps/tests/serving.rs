@@ -145,3 +145,64 @@ fn ftpd_retr_delivers_the_fixture_bytes() {
         "RETR body differs from the fixture"
     );
 }
+
+/// Runs `world` until `ctrl` delivers the `226` that ends a RETR whose data
+/// channel `data` is count-only. Returns the data bytes counted, the clock
+/// when the `226` was seen, and the kernel's cycles then.
+fn finish_retr(
+    world: &mut World,
+    ctrl: bastion_kernel::ExtConnId,
+    data: bastion_kernel::ExtConnId,
+) -> (u64, u64, u64) {
+    let (mut bytes, mut buf) = (0u64, Vec::new());
+    for _ in 0..10_000 {
+        world.run(100_000);
+        bytes += world.net_recv_len(data) as u64;
+        buf.extend(world.net_recv(ctrl));
+        if buf.split(|&b| b == b'\n').any(|l| l.starts_with(b"226")) {
+            return (bytes, world.now(), world.kernel.cycles);
+        }
+    }
+    panic!("no `226` reply");
+}
+
+#[test]
+fn count_only_retr_resumes_from_a_mid_transfer_snapshot() {
+    use bastion_apps::ftpd;
+    let mut world = boot(App::Ftpd);
+    let ctrl = world.net_connect(App::Ftpd.port()).unwrap();
+    await_line(&mut world, ctrl, b"220");
+    world.net_send(ctrl, b"USER bench\n");
+    await_line(&mut world, ctrl, b"331");
+    world.net_send(ctrl, b"PASS bench\n");
+    await_line(&mut world, ctrl, b"230");
+    world.net_send(ctrl, format!("RETR {}\n", ftpd::FILE_PATH).as_bytes());
+    let pasv = await_line(&mut world, ctrl, b"227");
+    let port: u16 = String::from_utf8_lossy(&pasv[4..]).trim().parse().unwrap();
+    let data = world.net_connect_counting(port).unwrap();
+    // Part-way through the transfer, with a count the client has not
+    // received yet.
+    let mut early = 0;
+    for _ in 0..1_000 {
+        world.run(100_000);
+        early = world.net_recv_len(data) as u64;
+        if early > 0 {
+            break;
+        }
+    }
+    assert!(early > 0, "the transfer never began");
+    world.run(100_000);
+    let snap = world.snapshot();
+
+    let uninterrupted = finish_retr(&mut world, ctrl, data);
+    let mut restored = World::restore(&snap);
+    let resumed = finish_retr(&mut restored, ctrl, data);
+    assert_eq!(resumed, uninterrupted);
+    assert!(resumed.0 > 0, "the snapshot is taken mid-transfer");
+    assert_eq!(early + resumed.0, ftpd::FILE_BYTES as u64);
+    // The snapshot carried bytes written but not yet received, and a
+    // count-only channel hands the client none of them as bytes.
+    let mut probe = World::restore(&snap);
+    assert!(probe.net_recv(data).is_empty());
+    assert!(probe.net_recv_len(data) > 0);
+}

@@ -304,6 +304,23 @@ mod tests {
     }
 
     #[test]
+    fn two_unit_program_with_literals_in_both_lands_its_exec() {
+        // Each unit interns a string literal; the monitor knows globals by
+        // name, so the exec's path must not share its name with `main`'s.
+        let a = r#"long run_ok() { return execve("/bin/ok", 0, 0); }"#;
+        let b = r#"long main() { puts("go\n"); return run_ok(); }"#;
+        let d = Deployment::from_minic("two-units", &[a, b]).unwrap();
+        let mut world = d.world();
+        world.kernel.vfs.put_file("/bin/ok", Vec::new(), 0o755);
+        let (pid, status) = d.boot(&mut world, &Protection::full(), 10_000_000);
+        assert_eq!(status, RunStatus::AllExited);
+        assert_eq!(world.proc(pid).unwrap().exit, Some(ExitReason::Exited(0)));
+        assert_eq!(world.kernel.exec_log.len(), 1);
+        assert_eq!(world.kernel.exec_log[0].1, "/bin/ok");
+        assert_eq!(world.kernel.console, b"go\n");
+    }
+
+    #[test]
     fn vanilla_launch_has_no_monitor() {
         let d = Deployment::from_minic("t", &["long main() { return 0; }"]).unwrap();
         let mut world = d.world();

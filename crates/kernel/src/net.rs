@@ -8,13 +8,17 @@
 //! [`Net::client_recv`].
 //!
 //! The two directions are shaped by how they are consumed. The server reads
-//! client bytes a bounded prefix at a time (peek, then consume), so
-//! client→server is a `VecDeque`. The client always drains server→client
-//! whole, so that direction is a list of exact-size chunks, one per server
-//! write: a write allocates its chunk once at its final size (no doubling
-//! growth, no zero-fill of spare capacity), a receive of a lone chunk
-//! moves it out without copying a byte, and a count-only receive
-//! ([`Net::client_recv_len`]) drops the chunks without reading them.
+//! client bytes a bounded prefix at a time, so client→server is a
+//! `VecDeque` that [`Net::server_read_with`] hands out as its two slices
+//! and dequeues only once the reader accepted them. The client always
+//! drains server→client whole, so that direction is a list of exact-size
+//! chunks, one per server write: a write allocates its chunk once at its
+//! final size (no doubling growth, no zero-fill of spare capacity), and a
+//! receive of a lone chunk moves it out without copying a byte. A client
+//! that never reads the bytes (a bulk-transfer data channel) connects
+//! count-only ([`Net::external_connect_counting`]): that direction is then
+//! a byte count, and a server write adds its length without copying or
+//! allocating anything.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -27,12 +31,29 @@ pub type ListenerId = usize;
 #[derive(Debug, Clone, Default)]
 pub struct Conn {
     to_server: VecDeque<u8>,
-    /// Server writes not yet received, one exact-size chunk each.
-    to_client: Vec<Vec<u8>>,
+    to_client: ToClient,
     client_closed: bool,
     server_closed: bool,
     /// Synthetic peer port, reported by `accept`.
     pub peer_port: u16,
+}
+
+/// The server→client direction of a connection, fixed when the client
+/// connects. Both kinds fit in the chunk list's three words, so a
+/// connection is no larger for having a count-only mode.
+#[derive(Debug, Clone)]
+enum ToClient {
+    /// Server writes not yet received, one exact-size chunk each.
+    Chunks(Vec<Vec<u8>>),
+    /// Count-only: how many bytes the server wrote that the client has not
+    /// received. The bytes themselves are never kept.
+    Count(usize),
+}
+
+impl Default for ToClient {
+    fn default() -> Self {
+        ToClient::Chunks(Vec::new())
+    }
 }
 
 /// A listening socket.
@@ -47,7 +68,7 @@ pub struct Listener {
 /// Result of a read on one side of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
-    /// `n` bytes were copied out.
+    /// `n` bytes were delivered.
     Data(usize),
     /// No data yet and the peer is still open.
     WouldBlock,
@@ -106,6 +127,18 @@ impl Net {
     /// An external client connects to `port`; queued on the backlog.
     /// Returns `None` if no listener is bound or the backlog is full.
     pub fn external_connect(&mut self, port: u16) -> Option<ConnId> {
+        self.connect(port, ToClient::default())
+    }
+
+    /// [`Net::external_connect`] for a client that only counts what the
+    /// server sends: server writes to this connection add their length to
+    /// a count that [`Net::client_recv_len`] takes, and no byte is copied.
+    /// The mode holds for the connection's lifetime.
+    pub fn external_connect_counting(&mut self, port: u16) -> Option<ConnId> {
+        self.connect(port, ToClient::Count(0))
+    }
+
+    fn connect(&mut self, port: u16, to_client: ToClient) -> Option<ConnId> {
         let &lid = self.ports.get(&port)?;
         let l = &mut self.listeners[lid];
         if l.backlog.len() >= l.backlog_cap {
@@ -121,6 +154,7 @@ impl Net {
             self.next_peer_port + 1
         };
         self.conns.push(Conn {
+            to_client,
             peer_port: self.next_peer_port,
             ..Conn::default()
         });
@@ -140,39 +174,35 @@ impl Net {
         self.listeners.get_mut(lid)?.backlog.pop_front()
     }
 
-    /// Server-side peek into `buf`: copies up to `buf.len()` queued bytes
-    /// and leaves them queued. Reads validate their destination (a guest
-    /// buffer mapping) before committing, so they peek first and
-    /// [`Net::server_consume`] only once delivery is guaranteed; a faulting
-    /// destination does not silently drop stream bytes.
-    pub fn server_peek(&self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
-        let c = &self.conns[cid];
+    /// Server-side read of up to `len` queued client bytes: `deliver`
+    /// gets them in stream order as at most two slices (the queue's ring
+    /// halves), and they leave the queue only if it returns `Ok`. Reads
+    /// validate their destination (a guest buffer mapping) inside
+    /// `deliver`, so a faulting destination does not silently drop stream
+    /// bytes. `deliver` is not called when nothing is queued.
+    ///
+    /// # Errors
+    /// Returns `deliver`'s error, with the bytes still queued.
+    pub fn server_read_with<E>(
+        &mut self,
+        cid: ConnId,
+        len: usize,
+        deliver: impl FnOnce(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<ReadOutcome, E> {
+        let c = &mut self.conns[cid];
         if c.to_server.is_empty() {
-            return if c.client_closed {
+            return Ok(if c.client_closed {
                 ReadOutcome::Eof
             } else {
                 ReadOutcome::WouldBlock
-            };
+            });
         }
-        let n = buf.len().min(c.to_server.len());
+        let n = len.min(c.to_server.len());
         let (front, back) = c.to_server.as_slices();
         let m = n.min(front.len());
-        buf[..m].copy_from_slice(&front[..m]);
-        buf[m..n].copy_from_slice(&back[..n - m]);
-        ReadOutcome::Data(n)
-    }
-
-    /// Discards the first `n` queued server-side bytes (pairs with
-    /// [`Net::server_peek`] to commit a peeked read).
-    pub fn server_consume(&mut self, cid: ConnId, n: usize) {
-        let c = &mut self.conns[cid];
-        let n = n.min(c.to_server.len());
+        deliver(&front[..m], &back[..n - m])?;
         c.to_server.drain(..n);
-    }
-
-    /// Number of client bytes queued for the server (sizes peek buffers).
-    pub fn server_queued(&self, cid: ConnId) -> usize {
-        self.conns[cid].to_server.len()
+        Ok(ReadOutcome::Data(n))
     }
 
     /// Server-side write (always succeeds; queues are unbounded).
@@ -185,7 +215,8 @@ impl Net {
     /// is queued for the client, so a source such as guest memory is
     /// copied exactly once and never zero-filled first. `fill` is not
     /// called once the client has closed (the bytes would vanish anyway),
-    /// nor for an empty write.
+    /// nor for an empty write, nor on a count-only connection, which only
+    /// adds `len` to its count.
     pub fn server_write_with(
         &mut self,
         cid: ConnId,
@@ -196,17 +227,16 @@ impl Net {
         if c.client_closed || len == 0 {
             return len; // RST-free simplification: bytes vanish.
         }
-        let mut chunk = Vec::with_capacity(len);
-        fill(&mut chunk);
-        debug_assert_eq!(chunk.len(), len, "fill must append exactly len bytes");
-        c.to_client.push(chunk);
+        match &mut c.to_client {
+            ToClient::Chunks(chunks) => {
+                let mut chunk = Vec::with_capacity(len);
+                fill(&mut chunk);
+                debug_assert_eq!(chunk.len(), len, "fill must append exactly len bytes");
+                chunks.push(chunk);
+            }
+            ToClient::Count(queued) => *queued += len,
+        }
         len
-    }
-
-    /// Whether the server side has readable data (or EOF) available.
-    pub fn server_readable(&self, cid: ConnId) -> bool {
-        let c = &self.conns[cid];
-        !c.to_server.is_empty() || c.client_closed
     }
 
     /// Server closes its side.
@@ -224,9 +254,14 @@ impl Net {
 
     /// Client-side receive: hands over everything available, leaving the
     /// connection holding no receive capacity. A lone chunk is moved out
-    /// as is; several are concatenated in write order.
+    /// as is; several are concatenated in write order. A count-only
+    /// connection kept no bytes to hand over: it returns an empty buffer
+    /// and leaves its count for [`Net::client_recv_len`].
     pub fn client_recv(&mut self, cid: ConnId) -> Vec<u8> {
-        let mut chunks = std::mem::take(&mut self.conns[cid].to_client);
+        let ToClient::Chunks(chunks) = &mut self.conns[cid].to_client else {
+            return Vec::new();
+        };
+        let mut chunks = std::mem::take(chunks);
         if chunks.len() == 1 {
             return chunks.pop().unwrap_or_default();
         }
@@ -235,12 +270,13 @@ impl Net {
 
     /// Count-only client-side receive: drains everything available like
     /// [`Net::client_recv`] but returns only its length, for a client that
-    /// never reads the bytes (a bulk-transfer data channel).
+    /// never reads the bytes (a bulk-transfer data channel). On a
+    /// count-only connection it takes the count.
     pub fn client_recv_len(&mut self, cid: ConnId) -> usize {
-        std::mem::take(&mut self.conns[cid].to_client)
-            .iter()
-            .map(Vec::len)
-            .sum()
+        match &mut self.conns[cid].to_client {
+            ToClient::Chunks(chunks) => std::mem::take(chunks).iter().map(Vec::len).sum(),
+            ToClient::Count(queued) => std::mem::take(queued),
+        }
     }
 
     /// Client closes its side (server reads then see EOF).
@@ -275,6 +311,31 @@ impl Net {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Copies up to `buf.len()` queued client bytes into `buf` and
+    /// dequeues them only when `commit`; without it this is a peek.
+    fn read(n: &mut Net, c: ConnId, buf: &mut [u8], commit: bool) -> ReadOutcome {
+        let mut copied = 0;
+        let r = n.server_read_with(c, buf.len(), |front, back| {
+            copied = front.len() + back.len();
+            buf[..front.len()].copy_from_slice(front);
+            buf[front.len()..copied].copy_from_slice(back);
+            if commit {
+                Ok(())
+            } else {
+                Err(())
+            }
+        });
+        r.unwrap_or(ReadOutcome::Data(copied))
+    }
+
+    /// The chunk list of a reading connection.
+    fn chunks(n: &Net, c: ConnId) -> &Vec<Vec<u8>> {
+        match &n.conns[c].to_client {
+            ToClient::Chunks(chunks) => chunks,
+            ToClient::Count(_) => panic!("conn {c} is count-only"),
+        }
+    }
 
     #[test]
     fn listen_accept_roundtrip() {
@@ -312,10 +373,10 @@ mod tests {
         assert_eq!(c, c2);
         n.client_send(c, b"GET /");
         let mut buf = [0u8; 3];
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(3));
+        assert_eq!(read(&mut n, c, &mut buf, true), ReadOutcome::Data(3));
         assert_eq!(&buf, b"GET");
-        n.server_consume(c, 3);
-        assert_eq!(n.server_queued(c), 2);
+        assert_eq!(read(&mut n, c, &mut buf, true), ReadOutcome::Data(2));
+        assert_eq!(&buf[..2], b" /");
         n.server_write(c, b"200 OK");
         assert_eq!(n.client_recv(c), b"200 OK");
     }
@@ -328,23 +389,23 @@ mod tests {
         n.accept(l).unwrap();
         n.client_send(c, b"GET /index");
         let mut buf = [0u8; 5];
-        // Peeking any number of times returns the same prefix.
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(5));
+        // A refused delivery leaves the stream as it was, any number of times.
+        assert_eq!(read(&mut n, c, &mut buf, false), ReadOutcome::Data(5));
         assert_eq!(&buf, b"GET /");
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(5));
+        assert_eq!(read(&mut n, c, &mut buf, false), ReadOutcome::Data(5));
         assert_eq!(&buf, b"GET /");
-        // Consuming commits the peeked prefix; the rest stays readable.
-        n.server_consume(c, 5);
+        // An accepted one dequeues its prefix; the rest stays readable.
+        assert_eq!(read(&mut n, c, &mut buf, true), ReadOutcome::Data(5));
         let mut rest = [0u8; 8];
-        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::Data(5));
+        assert_eq!(read(&mut n, c, &mut rest, false), ReadOutcome::Data(5));
         assert_eq!(&rest[..5], b"index");
-        n.server_consume(c, 5);
-        // Peek mirrors read's EOF/WouldBlock outcomes.
-        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::WouldBlock);
+        // An over-long read takes what is queued.
+        assert_eq!(read(&mut n, c, &mut rest, true), ReadOutcome::Data(5));
+        // An empty queue reports EOF/WouldBlock without delivering.
+        let never = |_: &[u8], _: &[u8]| -> Result<(), ()> { unreachable!() };
+        assert_eq!(n.server_read_with(c, 8, never), Ok(ReadOutcome::WouldBlock));
         n.client_close(c);
-        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::Eof);
-        // Over-long consume saturates instead of panicking.
-        n.server_consume(c, 99);
+        assert_eq!(n.server_read_with(c, 8, never), Ok(ReadOutcome::Eof));
     }
 
     #[test]
@@ -365,12 +426,12 @@ mod tests {
             model.extend(&chunk);
             wrapped |= !n.conns[c].to_server.as_slices().1.is_empty();
             let mut buf = vec![0u8; model.len() + 3];
-            assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(model.len()));
+            let all = read(&mut n, c, &mut buf, false);
+            assert_eq!(all, ReadOutcome::Data(model.len()));
             assert!(buf[..model.len()].iter().eq(model.iter()));
-            let mut short = [0u8; 4];
-            assert_eq!(n.server_peek(c, &mut short), ReadOutcome::Data(4));
-            assert!(short.iter().eq(model.iter().take(4)));
-            n.server_consume(c, 5);
+            let mut short = [0u8; 5];
+            assert_eq!(read(&mut n, c, &mut short, true), ReadOutcome::Data(5));
+            assert!(short.iter().eq(model.iter().take(5)));
             model.drain(..5);
         }
         assert!(wrapped, "test must peek a wrapped queue");
@@ -394,13 +455,13 @@ mod tests {
             }
             got.extend(n.client_recv(c));
             // A drained connection keeps no buffer alive.
-            assert_eq!(n.conns[c].to_client.capacity(), 0);
+            assert_eq!(chunks(&n, c).capacity(), 0);
             assert!(n.client_recv(c).is_empty());
         }
         assert_eq!(got, sent);
         // An empty write queues nothing.
         assert_eq!(n.server_write_with(c, 0, |_| unreachable!()), 0);
-        assert_eq!(n.conns[c].to_client.capacity(), 0);
+        assert_eq!(chunks(&n, c).capacity(), 0);
         // After the client closes, writes report success but vanish.
         n.client_close(c);
         assert_eq!(n.server_write_with(c, 64, |_| unreachable!()), 64);
@@ -417,14 +478,62 @@ mod tests {
         n.server_write(c, b"150 ");
         n.server_write(c, &[7u8; 3000]);
         assert_eq!(n.client_recv_len(c), 3004);
-        assert_eq!(n.conns[c].to_client.capacity(), 0);
+        assert_eq!(chunks(&n, c).capacity(), 0);
         assert!(n.client_recv(c).is_empty());
         // A lone write comes back as the very chunk that was queued.
         n.server_write(c, &[9u8; 4096]);
-        let ptr = n.conns[c].to_client[0].as_ptr();
+        let ptr = chunks(&n, c)[0].as_ptr();
         let got = n.client_recv(c);
         assert_eq!(got, vec![9u8; 4096]);
         assert_eq!(got.as_ptr(), ptr, "a lone chunk must move, not copy");
+    }
+
+    #[test]
+    fn count_only_connection_receives_the_lengths_a_reading_one_does() {
+        let mut n = Net::new();
+        let l = n.listen(80, 4).unwrap();
+        let (r, k) = (
+            n.external_connect(80).unwrap(),
+            n.external_connect_counting(80).unwrap(),
+        );
+        n.accept(l).unwrap();
+        n.accept(l).unwrap();
+        // Writes per receive: none, an empty write, one, several, and
+        // writes after the client closed (they vanish on both).
+        let rounds: [&[usize]; 6] = [&[], &[0], &[4096], &[1, 0, 32768, 7], &[5], &[64, 9]];
+        for (i, writes) in rounds.iter().enumerate() {
+            if i == 4 {
+                n.client_close(r);
+                n.client_close(k);
+            }
+            for &len in *writes {
+                let bytes = vec![i as u8; len];
+                assert_eq!(n.server_write(r, &bytes), len);
+                // A count-only write never asks for its bytes.
+                assert_eq!(n.server_write_with(k, len, |_| unreachable!()), len);
+            }
+            assert_eq!(n.client_recv_len(k), n.client_recv(r).len(), "round {i}");
+        }
+        // No chunk was ever allocated for the count-only connection.
+        assert!(matches!(n.conns[k].to_client, ToClient::Count(0)));
+        // The count-only mode costs no room in a connection.
+        assert_eq!(size_of::<ToClient>(), size_of::<Vec<Vec<u8>>>());
+    }
+
+    #[test]
+    fn client_recv_on_a_count_only_connection_keeps_the_count() {
+        let mut n = Net::new();
+        let l = n.listen(80, 4).unwrap();
+        let k = n.external_connect_counting(80).unwrap();
+        n.accept(l).unwrap();
+        n.server_write(k, b"150 ");
+        n.server_write(k, &[7u8; 3000]);
+        // There are no bytes to hand over; the count is left for
+        // `client_recv_len`, which alone drains it.
+        assert!(n.client_recv(k).is_empty());
+        assert_eq!(n.client_recv_len(k), 3004);
+        assert!(n.client_recv(k).is_empty());
+        assert_eq!(n.client_recv_len(k), 0);
     }
 
     #[test]
@@ -434,10 +543,9 @@ mod tests {
         let c = n.external_connect(80).unwrap();
         n.accept(l).unwrap();
         let mut buf = [0u8; 8];
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::WouldBlock);
+        assert_eq!(read(&mut n, c, &mut buf, true), ReadOutcome::WouldBlock);
         n.client_close(c);
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Eof);
-        assert!(n.server_readable(c));
+        assert_eq!(read(&mut n, c, &mut buf, true), ReadOutcome::Eof);
     }
 
     #[test]

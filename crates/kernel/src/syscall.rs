@@ -16,10 +16,10 @@
 
 use crate::errno::{self, err};
 use crate::fs::Vfs;
-use crate::net::{Net, ReadOutcome};
+use crate::net::{ConnId, Net, ReadOutcome};
 use crate::process::{OfdId, Pid, Process, Vma, WaitReason};
 use bastion_ir::sysno;
-use bastion_vm::{CostModel, MemIo};
+use bastion_vm::{CostModel, MemIo, Memory, OutOfBounds};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -179,6 +179,35 @@ impl Kernel {
     fn charge_io(&mut self, bytes: u64) {
         // ~1 cycle per 16 bytes moved: kernel-side copy bandwidth.
         self.cycles += bytes / 16;
+    }
+
+    /// Reads up to `len` queued bytes of connection `cid` into guest
+    /// memory at `buf`, copied once, straight from the socket queue into
+    /// the guest pages. Peek-validate-consume: the bytes leave the queue
+    /// only once the whole destination is known to be mapped, so an EFAULT
+    /// leaves them readable by a later, correctly-mapped read. Charges
+    /// nothing. Shared by `read` and the scheduler's wake-up path.
+    ///
+    /// # Errors
+    /// Fails, with the stream untouched, if the destination is unmapped.
+    pub fn conn_read(
+        &mut self,
+        mem: &mut Memory,
+        cid: ConnId,
+        buf: u64,
+        len: u64,
+    ) -> Result<ReadOutcome, OutOfBounds> {
+        self.net.server_read_with(cid, len as usize, |front, back| {
+            if !mem.is_mapped(buf, (front.len() + back.len()) as u64) {
+                return Err(OutOfBounds {
+                    addr: buf,
+                    write: true,
+                });
+            }
+            mem.write_unchecked(buf, front);
+            mem.write_unchecked(buf.wrapping_add(front.len() as u64), back);
+            Ok(())
+        })
     }
 
     fn next_random(&mut self) -> u64 {
@@ -414,45 +443,32 @@ impl Kernel {
             return SysOutcome::Done(err(errno::EBADF));
         };
         let len = len.min(1 << 20);
-        match self.ofds[id].kind.clone() {
-            OfdKind::Stdin => SysOutcome::Done(0),
+        let n = match &mut self.ofds[id].kind {
+            OfdKind::Stdin => return SysOutcome::Done(0),
             OfdKind::File { path, offset, .. } => {
-                let Some(f) = self.vfs.file(&path) else {
+                let Some(f) = self.vfs.file(path) else {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
-                let start = (offset as usize).min(f.data.len());
+                let start = (*offset as usize).min(f.data.len());
                 let n = (len as usize).min(f.data.len() - start);
                 if p.machine.mem.write(buf, &f.data[start..start + n]).is_err() {
                     return SysOutcome::Done(err(errno::EFAULT));
                 }
-                if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
-                    *offset += n as u64;
-                }
-                self.charge_io(n as u64);
-                SysOutcome::Done(n as u64)
+                *offset += n as u64;
+                n
             }
-            OfdKind::Conn(cid) => {
-                // Peek-validate-consume: the stream bytes are only dequeued
-                // once the destination mapping accepted them, so an EFAULT
-                // leaves the data readable by a later, correctly-mapped read.
-                let mut tmp = vec![0u8; (len as usize).min(self.net.server_queued(cid))];
-                match self.net.server_peek(cid, &mut tmp) {
-                    ReadOutcome::Data(n) => {
-                        if p.machine.mem.write(buf, &tmp[..n]).is_err() {
-                            return SysOutcome::Done(err(errno::EFAULT));
-                        }
-                        self.net.server_consume(cid, n);
-                        self.charge_io(n as u64);
-                        SysOutcome::Done(n as u64)
-                    }
-                    ReadOutcome::Eof => SysOutcome::Done(0),
-                    ReadOutcome::WouldBlock => {
-                        SysOutcome::Block(WaitReason::ConnRead { cid, buf, len })
-                    }
+            &mut OfdKind::Conn(cid) => match self.conn_read(&mut p.machine.mem, cid, buf, len) {
+                Ok(ReadOutcome::Data(n)) => n,
+                Ok(ReadOutcome::Eof) => return SysOutcome::Done(0),
+                Ok(ReadOutcome::WouldBlock) => {
+                    return SysOutcome::Block(WaitReason::ConnRead { cid, buf, len })
                 }
-            }
-            _ => SysOutcome::Done(err(errno::EINVAL)),
-        }
+                Err(_) => return SysOutcome::Done(err(errno::EFAULT)),
+            },
+            _ => return SysOutcome::Done(err(errno::EINVAL)),
+        };
+        self.charge_io(n as u64);
+        SysOutcome::Done(n as u64)
     }
 
     fn sys_write(&mut self, p: &mut Process, fd: u64, buf: u64, len: u64) -> SysOutcome {
@@ -468,7 +484,7 @@ impl Kernel {
         }
         self.charge_io(len);
         let n = len as usize;
-        match self.ofds[id].kind.clone() {
+        match &mut self.ofds[id].kind {
             OfdKind::Stdout | OfdKind::Stderr => {
                 mem.read_unchecked_into(buf, n, &mut self.console);
                 SysOutcome::Done(len)
@@ -478,24 +494,23 @@ impl Kernel {
                 offset,
                 writable,
             } => {
-                if !writable {
+                if !*writable {
                     return SysOutcome::Done(err(errno::EBADF));
                 }
-                let Some(f) = self.vfs.file_mut(&path) else {
+                let Some(f) = self.vfs.file_mut(path) else {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
-                let end = offset as usize + n;
+                let start = *offset as usize;
+                let end = start + n;
                 let data = f.data_mut();
                 if data.len() < end {
                     data.resize(end, 0);
                 }
-                mem.read_unchecked(buf, &mut data[offset as usize..end]);
-                if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
-                    *offset += len;
-                }
+                mem.read_unchecked(buf, &mut data[start..end]);
+                *offset += len;
                 SysOutcome::Done(len)
             }
-            OfdKind::Conn(cid) => {
+            &mut OfdKind::Conn(cid) => {
                 let n = self
                     .net
                     .server_write_with(cid, n, |dst| mem.read_unchecked_into(buf, n, dst));
@@ -652,16 +667,16 @@ impl Kernel {
         let (Some(out_id), Some(in_id)) = (p.fds.get(out_fd), p.fds.get(in_fd)) else {
             return SysOutcome::Done(err(errno::EBADF));
         };
-        let OfdKind::File { path, offset, .. } = self.ofds[in_id].kind.clone() else {
+        let OfdKind::File { path, offset, .. } = &self.ofds[in_id].kind else {
             return SysOutcome::Done(err(errno::EINVAL));
         };
-        let Some(f) = self.vfs.file(&path) else {
+        let Some(f) = self.vfs.file(path) else {
             return SysOutcome::Done(err(errno::ENOENT));
         };
         // Holding the contents by `Arc` (no byte copy) frees `self` for
         // the charge; the chunk then moves once, into its destination.
         let data = Arc::clone(&f.data);
-        let start = (offset as usize).min(data.len());
+        let start = (*offset as usize).min(data.len());
         let n = (count as usize).min(data.len() - start);
         let chunk = &data[start..start + n];
         self.charge_io(n as u64);

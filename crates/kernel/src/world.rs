@@ -690,30 +690,15 @@ impl World {
                     }
                 }
                 WaitReason::ConnRead { cid, buf, len } => {
-                    if self.kernel.net.server_readable(cid) {
-                        // Peek-validate-consume: only dequeue the stream
-                        // bytes once the destination mapping accepted them.
-                        // An unmapped buffer returns EFAULT but leaves the
-                        // data queued for a later, correctly-mapped read.
-                        let queued = self.kernel.net.server_queued(cid);
-                        let mut tmp = vec![0u8; (len.min(1 << 20) as usize).min(queued)];
-                        let ret = match self.kernel.net.server_peek(cid, &mut tmp) {
-                            ReadOutcome::Data(n) => {
-                                use bastion_vm::MemIo;
-                                match self.procs[idx].machine.mem.write(buf, &tmp[..n]) {
-                                    Ok(()) => {
-                                        self.kernel.net.server_consume(cid, n);
-                                        n as u64
-                                    }
-                                    Err(_) => crate::errno::err(crate::errno::EFAULT),
-                                }
-                            }
-                            ReadOutcome::Eof => 0,
-                            ReadOutcome::WouldBlock => continue,
-                        };
-                        self.procs[idx].machine.complete_syscall(ret);
-                        self.procs[idx].state = ProcState::Runnable;
-                    }
+                    let mem = &mut self.procs[idx].machine.mem;
+                    let ret = match self.kernel.conn_read(mem, cid, buf, len) {
+                        Ok(ReadOutcome::Data(n)) => n as u64,
+                        Ok(ReadOutcome::Eof) => 0,
+                        Ok(ReadOutcome::WouldBlock) => continue,
+                        Err(_) => crate::errno::err(crate::errno::EFAULT),
+                    };
+                    self.procs[idx].machine.complete_syscall(ret);
+                    self.procs[idx].state = ProcState::Runnable;
                 }
                 WaitReason::Sleep { until } => {
                     if now >= until {
@@ -754,18 +739,28 @@ impl World {
         self.kernel.net.external_connect(port)
     }
 
+    /// [`World::net_connect`] for a client that only counts what the
+    /// server sends back: server writes on the connection are counted, not
+    /// copied, and [`World::net_recv_len`] takes the count
+    /// ([`crate::net::Net::external_connect_counting`]).
+    pub fn net_connect_counting(&mut self, port: u16) -> Option<ExtConnId> {
+        self.kernel.net.external_connect_counting(port)
+    }
+
     /// Sends client bytes on an external connection.
     pub fn net_send(&mut self, c: ExtConnId, bytes: &[u8]) {
         self.kernel.net.client_send(c, bytes);
     }
 
-    /// Drains server→client bytes from an external connection.
+    /// Drains server→client bytes from an external connection (nothing on
+    /// a count-only one, whose bytes were never kept).
     pub fn net_recv(&mut self, c: ExtConnId) -> Vec<u8> {
         self.kernel.net.client_recv(c)
     }
 
     /// Drains server→client bytes from an external connection and returns
-    /// only how many there were (a client that never reads them).
+    /// only how many there were (a client that never reads them; on a
+    /// count-only connection, takes the count).
     pub fn net_recv_len(&mut self, c: ExtConnId) -> usize {
         self.kernel.net.client_recv_len(c)
     }

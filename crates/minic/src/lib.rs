@@ -284,10 +284,11 @@ mod tests {
 
     /// `compile_program` lowers every unit with one lowerer; a fresh
     /// lowerer per unit over the same builder must give the same module.
-    /// The units reuse a struct name, reach each other's functions and
-    /// globals (typed `long` there: `cells() + 1` is not scaled), and name
-    /// string-literal globals (`__str_N`) that several units create, where
-    /// the one created last is visible.
+    /// The units reuse a struct name and reach each other's functions and
+    /// globals (typed `long` there: `cells() + 1` is not scaled). String
+    /// literals are numbered across units (`__str_N`), on both paths; a
+    /// user global that takes a literal's name is the one visible after
+    /// it.
     #[test]
     fn one_lowerer_over_many_units_matches_a_fresh_one_per_unit() {
         let a = r#"
@@ -313,7 +314,12 @@ mod tests {
         for src in [LIBC, a, b, c] {
             compile_unit(src, &mut mb).unwrap();
         }
-        assert_eq!(compile_program("multi", &[a, b, c]).unwrap(), mb.finish());
+        let m = compile_program("multi", &[a, b, c]).unwrap();
+        // `b`'s literal follows `a`'s three (`__str_0..=2`) instead of
+        // reusing `__str_0`.
+        let b0 = m.globals.iter().find(|g| g.name == "__str_3").unwrap();
+        assert_eq!(b0.init, bastion_ir::GlobalInit::Bytes(b"b0\0".to_vec()));
+        assert_eq!(m, mb.finish());
     }
 
     #[test]

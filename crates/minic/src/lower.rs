@@ -44,19 +44,32 @@ struct StructInfo<'s> {
 /// back from the module builder, string-literal globals).
 type Name<'s> = Cow<'s, str>;
 
+/// `N + 1` for a global named `__str_N`, the naming of string-literal
+/// globals: the lowest index a later literal may take.
+fn next_literal_index(name: &str) -> Option<usize> {
+    name.strip_prefix("__str_")?
+        .parse::<usize>()
+        .ok()?
+        .checked_add(1)
+}
+
 /// Unit-level lowering state.
 ///
 /// One lowerer can lower several units into the same module, in order:
 /// each unit then sees what the earlier ones defined exactly as a fresh
 /// [`Lowerer::new`] over the module would — every function and global by
 /// name, typed as an opaque `long` — while its structs and string
-/// literals stay private to it.
+/// literals stay private to it. String literals are numbered across the
+/// whole module (`__str_N`), so two units' literals never share a name.
 pub struct Lowerer<'mb, 's> {
     mb: &'mb mut ModuleBuilder,
     structs: FxHashMap<&'s str, StructInfo<'s>>,
     globals: FxHashMap<Name<'s>, (GlobalId, CType<'s>)>,
     funcs: FxHashMap<Name<'s>, (FuncId, CType<'s>, usize)>,
     strings: FxHashMap<Vec<u8>, GlobalId>,
+    /// One past the highest `N` of any global named `__str_N` in the
+    /// module: the next string literal's index, so that literals of
+    /// different units never share a name.
     next_str: usize,
     /// Globals the current unit created, in creation order, with their
     /// source name (`None` for string literals).
@@ -77,7 +90,11 @@ impl<'mb, 's> Lowerer<'mb, 's> {
             );
         }
         let mut globals = FxHashMap::default();
+        let mut next_str = 0;
         for (i, g) in mb.module().globals.iter().enumerate() {
+            if let Some(n) = next_literal_index(&g.name) {
+                next_str = next_str.max(n);
+            }
             // Pre-existing globals are visible as opaque longs/arrays.
             globals.insert(
                 Name::Owned(g.name.clone()),
@@ -90,7 +107,7 @@ impl<'mb, 's> Lowerer<'mb, 's> {
             globals,
             funcs,
             strings: FxHashMap::default(),
-            next_str: 0,
+            next_str,
             unit_globals: Vec::new(),
             unit_open: false,
         }
@@ -125,7 +142,6 @@ impl<'mb, 's> Lowerer<'mb, 's> {
         }
         self.structs.clear();
         self.strings.clear();
-        self.next_str = 0;
         for (name, gid) in std::mem::take(&mut self.unit_globals) {
             let name = match name {
                 Some(n) => Name::Borrowed(n),
@@ -147,6 +163,9 @@ impl<'mb, 's> Lowerer<'mb, 's> {
         ty: Ty,
         init: GlobalInit,
     ) -> GlobalId {
+        if let Some(n) = next_literal_index(&name) {
+            self.next_str = self.next_str.max(n);
+        }
         let gid = self.mb.global(name, ty, init);
         self.unit_globals.push((source, gid));
         gid
@@ -360,7 +379,6 @@ impl<'mb, 's> Lowerer<'mb, 's> {
             return g;
         }
         let name = format!("__str_{}", self.next_str);
-        self.next_str += 1;
         let mut bytes = Vec::with_capacity(s.len() + 1);
         bytes.extend_from_slice(s);
         bytes.push(0);

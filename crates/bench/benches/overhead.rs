@@ -1,7 +1,7 @@
 //! Criterion wall-clock benchmarks of the Figure 3 grid.
 //!
-//! The paper's tables come from deterministic virtual-time runs (the
-//! `fig3_table3` binary); this bench measures real simulator wall time per
+//! The paper's tables come from deterministic virtual-time runs
+//! (`bastion paper fig3`); this bench measures real simulator wall time per
 //! configuration so regressions in the reproduction itself are visible.
 
 use bastion::apps::{App, ALL_APPS};

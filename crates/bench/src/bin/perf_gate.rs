@@ -1,4 +1,4 @@
-//! Perf-regression gate (CI `obs-overhead-smoke` step).
+//! Perf-regression gate (the "Obs overhead smoke" CI step).
 //!
 //! Re-measures the hot paths the checked-in baselines pin down and diffs
 //! them through `bastion::gate`:

@@ -6,6 +6,7 @@
 //! bastion trace   <file.mc>...  [--protect MODE] [--cet] [--out=trace.json] [--capacity=N]
 //! bastion stats   <file.mc>...  [--protect MODE] [--cet] [--json]
 //! bastion attack  [id]
+//! bastion paper   <table1|fig3|table4|table5|table6|table7|ablations>
 //! bastion inspect <file.mc>...  (call-type classes + control-flow edges)
 //! ```
 
@@ -34,6 +35,7 @@ fn main() -> ExitCode {
         "attack" => cmd_attack(rest),
         "chaos" => cmd_chaos(rest),
         "fleet" => cmd_fleet(rest),
+        "paper" => cmd_paper(rest),
         "inspect" => cmd_inspect(rest),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
@@ -111,8 +113,12 @@ USAGE:
         Run the evaluation surfaces — chaos matrix, Table 6, app
         benchmarks — sharded over N worker threads (default: one per
         core). The report is byte-identical for any N. Exits nonzero on a
-        chaos failure (as `bastion chaos`) or a Table 6 mismatch;
-        `--only=table6 --jobs=1` is the Table 6 front end.
+        chaos failure (as `bastion chaos`) or a Table 6 mismatch.
+
+    bastion paper <table1|fig3|table4|table5|table6|table7|ablations>
+        Print one of the paper's evaluation tables or figures from a
+        deterministic virtual-time run (the blocks in EXPERIMENTS.md).
+        table6 exits nonzero on a row that does not match the paper.
 
     bastion inspect <file.mc>...
         Print call-type classes and control-flow edges for sensitive
@@ -766,20 +772,9 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     }
     if want("table6") {
         println!("== table 6 ==");
-        let results = fleet::table6_matrix(jobs);
-        print!("{}", bastion::attacks::render(&results));
-        let mismatched: Vec<String> = results
-            .iter()
-            .filter(|r| !r.matches_paper())
-            .map(|r| format!("#{}", r.id))
-            .collect();
-        if !mismatched.is_empty() {
-            failures.push(format!(
-                "{} scenario(s) diverged from Table 6 ({}; `bastion attack ID` shows why)",
-                mismatched.len(),
-                mismatched.join(", ")
-            ));
-        }
+        let (text, mismatch) = bastion::paper::table6(jobs);
+        print!("{text}");
+        failures.extend(mismatch);
         println!();
     }
     if want("bench") {
@@ -793,6 +788,22 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     } else {
         Err(failures.join("; "))
     }
+}
+
+/// `bastion paper <name>` — prints one paper artifact. Table 6 also
+/// fails on a row that does not match the paper.
+fn cmd_paper(args: &[String]) -> Result<(), String> {
+    use bastion::paper::{self, Artifact};
+    let [name] = args else {
+        return Err(format!("paper takes one artifact name\n{USAGE}"));
+    };
+    let artifact = Artifact::ALL
+        .into_iter()
+        .find(|a| a.name() == name)
+        .ok_or_else(|| format!("unknown paper artifact `{name}`\n{USAGE}"))?;
+    let (text, mismatch) = paper::render(artifact);
+    print!("{text}");
+    mismatch.map_or(Ok(()), Err)
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {

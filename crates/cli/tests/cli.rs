@@ -178,3 +178,26 @@ fn cet_flag_charges_the_shadow_stack() {
         "--cet {cet_cycles} vs plain {plain_cycles} cycles"
     );
 }
+
+/// `bastion paper <name>` prints exactly `paper::render`'s text, and takes one
+/// known artifact name and nothing else.
+#[test]
+fn paper_prints_one_artifact_and_takes_no_flags() {
+    use bastion::paper::{render, Artifact};
+    let out = bastion().args(["paper", "table1"]).output().unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        render(Artifact::Table1).0
+    );
+    for args in [
+        &["paper"][..],
+        &["paper", "all"],
+        &["paper", "table1", "--check"],
+        &["paper", "table1", "table5"],
+    ] {
+        let out = bastion().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}

@@ -19,6 +19,8 @@
 //! * [`fleet`] — deterministic parallel runner sharding the chaos matrix,
 //!   Table 6, and the benchmarks across OS threads with byte-identical
 //!   aggregate reports for any worker count;
+//! * [`paper`] — every evaluation table and figure of the paper as text,
+//!   the one front end behind `bastion paper <name>`;
 //! * [`serve`] — `bastiond`, the persistent supervisor multiplexing
 //!   hundreds of protected tenant worlds under a round-robin quantum
 //!   scheduler with live fleet-level telemetry;
@@ -54,6 +56,7 @@ pub mod chaos;
 pub mod fleet;
 pub mod gate;
 pub mod harness;
+pub mod paper;
 pub mod serve;
 
 pub use bastion_attacks::deploy::{Deployment, Error, Protection};

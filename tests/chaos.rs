@@ -184,8 +184,8 @@ fn benign_mix_chaos_never_panics_any_app() {
 
 /// One representative scenario per Table 6 section plus an AI-only data
 /// attack — the rows where a masked verification step would be most
-/// dangerous. The full 32-row matrix runs in `--ignored` mode and in
-/// `bastion chaos`.
+/// dangerous. The full 32-row matrix runs in
+/// `full_catalog_stays_contained_under_chaos` and in `bastion chaos`.
 const REPRESENTATIVE: &[u32] = &[1, 14, 19, 30];
 
 fn assert_catalog_contained(ids: &[u32], seeds: &[u64]) {
@@ -218,7 +218,6 @@ fn representative_attacks_stay_contained_under_chaos() {
 }
 
 #[test]
-#[ignore = "full 32-row chaos matrix; run explicitly or via the chaos bench bin"]
 fn full_catalog_stays_contained_under_chaos() {
     let ids: Vec<u32> = bastion_attacks::catalog().iter().map(|s| s.id).collect();
     assert_catalog_contained(&ids, &[0xA77C_0001, 0xA77C_0002]);

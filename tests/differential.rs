@@ -108,9 +108,7 @@ fn table6_representative_verdicts_identical() {
 }
 
 /// The full 32-scenario matrix on both engines.
-/// `cargo test --release --test differential -- --ignored`
 #[test]
-#[ignore = "full matrix is release-budget; run explicitly"]
 fn table6_full_matrix_identical() {
     let all: Vec<u32> = catalog().iter().map(|s| s.id).collect();
     assert_eq!(all.len(), 32);

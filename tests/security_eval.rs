@@ -1,6 +1,7 @@
-//! Table 6 integration: representative attacks from each section run in
-//! debug CI; the full 32-attack matrix runs under `--ignored` (it is part
-//! of `bastion fleet --only=table6 --jobs=1`).
+//! Table 6 integration: representative attacks from each section, each
+//! with its failure details. The full 32-attack matrix is
+//! `bastion paper table6`, and `tests/paper_artifacts.rs` holds its
+//! output, every row `match yes`, to the Table 6 block in EXPERIMENTS.md.
 
 use bastion::attacks::{catalog, evaluate};
 
@@ -73,22 +74,4 @@ fn coop_matches_table6() {
 #[test]
 fn control_jujutsu_matches_table6() {
     check(32);
-}
-
-/// The complete 32-row matrix (slow; release-mode recommended):
-/// `cargo test --release --test security_eval -- --ignored`
-#[test]
-#[ignore = "full matrix is slow in debug; run with --release -- --ignored"]
-fn full_table6_matrix_matches_paper() {
-    let results = bastion::attacks::evaluate_all();
-    let mismatches: Vec<_> = results.iter().filter(|r| !r.matches_paper()).collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} mismatches: {:#?}",
-        mismatches.len(),
-        mismatches
-            .iter()
-            .map(|r| (&r.name, &r.details))
-            .collect::<Vec<_>>()
-    );
 }

@@ -1,6 +1,7 @@
 //! Interpreter dispatch throughput: predecoded fast path vs the legacy
-//! tree-walking oracle, on a call-heavy arithmetic loop; and the guest
-//! memory paths under it (`mem_access`).
+//! tree-walking oracle, on a call-heavy arithmetic loop; the guest
+//! memory paths under it (`mem_access`); and a file `read` into guest
+//! memory (`file_read`).
 
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{BinOp, CmpOp, Operand, Ty};
@@ -113,5 +114,50 @@ fn bench_mem_access(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_interp_throughput, bench_mem_access);
+/// The FTP server's download loop at the kernel: 32 KiB `read`s of the
+/// 16 MiB download fixture into a buffer at guest page offset 3480, where
+/// ftpd's `chunk` buffer sits. One iteration is one read; at end of file
+/// the next iteration rewinds.
+fn bench_file_read(c: &mut Criterion) {
+    use bastion::apps::ftpd;
+    use bastion::ir::sysno;
+    use bastion::kernel::process::FdTable;
+    use bastion::kernel::syscall::{Kernel, OfdKind, SysOutcome};
+    use bastion::kernel::Process;
+
+    const CHUNK: u64 = 32 * 1024;
+    let buf = BASE + 3480;
+    let mut kernel = Kernel::new(CostModel::default());
+    kernel.vfs.put_file(ftpd::FILE_PATH, ftpd::payload(), 0o644);
+    let (i, o, e) = kernel.stdio();
+    let mut p = Process::new(
+        1,
+        Machine::new(microloop(), CostModel::default()),
+        FdTable::with_stdio(i, o, e),
+    );
+    p.machine.mem.map_region(BASE, CHUNK + PAGE);
+    let fd = p.fds.alloc(kernel.alloc_ofd(OfdKind::File {
+        path: ftpd::FILE_PATH.into(),
+        offset: 0,
+        writable: false,
+    })) as u64;
+    let mut group = c.benchmark_group("file_read");
+    group.bench_function("ftpd_fixture_32k_at_3480", |b| {
+        b.iter(|| {
+            let read = kernel.dispatch(&mut p, sysno::READ, [fd, buf, CHUNK, 0, 0, 0], 0);
+            if read == SysOutcome::Done(0) {
+                kernel.dispatch(&mut p, sysno::LSEEK, [fd, 0, 0, 0, 0, 0], 0);
+            }
+            read
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_interp_throughput,
+    bench_mem_access,
+    bench_file_read
+);
 criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! `bastion` — the reproduction's command-line front door.
 //!
 //! ```text
-//! bastion compile <file.mc>...  [--metadata out.json] [--ir] [--stats]
-//! bastion run     <file.mc>...  [--protect full|ct|ct-cf|hook|none] [--cet] [--verbose] [--stats]
-//! bastion trace   <file.mc>...  [--protect MODE] [--cet] [--out=trace.json] [--capacity=N]
-//! bastion stats   <file.mc>...  [--protect MODE] [--cet] [--json]
+//! bastion compile <file.mc>...  [--metadata=out.json] [--ir] [--stats]
+//! bastion run     <file.mc>...  [--protect=full|ct|ct-cf|hook|none] [--cet] [--verbose] [--stats]
+//! bastion trace   <file.mc>...  [--protect=MODE] [--cet] [--out=trace.json] [--capacity=N]
+//! bastion stats   <file.mc>...  [--protect=MODE] [--cet] [--json]
 //! bastion attack  [id]
 //! bastion paper   <table1|fig3|table4|table5|table6|table7|ablations>
 //! bastion inspect <file.mc>...  (call-type classes + control-flow edges)
@@ -56,11 +56,11 @@ const USAGE: &str = "\
 bastion — System Call Integrity (BASTION reproduction)
 
 USAGE:
-    bastion compile <file.mc>... [--metadata OUT.json] [--ir] [--stats]
+    bastion compile <file.mc>... [--metadata=OUT.json] [--ir] [--stats]
         Compile MiniC sources under the BASTION pass; optionally dump the
         context metadata, the instrumented IR, or Table 5-style statistics.
 
-    bastion run <file.mc>... [--protect MODE] [--cet] [--verbose] [--stats]
+    bastion run <file.mc>... [--protect=MODE] [--cet] [--verbose] [--stats]
         Compile and execute in the simulated world. MODE is one of
         full (default), ct, ct-cf, hook, none. --stats prints the full
         monitor statistics; --verbose streams structured deny records as
@@ -69,11 +69,11 @@ USAGE:
         (disables the tier-1 seccomp-time check program) — the
         differential oracle for prefilter parity.
 
-    bastion trace <file.mc>... [--protect MODE] [--cet] [--out=trace.json] [--capacity=N]
+    bastion trace <file.mc>... [--protect=MODE] [--cet] [--out=trace.json] [--capacity=N]
         Run with span tracing enabled and export a Chrome trace_event
         JSON document (open at chrome://tracing or in Perfetto).
 
-    bastion stats <file.mc>... [--protect MODE] [--cet] [--json] [--prom]
+    bastion stats <file.mc>... [--protect=MODE] [--cet] [--json] [--prom]
         Run with telemetry enabled and print the monitor statistics and
         the metrics registry (--json dumps the metrics as JSON, --prom as
         Prometheus text exposition).
@@ -135,17 +135,54 @@ fn read_sources(paths: &[&str]) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn split_flags(args: &[String]) -> (Vec<&str>, Vec<&str>) {
+/// Splits a command's arguments into positional arguments and `--` flags.
+/// `accepted` names the command's flags: `name=` for a flag that takes a
+/// value (`--name=VALUE`), `name` for a switch. Any other flag, a value on
+/// a switch or a value flag without one is an error.
+fn split_flags<'a>(
+    cmd: &str,
+    args: &'a [String],
+    accepted: &[&str],
+) -> Result<(Vec<&'a str>, Vec<&'a str>), String> {
     let mut files = Vec::new();
     let mut flags = Vec::new();
     for a in args {
-        if a.starts_with("--") {
-            flags.push(a.as_str());
-        } else {
+        let Some(flag) = a.strip_prefix("--") else {
             files.push(a.as_str());
+            continue;
+        };
+        let known = match flag.split_once('=') {
+            Some((name, _)) => accepted.contains(&format!("{name}=").as_str()),
+            None => accepted.contains(&flag),
+        };
+        if !known {
+            let hint = if accepted.contains(&format!("{flag}=").as_str()) {
+                format!(" (write --{flag}=VALUE)")
+            } else {
+                String::new()
+            };
+            return Err(format!(
+                "unknown flag `{a}` for `bastion {cmd}`{hint}\n{USAGE}"
+            ));
         }
+        flags.push(a.as_str());
     }
-    (files, flags)
+    Ok((files, flags))
+}
+
+/// [`split_flags`] for a command that takes no positional arguments.
+fn flags_only<'a>(
+    cmd: &str,
+    args: &'a [String],
+    accepted: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let (rest, flags) = split_flags(cmd, args, accepted)?;
+    match rest.first() {
+        Some(arg) => Err(format!(
+            "unexpected argument `{arg}`: `bastion {cmd}` takes only flags\n{USAGE}"
+        )),
+        None => Ok(flags),
+    }
 }
 
 fn flag_value<'a>(flags: &[&'a str], name: &str) -> Option<&'a str> {
@@ -164,7 +201,7 @@ fn compile(paths: &[&str]) -> Result<bastion::compiler::CompileOutput, String> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_flags(args);
+    let (files, flags) = split_flags("compile", args, &["metadata=", "ir", "stats"])?;
     let out = compile(&files)?;
     if flags.contains(&"--ir") {
         println!("{}", bastion::ir::printer::print_module(&out.module));
@@ -200,7 +237,11 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--protect MODE`, `--no-prefilter` and `--cet` into the run's
+/// The flags [`parse_protection`] reads, accepted by every command that
+/// runs a program.
+const PROTECTION_FLAGS: [&str; 3] = ["protect=", "no-prefilter", "cet"];
+
+/// Parses `--protect=MODE`, `--no-prefilter` and `--cet` into the run's
 /// protection.
 fn parse_protection(flags: &[&str]) -> Result<Protection, String> {
     let (label, mut monitor) = match flag_value(flags, "protect").unwrap_or("full") {
@@ -355,7 +396,8 @@ fn print_monitor_stats(stats: &bastion::monitor::MonitorStats) {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_flags(args);
+    let accepted = [&PROTECTION_FLAGS[..], &["verbose", "stats"]].concat();
+    let (files, flags) = split_flags("run", args, &accepted)?;
     let verbose = flags.contains(&"--verbose");
     let want_stats = flags.contains(&"--stats");
     if verbose {
@@ -396,7 +438,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_flags(args);
+    let accepted = [&PROTECTION_FLAGS[..], &["out=", "capacity="]].concat();
+    let (files, flags) = split_flags("trace", args, &accepted)?;
     let capacity = match flag_value(&flags, "capacity") {
         Some(v) => v
             .parse::<usize>()
@@ -431,7 +474,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_flags(args);
+    let accepted = [&PROTECTION_FLAGS[..], &["json", "prom"]].concat();
+    let (files, flags) = split_flags("stats", args, &accepted)?;
     let guard = bastion::obs::TelemetryGuard::enable(1 << 16);
     let result = execute(&files, &flags);
     let metrics = guard.finish().1.snapshot();
@@ -577,7 +621,7 @@ fn render_top(lanes: &[TopLane], round: u64, rounds: u64) -> String {
 fn cmd_top(args: &[String]) -> Result<(), String> {
     use bastion::apps::App;
     use std::io::IsTerminal as _;
-    let (_files, flags) = split_flags(args);
+    let flags = flags_only("top", args, &["rounds=", "batch=", "jsonl="])?;
     let rounds: u64 = flag_value(&flags, "rounds")
         .map_or(Ok(6), str::parse)
         .map_err(|e| format!("--rounds: {e}"))?;
@@ -628,8 +672,18 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_attack(args: &[String]) -> Result<(), String> {
-    let id: Option<u32> = args.first().and_then(|a| a.parse().ok());
+    let id: Option<u32> = match &split_flags("attack", args, &[])?.0[..] {
+        [] => None,
+        [id] => Some(
+            id.parse()
+                .map_err(|_| format!("attack id `{id}`: not a number"))?,
+        ),
+        _ => return Err(format!("attack takes at most one scenario id\n{USAGE}")),
+    };
     let catalog = bastion::attacks::catalog();
+    if let Some(id) = id.filter(|id| catalog.iter().all(|s| s.id != *id)) {
+        return Err(format!("no attack scenario #{id}"));
+    }
     let mut all_ok = true;
     for s in &catalog {
         if let Some(id) = id {
@@ -665,7 +719,21 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::io::Write as _;
 
-    let (_, flags) = split_flags(args);
+    let flags = flags_only(
+        "serve",
+        args,
+        &[
+            "tenants=",
+            "seed=",
+            "requests=",
+            "quantum=",
+            "capacity=",
+            "jobs=",
+            "json=",
+            "jsonl=",
+            "prom",
+        ],
+    )?;
     let num = |name: &str, default: u64| -> Result<u64, String> {
         match flag_value(&flags, name) {
             Some(v) => v
@@ -734,7 +802,7 @@ fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
 
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
     use bastion::fleet;
-    let (_, flags) = split_flags(args);
+    let flags = flags_only("chaos", args, &["jobs=", "cold"])?;
     let jobs = match flag_value(&flags, "jobs") {
         Some(v) => v
             .parse::<usize>()
@@ -751,9 +819,12 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The sections of `bastion fleet`, in the order it runs them.
+const FLEET_SECTIONS: [&str; 3] = ["chaos", "table6", "bench"];
+
 fn cmd_fleet(args: &[String]) -> Result<(), String> {
     use bastion::fleet;
-    let (_, flags) = split_flags(args);
+    let flags = flags_only("fleet", args, &["jobs=", "only=", "cold"])?;
     let jobs = match flag_value(&flags, "jobs") {
         Some(v) => v
             .parse::<usize>()
@@ -762,6 +833,12 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     };
     let cold = flags.contains(&"--cold");
     let only = flag_value(&flags, "only");
+    if let Some(o) = only.filter(|o| !FLEET_SECTIONS.contains(o)) {
+        return Err(format!(
+            "unknown --only section `{o}`: one of {}",
+            FLEET_SECTIONS.join(", ")
+        ));
+    }
     let want = |section: &str| only.is_none_or(|o| o == section);
     let mut failures: Vec<String> = Vec::new();
 
@@ -807,7 +884,7 @@ fn cmd_paper(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let (files, _) = split_flags(args);
+    let (files, _) = split_flags("inspect", args, &[])?;
     let out = compile(&files)?;
     let md = &out.metadata;
     println!("call-type classes:");

@@ -201,3 +201,47 @@ fn paper_prints_one_artifact_and_takes_no_flags() {
         assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
+
+/// Every command names the flags it takes: an unknown flag, a mistyped
+/// `--only` section, a switch given a value, a value flag given none, or a
+/// stray argument fails before any work, with nothing on stdout.
+#[test]
+fn unknown_flags_and_values_are_rejected() {
+    let src = write_demo();
+    let src = src.to_str().unwrap();
+    for (args, want) in [
+        (
+            &["fleet", "--only=tabel6", "--jobs=1"][..],
+            "unknown --only section `tabel6`",
+        ),
+        (
+            &["chaos", "--jobs=1", "--bogus"],
+            "unknown flag `--bogus` for `bastion chaos`",
+        ),
+        (&["serve", "--help"], "unknown flag `--help`"),
+        (
+            &["run", src, "--protect", "ct"],
+            "unknown flag `--protect` for `bastion run` (write --protect=VALUE)",
+        ),
+        (&["run", src, "--cet=1"], "unknown flag `--cet=1`"),
+        (&["stats", src, "--verbose"], "unknown flag `--verbose`"),
+        (
+            &["inspect", src, "--ir"],
+            "unknown flag `--ir` for `bastion inspect`",
+        ),
+        (&["top", "6"], "unexpected argument `6`"),
+        (&["attack", "99"], "no attack scenario #99"),
+    ] {
+        let out = bastion().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    // The flags each command names still run.
+    let out = bastion()
+        .args(["run", src, "--protect=ct", "--cet", "--no-prefilter"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+}

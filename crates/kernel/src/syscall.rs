@@ -451,9 +451,13 @@ impl Kernel {
                 };
                 let start = (*offset as usize).min(f.data.len());
                 let n = (len as usize).min(f.data.len() - start);
-                if p.machine.mem.write(buf, &f.data[start..start + n]).is_err() {
+                let mem = &mut p.machine.mem;
+                if !mem.is_mapped(buf, n as u64) {
                     return SysOutcome::Done(err(errno::EFAULT));
                 }
+                // Whole guest pages become views of the file's bytes;
+                // only the partial pages at either end are copied.
+                mem.write_file_unchecked(buf, &f.data, start, n);
                 *offset += n as u64;
                 n
             }

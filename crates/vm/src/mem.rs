@@ -53,10 +53,19 @@ type PageBytes = [u8; PAGE_SIZE as usize];
 /// ones right before a clone that is meant to share them (a snapshot or a
 /// fork child); the first store to a shared page copies it back into an
 /// owned one (copy-on-write). Only that break pays for reference counting.
+///
+/// A `File` page is a read-only view of the 4 KiB at byte offset `.1` of a
+/// file's contents, installed by [`Memory::write_file_unchecked`] (a file
+/// `read` that covers the whole page) instead of a copy. It reads like the
+/// copy would; the first store copies it into an owned page, and
+/// `share_pages` copies it into a shared one, so page accounting sees
+/// exactly what the copy would have made. The offset is a `u32` so that
+/// `Page` stays 16 bytes; a view past 4 GiB is copied instead.
 #[derive(Debug, Clone)]
 enum Page {
     Own(Box<PageBytes>),
     Shared(Arc<PageBytes>),
+    File(Arc<Vec<u8>>, u32),
 }
 
 impl Page {
@@ -65,17 +74,23 @@ impl Page {
         match self {
             Page::Own(b) => b,
             Page::Shared(a) => a,
+            Page::File(data, at) => {
+                let at = *at as usize;
+                data[at..at + PAGE_SIZE as usize]
+                    .try_into()
+                    .expect("a file view spans one page")
+            }
         }
     }
 
     #[inline]
     fn bytes_mut(&mut self) -> &mut PageBytes {
-        if let Page::Shared(a) = self {
-            *self = Page::Own(Box::new(**a));
+        if !matches!(self, Page::Own(_)) {
+            *self = Page::Own(Box::new(*self.bytes()));
         }
         match self {
             Page::Own(b) => b,
-            Page::Shared(_) => unreachable!("shared page was just made private"),
+            _ => unreachable!("the page was just made private"),
         }
     }
 }
@@ -189,8 +204,9 @@ pub trait MemIo {
 
 /// The sparse paged address space of one process.
 ///
-/// `Clone` deep-copies owned pages and shares shared ones; call
-/// [`Memory::share_pages`] first when the clone should share everything.
+/// `Clone` deep-copies owned pages and shares shared ones and file
+/// views; call [`Memory::share_pages`] first when the clone should share
+/// everything.
 /// A clone keeps the TLB, whose slot numbers carry over with the pages.
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -338,7 +354,8 @@ impl Memory {
 
     /// Number of resident pages whose backing store is shared with at least
     /// one other `Memory` (a live snapshot or fork sibling) and would be
-    /// copied on the next write.
+    /// copied on the next write. File views do not count, as the copies
+    /// they stand for would not.
     pub fn shared_pages(&self) -> u64 {
         self.slots
             .iter()
@@ -346,13 +363,13 @@ impl Memory {
             .count() as u64
     }
 
-    /// Makes every owned page shareable, so that the next `clone` shares
-    /// all pages with this `Memory` instead of copying the owned ones.
-    /// Slots keep their numbers, so the TLB stays valid.
+    /// Makes every owned page (and every file view) shareable, so that the
+    /// next `clone` shares all pages with this `Memory` instead of copying
+    /// the owned ones. Slots keep their numbers, so the TLB stays valid.
     pub fn share_pages(&mut self) {
         for (_, p) in &mut self.slots {
-            if let Page::Own(b) = p {
-                *p = Page::Shared(Arc::new(**b));
+            if !matches!(p, Page::Shared(_)) {
+                *p = Page::Shared(Arc::new(*p.bytes()));
             }
         }
     }
@@ -425,29 +442,32 @@ impl Memory {
         self.slot(page).map(|s| self.slots[s].1.bytes())
     }
 
-    /// A page's bytes for writing: allocates an absent page (updating its
-    /// TLB entry, if any) and copies a shared one.
+    /// A page's bytes for writing: allocates an absent page and copies a
+    /// shared one or a file view.
     #[inline]
     fn page_mut(&mut self, page: u64) -> &mut PageBytes {
         let slot = match self.slot(page) {
             Some(s) => s,
-            None => {
-                let s = self.slots.len();
-                self.slots
-                    .push((page, Page::Own(Box::new([0u8; PAGE_SIZE as usize]))));
-                self.index.insert(page, s as u32);
-                let entry = &self.tlb[page as usize % TLB_SIZE];
-                let e = entry.get();
-                if e.tag == page {
-                    entry.set(TlbEntry {
-                        slot: s as u32,
-                        ..e
-                    });
-                }
-                s
-            }
+            None => self.insert_page(page, Page::Own(Box::new([0u8; PAGE_SIZE as usize]))),
         };
         self.slots[slot].1.bytes_mut()
+    }
+
+    /// Adds `p` as the backing page of the absent `page` and returns its
+    /// slot, updating the page's TLB entry, if any.
+    fn insert_page(&mut self, page: u64, p: Page) -> usize {
+        let s = self.slots.len();
+        self.slots.push((page, p));
+        self.index.insert(page, s as u32);
+        let entry = &self.tlb[page as usize % TLB_SIZE];
+        let e = entry.get();
+        if e.tag == page {
+            entry.set(TlbEntry {
+                slot: s as u32,
+                ..e
+            });
+        }
+        s
     }
 
     /// Raw read that ignores the region map (used by the attack framework's
@@ -498,6 +518,44 @@ impl Memory {
         }
     }
 
+    /// Writes `file[start..start + len]` at `addr` like
+    /// [`Memory::write_unchecked`], except that a destination page the
+    /// range covers whole becomes a read-only view of the file's bytes
+    /// (one `Arc` clone) instead of a copy; the partial pages at either end
+    /// are copied. Ignores the region map, so a caller that must fault
+    /// checks [`Memory::is_mapped`] first.
+    ///
+    /// # Panics
+    /// If `start + len` exceeds the file's length.
+    pub fn write_file_unchecked(
+        &mut self,
+        addr: u64,
+        file: &Arc<Vec<u8>>,
+        start: usize,
+        len: usize,
+    ) {
+        let mut done = 0usize;
+        while done < len {
+            let a = addr.wrapping_add(done as u64);
+            let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
+            let n = (len - done).min(PAGE_SIZE as usize - off);
+            let src = &file[start + done..start + done + n];
+            match u32::try_from(start + done) {
+                Ok(at) if n == PAGE_SIZE as usize => {
+                    let view = Page::File(Arc::clone(file), at);
+                    match self.slot(page) {
+                        Some(s) => self.slots[s].1 = view,
+                        None => {
+                            self.insert_page(page, view);
+                        }
+                    }
+                }
+                _ => self.page_mut(page)[off..off + n].copy_from_slice(src),
+            }
+            done += n;
+        }
+    }
+
     /// Reads one byte: one TLB probe on a hit.
     ///
     /// # Errors
@@ -543,7 +601,7 @@ impl Memory {
     fn hit_page_mut(&mut self, e: TlbEntry) -> Option<&mut PageBytes> {
         match &mut self.slots.get_mut(e.slot as usize)?.1 {
             Page::Own(p) => Some(p),
-            Page::Shared(_) => None,
+            Page::Shared(_) | Page::File(..) => None,
         }
     }
 
@@ -557,9 +615,9 @@ impl Memory {
         Ok(())
     }
 
-    /// A store that missed the TLB or found the page absent or shared: the
-    /// region check, page allocation and copy-on-write break of
-    /// [`MemIo::write`], then a TLB fill for the page at `addr`.
+    /// A store that missed the TLB or found the page absent, shared or a
+    /// file view: the region check, page allocation and copy-on-write
+    /// break of [`MemIo::write`], then a TLB fill for the page at `addr`.
     #[cold]
     #[inline(never)]
     fn write_miss(&mut self, addr: u64, buf: &[u8]) -> Result<(), OutOfBounds> {
@@ -953,5 +1011,141 @@ mod tests {
         assert_eq!(m.read_u64(0x1000), Ok(2));
         assert_eq!(snap.read_u64(0x1000), Ok(1));
         assert_eq!(snap.shared_pages(), 0);
+    }
+
+    /// A file whose bytes are never zero, so no page of it prunes.
+    fn file(len: usize) -> Arc<Vec<u8>> {
+        Arc::new((0..len).map(|i| (i * 31 % 251) as u8 + 1).collect())
+    }
+
+    /// Pages of `m` that are file views.
+    fn file_views(m: &Memory) -> usize {
+        m.slots
+            .iter()
+            .filter(|(_, p)| matches!(p, Page::File(..)))
+            .count()
+    }
+
+    /// Two memories holding `file[start..start + len]` at `addr`: one
+    /// through file views, one through the copy path.
+    fn view_and_copy(file: &Arc<Vec<u8>>, addr: u64, start: usize, len: usize) -> (Memory, Memory) {
+        let (mut view, mut copy) = (Memory::new(), Memory::new());
+        for m in [&mut view, &mut copy] {
+            m.map_region(addr & !(PAGE_SIZE - 1), 6 * PAGE_SIZE);
+        }
+        view.write_file_unchecked(addr, file, start, len);
+        copy.write_unchecked(addr, &file[start..start + len]);
+        (view, copy)
+    }
+
+    #[test]
+    fn page_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Page>(), 16);
+    }
+
+    #[test]
+    fn file_views_read_like_the_copy_path() {
+        let f = file(8 * PAGE_SIZE as usize);
+        let base = 0x10_0000u64;
+        for off in [0u64, 1, 3480, 4095] {
+            for start in [0usize, 7, 3 * PAGE_SIZE as usize + 13] {
+                let len = 4 * PAGE_SIZE as usize - 200;
+                let addr = base + off;
+                let (view, copy) = view_and_copy(&f, addr, start, len);
+                let whole = (addr + len as u64) / PAGE_SIZE - addr.div_ceil(PAGE_SIZE);
+                assert_eq!(file_views(&view) as u64, whole, "off {off} start {start}");
+                assert_eq!(view.resident_pages(), copy.resident_pages());
+                let end = base + 6 * PAGE_SIZE;
+                for a in base..end {
+                    assert_eq!(view.read_u8(a), copy.read_u8(a), "read_u8 {a:#x}");
+                }
+                for page in 1..6 {
+                    for a in (base + page * PAGE_SIZE - 8)..=(base + page * PAGE_SIZE) {
+                        assert_eq!(view.read_u64(a), copy.read_u64(a), "read_u64 {a:#x}");
+                    }
+                }
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                view.read_unchecked_into(addr, len, &mut got);
+                copy.read_unchecked_into(addr, len, &mut want);
+                assert_eq!(got, want);
+                assert_eq!(&got[..], &f[start..start + len]);
+                let mut got = vec![0u8; (end - base) as usize];
+                let mut want = got.clone();
+                view.read(base, &mut got).unwrap();
+                copy.read(base, &mut want).unwrap();
+                assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_into_a_file_view_copies_only_that_page() {
+        let f = file(4 * PAGE_SIZE as usize);
+        let before = f.to_vec();
+        let mut m = Memory::new();
+        m.map_region(0x1000, 3 * PAGE_SIZE);
+        m.write_file_unchecked(0x1000, &f, 0, 3 * PAGE_SIZE as usize);
+        assert_eq!(
+            m.read_u64(0x2000),
+            Ok(u64::from_le_bytes(f[0x1000..0x1008].try_into().unwrap()))
+        );
+        m.write_u8(0x2001, 0).unwrap();
+        assert_eq!(file_views(&m), 2);
+        assert_eq!(m.read_u8(0x2001), Ok(0));
+        assert_eq!(m.read_u8(0x2000), Ok(f[0x1000]));
+        m.write_u64(0x1ff8, 7).unwrap(); // the last 8 bytes of page 1
+        assert_eq!(file_views(&m), 1);
+        assert_eq!(m.read_u64(0x1ff8), Ok(7));
+        assert_eq!(m.read_u8(0x3000), Ok(f[0x2000]));
+        assert_eq!(*f, before, "the file's bytes are untouched");
+        assert_eq!(Arc::strong_count(&f), 2, "one view left");
+    }
+
+    #[test]
+    fn share_pages_accounts_file_views_like_copies() {
+        let f = file(8 * PAGE_SIZE as usize);
+        let (mut view, mut copy) = view_and_copy(&f, 0x10_0000 + 3480, 7, 5 * PAGE_SIZE as usize);
+        assert_eq!((view.shared_pages(), copy.shared_pages()), (0, 0));
+        view.share_pages();
+        copy.share_pages();
+        assert_eq!(file_views(&view), 0);
+        let (view2, copy2) = (view.clone(), copy.clone());
+        assert_eq!(view.shared_pages(), copy.shared_pages());
+        assert_eq!(view.resident_pages(), copy.resident_pages());
+        assert_eq!(view2.shared_pages(), copy2.shared_pages());
+        assert_eq!(view2.resident_pages(), copy2.resident_pages());
+        assert_eq!(view.shared_pages(), 6);
+        assert_eq!(Arc::strong_count(&f), 1, "shared pages hold copies");
+    }
+
+    #[test]
+    fn prune_and_unmap_work_over_file_views() {
+        // Page 1 of the file is all zeros, so its view prunes as a copy of
+        // it would.
+        let mut bytes = file(4 * PAGE_SIZE as usize).to_vec();
+        bytes[PAGE_SIZE as usize..2 * PAGE_SIZE as usize].fill(0);
+        let f = Arc::new(bytes);
+        let (mut view, mut copy) = view_and_copy(&f, 0x10_0000, 0, 4 * PAGE_SIZE as usize);
+        assert_eq!(file_views(&view), 4);
+        assert_eq!(view.prune_zero_pages(), copy.prune_zero_pages());
+        assert_eq!(view.resident_pages(), 3);
+        // Unmap half of page 2 and all of page 3, then map them back.
+        for m in [&mut view, &mut copy] {
+            m.unmap_region(0x10_2800, 0x1800);
+            m.map_region(0x10_2800, 0x1800);
+        }
+        assert_eq!(view.resident_pages(), copy.resident_pages());
+        assert_eq!(file_views(&view), 1, "page 0 is still a view");
+        let (mut got, mut want) = (vec![0u8; 0x4000], vec![0u8; 0x4000]);
+        view.read(0x10_0000, &mut got).unwrap();
+        copy.read(0x10_0000, &mut want).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(&got[0x2000..0x2800], &f[0x2000..0x2800]);
+        assert!(got[0x2800..].iter().all(|&b| b == 0));
+        assert_eq!(
+            f[0x2800],
+            (0x2800 * 31 % 251) as u8 + 1,
+            "the file is untouched"
+        );
     }
 }

@@ -3,11 +3,13 @@
 //! and a mapped flag per byte), which must agree on every value and every
 //! `OutOfBounds` fault. Snapshot-style (`share_pages` + `clone`) and plain
 //! clones join the run as further instances, so writes on either side of a
-//! clone must stay invisible to the other.
+//! clone must stay invisible to the other. File reads
+//! (`write_file_unchecked`, which installs file views) join as well.
 
 use bastion_vm::mem::PAGE_SIZE;
 use bastion_vm::{MemIo, Memory, OutOfBounds};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 /// First page of the window the operations address.
 const BASE: u64 = 16 * PAGE_SIZE;
@@ -21,6 +23,16 @@ const MAX_INSTANCES: usize = 3;
 /// reaches.
 const LO: u64 = BASE - 2 * PAGE_SIZE;
 const HI: u64 = BASE + (PAGES + 4) * PAGE_SIZE;
+
+/// Length of the file that file reads copy from.
+const FILE_LEN: u64 = 4 * PAGE_SIZE;
+
+/// The file that file reads copy from: one per process, as a VFS
+/// fixture is.
+fn file() -> &'static Arc<Vec<u8>> {
+    static FILE: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    FILE.get_or_init(|| Arc::new((0..FILE_LEN).map(|i| (i * 31 % 251) as u8 + 1).collect()))
+}
 
 /// The flat model: every byte's value and whether it is mapped.
 #[derive(Clone)]
@@ -118,7 +130,7 @@ impl Draw {
 fn apply(mems: &mut Vec<(Memory, Model)>, word: u64) {
     let mut d = Draw(word);
     let i = d.take(mems.len() as u64) as usize;
-    let op = d.take(14);
+    let op = d.take(15);
     let value = d.0;
     let (m, model) = &mut mems[i];
     match op {
@@ -199,6 +211,17 @@ fn apply(mems: &mut Vec<(Memory, Model)>, word: u64) {
         12 => {
             let (a, len) = (d.addr(), d.take(2 * PAGE_SIZE));
             assert_eq!(m.is_mapped(a, len), model.check(a, len, false).is_ok());
+        }
+        13 => {
+            // A file `read`: checked like `sys_read`, then whole pages
+            // become views of the file.
+            let (a, len) = (d.addr(), d.take(3 * PAGE_SIZE));
+            let start = d.take(FILE_LEN - len + 1);
+            let src = &file()[start as usize..(start + len) as usize];
+            if model.write(a, src).is_ok() {
+                assert!(m.is_mapped(a, len), "file read {a:#x}+{len}");
+                m.write_file_unchecked(a, file(), start as usize, len as usize);
+            }
         }
         _ => {
             // A snapshot (pages shared) or a plain deep copy.

@@ -107,7 +107,7 @@ fn fmt_metric(app: App, metric: f64) -> String {
     match app {
         App::Webserve => format!("{metric:9.2} MB/s"),
         App::Dbkv => format!("{metric:11.2} NOTPM"),
-        App::Ftpd => format!("{metric:8.3} sec"),
+        App::Ftpd => format!("{metric:10.6} sec"),
     }
 }
 

@@ -20,6 +20,9 @@
 //!   exit reasons distinguishing seccomp kills from monitor kills;
 //! * [`syscall`] — the dispatcher implementing ~40 Linux x86-64 syscalls
 //!   over the above, with per-number invocation counters (Table 4);
+//! * `trap` — the trap pipeline every syscall entry runs: seccomp, the
+//!   tier-1 prefilter, the tier-2 monitor stop, then one record that the
+//!   span, sketches and flight recorder are written from;
 //! * [`world`] — the deterministic round-robin scheduler tying machines,
 //!   kernel, seccomp, and tracer together, and accounting global virtual
 //!   time.
@@ -32,6 +35,7 @@ pub mod process;
 pub mod seccomp;
 pub mod syscall;
 pub mod trace;
+mod trap;
 pub mod world;
 
 pub use faults::{

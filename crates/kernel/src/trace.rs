@@ -99,13 +99,7 @@ impl<'a> Tracee<'a> {
     /// injected faults.
     pub fn getregs(&mut self) -> Regs {
         *self.charge += self.machine.cost.ptrace_getregs;
-        Regs {
-            nr: self.machine.trap_nr,
-            args: self.machine.trap_args,
-            rip: self.machine.trap_pc,
-            sp: self.machine.sp,
-            fp: self.machine.fp,
-        }
+        self.kernel_regs()
     }
 
     /// `PTRACE_GETREGS` as the monitor calls it: same snapshot and charge
@@ -233,9 +227,16 @@ impl<'a> Tracee<'a> {
             Some(FaultAction::Stall { cycles }) => *self.charge += cycles,
             _ => {}
         }
-        // The copy may still race with an unmap between the length probe
-        // and the transfer: shrink (strictly, so this terminates) until a
-        // whole prefix reads cleanly.
+        Ok(self.read_prefix(addr, &mut buf[..n]))
+    }
+
+    /// Fills the longest prefix of `buf` that reads cleanly from `addr` and
+    /// returns its length. The copy may race with an unmap after the
+    /// caller's length probe, so the length shrinks (strictly, so this
+    /// terminates) until a whole prefix reads. Uncharged: each caller
+    /// charges its own read.
+    fn read_prefix(&self, addr: u64, buf: &mut [u8]) -> usize {
+        let mut n = buf.len();
         while n > 0 {
             if self.machine.mem.read(addr, &mut buf[..n]).is_ok() {
                 break;
@@ -243,7 +244,7 @@ impl<'a> Tracee<'a> {
             let again = self.machine.mem.mapped_prefix_len(addr, n as u64) as usize;
             n = if again < n { again } else { n - 1 };
         }
-        Ok(n)
+        n
     }
 
     /// The shadow-region base of the tracee (learned at launch, like the
@@ -317,17 +318,8 @@ impl<'a> Tracee<'a> {
     /// the call is infallible.
     pub fn kernel_read_mem_prefix(&mut self, addr: u64, buf: &mut [u8]) -> usize {
         *self.charge += self.machine.cost.prefilter_read;
-        let mut n = self.machine.mem.mapped_prefix_len(addr, buf.len() as u64) as usize;
-        // Shrink (strictly, so this terminates) until a whole prefix
-        // reads cleanly, mirroring read_mem_prefix's race handling.
-        while n > 0 {
-            if self.machine.mem.read(addr, &mut buf[..n]).is_ok() {
-                break;
-            }
-            let again = self.machine.mem.mapped_prefix_len(addr, n as u64) as usize;
-            n = if again < n { again } else { n - 1 };
-        }
-        n
+        let n = self.machine.mem.mapped_prefix_len(addr, buf.len() as u64) as usize;
+        self.read_prefix(addr, &mut buf[..n])
     }
 
     /// Total cycles charged so far on this trap.

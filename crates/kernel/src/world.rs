@@ -12,14 +12,15 @@
 //! benchmark reports, since the application is synchronously stopped while
 //! the monitor verifies a trapped syscall.
 
+use crate::errno::{err, EFAULT, ENOSYS};
 use crate::faults::{FaultInjector, FaultSchedule, InjectedFault};
 use crate::net::{ConnId, ReadOutcome};
 use crate::process::{ExitReason, FdTable, Pid, ProcState, Process, WaitReason};
-use crate::seccomp::{SeccompAction, SeccompFilter};
+use crate::seccomp::SeccompFilter;
 use crate::syscall::{Kernel, SysOutcome};
-use crate::trace::{EscalateReason, PrefilterVerdict, TraceVerdict, Tracee, Tracer};
-use bastion_obs::flight::verdict as flight_verdict;
-use bastion_obs::{self as obs, FlightDump, FlightEntry, FlightRecorder, FlightTrigger, Phase};
+use crate::trace::Tracer;
+use crate::trap::{Flight, Gate, TrapRecord};
+use bastion_obs::{self as obs, FlightDump, FlightEntry};
 use bastion_vm::{interp, CostModel, Event, Machine};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -89,7 +90,7 @@ pub struct World {
     pub kernel: Kernel,
     /// All processes ever spawned (zombies retained for inspection).
     pub procs: Vec<Process>,
-    tracer: Option<Box<dyn Tracer>>,
+    pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Cycles spent in the monitor (tracer) on behalf of stopped processes.
     pub trace_cycles: u64,
     /// Number of tracer stops delivered (the "monitor hook" count).
@@ -109,49 +110,9 @@ pub struct World {
     legacy_interp: bool,
     /// Fault injector replayed against every monitor substrate access
     /// (chaos testing); `None` on the clean path.
-    faults: Option<RefCell<FaultInjector>>,
-    /// Always-on flight recorder: a bounded ring of compact per-trap
-    /// summaries. Recording is host-side memory writes only — zero
-    /// virtual cycles — so clean-path cycle counts are byte-identical
-    /// with and without anyone ever reading the ring.
-    flight: RefCell<FlightRecorder>,
-    /// Dumps captured on ladder-rung transitions and tier-1 escalation
-    /// bursts, oldest first, capped at [`MAX_FLIGHT_DUMPS`].
-    flight_dumps: Vec<FlightDump>,
-    /// Tracer resilience-ladder rung observed after the last trap.
-    last_rung: u8,
-    /// Sliding window over prefiltered traps: one bit each, 1 = the trap
-    /// escalated to tier 2.
-    esc_window: u16,
-    /// How many of `esc_window`'s bits are populated (saturates at 16).
-    esc_window_len: u8,
-    /// Trap ordinal before which no further burst dump is captured
-    /// (cooldown so a sustained burst yields one dump, not one per trap).
-    burst_cooldown: u64,
-}
-
-/// Upper bound on retained [`FlightDump`]s per world.
-const MAX_FLIGHT_DUMPS: usize = 32;
-
-/// Escalation-burst trigger: at least this many of the last 16
-/// prefiltered traps escalated to tier 2.
-const ESC_BURST_THRESHOLD: u32 = 12;
-
-/// Captures the ring into the dump log (host-side only; zero vcycles).
-fn capture_flight_dump(
-    ring: &RefCell<FlightRecorder>,
-    dumps: &mut Vec<FlightDump>,
-    trigger: FlightTrigger,
-    trap: u64,
-) {
-    if dumps.len() >= MAX_FLIGHT_DUMPS {
-        dumps.remove(0);
-    }
-    dumps.push(FlightDump {
-        trigger,
-        trap,
-        entries: ring.borrow().dump(),
-    });
+    pub(crate) faults: Option<RefCell<FaultInjector>>,
+    /// The trap pipeline's flight recorder and dump triggers.
+    pub(crate) flight: Flight,
 }
 
 impl World {
@@ -170,12 +131,7 @@ impl World {
             cursor: 0,
             legacy_interp: thread_legacy_interp(),
             faults: None,
-            flight: RefCell::new(FlightRecorder::default()),
-            flight_dumps: Vec::new(),
-            last_rung: 0,
-            esc_window: 0,
-            esc_window_len: 0,
-            burst_cooldown: 0,
+            flight: Flight::default(),
         }
     }
 
@@ -250,19 +206,19 @@ impl World {
     /// Current flight-recorder ring contents, oldest first (the always-on
     /// run-up to the most recent trap).
     pub fn flight_dump(&self) -> Vec<FlightEntry> {
-        self.flight.borrow().dump()
+        self.flight.ring.borrow().dump()
     }
 
     /// Flight dumps captured on ladder-rung transitions and escalation
     /// bursts so far, oldest first.
     pub fn flight_dumps(&self) -> &[FlightDump] {
-        &self.flight_dumps
+        &self.flight.dumps
     }
 
     /// Total flight entries ever recorded — equals [`World::trap_count`]
     /// by construction (every trap records exactly one entry).
     pub fn flight_total(&self) -> u64 {
-        self.flight.borrow().total_recorded()
+        self.flight.ring.borrow().total_recorded()
     }
 
     /// Installs a seccomp filter on `pid` and marks it traced.
@@ -441,206 +397,24 @@ impl World {
     }
 
     fn handle_syscall(&mut self, idx: usize, nr: u32, args: [u64; 6]) {
-        // 1. seccomp.
-        let action = match &self.procs[idx].seccomp {
-            Some(f) => {
-                self.kernel.cycles += self.kernel.cost.seccomp;
-                obs::counter_add("kernel.seccomp_evals", 1);
-                f.eval(nr)
-            }
-            None => SeccompAction::Allow,
-        };
-        match action {
-            SeccompAction::Kill => {
-                self.procs[idx].kill(ExitReason::SeccompKill { nr });
-                return;
-            }
-            SeccompAction::Trace | SeccompAction::TracePrefiltered => {
-                if let (true, Some(tracer)) = (self.procs[idx].traced, self.tracer.as_mut()) {
-                    self.trap_count += 1;
-                    // The trap span opens on the monitor-time axis before
-                    // the ptrace-stop cost lands, so per-trap durations sum
-                    // to exactly `trace_cycles - init_cycles`.
-                    let trap_start = self.trace_cycles;
-                    obs::span_begin(Phase::Trap, self.trap_count, trap_start);
-                    obs::instant(
-                        Phase::SeccompClassify,
-                        self.trap_count,
-                        trap_start,
-                        u64::from(nr),
-                    );
-                    // Tier 1: for prefiltered numbers, evaluate the
-                    // compiled check program at classify time — a hit
-                    // skips the monitor stop entirely.
-                    let mut tier1_allow = false;
-                    let mut esc_code = EscalateReason::NoPrefilter.code() as u8;
-                    if action == SeccompAction::TracePrefiltered {
-                        let pf_start = self.trace_cycles;
-                        obs::span_begin(Phase::PrefilterCheck, self.trap_count, pf_start);
-                        self.trace_cycles += self.kernel.cost.prefilter_eval;
-                        let faults_installed = self.faults.is_some();
-                        let verdict = {
-                            let p = &self.procs[idx];
-                            // Tier 1 never sees injected faults: any
-                            // installed schedule escalates (the tracer is
-                            // told via `faults_installed`), so faults
-                            // always land on the monitor's fail-closed
-                            // resilience ladder, never on tier 1.
-                            let mut tracee = Tracee::new(&p.machine, p.pid, &mut self.trace_cycles);
-                            tracer.prefilter(&mut tracee, faults_installed)
-                        };
-                        let hit = matches!(verdict, PrefilterVerdict::Allow);
-                        obs::span_end(
-                            Phase::PrefilterCheck,
-                            self.trap_count,
-                            self.trace_cycles,
-                            u64::from(hit),
-                        );
-                        match verdict {
-                            PrefilterVerdict::Allow => tier1_allow = true,
-                            PrefilterVerdict::Escalate(reason) => {
-                                esc_code = reason.code() as u8;
-                                obs::instant(
-                                    Phase::PrefilterEscalate,
-                                    self.trap_count,
-                                    self.trace_cycles,
-                                    reason.code(),
-                                );
-                            }
-                        }
-                    }
-                    let mut deny_reason: Option<String> = None;
-                    if tier1_allow {
-                        obs::span_end(Phase::Trap, self.trap_count, self.trace_cycles, 0);
-                        let verify = self.trace_cycles.saturating_sub(trap_start);
-                        obs::sketch_observe("trap.verify_cycles", verify);
-                        obs::sketch_observe("trap.tier1_cycles", verify);
-                        self.flight.borrow_mut().record(FlightEntry {
-                            trap: self.trap_count,
-                            sysno: nr,
-                            tier: 1,
-                            verdict: flight_verdict::ALLOW,
-                            esc: u8::MAX,
-                            vcycles: verify,
-                            flow: tracer.flow_word(self.procs[idx].pid),
-                        });
-                    } else {
-                        // Tier 2: the authoritative monitor stop.
-                        self.trace_cycles += self.kernel.cost.ptrace_stop;
-                        if let Some(f) = &self.faults {
-                            let flips = {
-                                let mut inj = f.borrow_mut();
-                                inj.begin_trap(self.trap_count);
-                                // App-state fault family: flip bits in the
-                                // *app's* registers/stack/shadow locals at
-                                // trap entry, before the monitor fetches
-                                // anything — the monitor must verify the
-                                // post-fault state, never approve it.
-                                inj.app_state_flips()
-                            };
-                            for (a, b) in flips {
-                                let label = self.procs[idx].machine.chaos_flip(a, b);
-                                obs::counter_add(label, 1);
-                            }
-                        }
-                        // Record the in-flight trap before the stop so a
-                        // deny dump always includes the trap being denied
-                        // (finalized with the real verdict below).
-                        let slot = self.flight.borrow_mut().record(FlightEntry {
-                            trap: self.trap_count,
-                            sysno: nr,
-                            tier: 2,
-                            verdict: flight_verdict::PENDING,
-                            esc: esc_code,
-                            vcycles: 0,
-                            flow: tracer.flow_word(self.procs[idx].pid),
-                        });
-                        let verdict = {
-                            let p = &self.procs[idx];
-                            let mut tracee = Tracee::with_faults(
-                                &p.machine,
-                                p.pid,
-                                &mut self.trace_cycles,
-                                self.faults.as_ref(),
-                            );
-                            tracee.attach_flight(&self.flight);
-                            tracer.on_trap(&mut tracee)
-                        };
-                        let denied = matches!(verdict, TraceVerdict::Deny(_));
-                        obs::span_end(
-                            Phase::Trap,
-                            self.trap_count,
-                            self.trace_cycles,
-                            u64::from(denied),
-                        );
-                        let verify = self.trace_cycles.saturating_sub(trap_start);
-                        obs::sketch_observe("trap.verify_cycles", verify);
-                        obs::sketch_observe("trap.tier2_cycles", verify);
-                        self.flight.borrow_mut().finalize(
-                            slot,
-                            if denied {
-                                flight_verdict::DENY
-                            } else {
-                                flight_verdict::ALLOW
-                            },
-                            verify,
-                        );
-                        if let TraceVerdict::Deny(reason) = verdict {
-                            deny_reason = Some(reason);
-                        }
-                    }
-                    // Flight-recorder triggers, checked once per trap
-                    // after the entry settles (host-side; zero vcycles).
-                    let rung = tracer.ladder_rung();
-                    if rung != self.last_rung {
-                        self.last_rung = rung;
-                        capture_flight_dump(
-                            &self.flight,
-                            &mut self.flight_dumps,
-                            FlightTrigger::LadderRung,
-                            self.trap_count,
-                        );
-                    }
-                    if action == SeccompAction::TracePrefiltered {
-                        self.esc_window = (self.esc_window << 1) | u16::from(!tier1_allow);
-                        self.esc_window_len = (self.esc_window_len + 1).min(16);
-                        if self.esc_window_len == 16
-                            && self.esc_window.count_ones() >= ESC_BURST_THRESHOLD
-                            && self.trap_count >= self.burst_cooldown
-                        {
-                            self.burst_cooldown = self.trap_count + 16;
-                            capture_flight_dump(
-                                &self.flight,
-                                &mut self.flight_dumps,
-                                FlightTrigger::EscalationBurst,
-                                self.trap_count,
-                            );
-                        }
-                    }
-                    if let Some(reason) = deny_reason {
-                        self.procs[idx].kill(ExitReason::MonitorKill { nr, reason });
-                        return;
-                    }
-                } else {
-                    // SECCOMP_RET_TRACE with no tracer attached: Linux
-                    // returns ENOSYS to the caller.
-                    self.procs[idx]
-                        .machine
-                        .complete_syscall(crate::errno::err(crate::errno::ENOSYS));
-                    return;
-                }
-            }
-            SeccompAction::Allow => {}
+        let gate = self.trap(idx, nr);
+        let p = &mut self.procs[idx];
+        match gate {
+            Gate::Allow | Gate::Trapped(TrapRecord { deny: None, .. }) => {}
+            Gate::Kill => return p.kill(ExitReason::SeccompKill { nr }),
+            Gate::Trapped(TrapRecord {
+                deny: Some(reason), ..
+            }) => return p.kill(ExitReason::MonitorKill { nr, reason }),
+            // SECCOMP_RET_TRACE with no tracer attached: Linux returns
+            // ENOSYS to the caller.
+            Gate::NoTracer => return p.machine.complete_syscall(err(ENOSYS)),
         }
-        // 2. dispatch.
         let now = self.now();
-        let outcome = self.kernel.dispatch(&mut self.procs[idx], nr, args, now);
-        match outcome {
-            SysOutcome::Done(ret) => self.procs[idx].machine.complete_syscall(ret),
-            SysOutcome::Block(reason) => {
-                self.procs[idx].state = ProcState::Blocked(reason);
-            }
-            SysOutcome::Exit(code) => self.procs[idx].kill(ExitReason::Exited(code)),
+        let p = &mut self.procs[idx];
+        match self.kernel.dispatch(p, nr, args, now) {
+            SysOutcome::Done(ret) => p.machine.complete_syscall(ret),
+            SysOutcome::Block(reason) => p.state = ProcState::Blocked(reason),
+            SysOutcome::Exit(code) => p.kill(ExitReason::Exited(code)),
             SysOutcome::Fork => self.do_fork(idx),
         }
     }
@@ -695,7 +469,7 @@ impl World {
                         Ok(ReadOutcome::Data(n)) => n as u64,
                         Ok(ReadOutcome::Eof) => 0,
                         Ok(ReadOutcome::WouldBlock) => continue,
-                        Err(_) => crate::errno::err(crate::errno::EFAULT),
+                        Err(_) => err(EFAULT),
                     };
                     self.procs[idx].machine.complete_syscall(ret);
                     self.procs[idx].state = ProcState::Runnable;
@@ -789,36 +563,10 @@ impl World {
 /// contents are both `Arc`s, so a snapshot costs one page-table clone plus
 /// one refcount per file, and each restored world copies only the pages and
 /// files it subsequently writes.
+#[derive(Debug)]
 pub struct WorldSnapshot {
-    kernel: Kernel,
-    procs: Vec<Process>,
-    tracer: Option<Box<dyn Tracer>>,
-    trace_cycles: u64,
-    trap_count: u64,
-    steps: u64,
-    clock: u64,
-    next_pid: Pid,
-    quantum: u64,
-    cursor: usize,
-    legacy_interp: bool,
-    faults: Option<FaultInjector>,
-    flight: FlightRecorder,
-    flight_dumps: Vec<FlightDump>,
-    last_rung: u8,
-    esc_window: u16,
-    esc_window_len: u8,
-    burst_cooldown: u64,
+    world: World,
     shared_pages: u64,
-}
-
-impl std::fmt::Debug for WorldSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldSnapshot")
-            .field("procs", &self.procs.len())
-            .field("traps", &self.trap_count)
-            .field("shared_pages", &self.shared_pages)
-            .finish()
-    }
 }
 
 impl WorldSnapshot {
@@ -831,7 +579,7 @@ impl WorldSnapshot {
     /// World trap count at capture time (the deterministic checkpoint
     /// index).
     pub fn trap_count(&self) -> u64 {
-        self.trap_count
+        self.world.trap_count
     }
 }
 
@@ -854,31 +602,14 @@ impl World {
             p.machine.mem.prune_zero_pages();
             p.machine.mem.share_pages();
         }
-        let tracer = self.tracer.as_ref().map(|t| {
-            t.snapshot_box()
-                .expect("attached tracer does not support world snapshots")
-        });
-        let procs = self.procs.clone();
-        let shared_pages = procs.iter().map(|p| p.machine.mem.shared_pages()).sum();
+        let world = self.clone_world();
+        let shared_pages = world
+            .procs
+            .iter()
+            .map(|p| p.machine.mem.shared_pages())
+            .sum();
         WorldSnapshot {
-            kernel: self.kernel.clone(),
-            procs,
-            tracer,
-            trace_cycles: self.trace_cycles,
-            trap_count: self.trap_count,
-            steps: self.steps,
-            clock: self.clock,
-            next_pid: self.next_pid,
-            quantum: self.quantum,
-            cursor: self.cursor,
-            legacy_interp: self.legacy_interp,
-            faults: self.faults.as_ref().map(|f| f.borrow().clone()),
-            flight: self.flight.borrow().clone(),
-            flight_dumps: self.flight_dumps.clone(),
-            last_rung: self.last_rung,
-            esc_window: self.esc_window,
-            esc_window_len: self.esc_window_len,
-            burst_cooldown: self.burst_cooldown,
+            world,
             shared_pages,
         }
     }
@@ -889,29 +620,7 @@ impl World {
     /// snapshot's interpreter selection (not the thread-local default), so
     /// a checkpoint taken under the legacy interpreter replays on it.
     pub fn restore(snap: &WorldSnapshot) -> World {
-        World {
-            kernel: snap.kernel.clone(),
-            procs: snap.procs.clone(),
-            tracer: snap.tracer.as_ref().map(|t| {
-                t.snapshot_box()
-                    .expect("snapshotted tracer lost snapshot support")
-            }),
-            trace_cycles: snap.trace_cycles,
-            trap_count: snap.trap_count,
-            steps: snap.steps,
-            clock: snap.clock,
-            next_pid: snap.next_pid,
-            quantum: snap.quantum,
-            cursor: snap.cursor,
-            legacy_interp: snap.legacy_interp,
-            faults: snap.faults.clone().map(RefCell::new),
-            flight: RefCell::new(snap.flight.clone()),
-            flight_dumps: snap.flight_dumps.clone(),
-            last_rung: snap.last_rung,
-            esc_window: snap.esc_window,
-            esc_window_len: snap.esc_window_len,
-            burst_cooldown: snap.burst_cooldown,
-        }
+        snap.world.clone_world()
     }
 
     /// [`World::restore`] with `schedule` put onto the snapshot injector's
@@ -921,10 +630,31 @@ impl World {
     /// injector, it already fired, or a trigger of `schedule` could have
     /// matched an access or trap it saw.
     pub fn restore_resuming(snap: &WorldSnapshot, schedule: FaultSchedule) -> Option<World> {
-        let resumed = snap.faults.as_ref()?.resumed(schedule)?;
-        let mut world = World::restore(snap);
+        let resumed = snap.world.faults.as_ref()?.borrow().resumed(schedule)?;
+        let mut world = snap.world.clone_world();
         world.faults = Some(RefCell::new(resumed));
         Some(world)
+    }
+
+    /// A copy of the whole world that shares its pages with this one
+    /// wherever they are already shared ([`World::snapshot`] shares them
+    /// first), with a deep copy of the tracer.
+    ///
+    /// # Panics
+    /// Panics if an attached tracer does not implement
+    /// [`Tracer::snapshot_box`].
+    fn clone_world(&self) -> World {
+        World {
+            kernel: self.kernel.clone(),
+            procs: self.procs.clone(),
+            tracer: self.tracer.as_ref().map(|t| {
+                t.snapshot_box()
+                    .expect("attached tracer does not support world snapshots")
+            }),
+            faults: self.faults.clone(),
+            flight: self.flight.clone(),
+            ..*self
+        }
     }
 
     /// Runs until at least `traps` tracer stops have been delivered (or

@@ -130,12 +130,13 @@ impl BastionCompiler {
         inst.module.validate()?;
 
         let layout = CodeLayout::new(&inst.module);
-        let new_cg = CallGraph::build(&inst.module);
         let addr_of = |loc| layout.addr_of(inst.loc_map.get(loc)).raw();
 
-        // Callsite table from the instrumented module.
+        // Callsite table of the instrumented module. The pass inserts only
+        // intrinsics, so its calls, address-taken functions and callsite
+        // counts are the input's, each call at its `loc_map` location.
         let mut callsites = BTreeMap::new();
-        for c in &new_cg.callsites {
+        for c in &cg.callsites {
             let kind = match c.kind {
                 bastion_analysis::CallsiteKind::Direct(t) => {
                     CallsiteKind::Direct(layout.func_entry(t).raw())
@@ -143,7 +144,7 @@ impl BastionCompiler {
                 bastion_analysis::CallsiteKind::Indirect => CallsiteKind::Indirect,
             };
             callsites.insert(
-                layout.addr_of(c.loc).raw(),
+                addr_of(c.loc),
                 CallsiteMeta {
                     kind,
                     in_func: layout.func_entry(c.loc.func).raw(),
@@ -179,7 +180,7 @@ impl BastionCompiler {
                         slot_offsets: f.slot_offsets(&inst.module.structs),
                         param_count: f.params.len() as u8,
                         stub_nr: f.syscall_nr(),
-                        address_taken: new_cg.is_address_taken(fid),
+                        address_taken: cg.is_address_taken(fid),
                     },
                 )
             })
@@ -235,9 +236,9 @@ impl BastionCompiler {
         }
 
         let stats = InstrStats {
-            total_callsites: new_cg.total_callsites(),
-            direct_callsites: new_cg.direct_callsites(),
-            indirect_callsites: new_cg.indirect_callsites(),
+            total_callsites: cg.total_callsites(),
+            direct_callsites: cg.direct_callsites(),
+            indirect_callsites: cg.indirect_callsites(),
             sensitive_callsites: sens.syscall_sites.len(),
             sensitive_indirect: ct.sensitive_indirect_count(),
             ctx_write_mem: inst.write_mems,

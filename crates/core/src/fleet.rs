@@ -31,20 +31,26 @@ use bastion_apps::App;
 use bastion_attacks::env::DeployCheckpoint;
 use bastion_attacks::{catalog, evaluate, generate, Scenario, ScenarioResult};
 use bastion_compiler::BastionCompiler;
-use bastion_kernel::{LegacyInterpGuard, Tracer, World};
+use bastion_kernel::{LegacyInterpGuard, Tracer, World, WorldSnapshot};
 use bastion_monitor::{ContextConfig, Monitor};
-use bastion_vm::CostModel;
+use bastion_vm::{CostModel, Memory};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 // The Send-audit, enforced at compile time: a World (with an attached
 // monitor) and the monitor itself must be movable across the fleet's
-// worker threads.
+// worker threads, and so must a snapshot and a deploy checkpoint, whose
+// processes the restored worlds share behind `Arc`s; that needs guest
+// memory to be `Sync`.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_sync<T: Sync>() {}
     assert_send::<World>();
+    assert_send::<WorldSnapshot>();
+    assert_send::<DeployCheckpoint>();
     assert_send::<Monitor>();
     assert_send::<Box<dyn Tracer>>();
+    assert_sync::<Memory>();
 };
 
 /// Worker-count default: one per available core.

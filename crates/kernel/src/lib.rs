@@ -42,7 +42,7 @@ pub use faults::{
     AccessClass, FaultAction, FaultInjector, FaultKind, FaultSchedule, FaultSpec, InjectedFault,
     Trigger,
 };
-pub use process::{ExitReason, Pid, Process};
+pub use process::{ExitReason, Pid, ProcSlot, Process};
 pub use seccomp::{SeccompAction, SeccompFilter};
 pub use trace::{EscalateReason, PrefilterVerdict, Regs, TraceVerdict, Tracee, Tracer};
 pub use world::{

@@ -174,6 +174,13 @@ impl Net {
         self.listeners.get_mut(lid)?.backlog.pop_front()
     }
 
+    /// Whether a server-side read of `cid` would block now: nothing is
+    /// queued and the client is still open.
+    pub fn read_would_block(&self, cid: ConnId) -> bool {
+        let c = &self.conns[cid];
+        c.to_server.is_empty() && !c.client_closed
+    }
+
     /// Server-side read of up to `len` queued client bytes: `deliver`
     /// gets them in stream order as at most two slices (the queue's ring
     /// halves), and they leave the queue only if it returns `Ok`. Reads

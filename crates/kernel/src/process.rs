@@ -241,6 +241,88 @@ impl Process {
     }
 }
 
+/// One entry of [`World::procs`](crate::World::procs): a process this
+/// world owns, or one it still shares with the snapshot it was forked
+/// from and with that snapshot's other restores.
+///
+/// A slot derefs to its [`Process`], so readers never see the difference.
+/// Every write goes through [`ProcSlot::get_mut`], which copies a shared
+/// process into an owned one on the first write (copy-on-write, one level
+/// above the pages: the copy shares its pages with the original).
+/// [`World::snapshot`](crate::World::snapshot) moves every owned process
+/// into a shared slot, so a snapshot or a restore clones `Arc`s, not
+/// processes.
+#[derive(Debug, Clone)]
+pub enum ProcSlot {
+    /// A process only this world sees: written in place.
+    Owned(Process),
+    /// A process shared with a snapshot or its restores, never written.
+    Shared(Arc<Process>),
+}
+
+impl ProcSlot {
+    /// The process, for writing. An owned slot is one branch; a shared one
+    /// is copied into an owned one first.
+    #[inline]
+    pub fn get_mut(&mut self) -> &mut Process {
+        if let ProcSlot::Shared(_) = self {
+            self.unshare();
+        }
+        match self {
+            ProcSlot::Owned(p) => p,
+            ProcSlot::Shared(_) => unreachable!("the slot was just made owned"),
+        }
+    }
+
+    /// Replaces a shared slot with an owned copy of its process.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        if let ProcSlot::Shared(a) = self {
+            *self = ProcSlot::Owned(Process::clone(a));
+        }
+    }
+
+    /// The slot as a shared one: an owned process has its all-zero pages
+    /// pruned and the rest made shared
+    /// ([`Memory::share_pages`](bastion_vm::Memory::share_pages)), then
+    /// moves behind an `Arc`.
+    pub(crate) fn into_shared(self) -> ProcSlot {
+        match self {
+            ProcSlot::Owned(mut p) => {
+                p.machine.mem.prune_zero_pages();
+                p.machine.mem.share_pages();
+                ProcSlot::Shared(Arc::new(p))
+            }
+            shared @ ProcSlot::Shared(_) => shared,
+        }
+    }
+
+    /// `(resident_pages, shared_pages)` of the process's memory. Every
+    /// resident page of a slot still shared with another world counts as
+    /// shared, as it would be copied on that world's first write.
+    pub(crate) fn page_stats(&self) -> (u64, u64) {
+        let mem = &self.machine.mem;
+        let resident = mem.resident_pages();
+        match self {
+            ProcSlot::Shared(a) if Arc::strong_count(a) > 1 => (resident, resident),
+            _ => (resident, mem.shared_pages()),
+        }
+    }
+}
+
+impl std::ops::Deref for ProcSlot {
+    type Target = Process;
+
+    #[inline]
+    fn deref(&self) -> &Process {
+        match self {
+            ProcSlot::Owned(p) => p,
+            ProcSlot::Shared(a) => a,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -701,8 +701,8 @@ impl Kernel {
         let mut total = 0u64;
         for i in 0..cnt.min(64) {
             let (Ok(ptr), Ok(len)) = (
-                p.machine.mem.read_u64(iov + i * 16),
-                p.machine.mem.read_u64(iov + i * 16 + 8),
+                p.machine.mem.load_u64(iov + i * 16),
+                p.machine.mem.load_u64(iov + i * 16 + 8),
             ) else {
                 return SysOutcome::Done(err(errno::EFAULT));
             };

@@ -162,7 +162,7 @@ impl World {
             flight,
             ..
         } = self;
-        let p = &mut procs[idx];
+        let p = procs[idx].get_mut();
         let action = match &p.seccomp {
             Some(f) => {
                 kernel.cycles += kernel.cost.seccomp;

@@ -15,7 +15,7 @@
 use crate::errno::{err, EFAULT, ENOSYS};
 use crate::faults::{FaultInjector, FaultSchedule, InjectedFault};
 use crate::net::{ConnId, ReadOutcome};
-use crate::process::{ExitReason, FdTable, Pid, ProcState, Process, WaitReason};
+use crate::process::{ExitReason, FdTable, Pid, ProcSlot, ProcState, Process, WaitReason};
 use crate::seccomp::SeccompFilter;
 use crate::syscall::{Kernel, SysOutcome};
 use crate::trace::Tracer;
@@ -88,8 +88,9 @@ pub enum RunStatus {
 pub struct World {
     /// Kernel state.
     pub kernel: Kernel,
-    /// All processes ever spawned (zombies retained for inspection).
-    pub procs: Vec<Process>,
+    /// All processes ever spawned (zombies retained for inspection), each
+    /// owned or still shared with a snapshot ([`ProcSlot`]).
+    pub procs: Vec<ProcSlot>,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Cycles spent in the monitor (tracer) on behalf of stopped processes.
     pub trace_cycles: u64,
@@ -181,8 +182,11 @@ impl World {
         let (i, o, e) = self.kernel.stdio();
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.procs
-            .push(Process::new(pid, machine, FdTable::with_stdio(i, o, e)));
+        self.procs.push(ProcSlot::Owned(Process::new(
+            pid,
+            machine,
+            FdTable::with_stdio(i, o, e),
+        )));
         pid
     }
 
@@ -231,12 +235,16 @@ impl World {
 
     /// Looks a process up by pid.
     pub fn proc(&self, pid: Pid) -> Option<&Process> {
-        self.procs.iter().find(|p| p.pid == pid)
+        self.procs.iter().find(|p| p.pid == pid).map(|p| &**p)
     }
 
-    /// Mutable process lookup.
+    /// Mutable process lookup. Copies the process first if it is still
+    /// shared with a snapshot ([`ProcSlot::get_mut`]).
     pub fn proc_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.procs.iter_mut().find(|p| p.pid == pid)
+        self.procs
+            .iter_mut()
+            .find(|p| p.pid == pid)
+            .map(ProcSlot::get_mut)
     }
 
     /// Total virtual time: app + kernel + monitor cycles.
@@ -345,13 +353,18 @@ impl World {
     fn run_quantum(&mut self, idx: usize, deadline: u64) {
         let start = self.procs[idx].machine.cycles;
         let mut left = self.quantum;
-        while left > 0 && self.procs[idx].state == ProcState::Runnable {
+        while left > 0 {
             // Clamp the burst to the cycles left in the budget. Machine
             // cycles accrued this quantum are not yet folded into `clock`,
             // so add them to `now()` by hand. Each step costs at least one
             // cycle, so a step cap of `cycles_left` can never overshoot a
             // unit-cost stretch.
-            let live_now = self.now() + (self.procs[idx].machine.cycles - start);
+            let now = self.now();
+            let p = self.procs[idx].get_mut();
+            if p.state != ProcState::Runnable {
+                break;
+            }
+            let live_now = now + (p.machine.cycles - start);
             if live_now >= deadline {
                 break;
             }
@@ -365,7 +378,7 @@ impl World {
                 let mut ev = None;
                 while taken < cap {
                     taken += 1;
-                    match interp::step(&mut self.procs[idx].machine) {
+                    match interp::step(&mut p.machine) {
                         Event::Continue => {}
                         e => {
                             ev = Some(e);
@@ -375,21 +388,15 @@ impl World {
                 }
                 (taken, ev)
             } else {
-                interp::run_bounded(&mut self.procs[idx].machine, cap)
+                interp::run_bounded(&mut p.machine, cap)
             };
             left -= n;
             self.steps += n;
             match ev {
                 None | Some(Event::Continue) => {}
-                Some(Event::Syscall { nr, args }) => {
-                    self.handle_syscall(idx, nr, args);
-                }
-                Some(Event::Exited(code)) => {
-                    self.procs[idx].kill(ExitReason::Exited(code));
-                }
-                Some(Event::Fault(f)) => {
-                    self.procs[idx].kill(ExitReason::Fault(f));
-                }
+                Some(Event::Syscall { nr, args }) => self.handle_syscall(idx, nr, args),
+                Some(Event::Exited(code)) => p.kill(ExitReason::Exited(code)),
+                Some(Event::Fault(f)) => p.kill(ExitReason::Fault(f)),
             }
         }
         let delta = self.procs[idx].machine.cycles - start;
@@ -398,7 +405,7 @@ impl World {
 
     fn handle_syscall(&mut self, idx: usize, nr: u32, args: [u64; 6]) {
         let gate = self.trap(idx, nr);
-        let p = &mut self.procs[idx];
+        let p = self.procs[idx].get_mut();
         match gate {
             Gate::Allow | Gate::Trapped(TrapRecord { deny: None, .. }) => {}
             Gate::Kill => return p.kill(ExitReason::SeccompKill { nr }),
@@ -410,7 +417,7 @@ impl World {
             Gate::NoTracer => return p.machine.complete_syscall(err(ENOSYS)),
         }
         let now = self.now();
-        let p = &mut self.procs[idx];
+        let p = self.procs[idx].get_mut();
         match self.kernel.dispatch(p, nr, args, now) {
             SysOutcome::Done(ret) => p.machine.complete_syscall(ret),
             SysOutcome::Block(reason) => p.state = ProcState::Blocked(reason),
@@ -422,7 +429,7 @@ impl World {
     fn do_fork(&mut self, idx: usize) {
         let child_pid = self.next_pid;
         self.next_pid += 1;
-        let parent = &mut self.procs[idx];
+        let parent = self.procs[idx].get_mut();
         parent.machine.mem.share_pages();
         let mut child_machine = parent.machine.clone();
         parent.machine.complete_syscall(u64::from(child_pid));
@@ -437,7 +444,7 @@ impl World {
         child.traced = parent.traced;
         let fds = child.fds.clone();
         let parent_pid = self.procs[idx].pid;
-        self.procs.push(child);
+        self.procs.push(ProcSlot::Owned(child));
         self.kernel.ref_table(&fds);
         // Let the tracer seed per-pid state for the new process (the
         // prefilter inherits the parent's flow position).
@@ -446,62 +453,68 @@ impl World {
         }
     }
 
+    /// Completes every blocked process whose wait is over. A process is
+    /// taken for writing ([`ProcSlot::get_mut`]) only once its wait
+    /// completes, so one still waiting stays shared with its snapshot.
     fn wake_blocked(&mut self) {
         let now = self.now();
         for idx in 0..self.procs.len() {
             let ProcState::Blocked(reason) = self.procs[idx].state else {
                 continue;
             };
-            match reason {
+            let ret = match reason {
                 WaitReason::Accept { lid, addr_out, .. } => {
-                    if self.kernel.net.has_pending(lid) {
-                        let ret = {
-                            let p = &mut self.procs[idx];
-                            self.kernel.complete_accept(p, lid, addr_out)
-                        };
-                        self.procs[idx].machine.complete_syscall(ret);
-                        self.procs[idx].state = ProcState::Runnable;
+                    if !self.kernel.net.has_pending(lid) {
+                        continue;
                     }
+                    let p = self.procs[idx].get_mut();
+                    self.kernel.complete_accept(p, lid, addr_out)
                 }
                 WaitReason::ConnRead { cid, buf, len } => {
-                    let mem = &mut self.procs[idx].machine.mem;
-                    let ret = match self.kernel.conn_read(mem, cid, buf, len) {
+                    if self.kernel.net.read_would_block(cid) {
+                        continue;
+                    }
+                    let mem = &mut self.procs[idx].get_mut().machine.mem;
+                    match self.kernel.conn_read(mem, cid, buf, len) {
                         Ok(ReadOutcome::Data(n)) => n as u64,
                         Ok(ReadOutcome::Eof) => 0,
                         Ok(ReadOutcome::WouldBlock) => continue,
                         Err(_) => err(EFAULT),
-                    };
-                    self.procs[idx].machine.complete_syscall(ret);
-                    self.procs[idx].state = ProcState::Runnable;
+                    }
                 }
                 WaitReason::Sleep { until } => {
-                    if now >= until {
-                        self.procs[idx].machine.complete_syscall(0);
-                        self.procs[idx].state = ProcState::Runnable;
+                    if now < until {
+                        continue;
                     }
+                    0
                 }
                 WaitReason::Wait4 { status_out } => {
                     let me = self.procs[idx].pid;
-                    let zombie = self
+                    let Some(z) = self
                         .procs
                         .iter()
-                        .position(|c| c.parent == Some(me) && !c.alive() && !c.reaped);
-                    if let Some(z) = zombie {
-                        self.procs[z].reaped = true;
-                        let zpid = self.procs[z].pid;
-                        let status = match &self.procs[z].exit {
-                            Some(ExitReason::Exited(c)) => (*c as u64) << 8,
-                            _ => 0x7f,
-                        };
-                        if status_out != 0 {
-                            use bastion_vm::MemIo;
-                            let _ = self.procs[idx].machine.mem.write_u64(status_out, status);
-                        }
-                        self.procs[idx].machine.complete_syscall(u64::from(zpid));
-                        self.procs[idx].state = ProcState::Runnable;
+                        .position(|c| c.parent == Some(me) && !c.alive() && !c.reaped)
+                    else {
+                        continue;
+                    };
+                    let zombie = self.procs[z].get_mut();
+                    zombie.reaped = true;
+                    let status = match &zombie.exit {
+                        Some(ExitReason::Exited(c)) => (*c as u64) << 8,
+                        _ => 0x7f,
+                    };
+                    let zpid = zombie.pid;
+                    if status_out != 0 {
+                        use bastion_vm::MemIo;
+                        let mem = &mut self.procs[idx].get_mut().machine.mem;
+                        let _ = mem.write_u64(status_out, status);
                     }
+                    u64::from(zpid)
                 }
-            }
+            };
+            let p = self.procs[idx].get_mut();
+            p.machine.complete_syscall(ret);
+            p.state = ProcState::Runnable;
         }
     }
 
@@ -559,10 +572,10 @@ impl World {
 /// snapshot and resuming reproduces a cold run bit-for-bit from the capture
 /// point — the basis of warm-forked chaos cells (DESIGN.md §6i).
 ///
-/// The large state is shared, not copied: memory pages and VFS file
-/// contents are both `Arc`s, so a snapshot costs one page-table clone plus
-/// one refcount per file, and each restored world copies only the pages and
-/// files it subsequently writes.
+/// The large state is shared, not copied: processes, memory pages and VFS
+/// file contents are all `Arc`s, so a snapshot or a restore costs one
+/// refcount per process and per file, and each restored world copies only
+/// the processes, pages and files it subsequently writes ([`ProcSlot`]).
 #[derive(Debug)]
 pub struct WorldSnapshot {
     world: World,
@@ -571,7 +584,8 @@ pub struct WorldSnapshot {
 
 impl WorldSnapshot {
     /// Pages shared between the snapshot and the live world at capture
-    /// time (all resident pages, by construction).
+    /// time (all resident pages, by construction: every process is in a
+    /// shared slot).
     pub fn shared_pages(&self) -> u64 {
         self.shared_pages
     }
@@ -584,13 +598,16 @@ impl WorldSnapshot {
 }
 
 impl World {
-    /// Captures a copy-on-write checkpoint of the world. All-zero pages are
-    /// pruned from the *live* page tables first (snapshot hygiene: a page
-    /// dirtied and later zeroed reads identically to one never touched), so
-    /// the checkpoint and the original agree on resident pages and the
-    /// snapshot pins no dead memory. The live pages are then made shared
+    /// Captures a copy-on-write checkpoint of the world. Every owned
+    /// process moves into a shared slot ([`ProcSlot::Shared`]) that the
+    /// checkpoint and the live world then both hold, so each copies a
+    /// process only on its first write to it. All-zero pages are pruned
+    /// from an owned process first (snapshot hygiene: a page dirtied and
+    /// later zeroed reads identically to one never touched), so the
+    /// checkpoint and the original agree on resident pages and the snapshot
+    /// pins no dead memory, and its pages are made shared
     /// ([`Memory::share_pages`](bastion_vm::Memory::share_pages)), so the
-    /// checkpoint shares every page with the world copy-on-write.
+    /// copy a first write makes shares every page copy-on-write.
     ///
     /// # Panics
     /// Panics if an attached tracer does not implement
@@ -598,16 +615,12 @@ impl World {
     /// with a tracer that cannot be cloned would silently drop monitor
     /// state.
     pub fn snapshot(&mut self) -> WorldSnapshot {
-        for p in &mut self.procs {
-            p.machine.mem.prune_zero_pages();
-            p.machine.mem.share_pages();
-        }
+        self.procs = std::mem::take(&mut self.procs)
+            .into_iter()
+            .map(ProcSlot::into_shared)
+            .collect();
         let world = self.clone_world();
-        let shared_pages = world
-            .procs
-            .iter()
-            .map(|p| p.machine.mem.shared_pages())
-            .sum();
+        let shared_pages = world.page_stats().1;
         WorldSnapshot {
             world,
             shared_pages,
@@ -616,7 +629,7 @@ impl World {
 
     /// Builds a fresh world from a checkpoint. The snapshot is not
     /// consumed: any number of worlds can fork from one checkpoint, each
-    /// sharing its pages copy-on-write. The restored world keeps the
+    /// sharing its processes and pages copy-on-write. The restored world keeps the
     /// snapshot's interpreter selection (not the thread-local default), so
     /// a checkpoint taken under the legacy interpreter replays on it.
     pub fn restore(snap: &WorldSnapshot) -> World {
@@ -636,9 +649,9 @@ impl World {
         Some(world)
     }
 
-    /// A copy of the whole world that shares its pages with this one
-    /// wherever they are already shared ([`World::snapshot`] shares them
-    /// first), with a deep copy of the tracer.
+    /// A copy of the whole world that shares its processes with this one
+    /// wherever they are in shared slots ([`World::snapshot`] puts them
+    /// there first), with a deep copy of the tracer.
     ///
     /// # Panics
     /// Panics if an attached tracer does not implement
@@ -674,13 +687,13 @@ impl World {
 
     /// Page-table totals across all processes, as
     /// `(resident_pages, shared_pages)`: how many backing pages exist and
-    /// how many are shared with a live snapshot or fork sibling.
+    /// how many are shared with a live snapshot or fork sibling. A process
+    /// still in a shared slot counts all its pages as shared
+    /// ([`ProcSlot::page_stats`]).
     pub fn page_stats(&self) -> (u64, u64) {
         self.procs.iter().fold((0, 0), |(r, s), p| {
-            (
-                r + p.machine.mem.resident_pages(),
-                s + p.machine.mem.shared_pages(),
-            )
+            let (pr, ps) = p.page_stats();
+            (r + pr, s + ps)
         })
     }
 }

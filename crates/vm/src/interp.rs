@@ -199,7 +199,7 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
     }
     macro_rules! load_unit {
         ($u:expr, $dst:expr, $a:expr, $width:expr) => {{
-            match load(&m.mem, $a, $width) {
+            match load(&mut m.mem, $a, $width) {
                 Ok(v) => regs[$dst.index()] = v,
                 Err(e) => exit_at!(idx + $u, Event::Fault(Fault::Mem(e))),
             }
@@ -589,12 +589,13 @@ fn compare(op: CmpOp, a: u64, b: u64) -> bool {
     }
 }
 
-/// A guest load of `width` at `a`, one TLB probe on a hit.
+/// A guest load of `width` at `a`, one TLB probe on a hit; a miss fills
+/// the TLB.
 #[inline(always)]
-fn load(mem: &Memory, a: u64, width: Width) -> Result<u64, OutOfBounds> {
+fn load(mem: &mut Memory, a: u64, width: Width) -> Result<u64, OutOfBounds> {
     match width {
-        Width::W8 => mem.read_u8(a).map(u64::from),
-        Width::W64 => mem.read_u64(a),
+        Width::W8 => mem.load_u8(a).map(u64::from),
+        Width::W64 => mem.load_u64(a),
     }
 }
 
@@ -662,7 +663,7 @@ fn exec_inst(m: &mut Machine, inst: &Inst) -> Event {
                         Err(e) => return Event::Fault(Fault::Mem(e)),
                     }
                 }
-                Width::W64 => match crate::mem::MemIo::read_u64(&m.mem, a) {
+                Width::W64 => match crate::mem::MemIo::load_u64(&mut m.mem, a) {
                     Ok(v) => v,
                     Err(e) => return Event::Fault(Fault::Mem(e)),
                 },

@@ -107,8 +107,10 @@ pub enum RetTo {
     Unit(usize),
 }
 
-/// The CPU + memory state of one process.
-#[derive(Debug, Clone)]
+/// The CPU + memory state of one process. `Clone` copies the
+/// architectural state only: the clone starts with empty scratch buffers
+/// (`call_scratch`, `frame_pool`).
+#[derive(Debug)]
 pub struct Machine {
     /// The program image (shared, immutable).
     pub image: Arc<Image>,
@@ -148,6 +150,31 @@ pub struct Machine {
     pub cfi: Option<CfiPolicy>,
     /// Exit status once the process has terminated.
     pub exited: Option<i64>,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Machine {
+            image: Arc::clone(&self.image),
+            mem: self.mem.clone(),
+            cost: self.cost,
+            pc: self.pc,
+            sp: self.sp,
+            fp: self.fp,
+            frames: self.frames.clone(),
+            gs_base: self.gs_base,
+            cycles: self.cycles,
+            trap_nr: self.trap_nr,
+            trap_args: self.trap_args,
+            trap_pc: self.trap_pc,
+            pending_ret: self.pending_ret,
+            call_scratch: Vec::new(),
+            frame_pool: Vec::new(),
+            shadow_stack: self.shadow_stack.clone(),
+            cfi: self.cfi.clone(),
+            exited: self.exited,
+        }
+    }
 }
 
 impl Machine {
@@ -395,8 +422,8 @@ impl Machine {
     /// # Errors
     /// Faults on unmapped stack, CET mismatch, or a non-code return target.
     pub fn do_ret(&mut self, val: u64) -> Result<RetTo, Fault> {
-        let saved_fp = self.mem.read_u64(self.fp).map_err(Fault::Mem)?;
-        let retaddr = self.mem.read_u64(self.fp + 8).map_err(Fault::Mem)?;
+        let saved_fp = self.mem.load_u64(self.fp).map_err(Fault::Mem)?;
+        let retaddr = self.mem.load_u64(self.fp + 8).map_err(Fault::Mem)?;
         if let Some(ss) = &mut self.shadow_stack {
             let expected = ss.pop();
             if expected != Some(retaddr) {

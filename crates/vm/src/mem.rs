@@ -6,8 +6,7 @@
 //! manipulate the address space and how wild attacker writes can crash a
 //! victim rather than silently succeeding.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -192,6 +191,17 @@ pub trait MemIo {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// [`MemIo::read_u64`] for a caller that holds the memory mutably, so
+    /// a [`Memory`] may fill its TLB on a miss (the guest's own loads and
+    /// the shadow table's write-path probes).
+    ///
+    /// # Errors
+    /// Fails if any byte is unmapped.
+    #[inline]
+    fn load_u64(&mut self, addr: u64) -> Result<u64, OutOfBounds> {
+        self.read_u64(addr)
+    }
+
     /// Writes a little-endian u64.
     ///
     /// # Errors
@@ -208,6 +218,11 @@ pub trait MemIo {
 /// views; call [`Memory::share_pages`] first when the clone should share
 /// everything.
 /// A clone keeps the TLB, whose slot numbers carry over with the pages.
+///
+/// `Memory` is `Sync`: the TLB is filled only through `&mut self` (stores,
+/// [`Memory::load_u8`], [`Memory::load_u64`] and [`MemIo::load_u64`]), so
+/// a process shared between worlds behind an `Arc` can be read from any
+/// thread. Reads through `&self` probe the TLB but never fill it.
 #[derive(Debug, Clone)]
 pub struct Memory {
     /// Page number → slot in `slots`.
@@ -217,10 +232,11 @@ pub struct Memory {
     /// flushes `tlb`.
     slots: Vec<(u64, Page)>,
     /// The guest TLB in front of `regions` and `index`; see [`TlbEntry`].
-    /// Loads and stores that hit touch nothing else; misses fill it.
-    tlb: [Cell<TlbEntry>; TLB_SIZE],
-    /// Mapped regions: start → length (disjoint, coalesced on insert).
-    regions: BTreeMap<u64, u64>,
+    /// Loads and stores that hit touch nothing else; `&mut` misses fill it.
+    tlb: [TlbEntry; TLB_SIZE],
+    /// Mapped regions as `(start, len)`, sorted by start (disjoint,
+    /// coalesced on insert).
+    regions: Vec<(u64, u64)>,
 }
 
 impl Default for Memory {
@@ -228,8 +244,8 @@ impl Default for Memory {
         Memory {
             index: PageIndex::default(),
             slots: Vec::new(),
-            tlb: std::array::from_fn(|_| Cell::new(TlbEntry::EMPTY)),
-            regions: BTreeMap::new(),
+            tlb: [TlbEntry::EMPTY; TLB_SIZE],
+            regions: Vec::new(),
         }
     }
 }
@@ -251,17 +267,32 @@ impl Memory {
         }
         let mut new_start = start;
         let mut new_end = start.saturating_add(len);
-        // Absorb every region overlapping or touching [new_start, new_end).
-        while let Some((&rs, &rl)) = self.regions.range(..=new_end).next_back() {
+        // Absorb every region overlapping or touching [new_start, new_end):
+        // those in `lo..hi`, the regions starting at or below `new_end`
+        // whose end reaches `new_start`.
+        let hi = self.regions.partition_point(|&(rs, _)| rs <= new_end);
+        let mut lo = hi;
+        while lo > 0 {
+            let (rs, rl) = self.regions[lo - 1];
             let re = rs + rl;
             if re < new_start {
                 break;
             }
-            self.regions.remove(&rs);
             new_start = new_start.min(rs);
             new_end = new_end.max(re);
+            lo -= 1;
         }
-        self.regions.insert(new_start, new_end - new_start);
+        self.regions
+            .splice(lo..hi, [(new_start, new_end - new_start)]);
+    }
+
+    /// The region with the greatest start at or below `addr`, if any.
+    #[inline]
+    fn region_at_or_below(&self, addr: u64) -> Option<(u64, u64)> {
+        match self.regions.partition_point(|&(rs, _)| rs <= addr) {
+            0 => None,
+            i => Some(self.regions[i - 1]),
+        }
     }
 
     /// Unmaps any region starting inside `[start, start+len)` and trims
@@ -271,18 +302,18 @@ impl Memory {
     /// Flushes the TLB (through `retain_pages`).
     pub fn unmap_region(&mut self, start: u64, len: u64) {
         let end = start.saturating_add(len);
-        let mut rebuilt = BTreeMap::new();
-        for (&rs, &rl) in &self.regions {
+        let mut rebuilt = Vec::with_capacity(self.regions.len() + 1);
+        for &(rs, rl) in &self.regions {
             let re = rs + rl;
             if re <= start || rs >= end {
-                rebuilt.insert(rs, rl);
+                rebuilt.push((rs, rl));
                 continue;
             }
             if rs < start {
-                rebuilt.insert(rs, start - rs);
+                rebuilt.push((rs, start - rs));
             }
             if re > end {
-                rebuilt.insert(end, re - end);
+                rebuilt.push((end, re - end));
             }
         }
         self.regions = rebuilt;
@@ -311,7 +342,7 @@ impl Memory {
         let end = addr.saturating_add(len);
         let mut cur = addr;
         while cur < end {
-            let Some((&rs, &rl)) = self.regions.range(..=cur).next_back() else {
+            let Some((rs, rl)) = self.region_at_or_below(cur) else {
                 return false;
             };
             let re = rs + rl;
@@ -330,7 +361,7 @@ impl Memory {
         let end = addr.saturating_add(len);
         let mut cur = addr;
         while cur < end {
-            let Some((&rs, &rl)) = self.regions.range(..=cur).next_back() else {
+            let Some((rs, rl)) = self.region_at_or_below(cur) else {
                 break;
             };
             let re = rs + rl;
@@ -344,7 +375,7 @@ impl Memory {
 
     /// All mapped regions as `(start, len)` pairs.
     pub fn regions(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.regions.iter().map(|(&s, &l)| (s, l))
+        self.regions.iter().copied()
     }
 
     /// Number of backing pages currently in the page table.
@@ -396,34 +427,32 @@ impl Memory {
         self.flush_tlb();
     }
 
-    fn flush_tlb(&self) {
-        for entry in &self.tlb {
-            entry.set(TlbEntry::EMPTY);
-        }
+    fn flush_tlb(&mut self) {
+        self.tlb = [TlbEntry::EMPTY; TLB_SIZE];
     }
 
     /// The TLB entry `page` maps to (its tag may be another page's).
     #[inline(always)]
     fn tlb_entry(&self, page: u64) -> TlbEntry {
-        self.tlb[page as usize % TLB_SIZE].get()
+        self.tlb[page as usize % TLB_SIZE]
     }
 
     /// Installs `page`'s TLB entry if the page starts inside a mapped
     /// region; the entry covers the part of the page that region maps.
-    fn fill_tlb(&self, page: u64) {
+    fn fill_tlb(&mut self, page: u64) {
         let ps = page * PAGE_SIZE;
-        let Some((&rs, &rl)) = self.regions.range(..=ps).next_back() else {
+        let Some((rs, rl)) = self.region_at_or_below(ps) else {
             return;
         };
         let re = rs + rl;
         if re <= ps {
             return;
         }
-        self.tlb[page as usize % TLB_SIZE].set(TlbEntry {
+        self.tlb[page as usize % TLB_SIZE] = TlbEntry {
             tag: page,
             slot: self.index.get(&page).copied().unwrap_or(NOT_RESIDENT),
             limit: (re - ps).min(PAGE_SIZE) as u16,
-        });
+        };
     }
 
     /// Slot of a resident page, through the TLB when it holds the page.
@@ -459,13 +488,9 @@ impl Memory {
         let s = self.slots.len();
         self.slots.push((page, p));
         self.index.insert(page, s as u32);
-        let entry = &self.tlb[page as usize % TLB_SIZE];
-        let e = entry.get();
-        if e.tag == page {
-            entry.set(TlbEntry {
-                slot: s as u32,
-                ..e
-            });
+        let entry = &mut self.tlb[page as usize % TLB_SIZE];
+        if entry.tag == page {
+            entry.slot = s as u32;
         }
         s
     }
@@ -556,12 +581,31 @@ impl Memory {
         }
     }
 
-    /// Reads one byte: one TLB probe on a hit.
+    /// Reads one byte: one TLB probe on a hit. A miss does not fill the
+    /// TLB; [`Memory::load_u8`] does.
     ///
     /// # Errors
     /// Fails if the byte is unmapped.
     #[inline(always)]
     pub fn read_u8(&self, addr: u64) -> Result<u8, OutOfBounds> {
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 1) {
+            return Ok(self
+                .hit_page(e)
+                .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]));
+        }
+        let mut b = [0u8; 1];
+        self.read(addr, &mut b)?;
+        Ok(b[0])
+    }
+
+    /// [`Memory::read_u8`] that fills the TLB on a miss: the guest's own
+    /// byte loads.
+    ///
+    /// # Errors
+    /// Fails if the byte is unmapped.
+    #[inline(always)]
+    pub fn load_u8(&mut self, addr: u64) -> Result<u8, OutOfBounds> {
         let e = self.tlb_entry(addr / PAGE_SIZE);
         if e.covers(addr, 1) {
             return Ok(self
@@ -595,6 +639,15 @@ impl Memory {
         self.slots.get(e.slot as usize).map(|(_, p)| p.bytes())
     }
 
+    /// The word at `addr` behind a TLB hit `e` that covers it.
+    #[inline(always)]
+    fn hit_u64(&self, e: TlbEntry, addr: u64) -> u64 {
+        let off = (addr % PAGE_SIZE) as usize;
+        self.hit_page(e).map_or(0, |p| {
+            u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
+        })
+    }
+
     /// The page behind a TLB hit if a store may write it in place: it is
     /// resident and owned. Other stores take the miss path.
     #[inline(always)]
@@ -609,7 +662,7 @@ impl Memory {
     /// [`MemIo::read`], then a TLB fill for the page at `addr`.
     #[cold]
     #[inline(never)]
-    fn read_miss(&self, addr: u64, buf: &mut [u8]) -> Result<(), OutOfBounds> {
+    fn read_miss(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), OutOfBounds> {
         self.read(addr, buf)?;
         self.fill_tlb(addr / PAGE_SIZE);
         Ok(())
@@ -650,10 +703,18 @@ impl MemIo for Memory {
     fn read_u64(&self, addr: u64) -> Result<u64, OutOfBounds> {
         let e = self.tlb_entry(addr / PAGE_SIZE);
         if e.covers(addr, 8) {
-            let off = (addr % PAGE_SIZE) as usize;
-            return Ok(self.hit_page(e).map_or(0, |p| {
-                u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
-            }));
+            return Ok(self.hit_u64(e, addr));
+        }
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    #[inline(always)]
+    fn load_u64(&mut self, addr: u64) -> Result<u64, OutOfBounds> {
+        let e = self.tlb_entry(addr / PAGE_SIZE);
+        if e.covers(addr, 8) {
+            return Ok(self.hit_u64(e, addr));
         }
         let mut b = [0u8; 8];
         self.read_miss(addr, &mut b)?;
@@ -855,18 +916,18 @@ mod tests {
         m.write_u64(0x11 * PAGE_SIZE, 0x11).unwrap();
         m.write_u64(0x22 * PAGE_SIZE, 0x22).unwrap();
         for page in [1u64, 0x11, 0x22] {
-            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+            assert_eq!(m.load_u64(page * PAGE_SIZE).unwrap(), page);
         }
         assert_eq!(m.prune_zero_pages(), 1);
         for page in [1u64, 0x11, 0x22] {
-            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+            assert_eq!(m.load_u64(page * PAGE_SIZE).unwrap(), page);
             m.write_u8(page * PAGE_SIZE + 8, page as u8).unwrap();
         }
         for page in [0x22u64, 0x11, 1] {
-            assert_eq!(m.read_u8(page * PAGE_SIZE + 8).unwrap(), page as u8);
-            assert_eq!(m.read_u64(page * PAGE_SIZE).unwrap(), page);
+            assert_eq!(m.load_u8(page * PAGE_SIZE + 8).unwrap(), page as u8);
+            assert_eq!(m.load_u64(page * PAGE_SIZE).unwrap(), page);
         }
-        assert_eq!(m.read_u64(0).unwrap(), 0);
+        assert_eq!(m.load_u64(0).unwrap(), 0);
     }
 
     #[test]
@@ -874,15 +935,15 @@ mod tests {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x1000);
         m.write_u64(0x1000, 1).unwrap();
-        assert_eq!(m.read_u64(0x1000).unwrap(), 1); // the TLB holds the page
+        assert_eq!(m.load_u64(0x1000).unwrap(), 1); // the TLB holds the page
         m.share_pages();
         let snap = m.clone();
         // The store copies the shared page into the same slot; the TLB's
         // slot must now reach the private copy, not the shared one.
         m.write_u64(0x1000, 2).unwrap();
-        assert_eq!(m.read_u64(0x1000).unwrap(), 2);
+        assert_eq!(m.load_u64(0x1000).unwrap(), 2);
         m.write_u8(0x1001, 0xff).unwrap();
-        assert_eq!(m.read_u64(0x1000).unwrap(), 0xff02);
+        assert_eq!(m.load_u64(0x1000).unwrap(), 0xff02);
         assert_eq!(snap.read_u64(0x1000).unwrap(), 1);
         assert_eq!(m.shared_pages(), 0);
     }
@@ -899,11 +960,11 @@ mod tests {
         m.unmap_region(0x2000, 0x1800);
         assert_eq!(m.resident_pages(), 2, "the wholly unmapped page is dropped");
         m.map_region(0x1000, 0x3000);
-        assert_eq!(m.read_u64(0x2000).unwrap(), 0);
-        assert_eq!(m.read_u64(0x3000).unwrap(), 0);
-        assert_eq!(m.read_u64(0x3800).unwrap(), 9);
-        assert_eq!(m.read_u64(0x37f8).unwrap(), 0);
-        assert_eq!(m.read_u64(0x1ff8).unwrap(), 7);
+        assert_eq!(m.load_u64(0x2000).unwrap(), 0);
+        assert_eq!(m.load_u64(0x3000).unwrap(), 0);
+        assert_eq!(m.load_u64(0x3800).unwrap(), 9);
+        assert_eq!(m.load_u64(0x37f8).unwrap(), 0);
+        assert_eq!(m.load_u64(0x1ff8).unwrap(), 7);
     }
 
     #[test]
@@ -916,8 +977,8 @@ mod tests {
         let snap = m.clone();
         m.unmap_region(0x1800, 0x800);
         m.map_region(0x1800, 0x800);
-        assert_eq!(m.read_u64(0x1800).unwrap(), 0);
-        assert_eq!(m.read_u64(0x1000).unwrap(), 5);
+        assert_eq!(m.load_u64(0x1800).unwrap(), 0);
+        assert_eq!(m.load_u64(0x1000).unwrap(), 5);
         assert_eq!(snap.read_u64(0x1800).unwrap(), 6);
     }
 
@@ -932,9 +993,9 @@ mod tests {
         assert_eq!(m.resident_pages(), 3);
         assert_eq!(m.prune_zero_pages(), 2);
         assert_eq!(m.resident_pages(), 1);
-        assert_eq!(m.read_u64(0x1000).unwrap(), 7);
-        assert_eq!(m.read_u64(0x2000).unwrap(), 0);
-        assert_eq!(m.read_u64(0x3000).unwrap(), 0);
+        assert_eq!(m.load_u64(0x1000).unwrap(), 7);
+        assert_eq!(m.load_u64(0x2000).unwrap(), 0);
+        assert_eq!(m.load_u64(0x3000).unwrap(), 0);
         assert!(m.is_mapped(0x2000, 8));
     }
 
@@ -942,11 +1003,11 @@ mod tests {
     fn tlb_is_flushed_by_unmap() {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x1000);
-        assert_eq!(m.read_u64(0x1800), Ok(0)); // fills the TLB
+        assert_eq!(m.load_u64(0x1800), Ok(0)); // fills the TLB
         assert!(m.is_mapped(0x1800, 8));
         m.unmap_region(0x1000, 0x1000);
         assert!(!m.is_mapped(0x1800, 8));
-        assert!(m.read_u64(0x1800).is_err());
+        assert!(m.load_u64(0x1800).is_err());
         m.map_region(0x1000, 0x800);
         assert!(m.is_mapped(0x1000, 0x800));
         assert!(!m.is_mapped(0x1800, 8));
@@ -960,9 +1021,9 @@ mod tests {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x100);
         m.write_u64(0x10f8, 7).unwrap();
-        assert_eq!(m.read_u64(0x10f8), Ok(7));
+        assert_eq!(m.load_u64(0x10f8), Ok(7));
         assert_eq!(
-            m.read_u64(0x10f9),
+            m.load_u64(0x10f9),
             Err(OutOfBounds {
                 addr: 0x10f9,
                 write: false
@@ -971,33 +1032,33 @@ mod tests {
         assert!(m.write_u8(0x1100, 1).is_err());
         m.map_region(0x1100, 0x100);
         m.write_u8(0x1100, 1).unwrap();
-        assert_eq!(m.read_u64(0x10f9), Ok(1 << 56));
+        assert_eq!(m.load_u64(0x10f9), Ok(1 << 56));
         m.unmap_region(0x1080, 0x180);
-        assert!(m.read_u8(0x1080).is_err());
-        assert_eq!(m.read_u64(0x10f8 - 0x80), Ok(0));
+        assert!(m.load_u8(0x1080).is_err());
+        assert_eq!(m.load_u64(0x10f8 - 0x80), Ok(0));
     }
 
     #[test]
     fn unchecked_write_to_a_cached_absent_page_updates_the_tlb() {
         let mut m = Memory::new();
         m.map_region(0x1000, 0x1000);
-        assert_eq!(m.read_u64(0x1000), Ok(0)); // TLB: mapped, not resident
+        assert_eq!(m.load_u64(0x1000), Ok(0)); // TLB: mapped, not resident
         m.write_unchecked(0x1008, &9u64.to_le_bytes());
-        assert_eq!(m.read_u64(0x1008), Ok(9));
+        assert_eq!(m.load_u64(0x1008), Ok(9));
         m.write_u64(0x1000, 1).unwrap();
         assert_eq!(m.resident_pages(), 1);
-        assert_eq!(m.read_u64(0x1000), Ok(1));
+        assert_eq!(m.load_u64(0x1000), Ok(1));
     }
 
     #[test]
     fn unchecked_write_outside_the_mapping_installs_no_tlb_entry() {
         let mut m = Memory::new();
         m.write_unchecked(0x5000, &[1]);
-        assert!(m.read_u8(0x5000).is_err());
+        assert!(m.load_u8(0x5000).is_err());
         assert!(m.write_u8(0x5000, 2).is_err());
         m.map_region(0x5000, 1);
-        assert_eq!(m.read_u8(0x5000), Ok(1));
-        assert!(m.read_u8(0x5001).is_err());
+        assert_eq!(m.load_u8(0x5000), Ok(1));
+        assert!(m.load_u8(0x5001).is_err());
     }
 
     #[test]

@@ -119,13 +119,18 @@ impl ShadowTable {
         BIND_TAG | (u64::from(pos & 7) << 60) | ((callsite & MASK) ^ (callsite >> 60))
     }
 
-    /// Probes for `key`; returns the address of its entry or of the first
-    /// empty slot.
-    fn probe<M: MemIo>(&self, mem: &M, key: u64) -> Result<(u64, bool), OutOfBounds> {
+    /// Probes for `key`, reading each slot's key word with `word`; returns
+    /// the address of its entry or of the first empty slot. The write paths
+    /// read through [`MemIo::load_u64`], so a guest memory fills its TLB.
+    fn probe(
+        &self,
+        key: u64,
+        mut word: impl FnMut(u64) -> Result<u64, OutOfBounds>,
+    ) -> Result<(u64, bool), OutOfBounds> {
         let mut slot = Self::hash(key);
         for _ in 0..SHADOW_CAPACITY {
             let ea = self.slot_addr(slot);
-            let k = mem.read_u64(ea)?;
+            let k = word(ea)?;
             if k == key {
                 return Ok((ea, true));
             }
@@ -151,7 +156,7 @@ impl ShadowTable {
         value: u64,
         size: u8,
     ) -> Result<(), OutOfBounds> {
-        let (ea, _) = self.probe(mem, addr)?;
+        let (ea, _) = self.probe(addr, |ea| mem.load_u64(ea))?;
         let kindsize = KIND_VALUE | (u64::from(size) << 8);
         mem.write_u64(ea, addr)?;
         mem.write_u64(
@@ -170,7 +175,7 @@ impl ShadowTable {
         mem: &M,
         addr: u64,
     ) -> Result<Option<(u64, u8)>, OutOfBounds> {
-        let (ea, found) = self.probe(mem, addr)?;
+        let (ea, found) = self.probe(addr, |ea| mem.read_u64(ea))?;
         if !found {
             return Ok(None);
         }
@@ -195,7 +200,7 @@ impl ShadowTable {
         var_addr: u64,
     ) -> Result<(), OutOfBounds> {
         let key = Self::bind_key(callsite, pos);
-        let (ea, _) = self.probe(mem, key)?;
+        let (ea, _) = self.probe(key, |ea| mem.load_u64(ea))?;
         mem.write_u64(ea, key)?;
         mem.write_u64(
             ea + 8,
@@ -217,7 +222,7 @@ impl ShadowTable {
         value: i64,
     ) -> Result<(), OutOfBounds> {
         let key = Self::bind_key(callsite, pos);
-        let (ea, _) = self.probe(mem, key)?;
+        let (ea, _) = self.probe(key, |ea| mem.load_u64(ea))?;
         mem.write_u64(ea, key)?;
         mem.write_u64(
             ea + 8,
@@ -237,7 +242,7 @@ impl ShadowTable {
         pos: u8,
     ) -> Result<Option<Binding>, OutOfBounds> {
         let key = Self::bind_key(callsite, pos);
-        let (ea, found) = self.probe(mem, key)?;
+        let (ea, found) = self.probe(key, |ea| mem.read_u64(ea))?;
         if !found {
             return Ok(None);
         }

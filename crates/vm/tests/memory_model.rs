@@ -159,6 +159,7 @@ fn apply(mems: &mut Vec<(Memory, Model)>, word: u64) {
             let a = d.addr();
             let want = model.read(a, 1).map(|b| b[0]);
             assert_eq!(m.read_u8(a), want, "read_u8 {a:#x}");
+            assert_eq!(m.load_u8(a), want, "load_u8 {a:#x}");
         }
         4 => {
             let a = d.addr();
@@ -166,6 +167,7 @@ fn apply(mems: &mut Vec<(Memory, Model)>, word: u64) {
                 .read(a, 8)
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()));
             assert_eq!(m.read_u64(a), want, "read_u64 {a:#x}");
+            assert_eq!(m.load_u64(a), want, "load_u64 {a:#x}");
         }
         5 => {
             let a = d.addr();

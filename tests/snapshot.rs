@@ -4,12 +4,14 @@
 //! cold run that never checkpointed all replay step-for-step identically,
 //! on both interpreters. Fork state (the prefilter's per-pid flow
 //! automaton included) must survive the round-trip. Restored worlds share
-//! the monitor's read-only tables with their checkpoint and copy the rest.
+//! the monitor's read-only tables with their checkpoint and copy the rest,
+//! and share every process until their first write to it.
 
 use bastion::attacks::env::{Defense, Parked};
-use bastion::attacks::{catalog, AttackEnv};
+use bastion::attacks::{catalog, AttackEnv, Victim};
 use bastion::chaos::monitor_stats;
-use bastion::kernel::{FaultSchedule, LegacyInterpGuard, Tracer, World};
+use bastion::kernel::process::{ProcState, WaitReason};
+use bastion::kernel::{FaultSchedule, LegacyInterpGuard, ProcSlot, RunStatus, Tracer, World};
 use bastion::monitor::{ContextConfig, Monitor, MonitorStats};
 use bastion::{Deployment, Protection};
 use proptest::prelude::*;
@@ -95,6 +97,20 @@ fn behavioral(mut stats: MonitorStats) -> String {
     format!("{stats:?}")
 }
 
+/// A parent that maps a page, forks, and changes the mapping's protection
+/// in both processes; the child exits 7 and the parent 1.
+const FORKY: &str = r#"
+    long main() {
+        long a;
+        long pid;
+        a = mmap(0, 4096, 3, 0x21, 0 - 1, 0);
+        pid = fork();
+        a = mprotect(a, 4096, 1);
+        if (pid == 0) { return 7; }
+        return 1;
+    }
+"#;
+
 /// Fork inheritance across a restored checkpoint: the checkpoint lands
 /// after the parent's first sensitive trap (so the prefilter's flow
 /// automaton holds per-pid state) but before the fork, and the fork then
@@ -103,18 +119,7 @@ fn behavioral(mut stats: MonitorStats) -> String {
 /// monitor stats included, matches a cold run that never checkpointed.
 #[test]
 fn fork_inherits_prefilter_state_across_a_restored_checkpoint() {
-    let src = r#"
-        long main() {
-            long a;
-            long pid;
-            a = mmap(0, 4096, 3, 0x21, 0 - 1, 0);
-            pid = fork();
-            a = mprotect(a, 4096, 1);
-            if (pid == 0) { return 7; }
-            return 1;
-        }
-    "#;
-    let d = Deployment::from_minic("fork-ckpt", &[src]).expect("compiles");
+    let d = Deployment::from_minic("fork-ckpt", &[FORKY]).expect("compiles");
 
     let mut cold = d.world();
     let parent = d.launch(&mut cold, &Protection::full());
@@ -341,4 +346,134 @@ fn park_serves_the_parked_snapshot_only_to_an_unchanged_world() {
     let mut bare = AttackEnv::restore(&ck);
     bare.park();
     assert!(!bare.parked_from_snapshot());
+}
+
+/// Whether every process of `world` is still in a shared slot.
+fn all_shared(world: &World) -> bool {
+    world
+        .procs
+        .iter()
+        .all(|p| matches!(p, ProcSlot::Shared(_)))
+}
+
+/// The webserve victim booted under the full monitor, checkpointed.
+fn webserve_checkpoint() -> bastion::attacks::env::DeployCheckpoint {
+    AttackEnv::deploy(Victim::Webserve, Some(ContextConfig::full()), false, false).checkpoint()
+}
+
+/// A restore copies no process: every slot of two restores of one
+/// checkpoint holds the same shared process.
+#[test]
+fn a_restore_shares_every_process_with_its_snapshot() {
+    let ck = webserve_checkpoint();
+    let (a, b) = (AttackEnv::restore(&ck), AttackEnv::restore(&ck));
+    assert!(a.world.procs.len() >= 3, "{}", a.world.summary());
+    for (x, y) in a.world.procs.iter().zip(&b.world.procs) {
+        match (x, y) {
+            (ProcSlot::Shared(x), ProcSlot::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => panic!("pid {} was copied by a restore", x.pid),
+        }
+    }
+}
+
+/// Running one restore to completion copies only its own processes: the
+/// snapshot and a sibling restored before the run are untouched, and the
+/// sibling then runs byte-identically to the first restore and to one
+/// taken after it.
+#[test]
+fn running_one_restore_leaves_the_snapshot_and_a_sibling_unchanged() {
+    let d = Deployment::from_minic("fork-share", &[FORKY]).expect("compiles");
+    let mut live = d.world();
+    d.launch(&mut live, &Protection::full());
+    while live.procs.len() < 2 {
+        assert_eq!(live.run(1_000), RunStatus::Budget, "{}", live.summary());
+    }
+    let snap = live.snapshot();
+    let mut sibling = World::restore(&snap);
+    let sibling_pages = sibling.page_stats();
+    let mut first = World::restore(&snap);
+    let first_trace = trace(&mut first);
+    assert_eq!(first.alive_count(), 0, "{}", first.summary());
+    assert!(!all_shared(&first), "the run wrote no process");
+
+    assert!(all_shared(&sibling), "a sibling's run copied this restore");
+    assert_eq!(sibling.page_stats(), sibling_pages);
+    assert_eq!(trace(&mut sibling), first_trace);
+    let mut later = World::restore(&snap);
+    assert!(all_shared(&later));
+    assert_eq!(trace(&mut later), first_trace);
+    assert_eq!(trace(&mut live), first_trace);
+}
+
+/// A process blocked in `read` with nothing queued, or in `accept` with no
+/// pending connection, is not written by `World::run`: it stays shared.
+#[test]
+fn blocked_processes_stay_shared_across_run() {
+    let ck = webserve_checkpoint();
+    let mut env = AttackEnv::restore(&ck);
+    env.park();
+    let snap = env.world.snapshot();
+    let mut world = World::restore(&snap);
+    assert_eq!(world.run(1_000_000), RunStatus::Idle, "{}", world.summary());
+    let (mut reads, mut accepts) = (0, 0);
+    for p in &world.procs {
+        match p.state {
+            ProcState::Blocked(WaitReason::ConnRead { .. }) => reads += 1,
+            ProcState::Blocked(WaitReason::Accept { .. }) => accepts += 1,
+            _ => continue,
+        }
+        assert!(
+            matches!(p, ProcSlot::Shared(_)),
+            "pid {} blocked on {:?} was copied",
+            p.pid,
+            p.state
+        );
+    }
+    assert!(reads > 0 && accepts > 0, "{}", world.summary());
+}
+
+/// `page_stats` and `WorldSnapshot::shared_pages` across a snapshot taken
+/// before a fork, a restore, its run (which forks), the live world's own
+/// run, and the snapshot's drop: a process still shared with another world
+/// counts all its pages as shared, so the totals are those of a world that
+/// copied every process at restore.
+#[test]
+fn page_stats_count_pages_of_shared_processes_as_shared() {
+    let d = Deployment::from_minic("fork-pages", &[FORKY]).expect("compiles");
+    let mut live = d.world();
+    d.launch(&mut live, &Protection::full());
+    while live.trap_count == 0 {
+        live.run(10);
+    }
+    assert_eq!(live.procs.len(), 1, "the checkpoint lands before the fork");
+    let snap = live.snapshot();
+    let mut got = vec![("snapshot", (0, snap.shared_pages())), ("live", live.page_stats())];
+    let mut restored = World::restore(&snap);
+    let idle = World::restore(&snap);
+    got.push(("restore", restored.page_stats()));
+    restored.run(20_000_000);
+    assert_eq!(restored.procs.len(), 2, "{}", restored.summary());
+    got.push(("restore after its run", restored.page_stats()));
+    got.push(("live after the restore ran", live.page_stats()));
+    live.run(20_000_000);
+    got.push(("live after its run", live.page_stats()));
+    got.push(("idle restore", idle.page_stats()));
+    drop(snap);
+    got.push(("idle restore, snapshot dropped", idle.page_stats()));
+    got.push(("restore, snapshot dropped", restored.page_stats()));
+    drop(idle);
+    got.push(("restore, all others dropped", restored.page_stats()));
+    let want = vec![
+        ("snapshot", (0, 3)),
+        ("live", (3, 3)),
+        ("restore", (3, 3)),
+        ("restore after its run", (10, 4)),
+        ("live after the restore ran", (3, 3)),
+        ("live after its run", (10, 4)),
+        ("idle restore", (3, 3)),
+        ("idle restore, snapshot dropped", (3, 2)),
+        ("restore, snapshot dropped", (10, 4)),
+        ("restore, all others dropped", (10, 4)),
+    ];
+    assert_eq!(got, want);
 }

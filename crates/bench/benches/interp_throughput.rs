@@ -96,7 +96,8 @@ fn bench_mem_access(c: &mut Criterion) {
         });
     });
     // 17 resident pages: pages 0 and 16 share a TLB entry, so the
-    // round-robin evicts and refills it on every pass.
+    // round-robin evicts and refills it on every pass. `load_u64` is the
+    // interpreter's load, which fills the TLB on a miss.
     let mut spread = Memory::new();
     spread.map_region(BASE, 17 * PAGE);
     for p in 0..17 {
@@ -106,7 +107,7 @@ fn bench_mem_access(c: &mut Criterion) {
         b.iter(|| {
             let mut sum = 0u64;
             for p in 0..17 {
-                sum = sum.wrapping_add(spread.read_u64(BASE + p * PAGE).expect("mapped"));
+                sum = sum.wrapping_add(spread.load_u64(BASE + p * PAGE).expect("mapped"));
             }
             sum
         });

@@ -252,6 +252,9 @@ impl Process {
 /// [`World::snapshot`](crate::World::snapshot) moves every owned process
 /// into a shared slot, so a snapshot or a restore clones `Arc`s, not
 /// processes.
+// An owned process stays inline, as in a `Vec<Process>`: boxing it would
+// add a pointer chase to every scheduler and syscall access of it.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum ProcSlot {
     /// A process only this world sees: written in place.

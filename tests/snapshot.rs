@@ -136,10 +136,15 @@ fn fork_inherits_prefilter_state_across_a_restored_checkpoint() {
 
     let mut warm = d.world();
     d.launch(&mut warm, &Protection::full());
-    warm.run_until_traps(1, 20_000_000);
-    assert!(
-        warm.trap_count >= 1,
-        "checkpoint must land after the first sensitive trap"
+    // Fine slices: the fork comes within a few hundred cycles of the
+    // first trap, so `run_until_traps`'s 100k-cycle slices overshoot it.
+    while warm.trap_count == 0 {
+        warm.run(10);
+    }
+    assert_eq!(
+        warm.procs.len(),
+        1,
+        "checkpoint must land after the first sensitive trap, before the fork"
     );
     let snap = warm.snapshot();
     assert!(snap.shared_pages() > 0, "checkpoint shares no pages");
@@ -350,10 +355,7 @@ fn park_serves_the_parked_snapshot_only_to_an_unchanged_world() {
 
 /// Whether every process of `world` is still in a shared slot.
 fn all_shared(world: &World) -> bool {
-    world
-        .procs
-        .iter()
-        .all(|p| matches!(p, ProcSlot::Shared(_)))
+    world.procs.iter().all(|p| matches!(p, ProcSlot::Shared(_)))
 }
 
 /// The webserve victim booted under the full monitor, checkpointed.
@@ -447,7 +449,10 @@ fn page_stats_count_pages_of_shared_processes_as_shared() {
     }
     assert_eq!(live.procs.len(), 1, "the checkpoint lands before the fork");
     let snap = live.snapshot();
-    let mut got = vec![("snapshot", (0, snap.shared_pages())), ("live", live.page_stats())];
+    let mut got = vec![
+        ("snapshot", (0, snap.shared_pages())),
+        ("live", live.page_stats()),
+    ];
     let mut restored = World::restore(&snap);
     let idle = World::restore(&snap);
     got.push(("restore", restored.page_stats()));

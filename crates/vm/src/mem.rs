@@ -590,9 +590,7 @@ impl Memory {
     pub fn read_u8(&self, addr: u64) -> Result<u8, OutOfBounds> {
         let e = self.tlb_entry(addr / PAGE_SIZE);
         if e.covers(addr, 1) {
-            return Ok(self
-                .hit_page(e)
-                .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]));
+            return Ok(self.hit_u8(e, addr));
         }
         let mut b = [0u8; 1];
         self.read(addr, &mut b)?;
@@ -608,9 +606,7 @@ impl Memory {
     pub fn load_u8(&mut self, addr: u64) -> Result<u8, OutOfBounds> {
         let e = self.tlb_entry(addr / PAGE_SIZE);
         if e.covers(addr, 1) {
-            return Ok(self
-                .hit_page(e)
-                .map_or(0, |p| p[(addr % PAGE_SIZE) as usize]));
+            return Ok(self.hit_u8(e, addr));
         }
         let mut b = [0u8; 1];
         self.read_miss(addr, &mut b)?;
@@ -637,6 +633,13 @@ impl Memory {
     #[inline(always)]
     fn hit_page(&self, e: TlbEntry) -> Option<&PageBytes> {
         self.slots.get(e.slot as usize).map(|(_, p)| p.bytes())
+    }
+
+    /// The byte at `addr` behind a TLB hit `e` that covers it.
+    #[inline(always)]
+    fn hit_u8(&self, e: TlbEntry, addr: u64) -> u8 {
+        self.hit_page(e)
+            .map_or(0, |p| p[(addr % PAGE_SIZE) as usize])
     }
 
     /// The word at `addr` behind a TLB hit `e` that covers it.
@@ -997,6 +1000,17 @@ mod tests {
         assert_eq!(m.load_u64(0x2000).unwrap(), 0);
         assert_eq!(m.load_u64(0x3000).unwrap(), 0);
         assert!(m.is_mapped(0x2000, 8));
+    }
+
+    #[test]
+    fn only_mutable_loads_fill_the_tlb() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 0x2000);
+        let filled = |m: &Memory| m.tlb.iter().filter(|e| e.tag != NO_PAGE).count();
+        assert_eq!((m.read_u64(0x1000), m.read_u8(0x2000)), (Ok(0), Ok(0)));
+        assert_eq!(filled(&m), 0);
+        assert_eq!((m.load_u64(0x1000), m.load_u8(0x2000)), (Ok(0), Ok(0)));
+        assert_eq!(filled(&m), 2);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   connections, and an *external peer* API that workload generators (the
 //!   `wrk`/`dkftpbench` analogues) use to drive servers;
 //! * [`process`] — processes with credentials, fd tables (shared open file
-//!   descriptions across `clone`), VMA lists (for `mmap`/`mprotect`), and
-//!   exit reasons distinguishing seccomp kills from monitor kills;
+//!   descriptions across `clone`), VMA lists (for `mmap`/`mprotect`),
+//!   exit reasons distinguishing seccomp kills from monitor kills, and the
+//!   [`process::ProcSlot`] a world holds each process in, shared with a
+//!   snapshot until the world first writes it;
 //! * [`syscall`] — the dispatcher implementing ~40 Linux x86-64 syscalls
 //!   over the above, with per-number invocation counters (Table 4);
 //! * `trap` — the trap pipeline every syscall entry runs: seccomp, the

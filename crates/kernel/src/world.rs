@@ -688,8 +688,8 @@ impl World {
     /// Page-table totals across all processes, as
     /// `(resident_pages, shared_pages)`: how many backing pages exist and
     /// how many are shared with a live snapshot or fork sibling. A process
-    /// still in a shared slot counts all its pages as shared
-    /// ([`ProcSlot::page_stats`]).
+    /// still in a shared slot counts all its pages as shared: another
+    /// world's first write would copy them.
     pub fn page_stats(&self) -> (u64, u64) {
         self.procs.iter().fold((0, 0), |(r, s), p| {
             let (pr, ps) = p.page_stats();

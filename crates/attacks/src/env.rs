@@ -14,7 +14,9 @@ use bastion_compiler::{BastionCompiler, ContextMetadata};
 use bastion_defenses::HardeningConfig;
 use bastion_ir::sysno;
 use bastion_kernel::process::{ProcState, WaitReason};
-use bastion_kernel::{ExitReason, ExtConnId, FaultSchedule, Pid, World, WorldSnapshot};
+use bastion_kernel::{
+    DenyContext, ExitReason, ExtConnId, FaultSchedule, Pid, World, WorldSnapshot,
+};
 use bastion_monitor::ContextConfig;
 use bastion_vm::Image;
 use std::sync::{Arc, Mutex};
@@ -457,35 +459,22 @@ impl AttackEnv {
 
     // ---- judgement ----
 
-    /// Classifies the first targeted defense that fired on any process.
+    /// Classifies the defense behind the run's decisive exit
+    /// ([`World::decisive_exit`]).
     pub fn defense_fired(&self) -> Defense {
-        for p in &self.world.procs {
-            match &p.exit {
-                Some(ExitReason::MonitorKill { reason, .. }) => {
-                    return if reason.starts_with("CT") {
-                        Defense::MonitorCt
-                    } else if reason.starts_with("CF") {
-                        Defense::MonitorCf
-                    } else if reason.starts_with("AI") {
-                        Defense::MonitorAi
-                    } else if reason.starts_with("FC") {
-                        Defense::MonitorFailClosed
-                    } else {
-                        Defense::Crash(reason.clone())
-                    };
-                }
-                Some(ExitReason::SeccompKill { .. }) => return Defense::Seccomp,
-                Some(ExitReason::Fault(f)) => {
-                    return match f {
-                        bastion_vm::Fault::ControlProtection { .. } => Defense::Cet,
-                        bastion_vm::Fault::CfiViolation { .. } => Defense::Cfi,
-                        other => Defense::Crash(other.to_string()),
-                    };
-                }
-                _ => {}
-            }
+        match self.world.decisive_exit() {
+            Some(ExitReason::MonitorKill { reason, .. }) => match reason.context {
+                DenyContext::CallType => Defense::MonitorCt,
+                DenyContext::ControlFlow => Defense::MonitorCf,
+                DenyContext::ArgIntegrity => Defense::MonitorAi,
+                DenyContext::FailClosed => Defense::MonitorFailClosed,
+            },
+            Some(ExitReason::SeccompKill { .. }) => Defense::Seccomp,
+            Some(ExitReason::Fault(bastion_vm::Fault::ControlProtection { .. })) => Defense::Cet,
+            Some(ExitReason::Fault(bastion_vm::Fault::CfiViolation { .. })) => Defense::Cfi,
+            Some(ExitReason::Fault(other)) => Defense::Crash(other.to_string()),
+            Some(ExitReason::Exited(_)) | None => Defense::None,
         }
-        Defense::None
     }
 
     /// Ground truth: an `execve` of `path_contains` happened.

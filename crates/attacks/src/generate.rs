@@ -24,7 +24,7 @@
 
 use crate::deploy::{Deployment, Protection};
 use bastion_ir::sysno;
-use bastion_kernel::{ExitReason, World};
+use bastion_kernel::{ExitReason, RunStatus, World};
 use bastion_monitor::ContextConfig;
 
 // ---- deterministic rng ----
@@ -451,8 +451,13 @@ impl Generator {
 /// How a generated program's run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// Ran to completion (or idled out) with no defense firing.
+    /// Every process exited cleanly and no defense fired.
     Benign,
+    /// The cycle budget ran out before the run ended; no defense fired.
+    Budget,
+    /// The world went idle: every live process waits for input that never
+    /// comes, and no defense fired.
+    Idle,
     /// seccomp killed the process (dark syscall, not-callable).
     Seccomp {
         /// The killed syscall number.
@@ -461,7 +466,7 @@ pub enum Verdict {
     /// The monitor denied a trap; `rule` is the structured deny-rule name
     /// (e.g. `"CF:return_not_after_call"`).
     Denied {
-        /// `"<ctx>:<rule_name>"` from the monitor's deny log.
+        /// `"<ctx>:<rule_name>"` from the kill reason's deny record.
         rule: String,
     },
     /// The program crashed on a hardware fault before any defense fired.
@@ -471,10 +476,30 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Canonical comparison key: `"seccomp"`, `"CT:rule"`, `"benign"`, ...
+    /// Classifies a run from its decisive exit ([`World::decisive_exit`])
+    /// and, when no process was killed, from how [`World::run`] stopped.
+    pub fn of(world: &World, status: RunStatus) -> Verdict {
+        match world.decisive_exit() {
+            Some(ExitReason::SeccompKill { nr }) => Verdict::Seccomp { nr: *nr },
+            Some(ExitReason::MonitorKill { reason, .. }) => Verdict::Denied {
+                rule: format!("{}:{}", reason.context.label(), reason.rule.name()),
+            },
+            Some(ExitReason::Fault(f)) => Verdict::Crashed(f.to_string()),
+            Some(ExitReason::Exited(_)) | None => match status {
+                RunStatus::AllExited => Verdict::Benign,
+                RunStatus::Budget => Verdict::Budget,
+                RunStatus::Idle => Verdict::Idle,
+            },
+        }
+    }
+
+    /// Canonical comparison key: `"seccomp"`, `"CT:rule"`, `"benign"`,
+    /// `"budget"`, `"idle"`, ...
     pub fn key(&self) -> String {
         match self {
             Verdict::Benign => "benign".into(),
+            Verdict::Budget => "budget".into(),
+            Verdict::Idle => "idle".into(),
             Verdict::Seccomp { .. } => "seccomp".into(),
             Verdict::Denied { rule } => rule.clone(),
             Verdict::Crashed(_) => "crash".into(),
@@ -521,8 +546,21 @@ fn effect(world: &World) -> bool {
         || world.procs.iter().any(|p| p.has_wx_mapping())
 }
 
+/// Cycle budget of one generated-program run.
+const BUDGET: u64 = 2_000_000_000;
+
+/// First slice of a ground-truth run; each later slice doubles.
+const FIRST_SLICE: u64 = 1_000_000;
+
 /// Compiles and runs one MiniC source, protected (`Some(cfg)`) or as the
 /// unprotected ground-truth run (`None`), and classifies the outcome.
+///
+/// A protected run is one [`Deployment::boot`] of `BUDGET` cycles. The
+/// ground-truth run asks only whether the effect lands, so it runs in
+/// doubling slices and stops at the first slice boundary where `effect`
+/// holds; its verdict then reads [`Verdict::Budget`], since the run was
+/// cut before it ended. `BUDGET` stays the bound for a run whose effect
+/// never lands.
 pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
     let d = match Deployment::from_minic("generated", &[source]) {
         Ok(d) => d,
@@ -538,39 +576,24 @@ pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
         monitor: cfg,
         ..Protection::vanilla()
     };
-    d.boot(&mut world, &protection, 2_000_000_000);
-    let protected = cfg.is_some();
-    let eff = effect(&world);
-    let exit = world.procs.iter().find_map(|p| p.exit.clone());
-    let verdict = match exit {
-        Some(ExitReason::SeccompKill { nr }) => Verdict::Seccomp { nr },
-        Some(ExitReason::MonitorKill { reason, .. }) => {
-            // Prefer the structured deny log over string-parsing the
-            // rendered reason; fall back to the rendered prefix.
-            let rule = if protected {
-                world.take_tracer().and_then(|t| {
-                    t.as_any()
-                        .downcast_ref::<bastion_monitor::Monitor>()
-                        .and_then(|m| {
-                            m.deny_log
-                                .last()
-                                .map(|r| format!("{}:{}", r.context.label(), r.rule.name()))
-                        })
-                })
-            } else {
-                None
-            };
-            Verdict::Denied {
-                rule: rule
-                    .unwrap_or_else(|| reason.split(':').next().unwrap_or("?").trim().to_string()),
+    let status = if cfg.is_some() {
+        d.boot(&mut world, &protection, BUDGET).1
+    } else {
+        d.launch(&mut world, &protection);
+        let (mut spent, mut slice) = (0, FIRST_SLICE);
+        loop {
+            let start = world.now();
+            let status = world.run(slice.min(BUDGET - spent));
+            spent += world.now() - start;
+            if status != RunStatus::Budget || spent >= BUDGET || effect(&world) {
+                break status;
             }
+            slice *= 2;
         }
-        Some(ExitReason::Fault(f)) => Verdict::Crashed(f.to_string()),
-        Some(ExitReason::Exited(_)) | None => Verdict::Benign,
     };
     GenReport {
-        verdict,
-        effect: eff,
+        verdict: Verdict::of(&world, status),
+        effect: effect(&world),
     }
 }
 
@@ -696,6 +719,27 @@ mod tests {
             let truth = ground_truth(&prog.source);
             assert!(truth.effect, "{} has no unprotected effect", prog.family);
         }
+    }
+
+    #[test]
+    fn a_clean_exit_is_benign() {
+        let rep = run_protected("long main() { return 0; }");
+        assert_eq!(rep.verdict, Verdict::Benign);
+        assert!(!rep.effect);
+    }
+
+    #[test]
+    fn a_benign_loop_reads_as_unfinished_not_benign() {
+        // A short budget stands in for `BUDGET`: the classification is
+        // the same `Verdict::of` every run goes through.
+        let src = "long main() { long i; i = 0; while (1) { i = i + 1; } return i; }";
+        let d = Deployment::from_minic("loop", &[src]).expect("compiles");
+        let mut world = d.world();
+        let (_, status) = d.boot(&mut world, &Protection::full(), 1_000_000);
+        let verdict = Verdict::of(&world, status);
+        assert_eq!(verdict, Verdict::Budget);
+        assert_eq!(verdict.key(), "budget");
+        assert!(!verdict.stopped());
     }
 
     #[test]

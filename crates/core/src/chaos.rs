@@ -37,7 +37,7 @@ use crate::{Deployment, Protection};
 use bastion_apps::App;
 use bastion_attacks::env::{AttackEnv, DeployCheckpoint, RunOutcome};
 use bastion_attacks::scenario::Scenario;
-use bastion_kernel::{FaultKind, FaultSchedule, Trigger, World};
+use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger, World};
 use bastion_monitor::{ContextConfig, MonitorStats};
 use bastion_obs::{flight::verdict as flight_verdict, DenyRecord, FlightDump};
 use std::cell::Cell;
@@ -52,22 +52,29 @@ pub fn monitor_stats(world: &mut World) -> Option<MonitorStats> {
     monitor_report(world).map(|(stats, _)| stats)
 }
 
-/// Recovers monitor statistics *and* the deny-provenance audit log from a
+/// Recovers monitor statistics *and* the world's deny records from a
 /// finished world (detaches the tracer). `None` when no monitor was
-/// attached. The deny records join against the world's fault log via
-/// `DenyRecord::trap_seq` == `InjectedFault::world_trap`.
+/// attached. Every deny kills exactly one process, so the records are the
+/// reasons of its `MonitorKill` exits, in trap order; they join against
+/// the world's fault log via `DenyRecord::trap_seq` ==
+/// `InjectedFault::world_trap`.
 pub fn monitor_report(world: &mut World) -> Option<(MonitorStats, Vec<DenyRecord>)> {
     let (resident, shared) = world.page_stats();
-    world.take_tracer().and_then(|t| {
-        t.as_any()
-            .downcast_ref::<bastion_monitor::Monitor>()
-            .map(|m| {
-                let mut stats = m.stats.clone();
-                stats.resident_pages = resident;
-                stats.snapshot_shared_pages = shared;
-                (stats, m.deny_log.clone())
-            })
-    })
+    let tracer = world.take_tracer()?;
+    let m = tracer.as_any().downcast_ref::<bastion_monitor::Monitor>()?;
+    let mut stats = m.stats.clone();
+    stats.resident_pages = resident;
+    stats.snapshot_shared_pages = shared;
+    let mut denies: Vec<DenyRecord> = world
+        .procs
+        .iter()
+        .filter_map(|p| match &p.exit {
+            Some(ExitReason::MonitorKill { reason, .. }) => Some(DenyRecord::clone(reason)),
+            _ => None,
+        })
+        .collect();
+    denies.sort_by_key(|d| d.trap_seq);
+    Some((stats, denies))
 }
 
 /// Outcome of one benign chaos run.

@@ -718,23 +718,20 @@ fn turn(t: &mut Tenant, quantum: u64) -> Turn {
     }
 }
 
-/// Status string for a fully exited world. A defense kill on any process
-/// marks the tenant denied/seccomp/faulted; otherwise the first process's
-/// exit code is reported.
+/// Status string for a fully exited world: its decisive exit
+/// ([`World::decisive_exit`]) marks the tenant denied/seccomp/faulted;
+/// otherwise the first process's exit code is reported.
 fn classify(world: &World) -> String {
-    for p in &world.procs {
-        match &p.exit {
-            Some(ExitReason::MonitorKill { nr, reason }) => {
-                return format!("denied[{nr}:{reason}]")
+    match world.decisive_exit() {
+        Some(ExitReason::MonitorKill { nr, reason }) => format!("denied[{nr}:{reason}]"),
+        Some(ExitReason::SeccompKill { nr }) => format!("seccomp[{nr}]"),
+        Some(ExitReason::Fault(_)) => "faulted".to_string(),
+        Some(ExitReason::Exited(_)) | None => {
+            match world.procs.first().and_then(|p| p.exit.as_ref()) {
+                Some(ExitReason::Exited(c)) => format!("exited[{c}]"),
+                _ => "exited".to_string(),
             }
-            Some(ExitReason::SeccompKill { nr }) => return format!("seccomp[{nr}]"),
-            Some(ExitReason::Fault(_)) => return "faulted".to_string(),
-            _ => {}
         }
-    }
-    match world.procs.first().and_then(|p| p.exit.as_ref()) {
-        Some(ExitReason::Exited(c)) => format!("exited[{c}]"),
-        _ => "exited".to_string(),
     }
 }
 

@@ -40,6 +40,10 @@ pub mod trace;
 mod trap;
 pub mod world;
 
+/// The context and rule of the deny record a [`ExitReason::MonitorKill`]
+/// carries, so readers of an exit can match them without depending on
+/// `bastion-obs`.
+pub use bastion_obs::{DenyContext, DenyRule};
 pub use faults::{
     AccessClass, FaultAction, FaultInjector, FaultKind, FaultSchedule, FaultSpec, InjectedFault,
     Trigger,

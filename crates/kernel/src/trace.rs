@@ -9,7 +9,7 @@
 
 use crate::faults::{AccessClass, FaultAction, FaultInjector};
 use crate::process::Pid;
-use bastion_obs::{FlightEntry, FlightRecorder};
+use bastion_obs::{DenyRecord, FlightEntry, FlightRecorder};
 use bastion_vm::{Machine, MemIo, OutOfBounds};
 use std::cell::RefCell;
 
@@ -401,8 +401,9 @@ impl Tracee<'_> {
 pub enum TraceVerdict {
     /// Let the syscall execute.
     Allow,
-    /// Kill the application (context violation).
-    Deny(String),
+    /// Kill the application; the record becomes its
+    /// [`crate::ExitReason::MonitorKill`] reason.
+    Deny(Box<DenyRecord>),
 }
 
 /// Why the tier-1 prefilter handed a trap to the full monitor.
@@ -536,7 +537,7 @@ pub trait Tracer: std::any::Any + Send {
     /// Deep-copies the tracer for [`crate::World::snapshot`]. The default
     /// returns `None`, meaning the tracer does not support checkpointing;
     /// snapshotting a world with such a tracer attached panics. The BASTION
-    /// monitor overrides this with a structural clone (stats, deny log,
+    /// monitor overrides this with a structural clone (stats, trap log,
     /// caches, prefilter per-pid state), so a restored world resumes
     /// verification exactly where the checkpoint left it.
     fn snapshot_box(&self) -> Option<Box<dyn Tracer>> {

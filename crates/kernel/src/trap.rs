@@ -9,7 +9,9 @@ use crate::seccomp::SeccompAction;
 use crate::trace::{EscalateReason, PrefilterVerdict, TraceVerdict, Tracee};
 use crate::world::World;
 use bastion_obs::flight::verdict;
-use bastion_obs::{self as obs, FlightDump, FlightEntry, FlightRecorder, FlightTrigger, Phase};
+use bastion_obs::{
+    self as obs, DenyRecord, FlightDump, FlightEntry, FlightRecorder, FlightTrigger, Phase,
+};
 use std::cell::RefCell;
 
 /// Upper bound on retained [`FlightDump`]s per world.
@@ -45,8 +47,8 @@ pub(crate) struct TrapRecord {
     /// [`EscalateReason::code`] that sent the trap to tier 2 (`u8::MAX`
     /// when tier 1 settled it).
     esc: u8,
-    /// The monitor's deny reason.
-    pub(crate) deny: Option<String>,
+    /// The monitor's deny record, moved on into the kill reason.
+    pub(crate) deny: Option<Box<DenyRecord>>,
     /// The prefilter's flow word for the pid after tier 1.
     flow: u64,
     /// `trace_cycles` when the trap opened.

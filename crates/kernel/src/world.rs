@@ -247,6 +247,16 @@ impl World {
             .map(ProcSlot::get_mut)
     }
 
+    /// The exit that decides how a run ended: the first process, in pid
+    /// order, that seccomp or the monitor killed or that faulted. `None`
+    /// when every process that ended exited cleanly.
+    pub fn decisive_exit(&self) -> Option<&ExitReason> {
+        self.procs
+            .iter()
+            .filter_map(|p| p.exit.as_ref())
+            .find(|e| !matches!(e, ExitReason::Exited(_)))
+    }
+
     /// Total virtual time: app + kernel + monitor cycles.
     pub fn now(&self) -> u64 {
         self.clock + self.kernel.cycles + self.trace_cycles

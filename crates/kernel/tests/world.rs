@@ -5,6 +5,7 @@ use bastion_ir::build::ModuleBuilder;
 use bastion_ir::{sysno, Operand, Ty};
 use bastion_kernel::process::ProcState;
 use bastion_kernel::{ExitReason, RunStatus, SeccompAction, SeccompFilter, World};
+use bastion_obs::{DenyContext, DenyRecord, DenyRule, FaultCtx};
 use bastion_vm::{CostModel, Image, Machine};
 use std::sync::Arc;
 
@@ -189,6 +190,9 @@ fn seccomp_filters_are_inherited_by_children() {
         world.proc(parent).unwrap().exit,
         Some(ExitReason::Exited(0))
     );
+    // The parent's clean exit comes first in pid order; the child's kill
+    // still decides the run.
+    assert_eq!(world.decisive_exit(), child.exit.as_ref());
 }
 
 #[test]
@@ -202,7 +206,18 @@ fn tracer_allow_and_deny_paths() {
         fn on_trap(&mut self, t: &mut bastion_kernel::Tracee<'_>) -> bastion_kernel::TraceVerdict {
             let regs = t.getregs();
             if regs.nr == sysno::EXECVE {
-                bastion_kernel::TraceVerdict::Deny("execve denied".into())
+                bastion_kernel::TraceVerdict::Deny(Box::new(DenyRecord {
+                    trap_seq: 2,
+                    sysno: regs.nr,
+                    context: DenyContext::CallType,
+                    rule: DenyRule::NotCallable,
+                    expected: None,
+                    observed: None,
+                    fault_ctx: FaultCtx::default(),
+                    ladder_rung: "full",
+                    message: "execve denied".into(),
+                    flight: Vec::new(),
+                }))
             } else {
                 bastion_kernel::TraceVerdict::Allow
             }
@@ -228,7 +243,14 @@ fn tracer_allow_and_deny_paths() {
     world.attach_tracer(Box::new(DenyExecve));
     assert_eq!(world.run(10_000_000), RunStatus::AllExited);
     let exit = world.proc(pid).unwrap().exit.clone().unwrap();
-    assert!(matches!(exit, ExitReason::MonitorKill { nr, .. } if nr == sysno::EXECVE));
+    match &exit {
+        ExitReason::MonitorKill { nr, reason } => {
+            assert_eq!(*nr, sysno::EXECVE);
+            assert_eq!(reason.to_string(), "CT: execve denied");
+        }
+        other => panic!("execve was not denied: {other:?}"),
+    }
+    assert_eq!(world.decisive_exit(), Some(&exit));
     // getpid was traced, allowed, and executed; monitoring cost accrued.
     assert_eq!(world.kernel.count_of(sysno::GETPID), 1);
     assert_eq!(world.kernel.count_of(sysno::EXECVE), 0);

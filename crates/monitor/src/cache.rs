@@ -168,7 +168,7 @@ mod tests {
             2,
             0x400,
             Err(Violation::new(
-                crate::ContextKind::CallType,
+                bastion_obs::DenyContext::CallType,
                 bastion_obs::DenyRule::NotCallable,
                 "nope",
             )),
@@ -202,7 +202,7 @@ mod tests {
         // Storing the colliding chain's own (deny) verdict displaces the
         // occupant; each chain only ever sees its own verdict.
         let deny = Err(Violation::new(
-            crate::ContextKind::ControlFlow,
+            bastion_obs::DenyContext::ControlFlow,
             bastion_obs::DenyRule::InvalidCaller,
             "bad caller",
         ));

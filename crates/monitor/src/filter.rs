@@ -16,25 +16,17 @@ use bastion_compiler::ContextMetadata;
 use bastion_kernel::{SeccompAction, SeccompFilter};
 
 /// Builds the per-application filter from metadata.
-pub fn build_filter(md: &ContextMetadata) -> SeccompFilter {
-    build_filter_with_trace(md, true)
-}
-
-/// Builds the filter with or without tracing of sensitive syscalls.
 ///
 /// `trace = false` produces the paper's Table 7 row-1 configuration
 /// ("seccomp hook only"): not-callable syscalls are still killed, but
 /// callable sensitive syscalls run without stopping for the monitor —
 /// isolating the pure BPF-evaluation cost.
-pub fn build_filter_with_trace(md: &ContextMetadata, trace: bool) -> SeccompFilter {
-    build_filter_with_mode(md, trace, false)
-}
-
-/// Builds the filter, optionally marking traced syscalls for tier-1
-/// prefiltering: the world then evaluates the attached tracer's compiled
-/// check program at classify time and only stops the process on
-/// escalation. The allow/kill structure is identical either way — the
-/// prefilter only changes *how* a trace verdict is served.
+///
+/// `prefilter = true` marks traced syscalls for tier-1 prefiltering: the
+/// world then evaluates the attached tracer's compiled check program at
+/// classify time and only stops the process on escalation. The allow/kill
+/// structure is identical either way — the prefilter only changes *how* a
+/// trace verdict is served.
 pub fn build_filter_with_mode(md: &ContextMetadata, trace: bool, prefilter: bool) -> SeccompFilter {
     let mut f = SeccompFilter::new(SeccompAction::Kill);
     let trap = if prefilter {
@@ -81,7 +73,7 @@ mod tests {
 
     #[test]
     fn filter_actions_follow_call_type_classes() {
-        let f = build_filter(&metadata());
+        let f = build_filter_with_mode(&metadata(), true, false);
         // Used sensitive syscall → trace.
         assert_eq!(f.eval(sysno::EXECVE), SeccompAction::Trace);
         // Used non-sensitive syscall → allow.

@@ -27,8 +27,6 @@ pub mod filter;
 pub mod prefilter;
 pub mod verify;
 
-pub use filter::{build_filter, build_filter_with_mode, build_filter_with_trace};
-
 use bastion_compiler::ContextMetadata;
 use bastion_kernel::{EscalateReason, Pid, PrefilterVerdict, TraceVerdict, Tracee, Tracer};
 use bastion_obs::{self as obs, DenyContext, DenyRecord, FaultCtx, FlightEntry, Phase};
@@ -230,45 +228,6 @@ impl ContextConfig {
     pub fn with_resilience(mut self, r: Resilience) -> Self {
         self.resilience = r;
         self
-    }
-}
-
-/// Which context a violation was detected under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ContextKind {
-    /// Call-Type context.
-    CallType,
-    /// Control-Flow context.
-    ControlFlow,
-    /// Argument Integrity context.
-    ArgIntegrity,
-    /// Not a context violation in the tracee: the monitor's own substrate
-    /// failed (unreadable registers/memory after retries, watchdog
-    /// deadline, shadow corruption, degraded/fail-closed mode) and the
-    /// fail-closed policy denies the syscall.
-    FailClosed,
-}
-
-impl ContextKind {
-    /// Short label used in kill reasons ("CT", "CF", "AI", "FC").
-    pub fn label(self) -> &'static str {
-        match self {
-            ContextKind::CallType => "CT",
-            ContextKind::ControlFlow => "CF",
-            ContextKind::ArgIntegrity => "AI",
-            ContextKind::FailClosed => "FC",
-        }
-    }
-
-    /// The observability-layer context tag (same labels, defined in
-    /// `bastion-obs` so the audit log does not depend on this crate).
-    pub fn deny_context(self) -> DenyContext {
-        match self {
-            ContextKind::CallType => DenyContext::CallType,
-            ContextKind::ControlFlow => DenyContext::ControlFlow,
-            ContextKind::ArgIntegrity => DenyContext::ArgIntegrity,
-            ContextKind::FailClosed => DenyContext::FailClosed,
-        }
     }
 }
 
@@ -524,9 +483,6 @@ pub struct Monitor {
     pub stats: MonitorStats,
     /// Trap log: (nr, verdict ok?) for diagnostics and tests.
     pub log: Vec<(u32, bool)>,
-    /// Deny-provenance audit log: one structured record per deny, in
-    /// order. Always populated (not gated by the telemetry enable flag).
-    pub deny_log: Vec<DenyRecord>,
     /// Verification cache (interior mutability: verification
     /// runs behind a shared borrow of the monitor).
     pub cache: std::cell::RefCell<cache::VerifyCache>,
@@ -563,7 +519,6 @@ impl Monitor {
                 ..MonitorStats::default()
             },
             log: Vec::new(),
-            deny_log: Vec::new(),
             cache: std::cell::RefCell::new(cache::VerifyCache::new()),
             res: std::cell::RefCell::new(ResilienceState::default()),
             pf: None,
@@ -642,10 +597,10 @@ impl Monitor {
         self.stats.mode_transitions = r.transitions;
     }
 
-    /// Converts a structured violation into the kill verdict, appending a
-    /// [`DenyRecord`] to the audit log and streaming it to any installed
-    /// sink. The rendered reason is byte-identical to the legacy
-    /// `"{label}: {msg}"` string.
+    /// Converts a structured violation into the kill verdict: the
+    /// [`DenyRecord`] streamed to any installed sink and handed to the
+    /// kernel as the killed process's exit reason. Its `Display` is the
+    /// `"{label}: {msg}"` kill-reason text.
     fn deny(
         &mut self,
         nr: u32,
@@ -654,42 +609,36 @@ impl Monitor {
         flight: Vec<FlightEntry>,
     ) -> TraceVerdict {
         match v.ctx {
-            ContextKind::CallType => self.stats.ct_violations += 1,
-            ContextKind::ControlFlow => self.stats.cf_violations += 1,
-            ContextKind::ArgIntegrity => self.stats.ai_violations += 1,
-            ContextKind::FailClosed => self.stats.fc_violations += 1,
+            DenyContext::CallType => self.stats.ct_violations += 1,
+            DenyContext::ControlFlow => self.stats.cf_violations += 1,
+            DenyContext::ArgIntegrity => self.stats.ai_violations += 1,
+            DenyContext::FailClosed => self.stats.fc_violations += 1,
         }
         self.log.push((nr, false));
-        let (fault_ctx, ladder_rung) = {
+        let rec = {
             let r = self.res.borrow();
-            (
-                FaultCtx {
+            DenyRecord {
+                trap_seq: self.stats.traps,
+                sysno: nr,
+                context: v.ctx,
+                rule: v.rule,
+                expected: v.expected,
+                observed: v.observed,
+                fault_ctx: FaultCtx {
                     retries: r.retries,
                     strikes: u64::from(r.strikes),
                     watchdog_overruns: r.watchdog_overruns,
                     shadow_quarantined: r.shadow_quarantined,
                 },
-                r.mode.label().to_string(),
-            )
-        };
-        let rec = DenyRecord {
-            trap_seq: self.stats.traps,
-            sysno: nr,
-            context: v.ctx.deny_context(),
-            rule: v.rule,
-            expected: v.expected,
-            observed: v.observed,
-            fault_ctx,
-            ladder_rung,
-            message: v.msg,
-            flight,
+                ladder_rung: r.mode.label(),
+                message: v.msg,
+                flight,
+            }
         };
         obs::instant(Phase::Deny, rec.trap_seq, vcycles, 0);
         obs::counter_add("monitor.denies", 1);
         obs::emit_deny(&rec);
-        let verdict = TraceVerdict::Deny(rec.render());
-        self.deny_log.push(rec);
-        verdict
+        TraceVerdict::Deny(Box::new(rec))
     }
 
     /// Tier-1 gates plus check-program evaluation for one classify. The
@@ -748,7 +697,7 @@ impl Tracer for Monitor {
 
     fn prefilter(&mut self, tracee: &mut Tracee<'_>, faults_installed: bool) -> PrefilterVerdict {
         // Every classify counts as a trap, whichever tier settles it —
-        // `traps` stays comparable with prefilter off, and the deny log's
+        // `traps` stays comparable with prefilter off, and a deny record's
         // `trap_seq` stays aligned with the world's trap counter.
         self.stats.traps += 1;
         self.stats.prefilter_checks += 1;
@@ -805,7 +754,7 @@ impl Tracer for Monitor {
             let v = self.deny(
                 0,
                 verify::Violation::new(
-                    ContextKind::FailClosed,
+                    DenyContext::FailClosed,
                     obs::DenyRule::FailClosedMode,
                     "monitor fail-closed: tracee state untrusted after repeated substrate failures",
                 ),
@@ -841,7 +790,7 @@ impl Tracer for Monitor {
             let v = self.deny(
                 nr,
                 verify::Violation::new(
-                    ContextKind::FailClosed,
+                    DenyContext::FailClosed,
                     obs::DenyRule::DegradedMode,
                     "monitor degraded: control-flow/argument contexts unverifiable",
                 ),
@@ -912,12 +861,5 @@ mod tests {
             !json.contains("18446744073709551615"),
             "sentinel leaked: {json}"
         );
-    }
-
-    #[test]
-    fn context_labels() {
-        assert_eq!(ContextKind::CallType.label(), "CT");
-        assert_eq!(ContextKind::ControlFlow.label(), "CF");
-        assert_eq!(ContextKind::ArgIntegrity.label(), "AI");
     }
 }

@@ -12,34 +12,34 @@
 //! cycles, so clean-path trap costs are bit-identical either way.
 
 use crate::cache::ChainHasher;
-use crate::{ContextKind, Monitor};
+use crate::Monitor;
 use bastion_compiler::metadata::{ArgMeta, CallsiteKind};
 use bastion_ir::CALL_SIZE;
 use bastion_kernel::{Regs, Tracee};
-use bastion_obs::{self as obs, DenyRule, Phase};
+use bastion_obs::{self as obs, DenyContext, DenyRule, Phase};
 use bastion_vm::shadow::{Binding, ShadowError};
 use bastion_vm::{OutOfBounds, ShadowTable};
 
 /// A structured context violation: which context fired, rule-level
 /// provenance, optional expected/observed values for comparing rules, and
-/// the legacy message body the kill reason renders.
+/// the message the kill reason displays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Context that detected the violation.
-    pub ctx: ContextKind,
+    pub ctx: DenyContext,
     /// The specific rule that fired.
     pub rule: DenyRule,
     /// Expected value, when the rule compares two quantities.
     pub expected: Option<u64>,
     /// Observed value, when the rule compares two quantities.
     pub observed: Option<u64>,
-    /// Legacy message body (everything after the "CT: " prefix).
+    /// Message body (everything after the "CT: " prefix).
     pub msg: String,
 }
 
 impl Violation {
     /// Builds a violation with no expected/observed payload.
-    pub fn new(ctx: ContextKind, rule: DenyRule, msg: impl Into<String>) -> Self {
+    pub fn new(ctx: DenyContext, rule: DenyRule, msg: impl Into<String>) -> Self {
         Violation {
             ctx,
             rule,
@@ -357,19 +357,19 @@ fn check_call_type(mon: &Monitor, nr: u32, callsite0: u64) -> Result<(), Violati
 }
 
 fn ct_err(rule: DenyRule, msg: &str) -> Violation {
-    Violation::new(ContextKind::CallType, rule, msg)
+    Violation::new(DenyContext::CallType, rule, msg)
 }
 
 fn fc_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(ContextKind::FailClosed, rule, msg)
+    Violation::new(DenyContext::FailClosed, rule, msg)
 }
 
 fn cf_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(ContextKind::ControlFlow, rule, msg)
+    Violation::new(DenyContext::ControlFlow, rule, msg)
 }
 
 fn ai_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(ContextKind::ArgIntegrity, rule, msg)
+    Violation::new(DenyContext::ArgIntegrity, rule, msg)
 }
 
 /// How a raw chain read terminated.

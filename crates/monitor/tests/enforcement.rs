@@ -4,7 +4,7 @@
 use bastion_compiler::BastionCompiler;
 use bastion_ir::build::ModuleBuilder;
 use bastion_ir::{sysno, Module, Operand, Ty};
-use bastion_kernel::{ExitReason, RunStatus, World};
+use bastion_kernel::{DenyContext, DenyRule, ExitReason, RunStatus, World};
 use bastion_monitor::{protect, ContextConfig};
 use bastion_vm::{CostModel, Image, Machine};
 use std::sync::Arc;
@@ -217,7 +217,11 @@ fn argument_corruption_is_detected_by_ai() {
     match exit {
         ExitReason::MonitorKill { nr, reason } => {
             assert_eq!(nr, sysno::MMAP);
-            assert!(reason.starts_with("AI:"), "wrong context: {reason}");
+            assert_eq!(
+                reason.context,
+                DenyContext::ArgIntegrity,
+                "wrong context: {reason}"
+            );
         }
         other => panic!("attack not caught: {other:?}"),
     }
@@ -371,8 +375,9 @@ fn direct_call_into_main_is_an_invalid_caller() {
         match world.proc(pid).unwrap().exit.clone().unwrap() {
             ExitReason::MonitorKill { nr, reason } => {
                 assert_eq!(nr, sysno::MMAP);
-                assert!(
-                    reason.starts_with("CF: ") && reason.contains("is not a valid caller of"),
+                assert_eq!(
+                    (reason.context, reason.rule),
+                    (DenyContext::ControlFlow, DenyRule::InvalidCaller),
                     "{cfg:?}: {reason}"
                 );
             }

@@ -1,18 +1,19 @@
-//! The deny-provenance audit log: structured records for every monitor
-//! deny, replacing the stringly `deny(...)` path.
+//! Deny provenance: the one typed record of a monitor deny.
 //!
 //! A [`DenyRecord`] captures *why* a trap was denied at rule granularity —
 //! which context fired, which specific rule within it, the expected vs
 //! observed values where the rule compares two quantities, and the
 //! resilience state (retries, strikes, ladder rung) the monitor was in.
-//! [`DenyRecord::render`] reproduces the legacy kill-reason string
-//! byte-for-byte, so everything keyed on those strings (attack-outcome
-//! classification, test assertions) is unaffected.
+//! The monitor builds it once and it travels, boxed and never cloned,
+//! through the kernel's deny verdict into the killed process's
+//! `MonitorKill` exit, where every reader finds it. Its `Display` prints
+//! the kill-reason text `"<CTX>: <msg>"`.
 
 use serde::Serialize;
 
-/// Which context denied — mirrors the monitor's `ContextKind` without
-/// depending on the monitor crate (obs sits below it).
+/// Which context denied (paper §7.2–§7.4), or the fail-closed policy.
+/// Defined here, below both the kernel and the monitor, so the monitor's
+/// violations, its stats and every kill reason share one tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DenyContext {
     /// Call-Type context (§7.2).
@@ -208,9 +209,10 @@ pub struct FaultCtx {
     pub shadow_quarantined: bool,
 }
 
-/// One structured deny: everything the legacy kill-reason string encoded,
-/// plus rule-level provenance and resilience context.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One structured deny: context, rule, the compared values, resilience
+/// state and the flight-recorder run-up. It is the kill reason of the
+/// process the deny killed.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DenyRecord {
     /// Monitor trap sequence number (1-based; joins with the kernel
     /// fault log's `world_trap`).
@@ -229,8 +231,9 @@ pub struct DenyRecord {
     pub fault_ctx: FaultCtx,
     /// Degradation-ladder rung at deny time ("full"/"degraded"/
     /// "fail-closed").
-    pub ladder_rung: String,
-    /// The legacy message body (everything after the "CT: " prefix).
+    pub ladder_rung: &'static str,
+    /// The human-readable message (everything after the "CT: " prefix
+    /// of the displayed reason).
     pub message: String,
     /// Flight-recorder dump joined at deny time: the per-trap summaries
     /// leading up to (and including, in-flight) the denied trap, oldest
@@ -239,11 +242,10 @@ pub struct DenyRecord {
     pub flight: Vec<crate::flight::FlightEntry>,
 }
 
-impl DenyRecord {
-    /// Renders the legacy kill-reason string, byte-identical to the
-    /// pre-structured `deny(...)` output.
-    pub fn render(&self) -> String {
-        format!("{}: {}", self.context.label(), self.message)
+/// The kill-reason text: `"<CTX>: <msg>"`.
+impl std::fmt::Display for DenyRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.context.label(), self.message)
     }
 }
 
@@ -252,7 +254,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_matches_legacy_format() {
+    fn display_is_context_label_then_message() {
         let rec = DenyRecord {
             trap_seq: 3,
             sysno: 105,
@@ -261,11 +263,14 @@ mod tests {
             expected: Some(0),
             observed: Some(0xdead),
             fault_ctx: FaultCtx::default(),
-            ladder_rung: "full".into(),
+            ladder_rung: "full",
             message: "argument 1: 0xdead != shadow value 0x0".into(),
             flight: Vec::new(),
         };
-        assert_eq!(rec.render(), "AI: argument 1: 0xdead != shadow value 0x0");
+        assert_eq!(
+            rec.to_string(),
+            "AI: argument 1: 0xdead != shadow value 0x0"
+        );
     }
 
     #[test]
@@ -292,7 +297,7 @@ mod tests {
             expected: None,
             observed: None,
             fault_ctx: FaultCtx::default(),
-            ladder_rung: "full".into(),
+            ladder_rung: "full",
             message: "syscall 59 is not-callable".into(),
             flight: Vec::new(),
         };

@@ -27,9 +27,10 @@
 //! ## Deny provenance
 //!
 //! [`DenyRecord`] is *not* gated by the enable flag: denies are terminal
-//! (the tracee is killed), so structured provenance is always captured by
-//! the monitor and queryable by tests, the chaos harness, and the CLI. An
-//! optional thread-local sink streams records as they occur (`--verbose`).
+//! (the tracee is killed), so the monitor always builds the record, and it
+//! becomes the kill reason of the killed process's `MonitorKill` exit,
+//! where tests, the chaos harness and the CLI read it. An optional
+//! thread-local sink streams records as they occur (`--verbose`).
 
 pub mod deny;
 pub mod export;
@@ -325,7 +326,7 @@ mod tests {
             expected: None,
             observed: None,
             fault_ctx: FaultCtx::default(),
-            ladder_rung: "full".to_string(),
+            ladder_rung: "full",
             message: "syscall 59 is not-callable".to_string(),
             flight: Vec::new(),
         };
@@ -333,6 +334,6 @@ mod tests {
         clear_deny_sink();
         emit_deny(&rec);
         assert_eq!(*seen.borrow(), vec![7]);
-        assert_eq!(rec.render(), "CT: syscall 59 is not-callable");
+        assert_eq!(rec.to_string(), "CT: syscall 59 is not-callable");
     }
 }

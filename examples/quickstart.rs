@@ -81,10 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let c = world.net_connect(9000).expect("daemon listening");
     world.net_send(c, b"relock\n");
     world.run(10_000_000);
-    let exit = world.proc(pid).unwrap().exit.clone();
-    println!("after corruption: {exit:?}");
-    match exit {
-        Some(ExitReason::MonitorKill { reason, .. }) => {
+    match world.proc(pid).unwrap().exit.clone() {
+        Some(ExitReason::MonitorKill { nr, reason }) => {
+            // The kill reason is the monitor's deny record; print its text.
+            let text = reason.to_string();
+            println!("after corruption: Some(MonitorKill {{ nr: {nr}, reason: {text:?} }})");
             println!("BASTION blocked the attack: {reason}");
             Ok(())
         }

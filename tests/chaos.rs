@@ -16,7 +16,9 @@ use bastion::{Deployment, Protection};
 use bastion_apps::App;
 use bastion_ir::build::ModuleBuilder;
 use bastion_ir::{sysno, CmpOp, Module, Operand, Ty};
-use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
+use bastion_kernel::{
+    DenyContext, ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World,
+};
 use bastion_monitor::{ContextConfig, MonitorMode, Resilience};
 
 /// A request volume large enough to produce a dozen monitor traps
@@ -459,7 +461,11 @@ fn cached_chain_does_not_skip_argument_verification() {
         let exit = s.world.proc(s.pid).unwrap().exit.clone().unwrap();
         match &exit {
             ExitReason::MonitorKill { reason, .. } => {
-                assert!(reason.starts_with("AI"), "wrong context fired: {reason}")
+                assert_eq!(
+                    reason.context,
+                    DenyContext::ArgIntegrity,
+                    "wrong context fired: {reason}"
+                )
             }
             other => panic!("corrupted argument was allowed: {other:?}"),
         }
@@ -488,7 +494,10 @@ fn corrupted_argument_still_denied_under_injected_shadow_faults() {
         let exit = s.world.proc(s.pid).unwrap().exit.clone().unwrap();
         match &exit {
             ExitReason::MonitorKill { reason, .. } => assert!(
-                reason.starts_with("AI") || reason.starts_with("FC"),
+                matches!(
+                    reason.context,
+                    DenyContext::ArgIntegrity | DenyContext::FailClosed
+                ),
                 "seed {seed}: wrong context fired: {reason}"
             ),
             other => panic!("seed {seed}: corrupted argument was allowed: {other:?}"),

@@ -8,7 +8,7 @@ use bastion::fleet;
 use bastion::kernel::{set_thread_legacy_interp, thread_legacy_interp, LegacyInterpGuard};
 use bastion::monitor::cache::VerifyCache;
 use bastion::monitor::verify::Violation;
-use bastion::monitor::ContextKind;
+use bastion::obs::DenyContext;
 use bastion::obs::DenyRule;
 use bastion::{Deployment, Protection};
 
@@ -139,7 +139,7 @@ fn walk_cache_never_aliases_colliding_chains() {
     let chain_ok: &[u64] = &[0x1000, 0x2004, 0x300C, 0, 0x1000];
     let chain_bad: &[u64] = &[0x1000, 0x6666, 0x300C, 0, 0x1000];
     let deny = Err(Violation::new(
-        ContextKind::ControlFlow,
+        DenyContext::ControlFlow,
         DenyRule::InvalidCaller,
         "callsite 0x6666 is not a valid caller",
     ));

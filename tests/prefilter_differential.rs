@@ -1,6 +1,6 @@
 //! Prefilter differential suite: tier-1 (seccomp-time check program) and
 //! tier-2 (full ptrace monitor) must be observably equivalent on every
-//! verdict-relevant surface — Table 6 attack outcomes, deny strings,
+//! verdict-relevant surface — Table 6 attack outcomes, deny records,
 //! trap counts, syscall counts — and every injected-fault cell must
 //! escalate to tier 2 (the fail-closed ladder never runs at tier 1).
 //!
@@ -20,7 +20,6 @@ use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{sysno, Module, Operand, Ty};
 use bastion::kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
 use bastion::monitor::{ContextConfig, MonitorStats};
-use bastion::obs::DenyRecord;
 use bastion::vm::CostModel;
 use bastion::{Deployment, Protection};
 use proptest::prelude::*;
@@ -34,11 +33,25 @@ struct Observables {
     monitor_traps: u64,
     violations: (u64, u64, u64, u64),
     log: Vec<(u32, bool)>,
-    denies: Vec<DenyRecord>,
 }
 
 fn observe(mut world: World) -> Observables {
-    let exits = world.procs.iter().map(|p| p.exit.clone()).collect();
+    // Each deny record rides in its `MonitorKill` exit. Its joined
+    // flight-recorder dump records which tier settled each preceding
+    // trap — by design different between the prefiltered and
+    // tier-2-only runs. Every verdict-relevant field must still match
+    // byte-for-byte.
+    let exits = world
+        .procs
+        .iter()
+        .map(|p| {
+            let mut exit = p.exit.clone();
+            if let Some(ExitReason::MonitorKill { reason, .. }) = &mut exit {
+                reason.flight.clear();
+            }
+            exit
+        })
+        .collect();
     let traps = world.trap_count;
     let syscall_counts = world
         .kernel
@@ -63,25 +76,9 @@ fn observe(mut world: World) -> Observables {
             m.stats.fc_violations,
         ),
         log: m.log.clone(),
-        denies: m
-            .deny_log
-            .iter()
-            .map(|r| {
-                // The joined flight-recorder dump records which tier
-                // settled each preceding trap — by design different
-                // between the prefiltered and tier-2-only runs. Every
-                // verdict-relevant field must still match byte-for-byte.
-                let mut r = r.clone();
-                r.flight.clear();
-                r
-            })
-            .collect(),
     }
 }
 
-// ---- Table 6: the 32-attack catalog, byte-identical in both modes ----
-
-/// The tier-2-only oracle: full BASTION with the tier-1 prefilter off.
 fn tier2_only() -> ContextConfig {
     ContextConfig::full().with_prefilter(false)
 }

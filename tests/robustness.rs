@@ -7,6 +7,7 @@ use bastion::attacks::env::Defense;
 use bastion::attacks::scenario::{ret2stub_parked, StubArgs};
 use bastion::attacks::{AttackEnv, Victim};
 use bastion::ir::sysno;
+use bastion::kernel::{DenyRule, ExitReason};
 use bastion::monitor::ContextConfig;
 
 fn ai_only() -> ContextConfig {
@@ -58,16 +59,10 @@ fn spoofed_callsite_cannot_beat_constant_constraints() {
     assert_eq!(env.defense_fired(), Defense::MonitorAi);
     assert!(!env.wx_happened());
     // The kill reason names the violated constant.
-    let reason = env
-        .world
-        .procs
-        .iter()
-        .find_map(|p| match &p.exit {
-            Some(bastion::kernel::ExitReason::MonitorKill { reason, .. }) => Some(reason.clone()),
-            _ => None,
-        })
-        .expect("a monitor kill");
-    assert!(reason.contains("constant"), "reason: {reason}");
+    let Some(ExitReason::MonitorKill { reason, .. }) = env.world.decisive_exit() else {
+        panic!("no monitor kill: {:?}", env.world.decisive_exit());
+    };
+    assert_eq!(reason.rule, DenyRule::ConstArgMismatch, "reason: {reason}");
 }
 
 /// §10.1: on CET-capable hardware the ROP vehicle itself dies with a #CP

@@ -11,7 +11,9 @@ use bastion::attacks::env::{Defense, Parked};
 use bastion::attacks::{catalog, AttackEnv, Victim};
 use bastion::chaos::monitor_stats;
 use bastion::kernel::process::{ProcState, WaitReason};
-use bastion::kernel::{FaultSchedule, LegacyInterpGuard, ProcSlot, RunStatus, Tracer, World};
+use bastion::kernel::{
+    ExitReason, FaultSchedule, LegacyInterpGuard, ProcSlot, RunStatus, Tracer, World,
+};
 use bastion::monitor::{ContextConfig, Monitor, MonitorStats};
 use bastion::{Deployment, Protection};
 use proptest::prelude::*;
@@ -174,15 +176,24 @@ fn monitor_of(tracer: Option<&dyn Tracer>) -> &Monitor {
         .expect("monitor attached")
 }
 
-/// Every piece of mutable monitor state a restore copies: stats, deny
-/// log, the prefilter's flow word per pid, and the verify-cache counters.
-fn mutable_state(m: &Monitor, pids: &[u32]) -> String {
+/// Every piece of mutable monitor state a restore copies: stats, the
+/// prefilter's flow word per pid and the verify-cache counters, plus the
+/// deny records, which are the reasons of the world's `MonitorKill` exits.
+fn mutable_state(world: &World, pids: &[u32]) -> String {
+    let m = monitor_of(world.tracer_ref());
     let c = m.cache.borrow();
     let flow: Vec<u64> = pids.iter().map(|&p| m.flow_word(p)).collect();
+    let denies: Vec<_> = world
+        .procs
+        .iter()
+        .filter_map(|p| match &p.exit {
+            Some(ExitReason::MonitorKill { reason, .. }) => Some(reason),
+            _ => None,
+        })
+        .collect();
     format!(
-        "{:?}\n{:?}\nflow {flow:?}\ncache {:?}",
+        "{:?}\n{denies:?}\nflow {flow:?}\ncache {:?}",
         m.stats,
-        m.deny_log,
         (
             c.ct_hits,
             c.walk_hits,
@@ -215,7 +226,7 @@ fn restored_attack_envs_share_tables_and_isolate_monitor_state() {
     let pids: Vec<u32> = bystander.world.procs.iter().map(|p| p.pid).collect();
     let other = monitor_of(bystander.world.tracer_ref());
     assert!(other.stats.traps > 0, "boot trapped nothing");
-    let captured = mutable_state(other, &pids);
+    let captured = mutable_state(&bystander.world, &pids);
 
     (scenario.attack)(&mut attacked);
     attacked.settle();
@@ -228,17 +239,20 @@ fn restored_attack_envs_share_tables_and_isolate_monitor_state() {
         attacked.defense_fired()
     );
     let denied = monitor_of(attacked.world.tracer_ref());
-    assert!(!denied.deny_log.is_empty());
-    assert_ne!(mutable_state(denied, &pids), captured);
+    assert!(matches!(
+        attacked.world.decisive_exit(),
+        Some(ExitReason::MonitorKill { .. })
+    ));
+    assert_ne!(mutable_state(&attacked.world, &pids), captured);
 
     assert_eq!(
-        mutable_state(other, &pids),
+        mutable_state(&bystander.world, &pids),
         captured,
         "an attack in one restored env leaked into its sibling"
     );
     let later = AttackEnv::restore(&ck);
     assert_eq!(
-        mutable_state(monitor_of(later.world.tracer_ref()), &pids),
+        mutable_state(&later.world, &pids),
         captured,
         "an attack in a restored env leaked into its checkpoint"
     );
@@ -265,7 +279,7 @@ fn observed(env: &AttackEnv) -> String {
         "{} | {} | {} | {:?}",
         env.world.summary(),
         env.world.fault_trap_count(),
-        mutable_state(monitor_of(env.world.tracer_ref()), &pids),
+        mutable_state(&env.world, &pids),
         env.world.fault_log()
     )
 }

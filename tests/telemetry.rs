@@ -9,8 +9,8 @@
 //! * the `monitor.walk_depth` sketch agrees exactly with the monitor's
 //!   depth statistics (sum, min, max);
 //! * every monitor deny in the Table 6 catalog yields **exactly one**
-//!   structured [`DenyRecord`] whose rendered message is byte-identical to
-//!   the legacy `MonitorKill` reason string;
+//!   [`DenyRecord`]: the one the deny sink streamed for the trap is, field
+//!   for field, the reason of the `MonitorKill` exit it caused;
 //! * deny records join the fault-injection log on the world trap sequence
 //!   number (`DenyRecord::trap_seq` == `InjectedFault::world_trap`).
 
@@ -19,7 +19,7 @@ use bastion::chaos::absorb_liveness_panics;
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::obs;
-use bastion::obs::{DenyRecord, Phase};
+use bastion::obs::{DenyContext, DenyRecord, Phase};
 use bastion::vm::CostModel;
 use bastion_attacks::AttackEnv;
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger};
@@ -179,7 +179,7 @@ fn collect_denies<R>(f: impl FnOnce() -> R) -> (R, Vec<DenyRecord>) {
 fn every_catalog_deny_yields_one_byte_identical_record() {
     let mut total_denies = 0usize;
     for scenario in bastion_attacks::catalog() {
-        let (mut env, records) = collect_denies(|| {
+        let (env, streamed) = collect_denies(|| {
             let mut env = AttackEnv::deploy(
                 scenario.victim,
                 Some(ContextConfig::full()),
@@ -190,34 +190,25 @@ fn every_catalog_deny_yields_one_byte_identical_record() {
             env.settle();
             env
         });
-        // The legacy strings: every MonitorKill reason in the world.
-        let mut reasons: Vec<String> = env
+        // The kill reasons: every MonitorKill exit's record, in trap order.
+        let mut kills: Vec<&DenyRecord> = env
             .world
             .procs
             .iter()
             .filter_map(|p| match &p.exit {
-                Some(ExitReason::MonitorKill { reason, .. }) => Some(reason.clone()),
+                Some(ExitReason::MonitorKill { reason, .. }) => Some(&**reason),
                 _ => None,
             })
             .collect();
-        let mut rendered: Vec<String> = records.iter().map(DenyRecord::render).collect();
-        reasons.sort();
-        rendered.sort();
+        kills.sort_by_key(|r| r.trap_seq);
         assert_eq!(
-            rendered, reasons,
-            "#{} {}: structured records diverge from legacy deny strings",
-            scenario.id, scenario.name
+            kills,
+            streamed.iter().collect::<Vec<_>>(),
+            "#{} {}: a kill reason differs from the record streamed for its trap",
+            scenario.id,
+            scenario.name
         );
-        // Cross-check the copy kept on the monitor itself.
-        let (_, deny_log) =
-            bastion::chaos::monitor_report(&mut env.world).expect("monitor attached");
-        assert_eq!(
-            deny_log.len(),
-            records.len(),
-            "#{}: monitor deny log out of sync with the sink",
-            scenario.id
-        );
-        total_denies += records.len();
+        total_denies += streamed.len();
     }
     assert!(
         total_denies > 0,
@@ -240,9 +231,10 @@ fn deny_records_carry_context_rule_and_ladder() {
     for rec in &records {
         assert!(rec.trap_seq > 0, "trap sequence starts at 1");
         assert_eq!(rec.ladder_rung, "full", "clean run denies on the Full rung");
-        assert!(
-            rec.render().starts_with(rec.context.label()),
-            "rendering leads with the context label"
+        assert_eq!(
+            rec.to_string(),
+            format!("{}: {}", rec.context.label(), rec.message),
+            "the kill reason leads with the context label"
         );
     }
 }
@@ -279,7 +271,11 @@ fn deny_record_joins_fault_log_on_world_trap() {
     });
     match &world.proc(pid).unwrap().exit {
         Some(ExitReason::MonitorKill { reason, .. }) => {
-            assert!(reason.starts_with("FC"), "expected fail-closed: {reason}");
+            assert_eq!(
+                reason.context,
+                DenyContext::FailClosed,
+                "expected fail-closed: {reason}"
+            );
         }
         other => panic!("faulted trap was not denied: {other:?}"),
     }

@@ -26,7 +26,7 @@
 //! failure prints.
 
 use bastion::kernel::{FaultKind, FaultSchedule, Trigger};
-use bastion::monitor::{ContextConfig, Monitor, Resilience};
+use bastion::monitor::{ContextConfig, Resilience};
 use bastion::obs::{self, FlightEntry, TelemetryGuard};
 use bastion::{Deployment, Protection};
 use std::fmt::Write as _;
@@ -103,12 +103,10 @@ fn surface(
             None => writeln!(s, "sketch {name}: none"),
         };
     }
-    let tracer = world.take_tracer().expect("monitor attached");
-    let monitor = tracer
-        .as_any()
-        .downcast_ref::<Monitor>()
-        .expect("the BASTION monitor");
-    for d in &monitor.deny_log {
+    // The deny records are the reasons of the world's `MonitorKill`
+    // exits, in trap order.
+    let (_, denies) = bastion::chaos::monitor_report(&mut world).expect("monitor attached");
+    for d in &denies {
         let _ = writeln!(s, "deny at trap {}:", d.trap_seq);
         for e in &d.flight {
             let _ = writeln!(s, "  {}", entry(e));

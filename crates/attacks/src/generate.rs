@@ -22,7 +22,7 @@
 //! the checked-in regression corpus under `crates/attacks/corpus/` holds
 //! one shrunk witness per deny-rule family (see [`corpus`]).
 
-use crate::deploy::{Deployment, Protection};
+use crate::deploy::{Deployment, Error, Protection};
 use bastion_ir::sysno;
 use bastion_kernel::{ExitReason, RunStatus, World};
 use bastion_monitor::ContextConfig;
@@ -562,15 +562,22 @@ const FIRST_SLICE: u64 = 1_000_000;
 /// cut before it ended. `BUDGET` stays the bound for a run whose effect
 /// never lands.
 pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
-    let d = match Deployment::from_minic("generated", &[source]) {
-        Ok(d) => d,
-        Err(e) => {
-            return GenReport {
-                verdict: Verdict::Rejected(e.to_string()),
-                effect: false,
-            }
-        }
-    };
+    match run_world(source, cfg) {
+        Ok((world, status)) => GenReport {
+            verdict: Verdict::of(&world, status),
+            effect: effect(&world),
+        },
+        Err(e) => GenReport {
+            verdict: Verdict::Rejected(e.to_string()),
+            effect: false,
+        },
+    }
+}
+
+/// [`run_source`]'s run: the finished world and how its run stopped;
+/// fails when `source` does not compile.
+pub fn run_world(source: &str, cfg: Option<ContextConfig>) -> Result<(World, RunStatus), Error> {
+    let d = Deployment::from_minic("generated", &[source])?;
     let mut world = d.world();
     let protection = Protection {
         monitor: cfg,
@@ -591,10 +598,7 @@ pub fn run_source(source: &str, cfg: Option<ContextConfig>) -> GenReport {
             slice *= 2;
         }
     };
-    GenReport {
-        verdict: Verdict::of(&world, status),
-        effect: effect(&world),
-    }
+    Ok((world, status))
 }
 
 /// Runs a program under full BASTION protection.

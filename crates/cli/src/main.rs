@@ -6,7 +6,7 @@
 //! bastion trace   <file.mc>...  [--protect=MODE] [--cet] [--out=trace.json] [--capacity=N]
 //! bastion stats   <file.mc>...  [--protect=MODE] [--cet] [--json]
 //! bastion attack  [id]
-//! bastion paper   <table1|fig3|table4|table5|table6|table7|ablations>
+//! bastion paper   <table1|fig3|table4|table5|table6|table7|ablations|deny-rules>
 //! bastion inspect <file.mc>...  (call-type classes + control-flow edges)
 //! ```
 
@@ -63,8 +63,8 @@ USAGE:
     bastion run <file.mc>... [--protect=MODE] [--cet] [--verbose] [--stats]
         Compile and execute in the simulated world. MODE is one of
         full (default), ct, ct-cf, hook, none. --stats prints the full
-        monitor statistics; --verbose streams structured deny records as
-        they occur and dumps trap/syscall counts at exit.
+        monitor statistics; --verbose prints the run's structured deny
+        records (to stderr) and its trap/syscall counts after the run.
         --no-prefilter forces every trap through the full ptrace monitor
         (disables the tier-1 seccomp-time check program) — the
         differential oracle for prefilter parity.
@@ -115,10 +115,12 @@ USAGE:
         core). The report is byte-identical for any N. Exits nonzero on a
         chaos failure (as `bastion chaos`) or a Table 6 mismatch.
 
-    bastion paper <table1|fig3|table4|table5|table6|table7|ablations>
+    bastion paper <table1|fig3|table4|table5|table6|table7|ablations|deny-rules>
         Print one of the paper's evaluation tables or figures from a
         deterministic virtual-time run (the blocks in EXPERIMENTS.md).
-        table6 exits nonzero on a row that does not match the paper.
+        table6 exits nonzero on a row that does not match the paper;
+        deny-rules (monitor denies per deny rule over four harnesses)
+        on a rule that no harness fires and no test or note settles.
 
     bastion inspect <file.mc>...
         Print call-type classes and control-flow edges for sensitive
@@ -312,7 +314,7 @@ fn execute(files: &[&str], flags: &[&str]) -> Result<(World, bastion::kernel::Pi
     Ok((world, pid))
 }
 
-/// Renders one structured deny record the way `--verbose` streams it.
+/// Renders one structured deny record the way `--verbose` prints it.
 fn render_deny(rec: &bastion::obs::DenyRecord) -> String {
     let vals = match (rec.expected, rec.observed) {
         (Some(e), Some(o)) => format!(" expected={e:#x} observed={o:#x}"),
@@ -400,17 +402,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let (files, flags) = split_flags("run", args, &accepted)?;
     let verbose = flags.contains(&"--verbose");
     let want_stats = flags.contains(&"--stats");
+    let (mut world, _pid) = execute(&files, &flags)?;
+    // The run's deny records are its processes' kill reasons.
+    let report = bastion::chaos::monitor_report(&mut world);
     if verbose {
-        // Stream structured deny provenance as it happens; denies are
-        // captured regardless of the tracer enable flag.
-        bastion::obs::set_deny_sink(Box::new(|rec| eprintln!("{}", render_deny(rec))));
-    }
-    let result = execute(&files, &flags);
-    if verbose {
-        bastion::obs::clear_deny_sink();
-    }
-    let (mut world, _pid) = result?;
-    if verbose {
+        for rec in report.iter().flat_map(|(_, denies)| denies) {
+            eprintln!("{}", render_deny(rec));
+        }
         println!("traps: {}", world.trap_count);
         for (nr, n) in &world.kernel.counts {
             println!(
@@ -421,7 +419,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     if want_stats {
-        match bastion::chaos::monitor_report(&mut world) {
+        match report {
             Some((stats, denies)) => {
                 print_monitor_stats(&stats);
                 if !denies.is_empty() {
@@ -867,8 +865,8 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `bastion paper <name>` — prints one paper artifact. Table 6 also
-/// fails on a row that does not match the paper.
+/// `bastion paper <name>` — prints one paper artifact. Table 6 and
+/// deny-rules also fail on a row that breaks their rule.
 fn cmd_paper(args: &[String]) -> Result<(), String> {
     use bastion::paper::{self, Artifact};
     let [name] = args else {

@@ -39,7 +39,7 @@ use bastion_attacks::env::{AttackEnv, DeployCheckpoint, RunOutcome};
 use bastion_attacks::scenario::Scenario;
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger, World};
 use bastion_monitor::{ContextConfig, MonitorStats};
-use bastion_obs::{flight::verdict as flight_verdict, DenyRecord, FlightDump};
+use bastion_obs::{flight::verdict as flight_verdict, DenyRecord, DenyRule, FlightDump};
 use std::cell::Cell;
 use std::sync::{Mutex, Once};
 
@@ -92,6 +92,8 @@ pub struct BenignChaosReport {
     pub survived: bool,
     /// Final monitor statistics (mode, strikes, denies...).
     pub stats: Option<MonitorStats>,
+    /// The rule of each deny the run's monitor issued, in trap order.
+    pub deny_rules: Vec<DenyRule>,
 }
 
 /// Boots `app` under `cfg` to the point where the server listens (boot is
@@ -227,13 +229,15 @@ fn drive_benign(
     // Let in-flight denials and exits settle.
     world.run(20_000_000);
 
+    let report = monitor_report(&mut world);
     BenignChaosReport {
         app,
         served,
         attempted,
         faults_fired: world.fault_log().len() as u64,
         survived: world.alive_count() > 0,
-        stats: monitor_stats(&mut world),
+        deny_rules: report.iter().flat_map(|(_, d)| d).map(|d| d.rule).collect(),
+        stats: report.map(|(stats, _)| stats),
     }
 }
 
@@ -280,17 +284,20 @@ impl AttackChaosReport {
         !self.outcome.succeeded
     }
 
-    /// The flight-recorder join invariant: every deny record carries a
-    /// non-empty ring dump whose newest entry is the denied trap itself,
-    /// still marked in-flight (the ring settles the final verdict only
-    /// after the monitor returns).
+    /// Whether every deny record meets [`deny_carries_flight`].
     pub fn denies_carry_flight(&self) -> bool {
-        self.deny_records.iter().all(|d| {
-            d.flight.last().is_some_and(|e| {
-                e.trap == d.trap_seq && e.tier == 2 && e.verdict == flight_verdict::PENDING
-            })
-        })
+        self.deny_records.iter().all(deny_carries_flight)
     }
+}
+
+/// The flight-recorder join invariant: a deny record carries a non-empty
+/// ring dump whose newest entry is the denied trap itself, still marked
+/// in-flight (the ring settles the final verdict only after the monitor
+/// returns).
+pub fn deny_carries_flight(d: &DenyRecord) -> bool {
+    d.flight.last().is_some_and(|e| {
+        e.trap == d.trap_seq && e.tier == 2 && e.verdict == flight_verdict::PENDING
+    })
 }
 
 /// The attack scripts' own liveness expectations (`attacks::env`): each

@@ -23,7 +23,8 @@
 //! from them enters a fleet report.
 
 use crate::chaos::{
-    attack_chaos_shared, benign_chaos_suite, warm_checkpoint, AttackChaosReport, BenignChaosReport,
+    attack_chaos_shared, benign_chaos_suite, deny_carries_flight, warm_checkpoint,
+    AttackChaosReport, BenignChaosReport,
 };
 use crate::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use crate::Protection;
@@ -33,6 +34,7 @@ use bastion_attacks::{catalog, evaluate, generate, Scenario, ScenarioResult};
 use bastion_compiler::BastionCompiler;
 use bastion_kernel::{LegacyInterpGuard, Tracer, World, WorldSnapshot};
 use bastion_monitor::{ContextConfig, Monitor};
+use bastion_obs::DenyRule;
 use bastion_vm::{CostModel, Memory};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -147,6 +149,9 @@ pub struct ChaosMatrixOutcome {
     /// their checkpoint's parked snapshot instead of running; 0 cold. Not
     /// part of `report` either.
     pub snapshot_parks: u64,
+    /// The rule of every deny record of the benign and attack cells,
+    /// calibration runs aside (`bastion paper deny-rules` counts them).
+    pub deny_rules: Vec<DenyRule>,
 }
 
 impl ChaosMatrixOutcome {
@@ -260,6 +265,7 @@ pub fn chaos_matrix_mode(
 
     // ---- ordered aggregation: everything below is scheduling-blind ----
     let mut out = String::new();
+    let mut deny_rules = Vec::new();
     let w = &mut out;
     let _ = writeln!(
         w,
@@ -272,6 +278,7 @@ pub fn chaos_matrix_mode(
     );
     for suite in &benign {
         for (label, r) in suite {
+            deny_rules.extend(r.deny_rules.iter().copied());
             let stats = r.stats.as_ref().expect("monitor attached");
             let _ = writeln!(
                 w,
@@ -310,19 +317,14 @@ pub fn chaos_matrix_mode(
         faults_fired += fired;
         for r in reports {
             deny_total += r.deny_records.len() as u64;
+            deny_rules.extend(r.deny_records.iter().map(|d| d.rule));
             join_total += r.fault_deny_joins.len() as u64;
             flight_dump_total += r.flight_dumps.len() as u64;
-            if !r.denies_carry_flight() {
-                flight_missing += r
-                    .deny_records
-                    .iter()
-                    .filter(|d| {
-                        d.flight
-                            .last()
-                            .is_none_or(|e| e.trap != d.trap_seq || e.tier != 2)
-                    })
-                    .count() as u64;
-            }
+            flight_missing += r
+                .deny_records
+                .iter()
+                .filter(|d| !deny_carries_flight(d))
+                .count() as u64;
             for &(_, class) in &r.fault_deny_joins {
                 *joins_by_class.entry(class).or_insert(0) += 1;
             }
@@ -412,6 +414,7 @@ pub fn chaos_matrix_mode(
         flight_missing,
         deploys,
         snapshot_parks,
+        deny_rules,
     }
 }
 
@@ -496,6 +499,7 @@ mod tests {
             flight_missing: 0,
             deploys: 8,
             snapshot_parks: 182,
+            deny_rules: Vec::new(),
         };
         assert!(pass.failures().is_empty());
 

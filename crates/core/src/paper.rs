@@ -1,4 +1,5 @@
-//! The paper's evaluation artifacts (§9, §10, §11.2) as text.
+//! The paper's evaluation artifacts (§9, §10, §11.2) as text, and the
+//! monitor's denies per deny rule (§7.2–§7.4).
 //!
 //! Each [`Artifact`] renders the paper-style table from a deterministic
 //! virtual-time run, so the text is the same on every host and for any
@@ -10,10 +11,13 @@ use crate::harness::{
 };
 use crate::{fleet, Deployment, Protection};
 use bastion_apps::{App, ALL_APPS};
+use bastion_attacks::generate::{self, Generator};
+use bastion_attacks::{catalog, AttackEnv};
 use bastion_compiler::{BastionCompiler, InstrStats, InstrumentationBreadth};
 use bastion_ir::sysno::{self, AttackVector};
+use bastion_kernel::World;
 use bastion_monitor::ContextConfig;
-use bastion_obs as obs;
+use bastion_obs::{self as obs, deny::RULES, DenyRule};
 use bastion_vm::CostModel;
 use std::fmt::{self, Write as _};
 
@@ -34,11 +38,13 @@ pub enum Artifact {
     Table7,
     /// The design ablations (§9.2, §11.2, DESIGN.md §6e–§6g).
     Ablations,
+    /// Monitor denies per deny rule over four harnesses (§7.2–§7.4).
+    DenyRules,
 }
 
 impl Artifact {
     /// Every artifact, in paper order.
-    pub const ALL: [Artifact; 7] = [
+    pub const ALL: [Artifact; 8] = [
         Artifact::Table1,
         Artifact::Fig3,
         Artifact::Table4,
@@ -46,6 +52,7 @@ impl Artifact {
         Artifact::Table6,
         Artifact::Table7,
         Artifact::Ablations,
+        Artifact::DenyRules,
     ];
 
     /// The artifact's name on the command line (`bastion paper <name>`).
@@ -58,14 +65,15 @@ impl Artifact {
             Artifact::Table6 => "table6",
             Artifact::Table7 => "table7",
             Artifact::Ablations => "ablations",
+            Artifact::DenyRules => "deny-rules",
         }
     }
 }
 
 /// Renders `artifact` as the text `bastion paper <name>` prints, and a
-/// failure when a row diverges from the paper (only Table 6 checks its
-/// rows). Table 6 runs on [`fleet::default_jobs`] workers; its text does
-/// not depend on the count.
+/// failure when a row diverges from the paper (Table 6) or a deny rule is
+/// left unsettled (deny-rules). Those two run on [`fleet::default_jobs`]
+/// workers; their text does not depend on the count.
 pub fn render(artifact: Artifact) -> (String, Option<String>) {
     let write: fn(&mut String) -> fmt::Result = match artifact {
         Artifact::Table1 => table1,
@@ -73,6 +81,7 @@ pub fn render(artifact: Artifact) -> (String, Option<String>) {
         Artifact::Table4 => table4,
         Artifact::Table5 => table5,
         Artifact::Table6 => return table6(fleet::default_jobs()),
+        Artifact::DenyRules => return deny_rules(fleet::default_jobs()),
         Artifact::Table7 => table7,
         Artifact::Ablations => ablations,
     };
@@ -100,6 +109,99 @@ pub fn table6(jobs: usize) -> (String, Option<String>) {
         )
     });
     (bastion_attacks::render(&results), failure)
+}
+
+/// Tests that reach several rules each.
+const FORGED: &str =
+    "test monitor/src/prefilter.rs::each_check_alone_escalates_what_the_monitor_denies";
+const RETURNED: &str = "test tests/generated.rs::returns_into_an_uncalled_stub_are_denied";
+const TABLE6_AI: &str = "test tests/fleet.rs::fleet_table6_matches_serial_render (AI-only runs)";
+
+/// How each rule that no harness below fires is settled: the workspace
+/// test that reaches it, or why it stays as a substrate defence.
+const SETTLED: &[(DenyRule, &str)] = &[
+    (DenyRule::NotDirectlyCallable, RETURNED),
+    (DenyRule::InvalidCaller, "test monitor/tests/enforcement.rs::direct_call_into_main_is_an_invalid_caller"),
+    (DenyRule::ShadowReadFault, FORGED),
+    (DenyRule::NoSyscallCallsite, RETURNED),
+    (DenyRule::UnlistedSyscallSite, TABLE6_AI),
+    (DenyRule::SysnoMismatch, RETURNED),
+    (DenyRule::ConstArgMismatch, FORGED),
+    (DenyRule::NoShadowCopy, FORGED),
+    (DenyRule::BoundConstMismatch, FORGED),
+    (DenyRule::BindingMissing, "substrate: a one-bit flip of the binding's slot trips its checksum first"),
+    (DenyRule::PointeeUnreadable, FORGED),
+    (DenyRule::PointeeTailUnverifiable, "substrate: needs an empty pointee read; trap-scoped read faults fail the trap's first read"),
+    (DenyRule::PointeeRunsOffMapping, "test monitor/src/verify.rs::pointee_running_off_its_mapping_is_denied"),
+    (DenyRule::BoundVarUnreadable, FORGED),
+    (DenyRule::MissingMemBinding, "substrate: a one-bit flip of the binding's slot trips its checksum first"),
+    (DenyRule::ParamSlotUnreadable, "substrate: needs one failed slot read; trap-scoped read faults fail the trap's first read"),
+    (DenyRule::ConstParamCorrupted, FORGED),
+    (DenyRule::GlobalAddrMismatch, TABLE6_AI),
+    (DenyRule::GlobalPointeeCorrupted, FORGED),
+    (DenyRule::StackAddrImplausible, FORGED),
+    (DenyRule::WatchdogDeadline, "test tests/chaos.rs::watchdog_deadline_denies_slow_verification"),
+    (DenyRule::DegradedMode, "test tests/chaos.rs::ladder_degraded_rung_after_retry_exhaustion"),
+    (DenyRule::FailClosedMode, "test tests/chaos.rs::ladder_fail_closed_rung_after_repeated_failures"),
+];
+
+/// Monitor denies per deny rule, counted from the worlds' `MonitorKill`
+/// exits over four harnesses, each row settled as fired, reached by a
+/// named test or kept as a substrate defence ([`SETTLED`]). A rule with
+/// no count and no note, or with both, is a failure.
+pub fn deny_rules(jobs: usize) -> (String, Option<String>) {
+    let full = Some(ContextConfig::full());
+    let rules_of = |world: &mut World| -> Vec<DenyRule> {
+        let denies = crate::chaos::monitor_report(world).map(|(_, d)| d);
+        denies.iter().flatten().map(|d| d.rule).collect()
+    };
+    let programs = |sources: Vec<String>| {
+        let runs = fleet::run_ordered(jobs, sources, |_, src| {
+            rules_of(&mut generate::run_world(src, full).expect("compiles").0)
+        });
+        runs.concat()
+    };
+    let table6 = fleet::run_ordered(jobs, catalog(), |_, s| {
+        let mut env = AttackEnv::deploy(s.victim, full, s.extended_set, false);
+        (s.attack)(&mut env);
+        env.settle();
+        rules_of(&mut env.world)
+    });
+    let generated = (0..40).flat_map(|seed| Generator::new(seed).batch(generate::FAMILIES.len()));
+    let harnesses = [
+        fleet::chaos_matrix(jobs, fleet::ATTACK_SEEDS, None).deny_rules,
+        table6.concat(),
+        programs(generate::corpus().iter().map(|c| c.2.to_string()).collect()),
+        programs(generated.map(|p| p.source).collect()),
+    ];
+
+    let mut out = String::from(
+        "Deny rules: monitor denies per rule under full protection, counted from the\n\
+         worlds' MonitorKill exits (rules in CT, CF, AI, fail-closed order)\n\
+         \x20 chaos      the chaos matrix's benign and attack cells (2 seeds x 7 fault classes)\n\
+         \x20 table6     the 32 Table 6 catalog attacks\n\
+         \x20 corpus     the 11 corpus programs\n\
+         \x20 generated  11 generator families x seeds 0-39\n\n\
+         rule                        chaos table6 corpus generated  settled\n",
+    );
+    let mut unsettled = Vec::new();
+    for (rule, name) in RULES {
+        let count = |h: &Vec<DenyRule>| h.iter().filter(|&&r| r == rule).count();
+        let n = harnesses.each_ref().map(count);
+        let note = SETTLED.iter().find(|s| s.0 == rule).map(|s| s.1);
+        let settled = match (n.iter().sum::<usize>() > 0, note) {
+            (true, None) => "fired",
+            (false, Some(note)) => note,
+            _ => {
+                unsettled.push(name);
+                "UNSETTLED"
+            }
+        };
+        let [a, b, c, d] = n;
+        let _ = writeln!(out, "{name:<26} {a:>6} {b:>6} {c:>6} {d:>9}  {settled}");
+    }
+    let failure = (!unsettled.is_empty()).then(|| format!("unsettled deny rules: {unsettled:?}"));
+    (out, failure)
 }
 
 /// Formats a metric the way Table 3 prints it.

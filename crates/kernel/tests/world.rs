@@ -210,7 +210,7 @@ fn tracer_allow_and_deny_paths() {
                     trap_seq: 2,
                     sysno: regs.nr,
                     context: DenyContext::CallType,
-                    rule: DenyRule::NotCallable,
+                    rule: DenyRule::NotDirectlyCallable,
                     expected: None,
                     observed: None,
                     fault_ctx: FaultCtx::default(),

@@ -29,13 +29,13 @@
 //! Deny messages are deterministic functions of the same inputs, so a
 //! cached violation reproduces the exact verdict string of a fresh one.
 
-use crate::verify::Violation;
+use bastion_obs::DenyRecord;
 use std::collections::HashMap;
 
-/// A memoized verification outcome: pass, or the violation it produced.
-/// The full structured [`Violation`] is cached, so a hit reproduces the
+/// A memoized verification outcome: pass, or the deny it produced. The
+/// full structured [`DenyRecord`] is cached, so a hit reproduces the
 /// rule-level provenance of a fresh verdict, not just its message.
-pub type CachedVerdict = Result<(), Violation>;
+pub type CachedVerdict = Result<(), Box<DenyRecord>>;
 
 /// Verification cache plus the cache and remote-read counters surfaced in
 /// [`crate::MonitorStats`].
@@ -167,9 +167,9 @@ mod tests {
         c.ct_store(
             2,
             0x400,
-            Err(Violation::new(
+            Err(DenyRecord::new(
                 bastion_obs::DenyContext::CallType,
-                bastion_obs::DenyRule::NotCallable,
+                bastion_obs::DenyRule::NotIndirectlyCallable,
                 "nope",
             )),
         );
@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(c.walk_hits, 1);
         // Storing the colliding chain's own (deny) verdict displaces the
         // occupant; each chain only ever sees its own verdict.
-        let deny = Err(Violation::new(
+        let deny = Err(DenyRecord::new(
             bastion_obs::DenyContext::ControlFlow,
             bastion_obs::DenyRule::InvalidCaller,
             "bad caller",

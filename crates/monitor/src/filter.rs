@@ -111,4 +111,37 @@ mod tests {
         );
         assert_eq!(pre.rule_count(), plain.rule_count());
     }
+
+    /// The precondition the monitor's Call-Type check rests on: over the
+    /// three apps and the 11 corpus programs, every number the filter
+    /// traces or allows has a callable class, and every other number is
+    /// killed. So no trap reaches the monitor for a number that is
+    /// unclassified or not callable.
+    #[test]
+    fn only_classified_callable_numbers_get_past_the_filter() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../attacks/corpus");
+        let mut sources: Vec<String> = bastion_apps::ALL_APPS
+            .iter()
+            .map(|app| app.source().to_string())
+            .collect();
+        for entry in std::fs::read_dir(corpus).expect("corpus directory") {
+            sources.push(std::fs::read_to_string(entry.unwrap().path()).unwrap());
+        }
+        assert_eq!(sources.len(), 3 + 11);
+        for src in &sources {
+            let module = bastion_minic::compile_program("p", &[src]).expect("compiles");
+            let md = BastionCompiler::new().compile(module).unwrap().metadata;
+            for (trace, prefilter) in [(true, false), (true, true), (false, false)] {
+                let f = build_filter_with_mode(&md, trace, prefilter);
+                for nr in 0..4096 {
+                    let callable = md.syscall_classes.get(&nr).is_some_and(|c| c.callable());
+                    match f.eval(nr) {
+                        SeccompAction::Kill => assert!(!callable, "nr {nr} killed"),
+                        SeccompAction::Allow => assert!(callable, "nr {nr} allowed"),
+                        _ => assert!(callable && md.sensitive_nrs.contains(&nr), "nr {nr}"),
+                    }
+                }
+            }
+        }
+    }
 }

@@ -48,11 +48,8 @@ pub struct Resilience {
     /// further attempt.
     pub retry_backoff_cycles: u64,
     /// Per-trap verification deadline (watchdog) in virtual cycles;
-    /// `None` disables the watchdog.
+    /// `None` disables the watchdog. An overrun denies the trap.
     pub deadline_cycles: Option<u64>,
-    /// Deny the trap when the deadline is exceeded (`true`, fail-closed)
-    /// or merely record the overrun (`false`, observe-only).
-    pub deny_on_timeout: bool,
     /// Substrate strikes (exhausted retries, watchdog overruns, shadow
     /// corruption) before the monitor drops to `Degraded`.
     pub degrade_after: u32,
@@ -66,20 +63,8 @@ impl Default for Resilience {
             max_retries: 2,
             retry_backoff_cycles: 500,
             deadline_cycles: None,
-            deny_on_timeout: true,
             degrade_after: 3,
             fail_closed_after: 6,
-        }
-    }
-}
-
-impl Resilience {
-    /// A watchdogged policy: like the default but with a per-trap
-    /// verification deadline.
-    pub fn with_deadline(cycles: u64) -> Self {
-        Resilience {
-            deadline_cycles: Some(cycles),
-            ..Resilience::default()
         }
     }
 }
@@ -278,8 +263,7 @@ pub struct MonitorStats {
     pub retry_successes: u64,
     /// Traps denied by the verification-deadline watchdog.
     pub watchdog_denies: u64,
-    /// Watchdog overruns observed (counted even when `deny_on_timeout` is
-    /// off).
+    /// Watchdog overruns observed.
     pub watchdog_overruns: u64,
     /// Substrate strikes accumulated (retry exhaustion, watchdog overruns,
     /// shadow corruption) — the degradation-ladder driver.
@@ -405,8 +389,6 @@ pub struct LaunchInfo {
     pub globals: HashMap<String, u64>,
     /// Valid stack range `[base, top)`.
     pub stack: (u64, u64),
-    /// Data segment range `[base, end)`.
-    pub data: (u64, u64),
 }
 
 impl LaunchInfo {
@@ -426,7 +408,6 @@ impl LaunchInfo {
             load_bias,
             globals,
             stack: (image.stack_base, image.stack_top),
-            data: (image.data_base, image.data_end),
         }
     }
 }
@@ -597,48 +578,37 @@ impl Monitor {
         self.stats.mode_transitions = r.transitions;
     }
 
-    /// Converts a structured violation into the kill verdict: the
-    /// [`DenyRecord`] streamed to any installed sink and handed to the
-    /// kernel as the killed process's exit reason. Its `Display` is the
+    /// Turns a verification stage's deny into the kill verdict: the
+    /// [`DenyRecord`], stamped with the trap, handed to the kernel as the
+    /// killed process's exit reason. Its `Display` is the
     /// `"{label}: {msg}"` kill-reason text.
     fn deny(
         &mut self,
         nr: u32,
-        v: verify::Violation,
+        mut rec: Box<DenyRecord>,
         vcycles: u64,
         flight: Vec<FlightEntry>,
     ) -> TraceVerdict {
-        match v.ctx {
+        match rec.context {
             DenyContext::CallType => self.stats.ct_violations += 1,
             DenyContext::ControlFlow => self.stats.cf_violations += 1,
             DenyContext::ArgIntegrity => self.stats.ai_violations += 1,
             DenyContext::FailClosed => self.stats.fc_violations += 1,
         }
         self.log.push((nr, false));
-        let rec = {
-            let r = self.res.borrow();
-            DenyRecord {
-                trap_seq: self.stats.traps,
-                sysno: nr,
-                context: v.ctx,
-                rule: v.rule,
-                expected: v.expected,
-                observed: v.observed,
-                fault_ctx: FaultCtx {
-                    retries: r.retries,
-                    strikes: u64::from(r.strikes),
-                    watchdog_overruns: r.watchdog_overruns,
-                    shadow_quarantined: r.shadow_quarantined,
-                },
-                ladder_rung: r.mode.label(),
-                message: v.msg,
-                flight,
-            }
+        let r = self.res.borrow();
+        (rec.trap_seq, rec.sysno, rec.ladder_rung) = (self.stats.traps, nr, r.mode.label());
+        rec.fault_ctx = FaultCtx {
+            retries: r.retries,
+            strikes: u64::from(r.strikes),
+            watchdog_overruns: r.watchdog_overruns,
+            shadow_quarantined: r.shadow_quarantined,
         };
+        rec.flight = flight;
+        drop(r);
         obs::instant(Phase::Deny, rec.trap_seq, vcycles, 0);
         obs::counter_add("monitor.denies", 1);
-        obs::emit_deny(&rec);
-        TraceVerdict::Deny(Box::new(rec))
+        TraceVerdict::Deny(rec)
     }
 
     /// Tier-1 gates plus check-program evaluation for one classify. The
@@ -753,7 +723,7 @@ impl Tracer for Monitor {
         if mode == MonitorMode::FailClosed {
             let v = self.deny(
                 0,
-                verify::Violation::new(
+                DenyRecord::new(
                     DenyContext::FailClosed,
                     obs::DenyRule::FailClosedMode,
                     "monitor fail-closed: tracee state untrusted after repeated substrate failures",
@@ -789,7 +759,7 @@ impl Tracer for Monitor {
         if mode == MonitorMode::Degraded && (self.cfg.control_flow || self.cfg.arg_integrity) {
             let v = self.deny(
                 nr,
-                verify::Violation::new(
+                DenyRecord::new(
                     DenyContext::FailClosed,
                     obs::DenyRule::DegradedMode,
                     "monitor degraded: control-flow/argument contexts unverifiable",

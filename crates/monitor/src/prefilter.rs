@@ -75,10 +75,9 @@ enum ArgPred {
     Const(u64),
     /// Shadow-binding-backed argument.
     Mem,
-    /// Pre-resolved global symbol address (`None` = symbol unknown at
-    /// launch, which the monitor denies) plus expected pointee bytes.
+    /// Pre-resolved global symbol address plus expected pointee bytes.
     Global {
-        addr: Option<u64>,
+        addr: u64,
         expected: Option<Vec<u8>>,
     },
     /// Stack-range plausibility.
@@ -222,7 +221,7 @@ impl Prefilter {
             ArgMeta::Const(v) => ArgPred::Const(const_to_u64(*v)),
             ArgMeta::Mem => ArgPred::Mem,
             ArgMeta::Global { name, expected } => ArgPred::Global {
-                addr: info.globals.get(name).copied(),
+                addr: info.globals[name.as_str()],
                 expected: expected.clone(),
             },
             ArgMeta::StackAddr => ArgPred::StackAddr,
@@ -335,11 +334,8 @@ impl Prefilter {
         }
 
         // ---- stub + frame head (mirrors verify_trap's entry) ----
-        let Some(stub) = p.func_of(regs.rip) else {
-            // Tier 2 denies RipOutsideKnownCode.
-            return esc(R::CtMismatch);
-        };
-        let stub_entry = stub.entry;
+        // A trap's rip lies in a stub of the image (`verify::stub_entry`).
+        let stub_entry = p.func_of(regs.rip).expect("trap rip in a stub").entry;
         let Ok((saved0, ret0)) = tracee.kernel_read_frame(regs.fp) else {
             return esc(R::ReadFailure);
         };
@@ -463,11 +459,7 @@ impl Prefilter {
                         }
                     }
                     ArgPred::Global { addr, expected } => {
-                        let Some(sym) = addr else {
-                            // Tier 2 denies UnknownSymbol.
-                            return esc(R::ArgMismatch);
-                        };
-                        if actual != *sym {
+                        if actual != *addr {
                             return esc(R::ArgMismatch);
                         }
                         if let Some(exp) = expected {
@@ -912,15 +904,24 @@ mod tests {
             (word(fp), word(fp + 8))
         }
 
-        /// Tier 1's verdict (from a fresh flow state) and whether the
-        /// monitor allows the same stopped state.
-        fn verdicts(&self) -> (PrefilterVerdict, bool) {
+        /// The trapped syscall's callsite.
+        fn site(&self) -> u64 {
+            self.frame(self.m.fp).1 - CALL_SIZE
+        }
+
+        fn shadow(&self) -> ShadowTable {
+            ShadowTable::new(self.m.gs_base)
+        }
+
+        /// Tier 1's verdict (from a fresh flow state) and the rule the
+        /// monitor denies the same stopped state by, if any.
+        fn verdicts(&self) -> (PrefilterVerdict, Option<bastion_obs::DenyRule>) {
             let mut charge = 0u64;
             let mut tracee = Tracee::new(&self.m, 1, &mut charge);
             let tier1 = self.pf.clone().check(&mut tracee);
             let regs = tracee.getregs();
             let tier2 = crate::verify::verify_trap(&self.mon, &mut tracee, &regs);
-            (tier1, tier2.is_ok())
+            (tier1, tier2.err().map(|v| v.rule))
         }
     }
 
@@ -929,28 +930,88 @@ mod tests {
 
     #[test]
     fn each_check_alone_escalates_what_the_monitor_denies() {
-        assert_eq!(Stopped::new().verdicts(), (PrefilterVerdict::Allow, true));
-        let forge: [(&str, R, Forge); 5] = [
-            ("Const", R::ArgMismatch, |s| s.m.trap_args[4] = 1),
-            ("StackAddr", R::ArgMismatch, |s| s.m.trap_args[2] = 0x10),
-            ("Global pointee", R::ArgMismatch, |s| {
-                let path = s.m.trap_args[1];
-                s.m.mem.write_unchecked(path + 1, b"s");
+        use bastion_obs::DenyRule as D;
+        assert_eq!(Stopped::new().verdicts(), (PrefilterVerdict::Allow, None));
+        let forge: [(&str, R, D, Forge); 10] = [
+            ("Const", R::ArgMismatch, D::ConstArgMismatch, |s| {
+                s.m.trap_args[4] = 1;
+            }),
+            ("StackAddr", R::ArgMismatch, D::StackAddrImplausible, |s| {
+                s.m.trap_args[2] = 0x10;
+            }),
+            (
+                "Global pointee",
+                R::ArgMismatch,
+                D::GlobalPointeeCorrupted,
+                |s| {
+                    let path = s.m.trap_args[1];
+                    s.m.mem.write_unchecked(path + 1, b"s");
+                },
+            ),
+            (
+                "Global unmapped",
+                R::ReadFailure,
+                D::PointeeUnreadable,
+                |s| {
+                    s.m.mem.unmap_region(s.m.trap_args[1] & !0xfff, 0x1000);
+                },
+            ),
+            // `envp` (a Mem argument) rebound: to a constant, to a variable
+            // with no shadow copy, to an unmapped variable whose shadow
+            // copy matches the register.
+            (
+                "Mem bound to a constant",
+                R::ArgMismatch,
+                D::BoundConstMismatch,
+                |s| {
+                    let site = s.site();
+                    s.shadow().bind_const(&mut s.m.mem, site, 4, 99).unwrap();
+                },
+            ),
+            (
+                "Mem bound unshadowed",
+                R::ArgMismatch,
+                D::NoShadowCopy,
+                |s| {
+                    let site = s.site();
+                    s.shadow().bind_mem(&mut s.m.mem, site, 4, 0x10).unwrap();
+                },
+            ),
+            (
+                "Mem variable unmapped",
+                R::ReadFailure,
+                D::BoundVarUnreadable,
+                |s| {
+                    let (site, shadow) = (s.site(), s.shadow());
+                    shadow.bind_mem(&mut s.m.mem, site, 4, 0x10).unwrap();
+                    shadow.write_value(&mut s.m.mem, 0x10, 0, 8).unwrap();
+                },
+            ),
+            // The app can unmap its own shadow region (`munmap`).
+            ("shadow unmapped", R::ReadFailure, D::ShadowReadFault, |s| {
+                let base = s.m.gs_base;
+                s.m.mem
+                    .unmap_region(base, bastion_vm::shadow::SHADOW_REGION_SIZE);
             }),
             // `envp` overwritten before `w` binds it: the register, the
             // variable and its shadow copy all agree on the forged value.
-            ("prop-site Const", R::ArgMismatch, |s| {
-                let (w_fp, ret) = s.frame(s.m.fp);
-                let w = s.pf.prog.func_of(ret).unwrap().clone();
-                let slot = w_fp - w.frame_size + w.slot_offsets[0];
-                s.m.mem.write_unchecked(slot, &7u64.to_le_bytes());
-                let shadow = ShadowTable::new(s.m.gs_base);
-                shadow.write_value(&mut s.m.mem, slot, 7, 8).unwrap();
-                s.m.trap_args[3] = 7;
-            }),
+            (
+                "prop-site Const",
+                R::ArgMismatch,
+                D::ConstParamCorrupted,
+                |s| {
+                    let (w_fp, ret) = s.frame(s.m.fp);
+                    let w = s.pf.prog.func_of(ret).unwrap().clone();
+                    let slot = w_fp - w.frame_size + w.slot_offsets[0];
+                    s.m.mem.write_unchecked(slot, &7u64.to_le_bytes());
+                    let shadow = ShadowTable::new(s.m.gs_base);
+                    shadow.write_value(&mut s.m.mem, slot, 7, 8).unwrap();
+                    s.m.trap_args[3] = 7;
+                },
+            ),
             // `x` returns to just after `main`'s call to `z`: a real
             // callsite in the right caller, but of another callee.
-            ("callee mismatch", R::ChainAnomaly, |s| {
+            ("callee mismatch", R::ChainAnomaly, D::CalleeMismatch, |s| {
                 let (y_fp, _) = s.frame(s.frame(s.m.fp).0);
                 let (x_fp, _) = s.frame(y_fp);
                 let into_x = *s.pf.prog.callsite(s.frame(x_fp).1 - CALL_SIZE).unwrap();
@@ -961,12 +1022,12 @@ mod tests {
                 s.m.mem.write_unchecked(x_fp + 8, &ret.to_le_bytes());
             }),
         ];
-        for (what, reason, f) in forge {
+        for (what, reason, rule, f) in forge {
             let mut s = Stopped::new();
             f(&mut s);
             assert_eq!(
                 s.verdicts(),
-                (PrefilterVerdict::Escalate(reason), false),
+                (PrefilterVerdict::Escalate(reason), Some(rule)),
                 "{what}"
             );
         }

@@ -16,47 +16,13 @@ use crate::Monitor;
 use bastion_compiler::metadata::{ArgMeta, CallsiteKind};
 use bastion_ir::CALL_SIZE;
 use bastion_kernel::{Regs, Tracee};
-use bastion_obs::{self as obs, DenyContext, DenyRule, Phase};
+use bastion_obs::{self as obs, DenyContext, DenyRecord, DenyRule, Phase};
 use bastion_vm::shadow::{Binding, ShadowError};
 use bastion_vm::{OutOfBounds, ShadowTable};
 
-/// A structured context violation: which context fired, rule-level
-/// provenance, optional expected/observed values for comparing rules, and
-/// the message the kill reason displays.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Context that detected the violation.
-    pub ctx: DenyContext,
-    /// The specific rule that fired.
-    pub rule: DenyRule,
-    /// Expected value, when the rule compares two quantities.
-    pub expected: Option<u64>,
-    /// Observed value, when the rule compares two quantities.
-    pub observed: Option<u64>,
-    /// Message body (everything after the "CT: " prefix).
-    pub msg: String,
-}
-
-impl Violation {
-    /// Builds a violation with no expected/observed payload.
-    pub fn new(ctx: DenyContext, rule: DenyRule, msg: impl Into<String>) -> Self {
-        Violation {
-            ctx,
-            rule,
-            expected: None,
-            observed: None,
-            msg: msg.into(),
-        }
-    }
-
-    /// Attaches the expected/observed pair.
-    #[must_use]
-    pub fn vals(mut self, expected: u64, observed: u64) -> Self {
-        self.expected = Some(expected);
-        self.observed = Some(observed);
-        self
-    }
-}
+/// A verification stage's deny: the record the monitor stamps and kills
+/// the process with.
+pub(crate) type Deny = Box<DenyRecord>;
 
 /// The single signed-constant comparison rule. Compiler metadata carries
 /// constants as `i64`; trapped registers and parameter slots are raw
@@ -122,7 +88,7 @@ fn with_retries<T>(
 
 /// `PTRACE_GETREGS` with retries; the register snapshot is the monitor's
 /// entry point into the tracee, so its loss is terminal for the trap.
-pub(crate) fn getregs_resilient(mon: &Monitor, tracee: &mut Tracee<'_>) -> Result<Regs, Violation> {
+pub(crate) fn getregs_resilient(mon: &Monitor, tracee: &mut Tracee<'_>) -> Result<Regs, Deny> {
     with_retries(mon, tracee, |t| t.try_getregs()).map_err(|_| {
         fc_err(
             DenyRule::RegsUnreadable,
@@ -132,10 +98,10 @@ pub(crate) fn getregs_resilient(mon: &Monitor, tracee: &mut Tracee<'_>) -> Resul
 }
 
 /// Watchdog checkpoint: if this trap's verification has charged more
-/// cycles than the configured deadline, record the overrun and (policy
-/// permitting) deny the trap fail-closed. Checked at every verification
+/// cycles than the configured deadline, record the overrun and deny the
+/// trap fail-closed. Checked at every verification
 /// stage boundary so a stalled access is caught at the next checkpoint.
-fn check_deadline(mon: &Monitor, tracee: &Tracee<'_>) -> Result<(), Violation> {
+fn check_deadline(mon: &Monitor, tracee: &Tracee<'_>) -> Result<(), Deny> {
     let pol = mon.cfg.resilience;
     let Some(deadline) = pol.deadline_cycles else {
         return Ok(());
@@ -144,9 +110,6 @@ fn check_deadline(mon: &Monitor, tracee: &Tracee<'_>) -> Result<(), Violation> {
         return Ok(());
     }
     mon.res.borrow_mut().watchdog_overruns += 1;
-    if !pol.deny_on_timeout {
-        return Ok(());
-    }
     mon.res.borrow_mut().watchdog_denies += 1;
     mon.substrate_strike();
     Err(fc_err(
@@ -158,7 +121,7 @@ fn check_deadline(mon: &Monitor, tracee: &Tracee<'_>) -> Result<(), Violation> {
 
 /// Maps a checked-shadow-read failure to a violation; corruption
 /// additionally quarantines the shadow table.
-fn shadow_fail(mon: &Monitor, e: ShadowError) -> Violation {
+fn shadow_fail(mon: &Monitor, e: ShadowError) -> Deny {
     match e {
         ShadowError::Fault(f) => ai_err(
             DenyRule::ShadowReadFault,
@@ -181,7 +144,7 @@ fn shadow_binding(
     shadow: &ShadowTable,
     callsite: u64,
     pos: u8,
-) -> Result<Option<Binding>, Violation> {
+) -> Result<Option<Binding>, Deny> {
     shadow
         .get_binding_checked(&tracee.shared_shadow(), callsite, pos)
         .map_err(|e| shadow_fail(mon, e))
@@ -193,7 +156,7 @@ fn shadow_value(
     tracee: &Tracee<'_>,
     shadow: &ShadowTable,
     addr: u64,
-) -> Result<Option<(u64, u8)>, Violation> {
+) -> Result<Option<(u64, u8)>, Deny> {
     shadow
         .read_value_checked(&tracee.shared_shadow(), addr)
         .map_err(|e| shadow_fail(mon, e))
@@ -201,18 +164,19 @@ fn shadow_value(
 
 /// Table 7 row 2: fetch the same process state a full verification would
 /// (top return address plus the frame chain) without checking anything.
-pub(crate) fn fetch_only(
-    mon: &Monitor,
-    tracee: &mut Tracee<'_>,
-    regs: &Regs,
-) -> Result<u64, Violation> {
-    let Some(stub) = mon.md.func_of(regs.rip) else {
-        return Ok(0);
-    };
-    let stub_entry = stub.entry;
+pub(crate) fn fetch_only(mon: &Monitor, tracee: &mut Tracee<'_>, regs: &Regs) -> Result<u64, Deny> {
     // Walk without CF validation (walk_stack honours cfg.control_flow).
-    let frames = walk_stack(mon, tracee, stub_entry, regs.fp, None)?;
+    let frames = walk_stack(mon, tracee, stub_entry(mon, regs), regs.fp, None)?;
     Ok(frames.len() as u64)
+}
+
+/// Entry of the stub the trap occurred in: only a stub of the image holds
+/// a `syscall` instruction, and metadata lists every function.
+fn stub_entry(mon: &Monitor, regs: &Regs) -> u64 {
+    mon.md
+        .func_of(regs.rip)
+        .expect("a trap's rip lies in a stub of the image")
+        .entry
 }
 
 /// One unwound frame: `(function entry, callsite that created it, fp)`.
@@ -228,16 +192,10 @@ pub(crate) fn verify_trap(
     mon: &Monitor,
     tracee: &mut Tracee<'_>,
     regs: &Regs,
-) -> Result<u64, Violation> {
-    let md = &mon.md;
+) -> Result<u64, Deny> {
     let nr = regs.nr;
     let seq = mon.stats.traps;
-
-    // Identify the stub the trap occurred in.
-    let stub = md
-        .func_of(regs.rip)
-        .ok_or_else(|| ct_err(DenyRule::RipOutsideKnownCode, "trap rip outside known code"))?;
-    let stub_entry = stub.entry;
+    let stub_entry = stub_entry(mon, regs);
 
     // Recover the callsite by "decoding the call instruction" before the
     // return address on the stub frame. The saved frame pointer comes
@@ -314,21 +272,12 @@ pub(crate) fn verify_trap(
 }
 
 /// Call-Type verdict for `(nr, callsite0)` — a pure function of metadata
-/// and code addresses, which is what makes it cacheable.
-fn check_call_type(mon: &Monitor, nr: u32, callsite0: u64) -> Result<(), Violation> {
+/// and code addresses, which is what makes it cacheable. seccomp kills
+/// every number without a callable class, so only the callsite kind is
+/// left to check.
+fn check_call_type(mon: &Monitor, nr: u32, callsite0: u64) -> Result<(), Deny> {
     let md = &mon.md;
-    let Some(class) = md.syscall_classes.get(&nr).copied() else {
-        return Err(ct_err(
-            DenyRule::NoCallTypeEntry,
-            &format!("syscall {nr} has no call-type entry"),
-        ));
-    };
-    if !class.callable() {
-        return Err(ct_err(
-            DenyRule::NotCallable,
-            &format!("syscall {nr} is not-callable"),
-        ));
-    }
+    let class = md.syscall_classes[&nr];
     match md.callsites.get(&callsite0).map(|c| c.kind) {
         Some(CallsiteKind::Direct(_)) => {
             if !class.allows_direct() {
@@ -356,26 +305,26 @@ fn check_call_type(mon: &Monitor, nr: u32, callsite0: u64) -> Result<(), Violati
     Ok(())
 }
 
-fn ct_err(rule: DenyRule, msg: &str) -> Violation {
-    Violation::new(DenyContext::CallType, rule, msg)
+fn ct_err(rule: DenyRule, msg: &str) -> Deny {
+    DenyRecord::new(DenyContext::CallType, rule, msg)
 }
 
-fn fc_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(DenyContext::FailClosed, rule, msg)
+fn fc_err(rule: DenyRule, msg: String) -> Deny {
+    DenyRecord::new(DenyContext::FailClosed, rule, msg)
 }
 
-fn cf_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(DenyContext::ControlFlow, rule, msg)
+fn cf_err(rule: DenyRule, msg: String) -> Deny {
+    DenyRecord::new(DenyContext::ControlFlow, rule, msg)
 }
 
-fn ai_err(rule: DenyRule, msg: String) -> Violation {
-    Violation::new(DenyContext::ArgIntegrity, rule, msg)
+fn ai_err(rule: DenyRule, msg: String) -> Deny {
+    DenyRecord::new(DenyContext::ArgIntegrity, rule, msg)
 }
 
 /// How a raw chain read terminated.
 enum ChainEnd {
-    /// Null return address: the bottom (`main`) frame.
-    Bottom,
+    /// Null return address: the bottom frame, of the function at `entry`.
+    Bottom { entry: u64 },
     /// A return address not preceded by any known call instruction.
     UnknownCallsite { ret: u64 },
     /// The next frame head could not be fetched.
@@ -402,7 +351,7 @@ fn walk_stack(
     stub_entry: u64,
     trap_fp: u64,
     prefetched: Option<(u64, u64)>,
-) -> Result<Vec<FrameRec>, Violation> {
+) -> Result<Vec<FrameRec>, Deny> {
     let (chain, end) = read_chain(mon, tracee, stub_entry, trap_fp, prefetched);
     // The CF verdict (including its message) is determined by the callsite
     // sequence and the terminator, so that is exactly what is hashed — and
@@ -418,7 +367,7 @@ fn walk_stack(
         }
     }
     let (tag, payload) = match &end {
-        ChainEnd::Bottom => (0, chain.last().map_or(0, |f| f.func_entry)),
+        ChainEnd::Bottom { entry } => (0, *entry),
         ChainEnd::UnknownCallsite { ret } => (1, *ret),
         ChainEnd::Unreadable { fp, .. } => (2, *fp),
         ChainEnd::DepthLimit => (3, 0),
@@ -471,7 +420,7 @@ fn read_chain(
                 callsite: None,
                 fp: cur_fp,
             });
-            return (chain, ChainEnd::Bottom);
+            return (chain, ChainEnd::Bottom { entry: cur_entry });
         }
         let callsite = ret.wrapping_sub(CALL_SIZE);
         let Some(cs) = md.callsites.get(&callsite) else {
@@ -496,7 +445,7 @@ fn read_chain(
 /// Validates a raw chain: pairwise callee→caller checks in frame order,
 /// then the terminator. A pure function of `(chain, end)` and metadata —
 /// the cacheable half.
-fn validate_chain(mon: &Monitor, chain: &[FrameRec], end: &ChainEnd) -> Result<(), Violation> {
+fn validate_chain(mon: &Monitor, chain: &[FrameRec], end: &ChainEnd) -> Result<(), Deny> {
     let md = &mon.md;
     let cf = mon.cfg.control_flow;
     // Pairwise callee→caller validation is *strict* until the first
@@ -508,19 +457,10 @@ fn validate_chain(mon: &Monitor, chain: &[FrameRec], end: &ChainEnd) -> Result<(
     let mut strict = true;
     for f in chain {
         // Terminal frames carry no callsite; the terminator covers them.
+        // `read_chain` records only callsites it resolved from this very
+        // metadata, which never changes after launch.
         let Some(callsite) = f.callsite else { continue };
-        // The walker only records callsites it resolved from metadata, so
-        // a miss here means the chain and the metadata disagree (e.g. a
-        // cached chain outliving a rebind, or corrupted monitor state).
-        // That is a verification failure, never a monitor crash.
-        let Some(cs) = md.callsites.get(&callsite) else {
-            return Err(cf_err(
-                DenyRule::UnknownChainCallsite,
-                format!("chain frame references unknown callsite {callsite:#x}"),
-            ));
-        };
-        let kind = cs.kind;
-        match kind {
+        match md.callsites[&callsite].kind {
             CallsiteKind::Indirect => {
                 // An indirectly-entered frame is legitimate only for an
                 // address-taken function inside the syscall-reaching
@@ -572,19 +512,10 @@ fn validate_chain(mon: &Monitor, chain: &[FrameRec], end: &ChainEnd) -> Result<(
         }
     }
     match end {
-        ChainEnd::Bottom => {
-            // An empty chain with a Bottom terminator cannot happen on the
-            // walker's own output, but a malformed cached chain must read
-            // as a violation, not a panic inside the monitor.
-            let Some(last) = chain.last() else {
-                return Err(cf_err(
-                    DenyRule::BottomEmptyChain,
-                    "stack walk bottomed out without walking any frame".into(),
-                ));
-            };
-            if cf && last.func_entry != md.main_entry {
+        ChainEnd::Bottom { entry } => {
+            if cf && *entry != md.main_entry {
                 let name = md
-                    .func_of(last.func_entry)
+                    .func_of(*entry)
                     .map_or("?", |fm| fm.name.as_str())
                     .to_string();
                 return Err(cf_err(
@@ -621,7 +552,7 @@ fn verify_args(
     tracee: &mut Tracee<'_>,
     regs: &Regs,
     frames: &[FrameRec],
-) -> Result<(), Violation> {
+) -> Result<(), Deny> {
     let md = &mon.md;
     let shadow = ShadowTable::new(tracee.gs_base());
 
@@ -766,7 +697,7 @@ fn check_arg(
     am: &ArgMeta,
     actual: u64,
     extended: bool,
-) -> Result<(), Violation> {
+) -> Result<(), Deny> {
     match am {
         ArgMeta::Const(v) => {
             if actual != const_to_u64(*v) {
@@ -843,12 +774,9 @@ fn check_arg(
             }
         }
         ArgMeta::Global { name, expected } => {
-            let Some(&sym) = mon.info.globals.get(name) else {
-                return Err(ai_err(
-                    DenyRule::UnknownSymbol,
-                    format!("argument {pos}: unknown symbol `{name}`"),
-                ));
-            };
+            // Launch info names every global of the image the metadata
+            // was compiled with.
+            let sym = mon.info.globals[name.as_str()];
             if actual != sym {
                 return Err(ai_err(
                     DenyRule::GlobalAddrMismatch,
@@ -895,7 +823,7 @@ fn verify_pointee_shadow(
     shadow: &ShadowTable,
     pos: u8,
     ptr: u64,
-) -> Result<(), Violation> {
+) -> Result<(), Deny> {
     let mut buf = [0u8; 256];
     // One bounded prefix read of up to 256 bytes; shorter mapped prefixes
     // are fine. The buffer is scanned up to and including the first NUL.
@@ -1052,7 +980,7 @@ mod tests {
         assert_eq!(err.expected, Some(tail));
         assert_eq!(err.observed, Some(base + 0x1000));
         assert_eq!(
-            err.msg,
+            err.message,
             format!(
                 "argument 1: pointee at {tail:#x} runs off its mapping at {:#x} with no terminator",
                 base + 0x1000

@@ -39,18 +39,14 @@ impl DenyContext {
 }
 
 /// Rule-level provenance: the specific check that fired, one variant per
-/// deny site in the verification pipeline.
+/// deny site in the verification pipeline (4 CT, 7 CF, 24 AI, 4
+/// fail-closed). A check an earlier stage decides has no rule (DESIGN.md
+/// §6e); `bastion paper deny-rules` shows what fires or reaches each one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DenyRule {
     // ---- Call-Type (§7.2) ----
-    /// Trap `rip` resolved to no known function.
-    RipOutsideKnownCode,
     /// The stub frame head could not be read (CT needs the callsite).
     StackUnreadable,
-    /// The syscall number has no call-type classification at all.
-    NoCallTypeEntry,
-    /// The syscall is classified not-callable.
-    NotCallable,
     /// Direct call to a syscall not classified directly-callable.
     NotDirectlyCallable,
     /// Indirect call to a syscall not classified indirectly-callable.
@@ -62,8 +58,6 @@ pub enum DenyRule {
     FrameUnreadable,
     /// The walk bottomed out in a function other than `main`.
     BottomNotMain,
-    /// A cached/malformed chain bottomed out with no frames at all.
-    BottomEmptyChain,
     /// A return address is not preceded by any known call instruction.
     ReturnNotAfterCall,
     /// A frame was entered indirectly but its function is not a permitted
@@ -73,8 +67,6 @@ pub enum DenyRule {
     CalleeMismatch,
     /// A callsite is not in the callee's valid-caller set.
     InvalidCaller,
-    /// A chain frame references a callsite unknown to metadata.
-    UnknownChainCallsite,
     /// The 128-frame unwind limit was exceeded.
     DepthLimitExceeded,
     // ---- Argument Integrity (§7.4) ----
@@ -122,8 +114,6 @@ pub enum DenyRule {
     ParamSlotUnreadable,
     /// A spilled constant parameter was corrupted.
     ConstParamCorrupted,
-    /// A global-symbol argument references an unknown symbol.
-    UnknownSymbol,
     /// An argument does not point at the expected global.
     GlobalAddrMismatch,
     /// The pointee of a global-symbol argument was corrupted.
@@ -141,56 +131,57 @@ pub enum DenyRule {
     FailClosedMode,
 }
 
+/// Every rule with its stable snake_case name (exports and reports), in
+/// declaration order: `RULES[rule as usize]` is `rule`'s row.
+pub const RULES: [(DenyRule, &str); 39] = [
+    (DenyRule::StackUnreadable, "stack_unreadable"),
+    (DenyRule::NotDirectlyCallable, "not_directly_callable"),
+    (DenyRule::NotIndirectlyCallable, "not_indirectly_callable"),
+    (DenyRule::NoCallInstruction, "no_call_instruction"),
+    (DenyRule::FrameUnreadable, "frame_unreadable"),
+    (DenyRule::BottomNotMain, "bottom_not_main"),
+    (DenyRule::ReturnNotAfterCall, "return_not_after_call"),
+    (DenyRule::IllegalIndirectEntry, "illegal_indirect_entry"),
+    (DenyRule::CalleeMismatch, "callee_mismatch"),
+    (DenyRule::InvalidCaller, "invalid_caller"),
+    (DenyRule::DepthLimitExceeded, "depth_limit_exceeded"),
+    (DenyRule::ShadowReadFault, "shadow_read_fault"),
+    (DenyRule::ShadowCorrupt, "shadow_corrupt"),
+    (DenyRule::ShadowQuarantined, "shadow_quarantined"),
+    (DenyRule::NoSyscallCallsite, "no_syscall_callsite"),
+    (DenyRule::UnlistedSyscallSite, "unlisted_syscall_site"),
+    (DenyRule::SysnoMismatch, "sysno_mismatch"),
+    (DenyRule::ConstArgMismatch, "const_arg_mismatch"),
+    (DenyRule::NoShadowCopy, "no_shadow_copy"),
+    (DenyRule::ShadowValueMismatch, "shadow_value_mismatch"),
+    (DenyRule::CorruptedAfterBind, "corrupted_after_bind"),
+    (DenyRule::BoundConstMismatch, "bound_const_mismatch"),
+    (DenyRule::BindingMissing, "binding_missing"),
+    (DenyRule::PointeeUnreadable, "pointee_unreadable"),
+    (DenyRule::PointeeByteCorrupted, "pointee_byte_corrupted"),
+    (
+        DenyRule::PointeeTailUnverifiable,
+        "pointee_tail_unverifiable",
+    ),
+    (DenyRule::PointeeRunsOffMapping, "pointee_runs_off_mapping"),
+    (DenyRule::BoundVarUnreadable, "bound_var_unreadable"),
+    (DenyRule::SensitiveVarCorrupted, "sensitive_var_corrupted"),
+    (DenyRule::MissingMemBinding, "missing_mem_binding"),
+    (DenyRule::ParamSlotUnreadable, "param_slot_unreadable"),
+    (DenyRule::ConstParamCorrupted, "const_param_corrupted"),
+    (DenyRule::GlobalAddrMismatch, "global_addr_mismatch"),
+    (DenyRule::GlobalPointeeCorrupted, "global_pointee_corrupted"),
+    (DenyRule::StackAddrImplausible, "stack_addr_implausible"),
+    (DenyRule::RegsUnreadable, "regs_unreadable"),
+    (DenyRule::WatchdogDeadline, "watchdog_deadline"),
+    (DenyRule::DegradedMode, "degraded_mode"),
+    (DenyRule::FailClosedMode, "fail_closed_mode"),
+];
+
 impl DenyRule {
     /// Stable snake_case rule name for exports and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            DenyRule::RipOutsideKnownCode => "rip_outside_known_code",
-            DenyRule::StackUnreadable => "stack_unreadable",
-            DenyRule::NoCallTypeEntry => "no_call_type_entry",
-            DenyRule::NotCallable => "not_callable",
-            DenyRule::NotDirectlyCallable => "not_directly_callable",
-            DenyRule::NotIndirectlyCallable => "not_indirectly_callable",
-            DenyRule::NoCallInstruction => "no_call_instruction",
-            DenyRule::FrameUnreadable => "frame_unreadable",
-            DenyRule::BottomNotMain => "bottom_not_main",
-            DenyRule::BottomEmptyChain => "bottom_empty_chain",
-            DenyRule::ReturnNotAfterCall => "return_not_after_call",
-            DenyRule::IllegalIndirectEntry => "illegal_indirect_entry",
-            DenyRule::CalleeMismatch => "callee_mismatch",
-            DenyRule::InvalidCaller => "invalid_caller",
-            DenyRule::UnknownChainCallsite => "unknown_chain_callsite",
-            DenyRule::DepthLimitExceeded => "depth_limit_exceeded",
-            DenyRule::ShadowReadFault => "shadow_read_fault",
-            DenyRule::ShadowCorrupt => "shadow_corrupt",
-            DenyRule::ShadowQuarantined => "shadow_quarantined",
-            DenyRule::NoSyscallCallsite => "no_syscall_callsite",
-            DenyRule::UnlistedSyscallSite => "unlisted_syscall_site",
-            DenyRule::SysnoMismatch => "sysno_mismatch",
-            DenyRule::ConstArgMismatch => "const_arg_mismatch",
-            DenyRule::NoShadowCopy => "no_shadow_copy",
-            DenyRule::ShadowValueMismatch => "shadow_value_mismatch",
-            DenyRule::CorruptedAfterBind => "corrupted_after_bind",
-            DenyRule::BoundConstMismatch => "bound_const_mismatch",
-            DenyRule::BindingMissing => "binding_missing",
-            DenyRule::PointeeUnreadable => "pointee_unreadable",
-            DenyRule::PointeeByteCorrupted => "pointee_byte_corrupted",
-            DenyRule::PointeeTailUnverifiable => "pointee_tail_unverifiable",
-            DenyRule::PointeeRunsOffMapping => "pointee_runs_off_mapping",
-            DenyRule::BoundVarUnreadable => "bound_var_unreadable",
-            DenyRule::SensitiveVarCorrupted => "sensitive_var_corrupted",
-            DenyRule::MissingMemBinding => "missing_mem_binding",
-            DenyRule::ParamSlotUnreadable => "param_slot_unreadable",
-            DenyRule::ConstParamCorrupted => "const_param_corrupted",
-            DenyRule::UnknownSymbol => "unknown_symbol",
-            DenyRule::GlobalAddrMismatch => "global_addr_mismatch",
-            DenyRule::GlobalPointeeCorrupted => "global_pointee_corrupted",
-            DenyRule::StackAddrImplausible => "stack_addr_implausible",
-            DenyRule::RegsUnreadable => "regs_unreadable",
-            DenyRule::WatchdogDeadline => "watchdog_deadline",
-            DenyRule::DegradedMode => "degraded_mode",
-            DenyRule::FailClosedMode => "fail_closed_mode",
-        }
+        RULES[self as usize].1
     }
 }
 
@@ -242,6 +233,34 @@ pub struct DenyRecord {
     pub flight: Vec<crate::flight::FlightEntry>,
 }
 
+impl DenyRecord {
+    /// A deny of `rule` in `context`, as a verification stage reports it,
+    /// boxed as it travels; the monitor stamps the trap fields
+    /// (`trap_seq`, `sysno`, `fault_ctx`, `ladder_rung`, `flight`).
+    pub fn new(context: DenyContext, rule: DenyRule, message: impl Into<String>) -> Box<Self> {
+        Box::new(DenyRecord {
+            trap_seq: 0,
+            sysno: 0,
+            context,
+            rule,
+            expected: None,
+            observed: None,
+            fault_ctx: FaultCtx::default(),
+            ladder_rung: "full",
+            message: message.into(),
+            flight: Vec::new(),
+        })
+    }
+
+    /// Attaches the expected/observed pair.
+    #[must_use]
+    pub fn vals(mut self: Box<Self>, expected: u64, observed: u64) -> Box<Self> {
+        self.expected = Some(expected);
+        self.observed = Some(observed);
+        self
+    }
+}
+
 /// The kill-reason text: `"<CTX>: <msg>"`.
 impl std::fmt::Display for DenyRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -283,8 +302,18 @@ mod tests {
 
     #[test]
     fn rule_names_are_snake_case() {
-        assert_eq!(DenyRule::NotCallable.name(), "not_callable");
+        assert_eq!(DenyRule::StackUnreadable.name(), "stack_unreadable");
         assert_eq!(DenyRule::WatchdogDeadline.name(), "watchdog_deadline");
+    }
+
+    #[test]
+    fn rules_table_lists_every_variant_in_declaration_order() {
+        for (i, (rule, name)) in RULES.iter().enumerate() {
+            assert_eq!(*rule as usize, i, "{name} is out of place");
+            assert!(name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'));
+        }
+        let last = DenyRule::FailClosedMode;
+        assert_eq!(last as usize + 1, RULES.len(), "a variant has no row");
     }
 
     #[test]
@@ -293,16 +322,16 @@ mod tests {
             trap_seq: 1,
             sysno: 59,
             context: DenyContext::CallType,
-            rule: DenyRule::NotCallable,
+            rule: DenyRule::NotIndirectlyCallable,
             expected: None,
             observed: None,
             fault_ctx: FaultCtx::default(),
             ladder_rung: "full",
-            message: "syscall 59 is not-callable".into(),
+            message: "syscall 59 not indirectly-callable".into(),
             flight: Vec::new(),
         };
         let json = serde_json::to_string(&rec).unwrap();
         assert!(json.contains("\"trap_seq\""));
-        assert!(json.contains("NotCallable"));
+        assert!(json.contains("NotIndirectlyCallable"));
     }
 }

@@ -29,8 +29,7 @@
 //! [`DenyRecord`] is *not* gated by the enable flag: denies are terminal
 //! (the tracee is killed), so the monitor always builds the record, and it
 //! becomes the kill reason of the killed process's `MonitorKill` exit,
-//! where tests, the chaos harness and the CLI read it. An optional
-//! thread-local sink streams records as they occur (`--verbose`).
+//! where tests, the chaos harness and the CLI read it.
 
 pub mod deny;
 pub mod export;
@@ -51,15 +50,11 @@ pub use span::{EventKind, Phase, SpanTracer, TraceEvent};
 
 use std::cell::{Cell, RefCell};
 
-/// A deny-record consumer installed with [`set_deny_sink`].
-pub type DenySink = Box<dyn FnMut(&DenyRecord)>;
-
 thread_local! {
     /// The single branch the disabled path pays.
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static TRACER: RefCell<Option<SpanTracer>> = const { RefCell::new(None) };
     static METRICS: RefCell<Option<MetricsRegistry>> = const { RefCell::new(None) };
-    static DENY_SINK: RefCell<Option<DenySink>> = const { RefCell::new(None) };
 }
 
 /// Whether telemetry is enabled on this thread.
@@ -217,29 +212,6 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     })
 }
 
-/// Installs a deny-record sink streaming each record as it is produced
-/// (the CLI's `--verbose` surface). Independent of the enable flag: deny
-/// provenance is always captured.
-pub fn set_deny_sink(sink: DenySink) {
-    DENY_SINK.with(|s| *s.borrow_mut() = Some(sink));
-}
-
-/// Removes any installed deny sink.
-pub fn clear_deny_sink() {
-    DENY_SINK.with(|s| *s.borrow_mut() = None);
-}
-
-/// Delivers a deny record to the installed sink, if any. One branch when no
-/// sink is installed; never gated on the enable flag (denies are rare and
-/// terminal).
-pub fn emit_deny(rec: &DenyRecord) {
-    DENY_SINK.with(|s| {
-        if let Some(f) = s.borrow_mut().as_mut() {
-            f(rec);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,31 +281,5 @@ mod tests {
         }
         assert!(!is_enabled());
         assert_eq!(event_count(), 0);
-    }
-
-    #[test]
-    fn deny_sink_streams_records() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let seen2 = seen.clone();
-        set_deny_sink(Box::new(move |r| seen2.borrow_mut().push(r.trap_seq)));
-        let rec = DenyRecord {
-            trap_seq: 7,
-            sysno: 59,
-            context: DenyContext::CallType,
-            rule: DenyRule::NotCallable,
-            expected: None,
-            observed: None,
-            fault_ctx: FaultCtx::default(),
-            ladder_rung: "full",
-            message: "syscall 59 is not-callable".to_string(),
-            flight: Vec::new(),
-        };
-        emit_deny(&rec);
-        clear_deny_sink();
-        emit_deny(&rec);
-        assert_eq!(*seen.borrow(), vec![7]);
-        assert_eq!(rec.to_string(), "CT: syscall 59 is not-callable");
     }
 }

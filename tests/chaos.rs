@@ -138,7 +138,10 @@ fn ladder_fail_closed_rung_after_repeated_failures() {
 fn watchdog_deadline_denies_slow_verification() {
     // A 200k-cycle stall against a 50k-cycle trap deadline: the watchdog
     // must catch the overrun, deny the trap, and record a strike.
-    let res = Resilience::with_deadline(50_000);
+    let res = Resilience {
+        deadline_cycles: Some(50_000),
+        ..Resilience::default()
+    };
     let r = benign_chaos(
         App::Webserve,
         ContextConfig::full().with_resilience(res),

@@ -7,9 +7,8 @@
 use bastion::fleet;
 use bastion::kernel::{set_thread_legacy_interp, thread_legacy_interp, LegacyInterpGuard};
 use bastion::monitor::cache::VerifyCache;
-use bastion::monitor::verify::Violation;
-use bastion::obs::DenyContext;
 use bastion::obs::DenyRule;
+use bastion::obs::{DenyContext, DenyRecord};
 use bastion::{Deployment, Protection};
 
 /// The determinism contract, end to end: a subset of the attack-chaos
@@ -138,7 +137,7 @@ fn walk_cache_never_aliases_colliding_chains() {
     let forced_hash = 0x5EED_CAFE_u64;
     let chain_ok: &[u64] = &[0x1000, 0x2004, 0x300C, 0, 0x1000];
     let chain_bad: &[u64] = &[0x1000, 0x6666, 0x300C, 0, 0x1000];
-    let deny = Err(Violation::new(
+    let deny = Err(DenyRecord::new(
         DenyContext::ControlFlow,
         DenyRule::InvalidCaller,
         "callsite 0x6666 is not a valid caller",

@@ -4,9 +4,10 @@
 //! `` `cargo run --release -p bastion-cli -- paper <name>` `` and, after
 //! it in the same section, a fenced block with the text that command
 //! prints. Every artifact is deterministic virtual time, so the block must
-//! equal `paper::render`'s text byte for byte. Table 1, Table 5 and Table 6 run
-//! in every debug `cargo test`; the benchmark grids take seconds each in
-//! a debug build, so they are ignored there and CI runs them in release:
+//! equal `paper::render`'s text byte for byte. Table 1, Table 5, Table 6
+//! and the deny-rule table run in every debug `cargo test`; the benchmark
+//! grids take seconds each in a debug build, so they are ignored there
+//! and CI runs them in release:
 //! `cargo test --release --test paper_artifacts -- --include-ignored`.
 
 use bastion::paper::{render, Artifact};
@@ -120,4 +121,11 @@ fn table7_matches_experiments_md() {
 #[ignore = "release budget; CI runs --release -- --include-ignored"]
 fn ablations_matches_experiments_md() {
     check(Artifact::Ablations);
+}
+
+/// Also the deny-rule acceptance check: every rule is a row, and each
+/// row is fired, reached by a named test or a substrate defence.
+#[test]
+fn deny_rules_matches_experiments_md() {
+    check(Artifact::DenyRules);
 }

@@ -9,8 +9,8 @@
 //! * the `monitor.walk_depth` sketch agrees exactly with the monitor's
 //!   depth statistics (sum, min, max);
 //! * every monitor deny in the Table 6 catalog yields **exactly one**
-//!   [`DenyRecord`]: the one the deny sink streamed for the trap is, field
-//!   for field, the reason of the `MonitorKill` exit it caused;
+//!   [`DenyRecord`], the reason of the `MonitorKill` exit it caused: the
+//!   world's records number its monitor's denies, one per trap;
 //! * deny records join the fault-injection log on the world trap sequence
 //!   number (`DenyRecord::trap_seq` == `InjectedFault::world_trap`).
 
@@ -22,10 +22,8 @@ use bastion::obs;
 use bastion::obs::{DenyContext, DenyRecord, Phase};
 use bastion::vm::CostModel;
 use bastion_attacks::AttackEnv;
-use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger};
+use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger, World};
 use bastion_monitor::ContextConfig;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Counters
@@ -165,50 +163,35 @@ fn walk_depth_sketch_matches_monitor_stats() {
 // Deny provenance
 // ---------------------------------------------------------------------------
 
-/// Collects every deny record emitted on this thread while running `f`.
-fn collect_denies<R>(f: impl FnOnce() -> R) -> (R, Vec<DenyRecord>) {
-    let sink: Rc<RefCell<Vec<DenyRecord>>> = Rc::default();
-    let inner = Rc::clone(&sink);
-    obs::set_deny_sink(Box::new(move |rec| inner.borrow_mut().push(rec.clone())));
-    let r = f();
-    obs::clear_deny_sink();
-    (r, sink.take())
+/// A finished world's deny records: its `MonitorKill` exits in trap
+/// order, checked to be one per deny its monitor counted, one per trap.
+fn collect_denies(world: &mut World) -> Vec<DenyRecord> {
+    let (stats, denies) = bastion::chaos::monitor_report(world).expect("monitor attached");
+    assert_eq!(
+        denies.len() as u64,
+        stats.violations(),
+        "one record per deny"
+    );
+    assert!(
+        denies.windows(2).all(|w| w[0].trap_seq < w[1].trap_seq),
+        "one record per trap"
+    );
+    denies
 }
 
 #[test]
 fn every_catalog_deny_yields_one_byte_identical_record() {
     let mut total_denies = 0usize;
     for scenario in bastion_attacks::catalog() {
-        let (env, streamed) = collect_denies(|| {
-            let mut env = AttackEnv::deploy(
-                scenario.victim,
-                Some(ContextConfig::full()),
-                scenario.extended_set,
-                false,
-            );
-            absorb_liveness_panics(|| (scenario.attack)(&mut env));
-            env.settle();
-            env
-        });
-        // The kill reasons: every MonitorKill exit's record, in trap order.
-        let mut kills: Vec<&DenyRecord> = env
-            .world
-            .procs
-            .iter()
-            .filter_map(|p| match &p.exit {
-                Some(ExitReason::MonitorKill { reason, .. }) => Some(&**reason),
-                _ => None,
-            })
-            .collect();
-        kills.sort_by_key(|r| r.trap_seq);
-        assert_eq!(
-            kills,
-            streamed.iter().collect::<Vec<_>>(),
-            "#{} {}: a kill reason differs from the record streamed for its trap",
-            scenario.id,
-            scenario.name
+        let mut env = AttackEnv::deploy(
+            scenario.victim,
+            Some(ContextConfig::full()),
+            scenario.extended_set,
+            false,
         );
-        total_denies += streamed.len();
+        absorb_liveness_panics(|| (scenario.attack)(&mut env));
+        env.settle();
+        total_denies += collect_denies(&mut env.world).len();
     }
     assert!(
         total_denies > 0,
@@ -221,12 +204,10 @@ fn deny_records_carry_context_rule_and_ladder() {
     // One known deny: row 1 of the catalog under full protection.
     let catalog = bastion_attacks::catalog();
     let scenario = catalog.iter().find(|s| s.id == 1).expect("row 1 exists");
-    let (_env, records) = collect_denies(|| {
-        let mut env = AttackEnv::deploy(scenario.victim, Some(ContextConfig::full()), false, false);
-        absorb_liveness_panics(|| (scenario.attack)(&mut env));
-        env.settle();
-        env
-    });
+    let mut env = AttackEnv::deploy(scenario.victim, Some(ContextConfig::full()), false, false);
+    absorb_liveness_panics(|| (scenario.attack)(&mut env));
+    env.settle();
+    let records = collect_denies(&mut env.world);
     assert!(!records.is_empty(), "row 1 must be denied");
     for rec in &records {
         assert!(rec.trap_seq > 0, "trap sequence starts at 1");
@@ -266,9 +247,7 @@ fn deny_record_joins_fault_log_on_world_trap() {
     world.install_faults(
         FaultSchedule::new(0x10A_0001).with(FaultKind::ReadError, Trigger::OnTrap(2)),
     );
-    let ((), records) = collect_denies(|| {
-        world.run(10_000_000);
-    });
+    world.run(10_000_000);
     match &world.proc(pid).unwrap().exit {
         Some(ExitReason::MonitorKill { reason, .. }) => {
             assert_eq!(
@@ -279,6 +258,7 @@ fn deny_record_joins_fault_log_on_world_trap() {
         }
         other => panic!("faulted trap was not denied: {other:?}"),
     }
+    let records = collect_denies(&mut world);
     assert_eq!(records.len(), 1, "exactly one deny for the faulted trap");
     let rec = &records[0];
     assert_eq!(rec.trap_seq, 2, "deny names the faulted world trap");
